@@ -4,33 +4,11 @@
 /// with the Timer's incremental path disabled (every transform triggers a
 /// full re-propagation). The gap is why no production optimizer runs on
 /// full updates.
-///
-/// A second section isolates what this repo's incremental *fast path*
-/// (bounded backward pass + delay-calc memoization + trial-transform
-/// checkpoints) adds on top of the pre-fastpath incremental engine:
-/// the D5 closure flow single-threaded, both configurations, with a
-/// bit-identity cross-check on the final QoR. Emits
-/// BENCH_incremental_fastpath.json (schema in EXPERIMENTS.md).
 
 #include <cstdio>
 #include <string>
 
 #include "bench_common.hpp"
-#include "util/float_bits.hpp"
-#include "util/thread_pool.hpp"
-
-namespace {
-
-struct FastpathRun {
-  std::string config;
-  double seconds = 0.0;
-  std::size_t transforms = 0;
-  double final_wns = 0.0;
-  double final_tns = 0.0;
-  mgba::Timer::UpdateStats stats;
-};
-
-}  // namespace
 
 int main() {
   using namespace mgba;
@@ -65,113 +43,5 @@ int main() {
   print_rule(60);
   std::printf("%-4s | %12.3f | %12.3f | %8.2fx\n", "Sum", sum_inc, sum_full,
               sum_full / sum_inc);
-
-  // --- fast path vs. pre-fastpath incremental (D5, 1 thread) ---------------
-  //
-  // "prepr_incremental" is the engine this repo ran before the fast path
-  // landed: incremental forward frontier, but a full-graph backward pass
-  // per update, no delay memoization, and rejected optimizer trials undone
-  // by re-propagation. "fastpath" is the current default. The workload is a
-  // deliberately update-bound closure flow: a tight clock (utilization
-  // 1.30) so many endpoints violate, a 25 ps acceptance threshold so the
-  // optimizer both accepts and *rejects* transforms (rejects are where the
-  // checkpoint restore replaces two re-propagations), and area recovery
-  // off because its batched sweep amortizes one update over hundreds of
-  // transforms and would only dilute what this ablation isolates. Both
-  // configurations walk the same transform trajectory and must reach
-  // bit-identical final QoR — only the wall clock may differ. Each config
-  // runs kRepeats times and reports the fastest run, since the per-config
-  // deltas here are tens of milliseconds and shared machines are noisy.
-  std::printf("\nIncremental fast-path ablation: D5 closure flow, 1 thread\n");
-  std::printf("%-18s | %9s | %10s | %9s | %9s\n", "config", "seconds",
-              "transforms", "WNS (ps)", "TNS (ps)");
-  print_rule(66);
-
-  set_num_threads(1);
-  const int kDesign = 5;
-  const int kRepeats = 3;
-  FastpathRun runs[2];
-  std::size_t instances = 0;
-  std::size_t nodes = 0;
-  for (const bool fastpath : {false, true}) {
-    FastpathRun& run = runs[fastpath ? 1 : 0];
-    for (int rep = 0; rep < kRepeats; ++rep) {
-      auto stack = make_stack(kDesign, 1.30);
-      stack->timer->set_fastpath_enabled(fastpath);
-      OptimizerOptions options;
-      options.max_passes = 25;
-      options.endpoints_per_pass = 48;
-      options.min_improvement_ps = 25.0;
-      options.enable_area_recovery = false;
-      options.use_trial_checkpoints = fastpath;
-      TimingCloser closer(stack->design(), *stack->timer, stack->table,
-                          options);
-      const OptimizerReport report = closer.run();
-      if (rep == 0 || report.seconds < run.seconds) {
-        run.seconds = report.seconds;
-      }
-      run.config = fastpath ? "fastpath" : "prepr_incremental";
-      run.transforms = report.transforms_attempted;
-      run.final_wns = stack->timer->wns(Mode::Late);
-      run.final_tns = stack->timer->tns(Mode::Late);
-      run.stats = stack->timer->update_stats();
-      instances = stack->design().num_instances();
-      nodes = stack->timer->graph().num_nodes();
-    }
-    std::printf("%-18s | %9.3f | %10zu | %9.1f | %9.1f\n",
-                run.config.c_str(), run.seconds, run.transforms,
-                run.final_wns, run.final_tns);
-  }
-  print_rule(66);
-
-  const bool identical =
-      float_bits(runs[0].final_wns) == float_bits(runs[1].final_wns) &&
-      float_bits(runs[0].final_tns) == float_bits(runs[1].final_tns) &&
-      runs[0].transforms == runs[1].transforms;
-  const double speedup = runs[0].seconds / runs[1].seconds;
-  std::printf("speedup %.2fx, final QoR bit-identical: %s\n", speedup,
-              identical ? "yes" : "NO");
-  if (!identical) {
-    std::printf("ERROR: fast path diverged from the pre-fastpath engine\n");
-  }
-
-  std::FILE* out = std::fopen("BENCH_incremental_fastpath.json", "w");
-  if (out == nullptr) {
-    std::printf("ERROR: cannot open BENCH_incremental_fastpath.json\n");
-    return 1;
-  }
-  std::fprintf(out, "{\n");
-  std::fprintf(out, "  \"bench\": \"incremental_fastpath\",\n");
-  std::fprintf(out,
-               "  \"design\": {\"name\": \"D%d\", \"instances\": %zu, "
-               "\"graph_nodes\": %zu},\n",
-               kDesign, instances, nodes);
-  std::fprintf(out, "  \"threads\": 1,\n");
-  std::fprintf(out, "  \"bit_identical\": %s,\n",
-               identical ? "true" : "false");
-  std::fprintf(out, "  \"runs\": [\n");
-  for (int i = 0; i < 2; ++i) {
-    const FastpathRun& run = runs[i];
-    std::fprintf(
-        out,
-        "    {\"config\": \"%s\", \"seconds\": %.4f, \"transforms\": %zu, "
-        "\"final_wns_ps\": %.6f, \"final_tns_ps\": %.6f,\n"
-        "     \"stats\": {\"full_updates\": %zu, \"incremental_updates\": "
-        "%zu, \"forward_nodes\": %zu, \"backward_nodes\": %zu, "
-        "\"delay_cache_hits\": %llu, \"delay_cache_misses\": %llu, "
-        "\"trial_rollbacks\": %zu, \"trial_fallbacks\": %zu}}%s\n",
-        run.config.c_str(), run.seconds, run.transforms, run.final_wns,
-        run.final_tns, run.stats.full_updates, run.stats.incremental_updates,
-        run.stats.forward_nodes, run.stats.backward_nodes,
-        static_cast<unsigned long long>(run.stats.delay_cache_hits),
-        static_cast<unsigned long long>(run.stats.delay_cache_misses),
-        run.stats.trial_rollbacks, run.stats.trial_fallbacks,
-        i == 0 ? "," : "");
-  }
-  std::fprintf(out, "  ],\n");
-  std::fprintf(out, "  \"speedup\": %.3f\n", speedup);
-  std::fprintf(out, "}\n");
-  std::fclose(out);
-  std::printf("wrote BENCH_incremental_fastpath.json\n");
-  return identical ? 0 : 1;
+  return 0;
 }

@@ -4,8 +4,11 @@
 /// golden-PBA problem build), and the SCG solve — at 1/2/4/8 threads.
 /// Emits BENCH_parallel_scaling.json and cross-checks that every thread
 /// count reproduces the 1-thread arrivals bit-for-bit (the determinism
-/// contract of DESIGN.md "Threading model").
+/// contract of DESIGN.md "Threading model"). One untimed full update warms
+/// the delay memo before the thread loop, so no row pays the cold-start
+/// NLDM evaluations; each stage reports the best of kRepeats runs.
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <thread>
@@ -69,8 +72,14 @@ int run() {
   }
 
   constexpr std::size_t kPathsPerEndpoint = 4;
+  constexpr int kRepeats = 3;
   SolverOptions solver;
   solver.max_iterations = 800;
+
+  // Warm-up: the first propagation fills the delay memo, which every later
+  // full update reuses (derates do not move base delays).
+  stack.timer->set_instance_derates(derates);
+  stack.timer->update_timing();
 
   std::vector<StageTimes> results;
   std::vector<double> baseline_arrivals;
@@ -80,28 +89,36 @@ int run() {
     set_num_threads(threads);
     StageTimes t;
     t.threads = threads;
+    std::size_t rows = 0;
+    double objective = 0.0;
+    const auto keep_min = [](double& best, double ms, int rep) {
+      best = rep == 0 ? ms : std::min(best, ms);
+    };
+    for (int rep = 0; rep < kRepeats; ++rep) {
+      // set_instance_derates marks the timer dirty_full_, so this times one
+      // complete forward + CRPR + backward propagation.
+      stack.timer->set_instance_derates(derates);
+      double t0 = now_ms();
+      stack.timer->update_timing();
+      keep_min(t.full_update_ms, now_ms() - t0, rep);
 
-    // set_instance_derates marks the timer dirty_full_, so this times one
-    // complete forward + CRPR + backward propagation.
-    stack.timer->set_instance_derates(derates);
-    double t0 = now_ms();
-    stack.timer->update_timing();
-    t.full_update_ms = now_ms() - t0;
+      t0 = now_ms();
+      const PathEnumerator enumerator(*stack.timer, kPathsPerEndpoint);
+      const auto paths = enumerator.all_paths();
+      keep_min(t.enumerate_ms, now_ms() - t0, rep);
+      t.paths = paths.size();
 
-    t0 = now_ms();
-    const PathEnumerator enumerator(*stack.timer, kPathsPerEndpoint);
-    const auto paths = enumerator.all_paths();
-    t.enumerate_ms = now_ms() - t0;
-    t.paths = paths.size();
+      t0 = now_ms();
+      const PathEvaluator evaluator(*stack.timer, stack.table);
+      const MgbaProblem problem(*stack.timer, evaluator, paths, 0.02);
+      keep_min(t.problem_build_ms, now_ms() - t0, rep);
+      rows = problem.num_rows();
 
-    t0 = now_ms();
-    const PathEvaluator evaluator(*stack.timer, stack.table);
-    const MgbaProblem problem(*stack.timer, evaluator, paths, 0.02);
-    t.problem_build_ms = now_ms() - t0;
-
-    t0 = now_ms();
-    const SolveResult solved = solve_scg(problem, {}, solver);
-    t.scg_solve_ms = now_ms() - t0;
+      t0 = now_ms();
+      const SolveResult solved = solve_scg(problem, {}, solver);
+      keep_min(t.scg_solve_ms, now_ms() - t0, rep);
+      objective = solved.final_objective;
+    }
 
     // Determinism cross-check against the 1-thread propagation.
     std::vector<double> arrivals;
@@ -121,8 +138,7 @@ int run() {
         "threads=%zu  update %8.1f ms  enum %8.1f ms  problem %8.1f ms  "
         "solve %8.1f ms  total %8.1f ms  (%zu paths, %zu rows, obj %.3e)\n",
         threads, t.full_update_ms, t.enumerate_ms, t.problem_build_ms,
-        t.scg_solve_ms, t.total_ms(), t.paths, problem.num_rows(),
-        solved.final_objective);
+        t.scg_solve_ms, t.total_ms(), t.paths, rows, objective);
     results.push_back(t);
   }
 
@@ -140,6 +156,7 @@ int run() {
                std::thread::hardware_concurrency());
   std::fprintf(out, "  \"deterministic_across_threads\": %s,\n",
                deterministic ? "true" : "false");
+  std::fprintf(out, "  \"reps_best_of\": %d,\n", kRepeats);
   std::fprintf(out, "  \"results\": [\n");
   const double base = results.front().total_ms();
   for (std::size_t i = 0; i < results.size(); ++i) {

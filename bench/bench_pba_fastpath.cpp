@@ -14,9 +14,8 @@
 ///
 /// Correctness gates the numbers: on the 50k design the engine's whole
 /// path set is byte-compared against the cold enumerator's after every
-/// ECO, per SIMD tier (off / scalar / sse2 / avx2 where supported) x 1
-/// and 4 threads; the ~1M design streams the comparison per endpoint at
-/// the host's best tier. Any divergence prints the offending config and
+/// ECO at 1 and 4 threads; the ~1M design streams the comparison per
+/// endpoint at 4 threads. Any divergence prints the offending config and
 /// the binary exits nonzero. Emits BENCH_pba_fastpath.json. `--smoke`
 /// runs a seconds-scale design with the same exit contract — wired into
 /// ctest as pba_fastpath_smoke.
@@ -33,7 +32,6 @@
 #include "pba/path_engine.hpp"
 #include "pba/path_enum.hpp"
 #include "util/float_bits.hpp"
-#include "util/simd.hpp"
 #include "util/thread_pool.hpp"
 
 namespace mgba::bench {
@@ -107,14 +105,7 @@ bool paths_match_streaming(const PathEngine& engine,
   return true;
 }
 
-struct TierConfig {
-  const char* name;
-  bool staged;
-  simd::Tier tier;
-};
-
-struct TierCheck {
-  const char* name = "off";
+struct ThreadCheck {
   bool identical_t1 = true;  ///< engine == cold enumerator, 1 thread
   bool identical_t4 = true;  ///< engine == cold enumerator, 4 threads
 };
@@ -128,7 +119,7 @@ struct DesignResult {
   double cold_enum_ms = 0.0;   ///< fresh PathEnumerator after the ECO
   double warm_sync_ms = 0.0;   ///< engine sync after the same ECO
   std::string engine_stats;
-  std::vector<TierCheck> checks;
+  ThreadCheck check;
   bool identical = true;
 };
 
@@ -145,16 +136,14 @@ void eco_round_trip(BenchStack& stack, Timer& timer, const EcoVictim& victim,
 }
 
 DesignResult run_design(std::size_t target, int d, double period_ps,
-                        std::size_t k, int reps,
-                        const std::vector<TierConfig>& tiers,
-                        bool full_compare) {
+                        std::size_t k, int reps, bool full_compare) {
   GeneratorOptions gen = scaled_design_options(target, d);
   gen.name = "pba_fastpath_" + std::to_string(target);
   BenchStack stack(gen);
   stack.constraints.clock_port = stack.generated.clock_port;
   stack.constraints.clock_period_ps = period_ps;
-  // CRPR off at scale, matching the SIMD bench: its credit recomputation
-  // is orthogonal scalar graph walking.
+  // CRPR off at scale: its credit recomputation is orthogonal scalar graph
+  // walking.
   stack.constraints.enable_crpr = false;
   stack.timer =
       std::make_unique<Timer>(stack.generated.design, stack.constraints);
@@ -176,10 +165,8 @@ DesignResult run_design(std::size_t target, int d, double period_ps,
   }
 
   set_num_threads(1);
-  simd::set_staged_enabled(true);
-  simd::set_tier(simd::detect_best());
 
-  // --- timings (host best tier, single thread) ---------------------------
+  // --- timings (single thread) -------------------------------------------
   PathEngine engine(timer, k);
   {
     const double t0 = now_ms();
@@ -222,31 +209,23 @@ DesignResult run_design(std::size_t target, int d, double period_ps,
   }
   res.engine_stats = engine.stats().to_string();
 
-  // --- byte-identity sweep: tier x threads -------------------------------
+  // --- byte-identity sweep: threads --------------------------------------
   if (full_compare) {
     std::vector<std::uint64_t> reference;
-    for (const TierConfig& tc : tiers) {
-      simd::set_staged_enabled(tc.staged);
-      simd::set_tier(tc.tier);
-      TierCheck check;
-      check.name = tc.name;
-      for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-        set_num_threads(threads);
-        PathEngine probe(timer, k);
-        probe.sync();
-        eco_round_trip(stack, timer, victim, probe);
-        const std::vector<std::uint64_t> sig =
-            path_signature(probe.all_paths());
-        if (reference.empty()) reference = sig;
-        const bool same = sig == reference;
-        (threads == 1 ? check.identical_t1 : check.identical_t4) = same;
-        if (!same) {
-          std::printf("DIVERGENCE: design %s tier %s threads %zu\n",
-                      res.name.c_str(), tc.name, threads);
-          res.identical = false;
-        }
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+      set_num_threads(threads);
+      PathEngine probe(timer, k);
+      probe.sync();
+      eco_round_trip(stack, timer, victim, probe);
+      const std::vector<std::uint64_t> sig = path_signature(probe.all_paths());
+      if (reference.empty()) reference = sig;
+      const bool same = sig == reference;
+      (threads == 1 ? res.check.identical_t1 : res.check.identical_t4) = same;
+      if (!same) {
+        std::printf("DIVERGENCE: design %s threads %zu\n", res.name.c_str(),
+                    threads);
+        res.identical = false;
       }
-      res.checks.push_back(check);
     }
   } else {
     // At scale: 4-thread warm resync streamed against a cold enumerator.
@@ -255,19 +234,14 @@ DesignResult run_design(std::size_t target, int d, double period_ps,
     probe.sync();
     eco_round_trip(stack, timer, victim, probe);
     const PathEnumerator cold(timer, k);
-    TierCheck check;
-    check.name = simd::tier_name(simd::detect_best());
-    check.identical_t4 = paths_match_streaming(probe, cold, timer.graph());
-    if (!check.identical_t4) {
+    res.check.identical_t4 = paths_match_streaming(probe, cold, timer.graph());
+    if (!res.check.identical_t4) {
       std::printf("DIVERGENCE: design %s 4-thread warm vs cold\n",
                   res.name.c_str());
       res.identical = false;
     }
-    res.checks.push_back(check);
   }
   set_num_threads(1);
-  simd::set_staged_enabled(true);
-  simd::set_tier(simd::detect_best());
 
   std::printf(
       "  %-22s: cold build %.2f ms, cold enum %.2f ms, warm sync %.3f ms "
@@ -280,23 +254,13 @@ DesignResult run_design(std::size_t target, int d, double period_ps,
 }
 
 int run(bool smoke) {
-  std::vector<TierConfig> tiers{{"off", false, simd::Tier::Scalar},
-                                {"scalar", true, simd::Tier::Scalar}};
-  if (simd::supported(simd::Tier::SSE2)) {
-    tiers.push_back({"sse2", true, simd::Tier::SSE2});
-  }
-  if (simd::supported(simd::Tier::AVX2)) {
-    tiers.push_back({"avx2", true, simd::Tier::AVX2});
-  }
-
   const int reps = smoke ? 2 : 5;
   std::vector<DesignResult> designs;
   if (smoke) {
-    designs.push_back(run_design(12'000, 3, 2200.0, 8, reps, tiers, true));
+    designs.push_back(run_design(12'000, 3, 2200.0, 8, reps, true));
   } else {
-    designs.push_back(run_design(50'000, 3, 2200.0, 8, reps, tiers, true));
-    designs.push_back(
-        run_design(1'050'000, 7, 4000.0, 4, reps, tiers, false));
+    designs.push_back(run_design(50'000, 3, 2200.0, 8, reps, true));
+    designs.push_back(run_design(1'050'000, 7, 4000.0, 4, reps, false));
   }
 
   bool identical = true;
@@ -311,7 +275,7 @@ int run(bool smoke) {
   if (smoke) {
     std::printf(identical
                     ? "smoke OK: warm path sets byte-identical across "
-                      "tiers/threads\n"
+                      "threads\n"
                     : "smoke FAILED\n");
     return identical ? 0 : 1;
   }
@@ -322,8 +286,6 @@ int run(bool smoke) {
     return 1;
   }
   std::fprintf(out, "{\n");
-  std::fprintf(out, "  \"host_best_tier\": \"%s\",\n",
-               simd::tier_name(simd::detect_best()));
   std::fprintf(out, "  \"reps_best_of\": %d,\n", reps);
   std::fprintf(out, "  \"path_sets_byte_identical\": %s,\n",
                identical ? "true" : "false");
@@ -348,17 +310,11 @@ int run(bool smoke) {
                  d.cold_enum_ms / d.warm_sync_ms);
     std::fprintf(out, "     \"engine_stats\": \"%s\",\n",
                  d.engine_stats.c_str());
-    std::fprintf(out, "     \"checks\": [\n");
-    for (std::size_t j = 0; j < d.checks.size(); ++j) {
-      const TierCheck& c = d.checks[j];
-      std::fprintf(out,
-                   "       {\"tier\": \"%s\", \"bit_identical_t1\": %s, "
-                   "\"bit_identical_t4\": %s}%s\n",
-                   c.name, c.identical_t1 ? "true" : "false",
-                   c.identical_t4 ? "true" : "false",
-                   j + 1 < d.checks.size() ? "," : "");
-    }
-    std::fprintf(out, "     ]}%s\n", i + 1 < designs.size() ? "," : "");
+    std::fprintf(out,
+                 "     \"bit_identical_t1\": %s, \"bit_identical_t4\": %s}%s\n",
+                 d.check.identical_t1 ? "true" : "false",
+                 d.check.identical_t4 ? "true" : "false",
+                 i + 1 < designs.size() ? "," : "");
   }
   std::fprintf(out, "  ]\n}\n");
   std::fclose(out);

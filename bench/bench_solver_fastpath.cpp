@@ -2,7 +2,7 @@
 /// incremental-refit work, measured on one >=50k-instance design.
 ///
 ///   1. Sparse stochastic gradient: solve_scg with sparse accumulators vs.
-///      the dense reference sweep, at 1/2/4/8 threads, bit-identical x
+///      solve_scg_dense_reference, at 1/2/4/8 threads, bit-identical x
 ///      required everywhere (the sparse path is an arithmetic re-ordering
 ///      of nothing — same row partition, same block-ordered reduction).
 ///   2. Incremental refit: MgbaRefitSession.refit() after a tiny ECO vs. a
@@ -163,18 +163,14 @@ int run(bool smoke) {
     KernelTimes t;
     t.threads = threads;
 
-    SolverOptions dense_opts = solver;
-    dense_opts.use_sparse_gradient = false;
-    SolverOptions sparse_opts = solver;
-    sparse_opts.use_sparse_gradient = true;
     double final_objective = 0.0;
     std::size_t iterations = 0;
     for (int rep = 0; rep < repeats; ++rep) {
       double t0 = now_ms();
-      const SolveResult dense = solve_scg(problem, {}, dense_opts);
+      const SolveResult dense = solve_scg_dense_reference(problem, {}, solver);
       const double dense_ms = now_ms() - t0;
       t0 = now_ms();
-      const SolveResult sparse = solve_scg(problem, {}, sparse_opts);
+      const SolveResult sparse = solve_scg(problem, {}, solver);
       const double sparse_ms = now_ms() - t0;
       t.dense_ms = rep == 0 ? dense_ms : std::min(t.dense_ms, dense_ms);
       t.sparse_ms = rep == 0 ? sparse_ms : std::min(t.sparse_ms, sparse_ms);

@@ -22,7 +22,7 @@ cmake -B build -S . >/dev/null
 cmake --build build -j --target \
     bench_parallel_scaling bench_mcmm bench_ablation_incremental \
     bench_solver_fastpath bench_partition_scaling bench_snapshot_cow \
-    bench_server_throughput bench_simd_sweeps bench_pba_fastpath >/dev/null
+    bench_server_throughput bench_pba_fastpath >/dev/null
 
 # Benches without a --smoke mode are already seconds-scale.
 ./build/bench/bench_parallel_scaling
@@ -32,7 +32,6 @@ cmake --build build -j --target \
 ./build/bench/bench_partition_scaling $SMOKE_FLAG
 ./build/bench/bench_snapshot_cow $SMOKE_FLAG
 ./build/bench/bench_server_throughput $SMOKE_FLAG
-./build/bench/bench_simd_sweeps $SMOKE_FLAG
 ./build/bench/bench_pba_fastpath $SMOKE_FLAG
 
 python3 - "$SMOKE_FLAG" <<'PYEOF'

@@ -75,7 +75,8 @@ void DepthAnalysis::analyze_data(const TimingGraph& graph) {
     box.expand(design.terminal_location(graph.node(launch).terminal));
     fwd_box[launch] = box;
   }
-  for (const NodeId u : graph.topo_order()) {
+  // Node ids ascend in topological order (level-contiguous layout).
+  for (NodeId u = 0; u < n; ++u) {
     if (graph.node(u).is_clock_network || fwd[u] == kInf) continue;
     for (const ArcId a : graph.fanout(u)) {
       const TimingArc& arc = graph.arc(a);
@@ -93,9 +94,7 @@ void DepthAnalysis::analyze_data(const TimingGraph& graph) {
     box.expand(design.terminal_location(graph.node(endpoint).terminal));
     bwd_box[endpoint] = box;
   }
-  const auto& topo = graph.topo_order();
-  for (auto it = topo.rbegin(); it != topo.rend(); ++it) {
-    const NodeId u = *it;
+  for (NodeId u = static_cast<NodeId>(n); u-- > 0;) {
     if (graph.node(u).is_clock_network) continue;
     for (const ArcId a : graph.fanout(u)) {
       const TimingArc& arc = graph.arc(a);
@@ -145,8 +144,7 @@ void DepthAnalysis::analyze_clock(const TimingGraph& graph) {
     bwd_box[ck].merge(box);
   }
 
-  const auto& topo = graph.topo_order();
-  for (const NodeId u : topo) {
+  for (NodeId u = 0; u < n; ++u) {
     if (!graph.node(u).is_clock_network || fwd[u] == kInf) continue;
     for (const ArcId a : graph.fanout(u)) {
       const TimingArc& arc = graph.arc(a);
@@ -157,8 +155,7 @@ void DepthAnalysis::analyze_clock(const TimingGraph& graph) {
       fwd_box[v].merge(fwd_box[u]);
     }
   }
-  for (auto it = topo.rbegin(); it != topo.rend(); ++it) {
-    const NodeId u = *it;
+  for (NodeId u = static_cast<NodeId>(n); u-- > 0;) {
     if (!graph.node(u).is_clock_network) continue;
     for (const ArcId a : graph.fanout(u)) {
       const TimingArc& arc = graph.arc(a);

@@ -72,9 +72,8 @@ void CsrMatrix::multiply_transpose(std::span<const double> x,
 }
 
 double CsrMatrix::row_dot(std::size_t i, std::span<const double> x) const {
-  // Sparse dot in the kernels' canonical blocked order — the same result
-  // at every SIMD tier (see kernels.hpp), which is what keeps solver
-  // transcripts reproducible across machines with different ISAs.
+  // Sparse dot in the kernels' canonical blocked order (see kernels.hpp),
+  // which is what keeps solver transcripts reproducible.
   const SparseRowView r = row(i);
   return kernels::dot_gather(r.values.data(), r.cols.data(), x.data(),
                              r.nnz());

@@ -24,8 +24,6 @@ double dot(std::span<const double> a, std::span<const double> b) {
 
 void axpy(double alpha, std::span<const double> x, std::span<double> y) {
   MGBA_CHECK(x.size() == y.size());
-  // Elementwise: the SIMD tiers evaluate the identical per-element
-  // expression (no reassociation), so this is a pure throughput change.
   kernels::axpy(alpha, x.data(), y.data(), x.size());
 }
 

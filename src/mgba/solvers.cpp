@@ -76,9 +76,8 @@ bool ensure_sampling_state(const MgbaProblem& problem,
   return true;
 }
 
-/// Algorithm 2, dense reference path: every per-iteration vector op runs
-/// over all num_cols() entries. Kept verbatim as the ablation baseline the
-/// sparse path is asserted bit-identical against.
+/// Algorithm 2 with every per-iteration vector op over all num_cols()
+/// entries — the body behind solve_scg_dense_reference.
 SolveResult solve_scg_dense(const MgbaProblem& problem,
                             std::span<const std::size_t> rows,
                             const SolverOptions& options,
@@ -169,12 +168,13 @@ SolveResult solve_scg_dense(const MgbaProblem& problem,
   return result;
 }
 
-/// Algorithm 2, sparse fast path: per-iteration cost is O(nnz of the
-/// sampled rows + columns the iterate has ever moved on), not O(num_cols).
-/// Every sum runs over the relevant support in ascending index order, so
-/// each partial sum sees exactly the nonzero terms the dense path sees, in
-/// the same order — the skipped terms are exact +0.0 additive identities —
-/// which makes the result bit-identical to solve_scg_dense.
+/// Algorithm 2 over sparse accumulators: per-iteration cost is O(nnz of
+/// the sampled rows + columns the iterate has ever moved on), not
+/// O(num_cols). Every sum runs over the relevant support in ascending index
+/// order, so each partial sum sees exactly the nonzero terms the dense
+/// reference sees, in the same order — the skipped terms are exact +0.0
+/// additive identities — which makes the result bit-identical to
+/// solve_scg_dense.
 SolveResult solve_scg_sparse(const MgbaProblem& problem,
                              std::span<const std::size_t> rows,
                              const SolverOptions& options,
@@ -437,11 +437,24 @@ SolveResult solve_scg(const MgbaProblem& problem,
     return result;
   }
 
-  SolveResult result = options.use_sparse_gradient
-                           ? solve_scg_sparse(problem, rows, options, x0,
-                                              scratch)
-                           : solve_scg_dense(problem, rows, options, x0,
-                                             scratch);
+  SolveResult result = solve_scg_sparse(problem, rows, options, x0, scratch);
+  result.seconds = watch.seconds();
+  return result;
+}
+
+SolveResult solve_scg_dense_reference(const MgbaProblem& problem,
+                                      std::span<const std::size_t> rows_in,
+                                      const SolverOptions& options,
+                                      std::span<const double> x0) {
+  const Stopwatch watch;
+  const std::span<const std::size_t> rows = resolve_rows(problem, rows_in);
+  SolverScratch scratch;
+  SolveResult result;
+  if (ensure_sampling_state(problem, rows, scratch)) {
+    result = solve_scg_dense(problem, rows, options, x0, scratch);
+  } else {
+    result.x.assign(problem.num_cols(), 0.0);
+  }
   result.seconds = watch.seconds();
   return result;
 }

@@ -16,13 +16,13 @@
 /// All solvers operate on an explicit row subset of the full MgbaProblem
 /// so the selection schemes and the sampling scheme compose freely.
 ///
-/// Sparse fast path. The paper's own Fig. 3 observation (~96 % of x* stays
-/// near 0) means the per-iteration state of Algorithm 2 — the stochastic
-/// gradient, the conjugate direction, and the set of columns the iterate
-/// has ever moved on — is sparse. With use_sparse_gradient (default) every
-/// per-iteration kernel runs over sparse accumulators in O(touched), with
-/// arithmetic ordered exactly as the dense reference path: results are
-/// bit-identical between the two paths and across thread counts.
+/// Sparsity. The paper's own Fig. 3 observation (~96 % of x* stays near 0)
+/// means the per-iteration state of Algorithm 2 — the stochastic gradient,
+/// the conjugate direction, and the set of columns the iterate has ever
+/// moved on — is sparse. solve_scg runs every per-iteration kernel over
+/// sparse accumulators in O(touched), with arithmetic ordered exactly as
+/// the dense formulation (solve_scg_dense_reference, a test oracle): the
+/// two are bit-identical, and so are results across thread counts.
 
 #include <cstdint>
 #include <memory>
@@ -57,9 +57,6 @@ struct SolverOptions {
   /// batches are hundreds of rows and the raw final iterate sits on a
   /// noticeable noise floor — averaging removes it. 0 disables.
   double iterate_averaging = 0.02;
-  /// O(touched) sparse per-iteration kernels (see the file comment). The
-  /// dense path is kept as the bit-identical reference/ablation.
-  bool use_sparse_gradient = true;
   std::uint64_t seed = 42;
 };
 
@@ -133,6 +130,14 @@ SolveResult solve_scg(const MgbaProblem& problem,
                       const SolverOptions& options,
                       std::span<const double> x0 = {},
                       SolverScratch* scratch = nullptr);
+
+/// Algorithm 2 with dense per-iteration vectors: the O(num_cols) reference
+/// solve_scg is bit-identical to. Test oracle only; always uses a fresh
+/// scratch.
+SolveResult solve_scg_dense_reference(const MgbaProblem& problem,
+                                      std::span<const std::size_t> rows,
+                                      const SolverOptions& options,
+                                      std::span<const double> x0 = {});
 
 /// Algorithm 1 + Algorithm 2 over \p rows (empty span = all rows).
 SolveResult solve_scg_with_row_sampling(const MgbaProblem& problem,

@@ -130,40 +130,24 @@ bool TimingCloser::try_upsize(InstanceId inst, OptimizerReport& report) {
   ++report.transforms_attempted;
   const double tns_before = current_tns();
 
-  if (options_.use_trial_checkpoints) {
-    Timer::TrialScope scope(*timer_);
-    design_->resize_instance(inst, bigger);
-    if (listener_) listener_->on_resize(inst, original, bigger);
-    timer_->invalidate_instance(inst);
-    const double tns_after = current_tns();
-    if (tns_after > tns_before + options_.min_improvement_ps) {
-      scope.commit();
-      ++report.upsizes;
-      return true;
-    }
-    design_->resize_instance(inst, original);
-    if (listener_) listener_->on_resize(inst, bigger, original);
-    if (!scope.rollback()) {
-      // Checkpoint broke mid-trial (e.g. escalation to a full update):
-      // restore timing the legacy way.
-      timer_->invalidate_instance(inst);
-      timer_->update_timing();
-    }
-    return false;
-  }
-
+  Timer::TrialScope scope(*timer_);
   design_->resize_instance(inst, bigger);
   if (listener_) listener_->on_resize(inst, original, bigger);
   timer_->invalidate_instance(inst);
   const double tns_after = current_tns();
   if (tns_after > tns_before + options_.min_improvement_ps) {
+    scope.commit();
     ++report.upsizes;
     return true;
   }
   design_->resize_instance(inst, original);
   if (listener_) listener_->on_resize(inst, bigger, original);
-  timer_->invalidate_instance(inst);
-  timer_->update_timing();
+  if (!scope.rollback()) {
+    // Checkpoint broke mid-trial (e.g. escalation to a full update):
+    // restore timing by re-propagation.
+    timer_->invalidate_instance(inst);
+    timer_->update_timing();
+  }
   return false;
 }
 
@@ -189,39 +173,10 @@ bool TimingCloser::try_insert_buffer(ArcId net_arc, OptimizerReport& report) {
   ++report.transforms_attempted;
   const double tns_before = current_tns();
 
-  if (options_.use_trial_checkpoints) {
-    // Buffer insertion rebuilds the graph, so the checkpoint is a full
-    // structural snapshot: a rejected trial restores graph + arena
-    // wholesale instead of rebuilding and re-propagating a second time.
-    Timer::TrialScope scope(*timer_, Timer::TrialScope::Kind::Structural);
-    const InstanceId buffer = design_->insert_buffer_for_sink(
-        net, sink, *buffer_cell,
-        str_format("%s_%zu", options_.buffer_name_prefix.c_str(),
-                   buffer_counter_++),
-        midpoint);
-    if (listener_) {
-      listener_->on_buffer_inserted(buffer, net, sink, *buffer_cell,
-                                    midpoint);
-    }
-    timer_->rebuild_graph();
-    refresh_derates();
-    const double tns_after = current_tns();
-    if (tns_after > tns_before + options_.min_improvement_ps) {
-      scope.commit();
-      ++report.buffers_inserted;
-      return true;
-    }
-    design_->remove_buffer(buffer, net);
-    if (listener_) listener_->on_buffer_removed(buffer, net);
-    if (!scope.rollback()) {
-      timer_->rebuild_graph();
-      refresh_derates();
-      timer_->update_timing();
-    }
-    ++report.buffers_reverted;
-    return false;
-  }
-
+  // Buffer insertion rebuilds the graph, so the checkpoint is a full
+  // structural snapshot: a rejected trial restores graph + arena wholesale
+  // instead of rebuilding and re-propagating a second time.
+  Timer::TrialScope scope(*timer_, Timer::TrialScope::Kind::Structural);
   const InstanceId buffer = design_->insert_buffer_for_sink(
       net, sink, *buffer_cell,
       str_format("%s_%zu", options_.buffer_name_prefix.c_str(),
@@ -234,14 +189,17 @@ bool TimingCloser::try_insert_buffer(ArcId net_arc, OptimizerReport& report) {
   refresh_derates();
   const double tns_after = current_tns();
   if (tns_after > tns_before + options_.min_improvement_ps) {
+    scope.commit();
     ++report.buffers_inserted;
     return true;
   }
   design_->remove_buffer(buffer, net);
   if (listener_) listener_->on_buffer_removed(buffer, net);
-  timer_->rebuild_graph();
-  refresh_derates();
-  timer_->update_timing();
+  if (!scope.rollback()) {
+    timer_->rebuild_graph();
+    refresh_derates();
+    timer_->update_timing();
+  }
   ++report.buffers_reverted;
   return false;
 }

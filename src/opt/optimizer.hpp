@@ -59,11 +59,6 @@ struct OptimizerOptions {
   bool enable_sizing = true;
   bool enable_buffering = true;
   bool enable_area_recovery = true;
-  /// Rejected trial transforms restore pre-trial timing from a
-  /// Timer::TrialScope checkpoint (O(touched) memcpy) instead of
-  /// re-propagating. Results are bit-identical either way; the knob exists
-  /// for the ablation bench.
-  bool use_trial_checkpoints = true;
   /// Endpoint slack margin required before a gate may be downsized.
   double recovery_margin_ps = 40.0;
 

@@ -6,7 +6,6 @@
 #include "sta/kernels.hpp"
 #include "util/check.hpp"
 #include "util/float_bits.hpp"
-#include "util/simd.hpp"
 #include "util/strings.hpp"
 #include "util/thread_pool.hpp"
 
@@ -116,14 +115,10 @@ void PathEngine::cold_build(std::shared_ptr<const TimingSnapshot> head) {
     cand_count_[launch] = 1;
   }
 
-  if (simd::staged_enabled() && graph.level_contiguous()) {
-    build_levels_dense();
-  } else {
-    build_levels_scalar();
-  }
+  build_levels();
 }
 
-void PathEngine::build_levels_dense() {
+void PathEngine::build_levels() {
   const TimingGraph& graph = this->graph();
   const TimingData& data = view_->data();
   const std::size_t lane_base =
@@ -131,7 +126,7 @@ void PathEngine::build_levels_dense() {
   // Per level: one contiguous delay-lane copy, then one gather+axpy pass
   // per rank producing every fanin candidate arrival of the level. axpy
   // with alpha = 1.0 is an exact multiply, so gath[j] is bitwise
-  // arr[from] + delay — the scalar merge value — at every SIMD tier.
+  // arr[from] + delay — the per-node merge value merge_node computes.
   // Ranks past a fanin's cand_count read the -inf sentinel and are never
   // selected below.
   for (std::size_t l = 0; l < graph.num_levels(); ++l) {
@@ -170,22 +165,7 @@ void PathEngine::build_levels_dense() {
   }
 }
 
-void PathEngine::build_levels_scalar() {
-  const TimingGraph& graph = this->graph();
-  for (const auto& bucket : graph.level_nodes()) {
-    parallel_for(bucket.size(), 16, [&](std::size_t b, std::size_t e) {
-      std::vector<Cand> merged;  // per-chunk scratch
-      for (std::size_t i = b; i < e; ++i) {
-        const NodeId u = bucket[i];
-        if (graph.node(u).is_clock_network || is_launch_[u]) continue;
-        merge_scalar(u, merged);
-        select_into(u, merged);
-      }
-    });
-  }
-}
-
-void PathEngine::merge_scalar(NodeId u, std::vector<Cand>& merged) const {
+void PathEngine::merge_node(NodeId u, std::vector<Cand>& merged) const {
   const TimingGraph& graph = this->graph();
   merged.clear();
   for (const ArcId a : graph.fanin(u)) {
@@ -350,7 +330,7 @@ void PathEngine::warm_sweep() {
         if (is_launch_[u]) {
           changed = write_launch_seed(u);
         } else {
-          merge_scalar(u, merged);
+          merge_node(u, merged);
           changed = select_into(u, merged);
         }
         changed_[u] = changed ? 1 : 0;

@@ -3,13 +3,12 @@
 /// \file path_engine.hpp
 /// Persistent k-best path enumeration (DESIGN.md §17). A PathEngine owns
 /// the per-node candidate state of the PathEnumerator DP across ECOs: the
-/// first sync() runs the cold k-best DP (through the sta/kernels.hpp
-/// staged per-level sweeps when the graph is level-contiguous), and every
-/// later sync() bit-diffs the new timing version against the one the
-/// arena was built from and re-runs the DP push-style over the forward
-/// cone of the moved values only. The enumerated path sets are
-/// bit-identical to a cold PathEnumerator on the same version, at every
-/// SIMD tier and thread count.
+/// first sync() runs the cold k-best DP (dense per-level sweeps through
+/// sta/kernels.hpp), and every later sync() bit-diffs the new timing
+/// version against the one the arena was built from and re-runs the DP
+/// push-style over the forward cone of the moved values only. The
+/// enumerated path sets are bit-identical to a cold PathEnumerator on the
+/// same version, at every thread count.
 ///
 /// Queries additionally get a pruned global-worst extraction
 /// (worst_paths): endpoints are admitted to backtracking worst-bound
@@ -98,15 +97,15 @@ class PathEngine {
 
   void cold_build(std::shared_ptr<const TimingSnapshot> head);
   void rebind_graph();
-  void build_levels_dense();
-  void build_levels_scalar();
+  void build_levels();
   /// Flags the forward frontier of values that moved between view_ and
   /// \p head. Returns false when the seed set is too large for a warm
   /// sweep to beat the dense cold rebuild.
   bool collect_seeds(const TimingSnapshot& head);
   void clear_seeds();
   void warm_sweep();
-  void merge_scalar(NodeId u, std::vector<Cand>& merged) const;
+  /// Collects node \p u's fanin candidates into \p merged (warm sweep).
+  void merge_node(NodeId u, std::vector<Cand>& merged) const;
   /// Sorts \p merged (k-best prefix) and writes node \p u's records,
   /// returning whether any record (or the count) changed bitwise.
   bool select_into(NodeId u, std::vector<Cand>& merged);

@@ -60,11 +60,12 @@ PathEnumerator::PathEnumerator(std::shared_ptr<const TimingSnapshot> view,
     candidates_[u].assign(merged.begin(),
                           merged.begin() + static_cast<std::ptrdiff_t>(keep));
   };
-  for (const auto& bucket : graph.level_nodes()) {
-    parallel_for(bucket.size(), 16, [&](std::size_t b, std::size_t e) {
+  for (std::size_t l = 0; l < graph.num_levels(); ++l) {
+    const auto [u0, u1] = graph.level_range(l);
+    parallel_for(u1 - u0, 16, [&](std::size_t b, std::size_t e) {
       std::vector<Candidate> merged;  // per-chunk scratch
       for (std::size_t i = b; i < e; ++i) {
-        const NodeId u = bucket[i];
+        const NodeId u = static_cast<NodeId>(u0 + i);
         if (graph.node(u).is_clock_network || is_launch[u]) continue;
         merge_node(u, merged);
       }

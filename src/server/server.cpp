@@ -11,7 +11,6 @@
 #include <cstring>
 
 #include "server/protocol.hpp"
-#include "util/simd.hpp"
 #include "util/strings.hpp"
 
 namespace mgba::server {
@@ -199,15 +198,9 @@ void TimingServer::connection_loop(int fd) {
     cleanup();
     return;
   }
-  // Trailing tokens are ignored by older clients (sscanf stops after the
-  // session id), so the SIMD tier rides the banner compatibly.
-  if (!write_frame(fd, str_format("ok %u session %llu simd %s",
-                                  kProtocolVersion,
+  if (!write_frame(fd, str_format("ok %u session %llu", kProtocolVersion,
                                   static_cast<unsigned long long>(
-                                      session->id()),
-                                  simd::staged_enabled()
-                                      ? simd::tier_name(simd::active_tier())
-                                      : "off"))
+                                      session->id())))
            .empty()) {
     cleanup();
     return;

@@ -36,7 +36,7 @@ struct ArcTiming {
   double slew_ps = 0.0;  ///< transition at the arc's destination
 };
 
-/// Memoized base arc timings for the incremental fast path: one
+/// Memoized base arc timings: one
 /// direct-mapped entry per (lane, arc), where lane = corner * kNumModes +
 /// mode, so an entry already encodes the corner scaling. The stored key is
 /// (cell, input-slew bits); the net load is deliberately *not* part of the
@@ -58,9 +58,9 @@ struct DelayCache {
   static constexpr std::uint32_t kNetArcKey = 0xfffffffeu;
 
   // Structure-of-arrays layout (parallel arrays indexed lane * num_arcs +
-  // arc): the staged sweeps probe a whole level's slice with one
-  // vectorized key/bits compare (kernels::probe) and bulk-read the hit
-  // payloads, which an array-of-structs entry layout cannot feed.
+  // arc): the full sweeps probe a whole level's slice with one key/bits
+  // compare pass (kernels::probe) and bulk-read the hit payloads, which an
+  // array-of-structs entry layout cannot feed.
   std::vector<std::uint64_t> slew_bits;
   std::vector<std::uint32_t> cell_key;
   std::vector<double> delay_ps;

@@ -3,15 +3,6 @@
 #include <bit>
 #include <limits>
 
-#include "util/simd.hpp"
-
-#if defined(__x86_64__) || defined(_M_X64)
-#include <immintrin.h>
-#define MGBA_KERNELS_X86 1
-#else
-#define MGBA_KERNELS_X86 0
-#endif
-
 namespace mgba::kernels {
 namespace {
 
@@ -20,34 +11,10 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 /// minpd semantics: p < q ? p : q (ties and NaN-q resolve to q).
 inline double vmin(double p, double q) { return p < q ? p : q; }
 
-// Block finishers shared by every tier: fold the in-block scalar tail
-// (elements [j, m), lane pattern continuing j % 4 — the vector loops
-// always leave j ≡ 0 mod 4) into the four accumulators, then apply the
-// canonical combine.
-inline double finish_min_block(const double* xb, std::size_t j, std::size_t m,
-                               double acc[4]) {
-  for (; j < m; ++j) acc[j & 3] = vmin(acc[j & 3], xb[j]);
-  return vmin(vmin(acc[0], acc[2]), vmin(acc[1], acc[3]));
-}
+}  // namespace
 
-inline double finish_sumneg_block(const double* xb, std::size_t j,
-                                  std::size_t m, double acc[4]) {
-  for (; j < m; ++j) acc[j & 3] += xb[j] < 0.0 ? xb[j] : 0.0;
-  return (acc[0] + acc[2]) + (acc[1] + acc[3]);
-}
-
-inline double finish_dot_block(const double* vb, const std::uint32_t* cb,
-                               const double* x, std::size_t j, std::size_t m,
-                               double acc[4]) {
-  for (; j < m; ++j) acc[j & 3] += vb[j] * x[cb[j]];
-  return (acc[0] + acc[2]) + (acc[1] + acc[3]);
-}
-
-// --- scalar reference tier ------------------------------------------------
-
-void eff_cand_scalar(const double* base, const double* fd, const double* fw,
-                     const double* arr, double* eff, double* cand,
-                     std::size_t n) {
+void eff_cand(const double* base, const double* fd, const double* fw,
+              const double* arr, double* eff, double* cand, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) {
     const double e = (base[i] * fd[i]) * fw[i];
     eff[i] = e;
@@ -55,41 +22,38 @@ void eff_cand_scalar(const double* base, const double* fd, const double* fw,
   }
 }
 
-void subtract_scalar(const double* a, const double* b, double* out,
-                     std::size_t n) {
+void subtract(const double* a, const double* b, double* out, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) out[i] = a[i] - b[i];
 }
 
-void axpy_scalar(double alpha, const double* x, double* y, std::size_t n) {
+void axpy(double alpha, const double* x, double* y, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) y[i] += alpha * x[i];
 }
 
-void scale_scalar(double alpha, double* v, std::size_t n) {
+void scale(double alpha, double* v, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) v[i] *= alpha;
 }
 
-void gather_scalar(const double* src, const std::uint32_t* idx, double* out,
-                   std::size_t n) {
+void gather(const double* src, const std::uint32_t* idx, double* out,
+            std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) out[i] = src[idx[i]];
 }
 
-void weight_factor_scalar(const double* w, double floor_v, double* f,
-                          std::size_t n) {
+void weight_factor(const double* w, double floor_v, double* f, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) {
     const double s = 1.0 + w[i];
     f[i] = floor_v > s ? floor_v : s;  // maxpd semantics
   }
 }
 
-void flag_ne_scalar(const double* a, const double* b, std::uint8_t* flags,
-                    std::size_t n) {
+void flag_ne(const double* a, const double* b, std::uint8_t* flags,
+             std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) flags[i] = a[i] != b[i] ? 1 : 0;
 }
 
-std::size_t probe_scalar(const double* slew, const std::uint64_t* memo_bits,
-                         const std::uint32_t* memo_key,
-                         const std::uint32_t* want_key, std::uint8_t* hit,
-                         std::size_t n) {
+std::size_t probe(const double* slew, const std::uint64_t* memo_bits,
+                  const std::uint32_t* memo_key, const std::uint32_t* want_key,
+                  std::uint8_t* hit, std::size_t n) {
   std::size_t cnt = 0;
   for (std::size_t i = 0; i < n; ++i) {
     const std::uint8_t h =
@@ -103,614 +67,73 @@ std::size_t probe_scalar(const double* slew, const std::uint64_t* memo_bits,
   return cnt;
 }
 
-double reduce_min_scalar(const double* x, std::size_t n) {
+// The reductions below walk each block with four interleaved accumulators
+// (element j goes to acc[j % 4]); the unrolled body and the tail loop visit
+// the elements in the same order, so the result is the canonical one.
+
+double reduce_min(const double* x, std::size_t n) {
   double total = kInf;
   for (std::size_t b = 0; b < n; b += kBlock) {
     const std::size_t m = n - b < kBlock ? n - b : kBlock;
+    const double* xb = x + b;
     double acc[4] = {kInf, kInf, kInf, kInf};
     std::size_t j = 0;
     for (; j + 4 <= m; j += 4) {
-      acc[0] = vmin(acc[0], x[b + j]);
-      acc[1] = vmin(acc[1], x[b + j + 1]);
-      acc[2] = vmin(acc[2], x[b + j + 2]);
-      acc[3] = vmin(acc[3], x[b + j + 3]);
+      acc[0] = vmin(acc[0], xb[j]);
+      acc[1] = vmin(acc[1], xb[j + 1]);
+      acc[2] = vmin(acc[2], xb[j + 2]);
+      acc[3] = vmin(acc[3], xb[j + 3]);
     }
-    total = vmin(total, finish_min_block(x + b, j, m, acc));
+    for (; j < m; ++j) acc[j & 3] = vmin(acc[j & 3], xb[j]);
+    total = vmin(total, vmin(vmin(acc[0], acc[2]), vmin(acc[1], acc[3])));
   }
   return total;
 }
 
-double reduce_sum_neg_scalar(const double* x, std::size_t n) {
+double reduce_sum_neg(const double* x, std::size_t n) {
   double total = 0.0;
   for (std::size_t b = 0; b < n; b += kBlock) {
     const std::size_t m = n - b < kBlock ? n - b : kBlock;
+    const double* xb = x + b;
     double acc[4] = {0.0, 0.0, 0.0, 0.0};
     std::size_t j = 0;
     for (; j + 4 <= m; j += 4) {
-      acc[0] += x[b + j] < 0.0 ? x[b + j] : 0.0;
-      acc[1] += x[b + j + 1] < 0.0 ? x[b + j + 1] : 0.0;
-      acc[2] += x[b + j + 2] < 0.0 ? x[b + j + 2] : 0.0;
-      acc[3] += x[b + j + 3] < 0.0 ? x[b + j + 3] : 0.0;
+      acc[0] += xb[j] < 0.0 ? xb[j] : 0.0;
+      acc[1] += xb[j + 1] < 0.0 ? xb[j + 1] : 0.0;
+      acc[2] += xb[j + 2] < 0.0 ? xb[j + 2] : 0.0;
+      acc[3] += xb[j + 3] < 0.0 ? xb[j + 3] : 0.0;
     }
-    total += finish_sumneg_block(x + b, j, m, acc);
+    for (; j < m; ++j) acc[j & 3] += xb[j] < 0.0 ? xb[j] : 0.0;
+    total += (acc[0] + acc[2]) + (acc[1] + acc[3]);
   }
   return total;
 }
 
-std::size_t count_neg_scalar(const double* x, std::size_t n) {
+std::size_t count_neg(const double* x, std::size_t n) {
   std::size_t cnt = 0;
   for (std::size_t i = 0; i < n; ++i) cnt += x[i] < 0.0 ? 1 : 0;
   return cnt;
 }
 
-double dot_gather_scalar(const double* vals, const std::uint32_t* cols,
-                         const double* x, std::size_t n) {
+double dot_gather(const double* vals, const std::uint32_t* cols,
+                  const double* x, std::size_t n) {
   double total = 0.0;
   for (std::size_t b = 0; b < n; b += kBlock) {
     const std::size_t m = n - b < kBlock ? n - b : kBlock;
+    const double* vb = vals + b;
+    const std::uint32_t* cb = cols + b;
     double acc[4] = {0.0, 0.0, 0.0, 0.0};
     std::size_t j = 0;
     for (; j + 4 <= m; j += 4) {
-      acc[0] += vals[b + j] * x[cols[b + j]];
-      acc[1] += vals[b + j + 1] * x[cols[b + j + 1]];
-      acc[2] += vals[b + j + 2] * x[cols[b + j + 2]];
-      acc[3] += vals[b + j + 3] * x[cols[b + j + 3]];
+      acc[0] += vb[j] * x[cb[j]];
+      acc[1] += vb[j + 1] * x[cb[j + 1]];
+      acc[2] += vb[j + 2] * x[cb[j + 2]];
+      acc[3] += vb[j + 3] * x[cb[j + 3]];
     }
-    total += finish_dot_block(vals + b, cols + b, x, j, m, acc);
+    for (; j < m; ++j) acc[j & 3] += vb[j] * x[cb[j]];
+    total += (acc[0] + acc[2]) + (acc[1] + acc[3]);
   }
   return total;
-}
-
-#if MGBA_KERNELS_X86
-
-// --- SSE2 tier (x86-64 baseline, 2 doubles per op) ------------------------
-
-void eff_cand_sse2(const double* base, const double* fd, const double* fw,
-                   const double* arr, double* eff, double* cand,
-                   std::size_t n) {
-  std::size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    const __m128d e = _mm_mul_pd(
-        _mm_mul_pd(_mm_loadu_pd(base + i), _mm_loadu_pd(fd + i)),
-        _mm_loadu_pd(fw + i));
-    _mm_storeu_pd(eff + i, e);
-    _mm_storeu_pd(cand + i, _mm_add_pd(_mm_loadu_pd(arr + i), e));
-  }
-  for (; i < n; ++i) {
-    const double e = (base[i] * fd[i]) * fw[i];
-    eff[i] = e;
-    cand[i] = arr[i] + e;
-  }
-}
-
-void subtract_sse2(const double* a, const double* b, double* out,
-                   std::size_t n) {
-  std::size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    _mm_storeu_pd(out + i,
-                  _mm_sub_pd(_mm_loadu_pd(a + i), _mm_loadu_pd(b + i)));
-  }
-  for (; i < n; ++i) out[i] = a[i] - b[i];
-}
-
-void axpy_sse2(double alpha, const double* x, double* y, std::size_t n) {
-  const __m128d va = _mm_set1_pd(alpha);
-  std::size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    _mm_storeu_pd(y + i, _mm_add_pd(_mm_loadu_pd(y + i),
-                                    _mm_mul_pd(va, _mm_loadu_pd(x + i))));
-  }
-  for (; i < n; ++i) y[i] += alpha * x[i];
-}
-
-void scale_sse2(double alpha, double* v, std::size_t n) {
-  const __m128d va = _mm_set1_pd(alpha);
-  std::size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    _mm_storeu_pd(v + i, _mm_mul_pd(_mm_loadu_pd(v + i), va));
-  }
-  for (; i < n; ++i) v[i] *= alpha;
-}
-
-void weight_factor_sse2(const double* w, double floor_v, double* f,
-                        std::size_t n) {
-  const __m128d vfloor = _mm_set1_pd(floor_v);
-  const __m128d vone = _mm_set1_pd(1.0);
-  std::size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    _mm_storeu_pd(
-        f + i, _mm_max_pd(vfloor, _mm_add_pd(vone, _mm_loadu_pd(w + i))));
-  }
-  for (; i < n; ++i) {
-    const double s = 1.0 + w[i];
-    f[i] = floor_v > s ? floor_v : s;
-  }
-}
-
-void flag_ne_sse2(const double* a, const double* b, std::uint8_t* flags,
-                  std::size_t n) {
-  std::size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    const int m = _mm_movemask_pd(
-        _mm_cmpneq_pd(_mm_loadu_pd(a + i), _mm_loadu_pd(b + i)));
-    flags[i] = static_cast<std::uint8_t>(m & 1);
-    flags[i + 1] = static_cast<std::uint8_t>((m >> 1) & 1);
-  }
-  for (; i < n; ++i) flags[i] = a[i] != b[i] ? 1 : 0;
-}
-
-std::size_t probe_sse2(const double* slew, const std::uint64_t* memo_bits,
-                       const std::uint32_t* memo_key,
-                       const std::uint32_t* want_key, std::uint8_t* hit,
-                       std::size_t n) {
-  std::size_t cnt = 0;
-  std::size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    const __m128i sb = _mm_castpd_si128(_mm_loadu_pd(slew + i));
-    const __m128i mb =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(memo_bits + i));
-    const __m128i eq32 = _mm_cmpeq_epi32(sb, mb);
-    const __m128i eq64 = _mm_and_si128(
-        eq32, _mm_shuffle_epi32(eq32, _MM_SHUFFLE(2, 3, 0, 1)));
-    const int bits_eq = _mm_movemask_pd(_mm_castsi128_pd(eq64));
-    const __m128i mk =
-        _mm_loadl_epi64(reinterpret_cast<const __m128i*>(memo_key + i));
-    const __m128i wk =
-        _mm_loadl_epi64(reinterpret_cast<const __m128i*>(want_key + i));
-    const int key_eq =
-        _mm_movemask_ps(_mm_castsi128_ps(_mm_cmpeq_epi32(mk, wk))) & 3;
-    const int h = bits_eq & key_eq;
-    hit[i] = static_cast<std::uint8_t>(h & 1);
-    hit[i + 1] = static_cast<std::uint8_t>((h >> 1) & 1);
-    cnt += static_cast<std::size_t>(std::popcount(static_cast<unsigned>(h)));
-  }
-  for (; i < n; ++i) {
-    const std::uint8_t h =
-        (memo_key[i] == want_key[i] &&
-         memo_bits[i] == std::bit_cast<std::uint64_t>(slew[i]))
-            ? 1
-            : 0;
-    hit[i] = h;
-    cnt += h;
-  }
-  return cnt;
-}
-
-double reduce_min_sse2(const double* x, std::size_t n) {
-  const __m128d vinf = _mm_set1_pd(kInf);
-  double total = kInf;
-  for (std::size_t b = 0; b < n; b += kBlock) {
-    const std::size_t m = n - b < kBlock ? n - b : kBlock;
-    __m128d a01 = vinf;
-    __m128d a23 = vinf;
-    std::size_t j = 0;
-    for (; j + 4 <= m; j += 4) {
-      a01 = _mm_min_pd(a01, _mm_loadu_pd(x + b + j));
-      a23 = _mm_min_pd(a23, _mm_loadu_pd(x + b + j + 2));
-    }
-    double acc[4];
-    _mm_storeu_pd(acc, a01);
-    _mm_storeu_pd(acc + 2, a23);
-    total = vmin(total, finish_min_block(x + b, j, m, acc));
-  }
-  return total;
-}
-
-double reduce_sum_neg_sse2(const double* x, std::size_t n) {
-  const __m128d vzero = _mm_setzero_pd();
-  double total = 0.0;
-  for (std::size_t b = 0; b < n; b += kBlock) {
-    const std::size_t m = n - b < kBlock ? n - b : kBlock;
-    __m128d a01 = vzero;
-    __m128d a23 = vzero;
-    std::size_t j = 0;
-    for (; j + 4 <= m; j += 4) {
-      const __m128d v0 = _mm_loadu_pd(x + b + j);
-      const __m128d v1 = _mm_loadu_pd(x + b + j + 2);
-      a01 = _mm_add_pd(a01, _mm_and_pd(_mm_cmplt_pd(v0, vzero), v0));
-      a23 = _mm_add_pd(a23, _mm_and_pd(_mm_cmplt_pd(v1, vzero), v1));
-    }
-    double acc[4];
-    _mm_storeu_pd(acc, a01);
-    _mm_storeu_pd(acc + 2, a23);
-    total += finish_sumneg_block(x + b, j, m, acc);
-  }
-  return total;
-}
-
-std::size_t count_neg_sse2(const double* x, std::size_t n) {
-  const __m128d vzero = _mm_setzero_pd();
-  std::size_t cnt = 0;
-  std::size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    cnt += static_cast<std::size_t>(std::popcount(static_cast<unsigned>(
-        _mm_movemask_pd(_mm_cmplt_pd(_mm_loadu_pd(x + i), vzero)))));
-  }
-  for (; i < n; ++i) cnt += x[i] < 0.0 ? 1 : 0;
-  return cnt;
-}
-
-// --- AVX2 tier (4 doubles per op + vector gathers) ------------------------
-
-__attribute__((target("avx2"))) void eff_cand_avx2(
-    const double* base, const double* fd, const double* fw, const double* arr,
-    double* eff, double* cand, std::size_t n) {
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256d e = _mm256_mul_pd(
-        _mm256_mul_pd(_mm256_loadu_pd(base + i), _mm256_loadu_pd(fd + i)),
-        _mm256_loadu_pd(fw + i));
-    _mm256_storeu_pd(eff + i, e);
-    _mm256_storeu_pd(cand + i, _mm256_add_pd(_mm256_loadu_pd(arr + i), e));
-  }
-  for (; i < n; ++i) {
-    const double e = (base[i] * fd[i]) * fw[i];
-    eff[i] = e;
-    cand[i] = arr[i] + e;
-  }
-}
-
-__attribute__((target("avx2"))) void subtract_avx2(const double* a,
-                                                   const double* b,
-                                                   double* out,
-                                                   std::size_t n) {
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    _mm256_storeu_pd(
-        out + i, _mm256_sub_pd(_mm256_loadu_pd(a + i), _mm256_loadu_pd(b + i)));
-  }
-  for (; i < n; ++i) out[i] = a[i] - b[i];
-}
-
-__attribute__((target("avx2"))) void axpy_avx2(double alpha, const double* x,
-                                               double* y, std::size_t n) {
-  const __m256d va = _mm256_set1_pd(alpha);
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    _mm256_storeu_pd(
-        y + i, _mm256_add_pd(_mm256_loadu_pd(y + i),
-                             _mm256_mul_pd(va, _mm256_loadu_pd(x + i))));
-  }
-  for (; i < n; ++i) y[i] += alpha * x[i];
-}
-
-__attribute__((target("avx2"))) void scale_avx2(double alpha, double* v,
-                                                std::size_t n) {
-  const __m256d va = _mm256_set1_pd(alpha);
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    _mm256_storeu_pd(v + i, _mm256_mul_pd(_mm256_loadu_pd(v + i), va));
-  }
-  for (; i < n; ++i) v[i] *= alpha;
-}
-
-__attribute__((target("avx2"))) void gather_avx2(const double* src,
-                                                 const std::uint32_t* idx,
-                                                 double* out, std::size_t n) {
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m128i vi =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(idx + i));
-    _mm256_storeu_pd(out + i, _mm256_i32gather_pd(src, vi, 8));
-  }
-  for (; i < n; ++i) out[i] = src[idx[i]];
-}
-
-__attribute__((target("avx2"))) void weight_factor_avx2(const double* w,
-                                                        double floor_v,
-                                                        double* f,
-                                                        std::size_t n) {
-  const __m256d vfloor = _mm256_set1_pd(floor_v);
-  const __m256d vone = _mm256_set1_pd(1.0);
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    _mm256_storeu_pd(f + i, _mm256_max_pd(vfloor, _mm256_add_pd(
-                                                      vone,
-                                                      _mm256_loadu_pd(w + i))));
-  }
-  for (; i < n; ++i) {
-    const double s = 1.0 + w[i];
-    f[i] = floor_v > s ? floor_v : s;
-  }
-}
-
-__attribute__((target("avx2"))) void flag_ne_avx2(const double* a,
-                                                  const double* b,
-                                                  std::uint8_t* flags,
-                                                  std::size_t n) {
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const int m = _mm256_movemask_pd(_mm256_cmp_pd(
-        _mm256_loadu_pd(a + i), _mm256_loadu_pd(b + i), _CMP_NEQ_UQ));
-    flags[i] = static_cast<std::uint8_t>(m & 1);
-    flags[i + 1] = static_cast<std::uint8_t>((m >> 1) & 1);
-    flags[i + 2] = static_cast<std::uint8_t>((m >> 2) & 1);
-    flags[i + 3] = static_cast<std::uint8_t>((m >> 3) & 1);
-  }
-  for (; i < n; ++i) flags[i] = a[i] != b[i] ? 1 : 0;
-}
-
-__attribute__((target("avx2"))) std::size_t probe_avx2(
-    const double* slew, const std::uint64_t* memo_bits,
-    const std::uint32_t* memo_key, const std::uint32_t* want_key,
-    std::uint8_t* hit, std::size_t n) {
-  std::size_t cnt = 0;
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256i sb = _mm256_castpd_si256(_mm256_loadu_pd(slew + i));
-    const __m256i mb =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(memo_bits + i));
-    const int bits_eq = _mm256_movemask_pd(
-        _mm256_castsi256_pd(_mm256_cmpeq_epi64(sb, mb)));
-    const __m128i mk =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(memo_key + i));
-    const __m128i wk =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(want_key + i));
-    const int key_eq =
-        _mm_movemask_ps(_mm_castsi128_ps(_mm_cmpeq_epi32(mk, wk)));
-    const int h = bits_eq & key_eq;
-    hit[i] = static_cast<std::uint8_t>(h & 1);
-    hit[i + 1] = static_cast<std::uint8_t>((h >> 1) & 1);
-    hit[i + 2] = static_cast<std::uint8_t>((h >> 2) & 1);
-    hit[i + 3] = static_cast<std::uint8_t>((h >> 3) & 1);
-    cnt += static_cast<std::size_t>(std::popcount(static_cast<unsigned>(h)));
-  }
-  for (; i < n; ++i) {
-    const std::uint8_t h =
-        (memo_key[i] == want_key[i] &&
-         memo_bits[i] == std::bit_cast<std::uint64_t>(slew[i]))
-            ? 1
-            : 0;
-    hit[i] = h;
-    cnt += h;
-  }
-  return cnt;
-}
-
-__attribute__((target("avx2"))) double reduce_min_avx2(const double* x,
-                                                       std::size_t n) {
-  const __m256d vinf = _mm256_set1_pd(kInf);
-  double total = kInf;
-  for (std::size_t b = 0; b < n; b += kBlock) {
-    const std::size_t m = n - b < kBlock ? n - b : kBlock;
-    __m256d a = vinf;
-    std::size_t j = 0;
-    for (; j + 4 <= m; j += 4) {
-      a = _mm256_min_pd(a, _mm256_loadu_pd(x + b + j));
-    }
-    double acc[4];
-    _mm256_storeu_pd(acc, a);
-    total = vmin(total, finish_min_block(x + b, j, m, acc));
-  }
-  return total;
-}
-
-__attribute__((target("avx2"))) double reduce_sum_neg_avx2(const double* x,
-                                                           std::size_t n) {
-  const __m256d vzero = _mm256_setzero_pd();
-  double total = 0.0;
-  for (std::size_t b = 0; b < n; b += kBlock) {
-    const std::size_t m = n - b < kBlock ? n - b : kBlock;
-    __m256d a = vzero;
-    std::size_t j = 0;
-    for (; j + 4 <= m; j += 4) {
-      const __m256d v = _mm256_loadu_pd(x + b + j);
-      a = _mm256_add_pd(a,
-                        _mm256_and_pd(_mm256_cmp_pd(v, vzero, _CMP_LT_OQ), v));
-    }
-    double acc[4];
-    _mm256_storeu_pd(acc, a);
-    total += finish_sumneg_block(x + b, j, m, acc);
-  }
-  return total;
-}
-
-__attribute__((target("avx2"))) std::size_t count_neg_avx2(const double* x,
-                                                           std::size_t n) {
-  const __m256d vzero = _mm256_setzero_pd();
-  std::size_t cnt = 0;
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    cnt += static_cast<std::size_t>(
-        std::popcount(static_cast<unsigned>(_mm256_movemask_pd(
-            _mm256_cmp_pd(_mm256_loadu_pd(x + i), vzero, _CMP_LT_OQ)))));
-  }
-  for (; i < n; ++i) cnt += x[i] < 0.0 ? 1 : 0;
-  return cnt;
-}
-
-__attribute__((target("avx2"))) double dot_gather_avx2(
-    const double* vals, const std::uint32_t* cols, const double* x,
-    std::size_t n) {
-  double total = 0.0;
-  for (std::size_t b = 0; b < n; b += kBlock) {
-    const std::size_t m = n - b < kBlock ? n - b : kBlock;
-    __m256d a = _mm256_setzero_pd();
-    std::size_t j = 0;
-    for (; j + 4 <= m; j += 4) {
-      const __m128i vi =
-          _mm_loadu_si128(reinterpret_cast<const __m128i*>(cols + b + j));
-      a = _mm256_add_pd(a, _mm256_mul_pd(_mm256_loadu_pd(vals + b + j),
-                                         _mm256_i32gather_pd(x, vi, 8)));
-    }
-    double acc[4];
-    _mm256_storeu_pd(acc, a);
-    total += finish_dot_block(vals + b, cols + b, x, j, m, acc);
-  }
-  return total;
-}
-
-#endif  // MGBA_KERNELS_X86
-
-}  // namespace
-
-// --- dispatchers ----------------------------------------------------------
-
-void eff_cand(const double* base, const double* fd, const double* fw,
-              const double* arr, double* eff, double* cand, std::size_t n) {
-#if MGBA_KERNELS_X86
-  switch (simd::active_tier()) {
-    case simd::Tier::AVX2:
-      return eff_cand_avx2(base, fd, fw, arr, eff, cand, n);
-    case simd::Tier::SSE2:
-      return eff_cand_sse2(base, fd, fw, arr, eff, cand, n);
-    default:
-      break;
-  }
-#endif
-  eff_cand_scalar(base, fd, fw, arr, eff, cand, n);
-}
-
-void subtract(const double* a, const double* b, double* out, std::size_t n) {
-#if MGBA_KERNELS_X86
-  switch (simd::active_tier()) {
-    case simd::Tier::AVX2:
-      return subtract_avx2(a, b, out, n);
-    case simd::Tier::SSE2:
-      return subtract_sse2(a, b, out, n);
-    default:
-      break;
-  }
-#endif
-  subtract_scalar(a, b, out, n);
-}
-
-void axpy(double alpha, const double* x, double* y, std::size_t n) {
-#if MGBA_KERNELS_X86
-  switch (simd::active_tier()) {
-    case simd::Tier::AVX2:
-      return axpy_avx2(alpha, x, y, n);
-    case simd::Tier::SSE2:
-      return axpy_sse2(alpha, x, y, n);
-    default:
-      break;
-  }
-#endif
-  axpy_scalar(alpha, x, y, n);
-}
-
-void scale(double alpha, double* v, std::size_t n) {
-#if MGBA_KERNELS_X86
-  switch (simd::active_tier()) {
-    case simd::Tier::AVX2:
-      return scale_avx2(alpha, v, n);
-    case simd::Tier::SSE2:
-      return scale_sse2(alpha, v, n);
-    default:
-      break;
-  }
-#endif
-  scale_scalar(alpha, v, n);
-}
-
-void gather(const double* src, const std::uint32_t* idx, double* out,
-            std::size_t n) {
-#if MGBA_KERNELS_X86
-  // SSE2 has no gather instruction; the scalar loop is the SSE2 tier.
-  if (simd::active_tier() == simd::Tier::AVX2) {
-    return gather_avx2(src, idx, out, n);
-  }
-#endif
-  gather_scalar(src, idx, out, n);
-}
-
-void weight_factor(const double* w, double floor_v, double* f, std::size_t n) {
-#if MGBA_KERNELS_X86
-  switch (simd::active_tier()) {
-    case simd::Tier::AVX2:
-      return weight_factor_avx2(w, floor_v, f, n);
-    case simd::Tier::SSE2:
-      return weight_factor_sse2(w, floor_v, f, n);
-    default:
-      break;
-  }
-#endif
-  weight_factor_scalar(w, floor_v, f, n);
-}
-
-void flag_ne(const double* a, const double* b, std::uint8_t* flags,
-             std::size_t n) {
-#if MGBA_KERNELS_X86
-  switch (simd::active_tier()) {
-    case simd::Tier::AVX2:
-      return flag_ne_avx2(a, b, flags, n);
-    case simd::Tier::SSE2:
-      return flag_ne_sse2(a, b, flags, n);
-    default:
-      break;
-  }
-#endif
-  flag_ne_scalar(a, b, flags, n);
-}
-
-std::size_t probe(const double* slew, const std::uint64_t* memo_bits,
-                  const std::uint32_t* memo_key, const std::uint32_t* want_key,
-                  std::uint8_t* hit, std::size_t n) {
-#if MGBA_KERNELS_X86
-  switch (simd::active_tier()) {
-    case simd::Tier::AVX2:
-      return probe_avx2(slew, memo_bits, memo_key, want_key, hit, n);
-    case simd::Tier::SSE2:
-      return probe_sse2(slew, memo_bits, memo_key, want_key, hit, n);
-    default:
-      break;
-  }
-#endif
-  return probe_scalar(slew, memo_bits, memo_key, want_key, hit, n);
-}
-
-double reduce_min(const double* x, std::size_t n) {
-#if MGBA_KERNELS_X86
-  switch (simd::active_tier()) {
-    case simd::Tier::AVX2:
-      return reduce_min_avx2(x, n);
-    case simd::Tier::SSE2:
-      return reduce_min_sse2(x, n);
-    default:
-      break;
-  }
-#endif
-  return reduce_min_scalar(x, n);
-}
-
-double reduce_sum_neg(const double* x, std::size_t n) {
-#if MGBA_KERNELS_X86
-  switch (simd::active_tier()) {
-    case simd::Tier::AVX2:
-      return reduce_sum_neg_avx2(x, n);
-    case simd::Tier::SSE2:
-      return reduce_sum_neg_sse2(x, n);
-    default:
-      break;
-  }
-#endif
-  return reduce_sum_neg_scalar(x, n);
-}
-
-std::size_t count_neg(const double* x, std::size_t n) {
-#if MGBA_KERNELS_X86
-  switch (simd::active_tier()) {
-    case simd::Tier::AVX2:
-      return count_neg_avx2(x, n);
-    case simd::Tier::SSE2:
-      return count_neg_sse2(x, n);
-    default:
-      break;
-  }
-#endif
-  return count_neg_scalar(x, n);
-}
-
-double dot_gather(const double* vals, const std::uint32_t* cols,
-                  const double* x, std::size_t n) {
-#if MGBA_KERNELS_X86
-  // The blocked 4-accumulator order is identical either way; SSE2 runs the
-  // scalar loop (no gather instruction below AVX2).
-  if (simd::active_tier() == simd::Tier::AVX2) {
-    return dot_gather_avx2(vals, cols, x, n);
-  }
-#endif
-  return dot_gather_scalar(vals, cols, x, n);
 }
 
 }  // namespace mgba::kernels

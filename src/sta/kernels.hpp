@@ -1,26 +1,22 @@
 #pragma once
 
 /// \file kernels.hpp
-/// Dense data-parallel kernels behind the vectorized timing sweeps and the
-/// sparse weight-fit solver. Each kernel dispatches at runtime to the
-/// active SIMD tier (util/simd.hpp): a scalar reference, an SSE2 variant
-/// (x86-64 baseline) and an AVX2 variant.
+/// Dense data-parallel kernels behind the level sweeps of the timing engine
+/// and the sparse weight-fit solver: plain scalar loops over contiguous
+/// slices, one implementation each, with no ISA-specific variants.
 ///
-/// Bit-identity contract: every tier produces byte-identical output for
-/// identical input, including NaN/inf/denormal/signed-zero edge values.
-/// Two rules make that hold:
+/// The kernels define the engine's answers bit for bit, so their operation
+/// order is fixed:
 ///
-///   * Elementwise kernels evaluate the same expression per element with
-///     no reassociation and no FMA contraction (the kernels TU compiles
-///     with -ffp-contract=off; the baseline target has no FMA anyway).
-///   * Reductions run in one canonical blocked order at every tier:
-///     blocks of kBlock elements, four interleaved accumulators (element
-///     j of a block goes to accumulator j % 4), a fixed combine
-///     ((a0 op a2) op (a1 op a3)), and a sequential fold of block results
-///     into the running total. The scalar tier executes the exact same
-///     order, so it is the reference, not an approximation. Min-reductions
-///     use minpd semantics — MIN(p, q) = p < q ? p : q — at every tier,
-///     which resolves ties (notably -0.0 vs +0.0) identically everywhere.
+///   * Elementwise kernels evaluate one expression per element with no
+///     reassociation and no FMA contraction (the kernels TU compiles with
+///     -ffp-contract=off).
+///   * Reductions run in one canonical blocked order: blocks of kBlock
+///     elements, four interleaved accumulators (element j of a block goes
+///     to accumulator j % 4), a fixed combine ((a0 op a2) op (a1 op a3)),
+///     and a sequential fold of block results into the running total.
+///     Min-reductions use MIN(p, q) = p < q ? p : q, which resolves ties
+///     (notably -0.0 vs +0.0) toward q.
 ///
 /// Kernels take raw pointers + length: callers slice their own arenas.
 /// Regions must not alias unless a kernel documents otherwise.
@@ -56,13 +52,12 @@ void axpy(double alpha, const double* x, double* y, std::size_t n);
 /// v[i] *= alpha.
 void scale(double alpha, double* v, std::size_t n);
 
-/// out[i] = src[idx[i]]. Indices must be < 2^31 (they are sign-extended
-/// into vector gather lanes).
+/// out[i] = src[idx[i]].
 void gather(const double* src, const std::uint32_t* idx, double* out,
             std::size_t n);
 
-/// f[i] = max(floor_v, 1.0 + w[i]), with max(a,b) = a > b ? a : b (maxpd
-/// semantics). floor_v must be nonzero so signed-zero ties cannot arise.
+/// f[i] = max(floor_v, 1.0 + w[i]), with max(a,b) = a > b ? a : b.
+/// floor_v must be nonzero so signed-zero ties cannot arise.
 void weight_factor(const double* w, double floor_v, double* f, std::size_t n);
 
 /// flags[i] = (a[i] != b[i]) ? 1 : 0 — IEEE floating compare (NaN != NaN
@@ -91,7 +86,7 @@ double reduce_sum_neg(const double* x, std::size_t n);
 std::size_t count_neg(const double* x, std::size_t n);
 
 /// Sum of vals[i] * x[cols[i]] in the canonical blocked order (sparse row
-/// dot product). cols values must be < 2^31.
+/// dot product).
 double dot_gather(const double* vals, const std::uint32_t* cols,
                   const double* x, std::size_t n);
 

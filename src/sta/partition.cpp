@@ -222,7 +222,8 @@ void Partitioning::assign_nodes(const TimingGraph& graph,
   run_begin_.assign(num_buckets + 1, 0);
   std::vector<NodeId> open_end(num_buckets, kInvalidNode);
   for (std::size_t l = 0; l < num_levels_; ++l) {
-    for (const NodeId v : graph.level_nodes()[l]) {
+    const auto [v0, v1] = graph.level_range(l);
+    for (NodeId v = v0; v < v1; ++v) {
       const std::size_t bucket = part_of_node_[v] * num_levels_ + l;
       if (open_end[bucket] != v) ++run_begin_[bucket + 1];
       open_end[bucket] = v + 1;
@@ -236,7 +237,8 @@ void Partitioning::assign_nodes(const TimingGraph& graph,
                                   run_begin_.end() - 1);
   std::fill(open_end.begin(), open_end.end(), kInvalidNode);
   for (std::size_t l = 0; l < num_levels_; ++l) {
-    for (const NodeId v : graph.level_nodes()[l]) {
+    const auto [v0, v1] = graph.level_range(l);
+    for (NodeId v = v0; v < v1; ++v) {
       const std::size_t bucket = part_of_node_[v] * num_levels_ + l;
       if (open_end[bucket] != v) {
         runs_[fill[bucket]++] = NodeRun{v, v + 1};

@@ -94,9 +94,9 @@ inline const CheckTiming& check_timing(const TimingData& d, std::size_t i,
 /// Per-endpoint slacks of one (mode, corner) view, densely packed in
 /// endpoint order — the input the slack reductions below run over. The
 /// gather stays scalar (the arena is a chunked COW vector, not a flat
-/// array); the reductions themselves run through the SIMD kernels in
-/// their canonical blocked order, so WNS/TNS answers are identical at
-/// every tier and independent of endpoint count partitioning.
+/// array); the reductions themselves run through the kernels in their
+/// canonical blocked order, so WNS/TNS answers are independent of how the
+/// endpoints are partitioned across threads.
 inline void endpoint_slacks(const TimingData& d, const TimingGraph& g,
                             Mode mode, CornerId corner,
                             std::vector<double>& buf) {

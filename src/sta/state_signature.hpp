@@ -28,11 +28,7 @@ std::vector<double> state_signature(const View& view) {
                  (graph.num_nodes() * 3 + graph.endpoints().size()));
   for (CornerId c = 0; c < view.num_corners(); ++c) {
     for (const Mode mode : {Mode::Early, Mode::Late}) {
-      // Walk nodes in build order (old ids): terminals enumerate the same
-      // way under every GraphLayout, so signatures compare across a
-      // renumbered and an original-layout view of the same design.
-      for (NodeId old = 0; old < graph.num_nodes(); ++old) {
-        const NodeId n = graph.new_node(old);
+      for (NodeId n = 0; n < graph.num_nodes(); ++n) {
         values.push_back(view.arrival(n, mode, c));
         values.push_back(view.slew(n, mode, c));
         values.push_back(view.required(n, mode, c));

@@ -12,7 +12,6 @@
 #include "sta/snapshot.hpp"
 #include "util/check.hpp"
 #include "util/float_bits.hpp"
-#include "util/simd.hpp"
 #include "util/strings.hpp"
 #include "util/thread_pool.hpp"
 
@@ -37,7 +36,7 @@ constexpr std::size_t kIncrementalGrain = 32;
 /// replaces; the graph/statics are refcounted, the remaining tables are
 /// plain copies. `broken` means an operation the checkpoint cannot cover
 /// intervened (corner-set change, weight application) — rollback then
-/// fails over to legacy re-propagation.
+/// fails over to re-propagation.
 struct Timer::TrialState {
   bool structural = false;
   bool broken = false;
@@ -59,11 +58,10 @@ struct Timer::TrialState {
 };
 
 Timer::Timer(const Design& design, TimingConstraints constraints,
-             WireModel wire, GraphLayout layout)
+             WireModel wire)
     : design_(&design),
       constraints_(std::move(constraints)),
-      delay_(design, wire),
-      layout_(layout) {
+      delay_(design, wire) {
   derates_.assign(corners_.size(),
                   std::make_shared<const std::vector<DeratePair>>());
   weights_.resize(corners_.size());
@@ -219,7 +217,7 @@ void Timer::invalidate_instance(InstanceId inst) {
   // full update below: the delay cache persists across full propagations.
   invalidate_cache_for(inst);
   // The instance's cell (and with it the arc keys / weight-gather indices
-  // the staged sweeps cache) may have changed.
+  // the full sweeps cache) may have changed.
   arc_statics_dirty_ = true;
 
   // CRPR credits are cached across incremental updates on the assumption
@@ -286,8 +284,7 @@ void Timer::rebuild_graph() {
   eco_poisoned_ = true;
   break_value_trial();
   // Fresh graph object: snapshots taken against the old one keep it alive.
-  graph_ =
-      std::make_shared<TimingGraph>(*design_, constraints_.clock_port, layout_);
+  graph_ = std::make_shared<TimingGraph>(*design_, constraints_.clock_port);
   ++state_version_;
   allocate_storage();
   compute_instance_arcs();
@@ -366,61 +363,37 @@ void Timer::resize_incremental_scratch() {
   backward_seeds_.clear();
   touched_checks_.clear();
 
-  // Staged-sweep tables. Only a level-contiguous layout runs the staged
-  // sweeps; Original keeps the legacy per-node bodies and pays nothing.
+  // Full-sweep gather tables and per-level scratch.
   const std::size_t num_arcs = graph_->num_arcs();
-  if (graph_->level_contiguous()) {
-    arc_from_.resize(num_arcs);
-    arc_key_.assign(num_arcs, DelayCache::kEmptyKey);
-    arc_widx_.assign(num_arcs, 0);
-    for (ArcId a = 0; a < num_arcs; ++a) arc_from_[a] = graph_->arc(a).from;
-    const std::span<const ArcId> pool = graph_->fanout_pool();
-    fo_to_.resize(pool.size());
-    for (std::size_t p = 0; p < pool.size(); ++p) {
-      fo_to_[p] = graph_->arc(pool[p]).to;
-    }
-    max_level_fanin_ = 0;
-    max_level_fanout_ = 0;
-    for (std::size_t l = 0; l < graph_->num_levels(); ++l) {
-      const auto [a0, a1] = graph_->level_arc_range(l);
-      max_level_fanin_ = std::max(max_level_fanin_, std::size_t{a1 - a0});
-      const auto [u0, u1] = graph_->level_range(l);
-      max_level_fanout_ = std::max(
-          max_level_fanout_,
-          std::size_t{graph_->fanout_begin(u1) - graph_->fanout_begin(u0)});
-    }
-    const std::size_t wide = std::max(max_level_fanin_, max_level_fanout_);
-    lvl_a_.resize(wide);
-    lvl_b_.resize(wide);
-    lvl_c_.resize(wide);
-    lvl_d_.resize(max_level_fanin_);
-    lvl_e_.resize(max_level_fanin_);
-    lvl_f_.resize(max_level_fanin_);
-    lvl_hit_.resize(max_level_fanin_);
-    fac_derate_.assign(lanes * num_arcs, 1.0);
-    fac_weight_.assign(lanes * num_arcs, 1.0);
-  } else {
-    arc_from_.clear();
-    arc_key_.clear();
-    arc_widx_.clear();
-    fo_to_.clear();
-    fac_derate_.clear();
-    fac_weight_.clear();
-    wfac_.clear();
-    shadow_a_.clear();
-    shadow_b_.clear();
-    dly_late_.clear();
-    dly_early_.clear();
-    lvl_a_.clear();
-    lvl_b_.clear();
-    lvl_c_.clear();
-    lvl_d_.clear();
-    lvl_e_.clear();
-    lvl_f_.clear();
-    lvl_hit_.clear();
-    max_level_fanin_ = 0;
-    max_level_fanout_ = 0;
+  arc_from_.resize(num_arcs);
+  arc_key_.assign(num_arcs, DelayCache::kEmptyKey);
+  arc_widx_.assign(num_arcs, 0);
+  for (ArcId a = 0; a < num_arcs; ++a) arc_from_[a] = graph_->arc(a).from;
+  const std::span<const ArcId> pool = graph_->fanout_pool();
+  fo_to_.resize(pool.size());
+  for (std::size_t p = 0; p < pool.size(); ++p) {
+    fo_to_[p] = graph_->arc(pool[p]).to;
   }
+  max_level_fanin_ = 0;
+  max_level_fanout_ = 0;
+  for (std::size_t l = 0; l < graph_->num_levels(); ++l) {
+    const auto [a0, a1] = graph_->level_arc_range(l);
+    max_level_fanin_ = std::max(max_level_fanin_, std::size_t{a1 - a0});
+    const auto [u0, u1] = graph_->level_range(l);
+    max_level_fanout_ = std::max(
+        max_level_fanout_,
+        std::size_t{graph_->fanout_begin(u1) - graph_->fanout_begin(u0)});
+  }
+  const std::size_t wide = std::max(max_level_fanin_, max_level_fanout_);
+  lvl_a_.resize(wide);
+  lvl_b_.resize(wide);
+  lvl_c_.resize(wide);
+  lvl_d_.resize(max_level_fanin_);
+  lvl_e_.resize(max_level_fanin_);
+  lvl_f_.resize(max_level_fanin_);
+  lvl_hit_.resize(max_level_fanin_);
+  fac_derate_.assign(lanes * num_arcs, 1.0);
+  fac_weight_.assign(lanes * num_arcs, 1.0);
   fac_derate_dirty_ = true;
   fac_weight_dirty_ = true;
   arc_statics_dirty_ = true;
@@ -461,7 +434,9 @@ void Timer::compute_launch_sets() {
   launch_sets_.assign(n, std::vector<std::uint64_t>(launch_words_, 0));
   port_launched_.assign(n, false);
 
-  for (const NodeId u : graph_->topo_order()) {
+  // Node ids ascend in topological order: every fanin is merged before
+  // its node is read.
+  for (NodeId u = 0; u < n; ++u) {
     const TimingNode& node = graph_->node(u);
     // Seed: data input ports carry the "no clock path" marker; FF Q pins
     // carry their own flip-flop's launch bit.
@@ -583,9 +558,6 @@ bool Timer::recompute_node(NodeId node, CornerId corner, CacheTally& tally) {
 
 ArcTiming Timer::arc_timing(ArcId a, const TimingArc& arc, double input_slew,
                             CornerId corner, int mode, CacheTally& tally) {
-  if (!fastpath_enabled_) {
-    return delay_.evaluate(*graph_, a, input_slew, corners_[corner].scaling);
-  }
   // Memo key: driving cell + exact input-slew bits. Base timings are
   // independent of derates/weights (those multiply afterwards), so entries
   // survive full re-propagations triggered by solver weight updates —
@@ -640,37 +612,7 @@ void Timer::invalidate_cache_for(InstanceId inst) {
   }
 }
 
-void Timer::full_forward() {
-  // MGBA_SIMD=off (simd::staged_enabled() false) keeps the legacy per-node
-  // body below — the pre-vectorization baseline, bit-identical by the
-  // invariance suites.
-  if (graph_->level_contiguous() && simd::staged_enabled()) {
-    full_forward_staged();
-    return;
-  }
-  // Level-synchronous parallel propagation: nodes within one level have no
-  // mutual dependencies (every arc crosses levels), and recompute_node
-  // writes only its own node's arrival/slew plus its own fanin arcs'
-  // delays — all in corner-private lanes of the arena — so every
-  // (corner, node) pair of a level sweeps with no atomics. The flattened
-  // corners x nodes index space feeds one parallel_for, reusing the thread
-  // pool across corners. Per-node fanin iteration order is unchanged, so
-  // results are bit-identical to the serial sweep at any thread count.
-  const std::size_t num_corners = corners_.size();
-  for (const auto& bucket : graph_->level_nodes()) {
-    parallel_for(bucket.size() * num_corners, 32,
-                 [&](std::size_t b, std::size_t e) {
-      CacheTally tally;
-      for (std::size_t i = b; i < e; ++i) {
-        const CornerId c = static_cast<CornerId>(i / bucket.size());
-        recompute_node(bucket[i % bucket.size()], c, tally);
-      }
-      delay_cache_.add_counts(tally.hits, tally.misses);
-    });
-  }
-}
-
-// --- staged vectorized sweeps ------------------------------------------------
+// --- full sweeps -------------------------------------------------------------
 
 void Timer::refresh_arc_statics() {
   if (!arc_statics_dirty_) return;
@@ -722,8 +664,8 @@ void Timer::refresh_factors() {
         const std::size_t nw = std::min(w.size(), num_inst);
         kernels::weight_factor(w.data(), kMinWeightFactor, wfac_.data(), nw);
         // Instances past the weight vector and the sentinel slot that
-        // unweighted arcs index multiply by exactly 1.0, matching the
-        // legacy sweep's skipped multiply bit-for-bit.
+        // unweighted arcs index multiply by exactly 1.0, matching
+        // recompute_node's skipped multiply bit-for-bit.
         std::fill(wfac_.begin() + static_cast<std::ptrdiff_t>(nw), wfac_.end(),
                   1.0);
         kernels::gather(wfac_.data(), arc_widx_.data(),
@@ -735,14 +677,14 @@ void Timer::refresh_factors() {
   }
 }
 
-void Timer::full_forward_staged() {
-  // Same math as the legacy recompute_node sweep, restructured around the
+void Timer::full_forward() {
+  // Same math as the per-node recompute_node, restructured around the
   // kernels: per (corner, mode) lane, each level's fanin arcs form one
   // dense range, so the sweep gathers the arc inputs into level scratch,
-  // resolves base delays with a vectorized memo probe (scalar fixup for
+  // resolves base delays with one memo probe pass (NLDM fixup for
   // the misses), applies derate x weight with eff_cand, and folds per node
-  // with the exact legacy expressions in the same ascending-arc order —
-  // bit-identical to recompute_node at every SIMD tier and thread count.
+  // with recompute_node's expressions in the same ascending-arc order —
+  // bit-identical to recompute_node at every thread count.
   // Workers touch only their own nodes' slots in the flat lane shadows and
   // their own arcs' slots in the scratch; the coordinator lands results in
   // the COW arena with contiguous write_range calls.
@@ -799,51 +741,42 @@ void Timer::full_forward_staged() {
                           cnt);
           kernels::gather(shadow_a_.data(), arc_from_.data() + k0, arr_in,
                           cnt);
-          // Base delays: one vectorized memo probe over the worker's arc
+          // Base delays: one memo probe pass over the worker's arc
           // run, then a scalar fixup pass for the misses (each miss is an
           // NLDM evaluation — inherently scalar).
-          if (fastpath_enabled_) {
-            std::uint8_t* hit = lvl_hit_.data() + off;
-            const std::size_t mbase = arc_lane + k0;
-            const std::size_t hits = kernels::probe(
-                inslew, delay_cache_.slew_bits.data() + mbase,
-                delay_cache_.cell_key.data() + mbase, arc_key_.data() + k0,
-                hit, cnt);
-            if (hits == cnt) {
-              // Steady state of the solver loop (weights do not move base
-              // delays): every arc hits, and the memo's SoA layout makes
-              // the result harvest two contiguous copies.
-              std::memcpy(base, delay_cache_.delay_ps.data() + mbase,
-                          cnt * sizeof(double));
-              std::memcpy(oslew, delay_cache_.slew_ps.data() + mbase,
-                          cnt * sizeof(double));
-            } else {
-              for (std::size_t i = 0; i < cnt; ++i) {
-                const std::size_t at = mbase + i;
-                if (hit[i] != 0) {
-                  base[i] = delay_cache_.delay_ps[at];
-                  oslew[i] = delay_cache_.slew_ps[at];
-                } else {
-                  const ArcTiming t = delay_.evaluate(
-                      *graph_, static_cast<ArcId>(k0 + i), inslew[i], scaling);
-                  delay_cache_.slew_bits[at] = float_bits(inslew[i]);
-                  delay_cache_.cell_key[at] = arc_key_[k0 + i];
-                  delay_cache_.delay_ps[at] = t.delay_ps;
-                  delay_cache_.slew_ps[at] = t.slew_ps;
-                  base[i] = t.delay_ps;
-                  oslew[i] = t.slew_ps;
-                }
-              }
-            }
-            delay_cache_.add_counts(hits, cnt - hits);
+          std::uint8_t* hit = lvl_hit_.data() + off;
+          const std::size_t mbase = arc_lane + k0;
+          const std::size_t hits = kernels::probe(
+              inslew, delay_cache_.slew_bits.data() + mbase,
+              delay_cache_.cell_key.data() + mbase, arc_key_.data() + k0,
+              hit, cnt);
+          if (hits == cnt) {
+            // Steady state of the solver loop (weights do not move base
+            // delays): every arc hits, and the memo's SoA layout makes
+            // the result harvest two contiguous copies.
+            std::memcpy(base, delay_cache_.delay_ps.data() + mbase,
+                        cnt * sizeof(double));
+            std::memcpy(oslew, delay_cache_.slew_ps.data() + mbase,
+                        cnt * sizeof(double));
           } else {
             for (std::size_t i = 0; i < cnt; ++i) {
-              const ArcTiming t = delay_.evaluate(
-                  *graph_, static_cast<ArcId>(k0 + i), inslew[i], scaling);
-              base[i] = t.delay_ps;
-              oslew[i] = t.slew_ps;
+              const std::size_t at = mbase + i;
+              if (hit[i] != 0) {
+                base[i] = delay_cache_.delay_ps[at];
+                oslew[i] = delay_cache_.slew_ps[at];
+              } else {
+                const ArcTiming t = delay_.evaluate(
+                    *graph_, static_cast<ArcId>(k0 + i), inslew[i], scaling);
+                delay_cache_.slew_bits[at] = float_bits(inslew[i]);
+                delay_cache_.cell_key[at] = arc_key_[k0 + i];
+                delay_cache_.delay_ps[at] = t.delay_ps;
+                delay_cache_.slew_ps[at] = t.slew_ps;
+                base[i] = t.delay_ps;
+                oslew[i] = t.slew_ps;
+              }
             }
           }
+          delay_cache_.add_counts(hits, cnt - hits);
           kernels::eff_cand(base, fac_derate_.data() + arc_lane + k0,
                             fac_weight_.data() + arc_lane + k0, arr_in, eff,
                             cand, cnt);
@@ -948,29 +881,13 @@ void Timer::seed_nodes_for(std::span<const InstanceId> instances,
 
 void Timer::incremental_update() {
   collect_seeds();
-  if (fastpath_enabled_) {
-    // One corner at a time: each corner's frontiers stop where that
-    // corner's values converge, so a change that settles early at one
-    // corner does not drag the others along.
-    for (CornerId c = 0; c < corners_.size(); ++c) {
-      incremental_forward_corner(c);
-      incremental_backward_corner(c);
-    }
-    return;
-  }
-  // Pre-fastpath engine: bounded forward frontiers, then one full backward
-  // pass over the whole graph. The full pass rewrites every required and
-  // check slot — open value checkpoints degrade (PR-4 contract), and the
-  // arena privatizes wholesale when shared.
-  break_value_trial();
-  if (cow_writes_guarded()) data_.privatize_all();
+  // One corner at a time: each corner's frontiers stop where that corner's
+  // values converge, so a change that settles early at one corner does not
+  // drag the others along.
   for (CornerId c = 0; c < corners_.size(); ++c) {
     incremental_forward_corner(c);
-    for (const NodeId u : backward_seeds_) backward_seeded_[u] = false;
-    backward_seeds_.clear();
-    touched_checks_.clear();
+    incremental_backward_corner(c);
   }
-  backward_required();
 }
 
 void Timer::incremental_forward_corner(CornerId c) {
@@ -1272,135 +1189,15 @@ double Timer::crpr_credit_exact(std::optional<std::size_t> launch_check,
 }
 
 void Timer::backward_required() {
-  if (graph_->level_contiguous() && simd::staged_enabled()) {
-    backward_required_staged();
-    return;
-  }
-  const int late = idx(Mode::Late);
-  const int early = idx(Mode::Early);
-  const std::size_t n = graph_->num_nodes();
-  const double period = constraints_.clock_period_ps;
-  const auto& checks = graph_->checks();
-  const std::size_t num_corners = corners_.size();
-
-  for (CornerId corner = 0; corner < num_corners; ++corner) {
-    const LibraryScaling& scaling = corners_[corner].scaling;
-    const std::size_t late_base = data_.node_index(corner, late, 0);
-    const std::size_t early_base = data_.node_index(corner, early, 0);
-    // fill_range privatizes the lanes it rewrites, so the full backward
-    // pass is COW-safe even without a wholesale privatize upstream.
-    data_.required.fill_range(late_base, late_base + n, kInfPs);
-    data_.required.fill_range(early_base, early_base + n, -kInfPs);
-
-    // Endpoint boundary conditions.
-    for (std::size_t c = 0; c < checks.size(); ++c) {
-      const TimingCheck& check = checks[c];
-      CheckTiming& ct = data_.check.mut(data_.check_index(corner, c));
-      // Check values use the conservative slew pairing: both setup and hold
-      // margins grow with slew, so the worst (max = late) data slew bounds
-      // them; PBA's per-path slew can then only shrink the requirement.
-      const double data_slew_late =
-          data_.slew[late_base + check.data_node];
-      ct.setup_ps = delay_.setup_time(
-          check, data_.slew[early_base + check.clock_node], data_slew_late,
-          scaling);
-      ct.hold_ps = delay_.hold_time(
-          check, data_.slew[late_base + check.clock_node], data_slew_late,
-          scaling);
-
-      if (endpoint_false_[check.data_node]) continue;  // set_false_path
-      // set_multicycle_path moves the setup capture edge out by N periods;
-      // hold stays at the launch edge (the -setup multicycle default).
-      const double capture_edge =
-          period * static_cast<double>(endpoint_multicycle_[check.data_node]);
-      const double req_late = capture_edge +
-                              data_.arrival[early_base + check.clock_node] -
-                              ct.setup_ps + ct.crpr_credit_ps -
-                              constraints_.clock_uncertainty_ps;
-      const double req_early = data_.arrival[late_base + check.clock_node] +
-                               ct.hold_ps - ct.crpr_credit_ps +
-                               constraints_.clock_uncertainty_ps;
-      data_.required.mut(late_base + check.data_node) =
-          std::min(data_.required[late_base + check.data_node], req_late);
-      data_.required.mut(early_base + check.data_node) =
-          std::max(data_.required[early_base + check.data_node], req_early);
-    }
-    for (std::size_t p = 0; p < design_->num_ports(); ++p) {
-      const Port& port = design_->port(static_cast<PortId>(p));
-      if (port.direction != PortDirection::Output) continue;
-      const NodeId node = graph_->node_of_port(static_cast<PortId>(p));
-      if (node == kInvalidNode) continue;
-      if (endpoint_false_[node]) continue;
-      const double capture_edge =
-          period * static_cast<double>(endpoint_multicycle_[node]);
-      data_.required.mut(late_base + node) =
-          std::min(data_.required[late_base + node],
-                   capture_edge - port_output_delay_[p]);
-    }
-  }
-
-  // Backward min/max propagation, level-synchronous from the deepest
-  // level up. A node pulls from its fanout targets, which all live on
-  // strictly higher (already finished) levels, and writes only its own
-  // required times — the mirror image of the forward sweep, equally
-  // atomics-free, bit-identical to serial order, and parallel across
-  // corners x nodes.
-  const auto& levels = graph_->level_nodes();
-  for (std::size_t l = levels.size(); l-- > 0;) {
-    const auto& bucket = levels[l];
-    parallel_for(bucket.size() * num_corners, 32,
-                 [&](std::size_t b, std::size_t e) {
-      for (std::size_t i = b; i < e; ++i) {
-        const CornerId corner = static_cast<CornerId>(i / bucket.size());
-        const NodeId u = bucket[i % bucket.size()];
-        const std::size_t late_node = data_.node_index(corner, late, 0);
-        const std::size_t early_node = data_.node_index(corner, early, 0);
-        const std::size_t late_arc = data_.arc_index(corner, late, 0);
-        const std::size_t early_arc = data_.arc_index(corner, early, 0);
-        for (const ArcId a : graph_->fanout(u)) {
-          const NodeId v = graph_->arc(a).to;
-          if (data_.required[late_node + v] != kInfPs) {
-            data_.required.mut(late_node + u) =
-                std::min(data_.required[late_node + u],
-                         data_.required[late_node + v] -
-                             data_.arc_delay[late_arc + a]);
-          }
-          if (data_.required[early_node + v] != -kInfPs) {
-            data_.required.mut(early_node + u) =
-                std::max(data_.required[early_node + u],
-                         data_.required[early_node + v] -
-                             data_.arc_delay[early_arc + a]);
-          }
-        }
-      }
-    });
-  }
-
-  // Cache endpoint slacks on the check records.
-  for (CornerId corner = 0; corner < num_corners; ++corner) {
-    const std::size_t late_base = data_.node_index(corner, late, 0);
-    const std::size_t early_base = data_.node_index(corner, early, 0);
-    for (std::size_t c = 0; c < checks.size(); ++c) {
-      const NodeId d = checks[c].data_node;
-      CheckTiming& ct = data_.check.mut(data_.check_index(corner, c));
-      ct.setup_slack_ps =
-          data_.required[late_base + d] - data_.arrival[late_base + d];
-      ct.hold_slack_ps =
-          data_.arrival[early_base + d] - data_.required[early_base + d];
-    }
-  }
-}
-
-void Timer::backward_required_staged() {
-  // The staged mirror of the legacy backward pass. Required times build up
+  // The mirror image of the forward sweep. Required times build up
   // in flat per-node shadows (late in shadow_a_, early in shadow_b_); per
   // level, a node's fanout entries form one dense run of the fanout pool,
   // so the sweep gathers the downstream requireds and arc delays, forms
   // contrib = req[to] - delay with one subtract, and folds per node in
-  // pool order. The legacy +-infinity guards are dropped: an unreached
-  // downstream required is +-kInfPs, its contrib is the same infinity
-  // (delays are finite), and folding an infinity into min/max is the
-  // identity — bit-for-bit what skipping the entry produces.
+  // pool order. recompute_required's +-infinity guards are not needed: an
+  // unreached downstream required is +-kInfPs, its contrib is the same
+  // infinity (delays are finite), and folding an infinity into min/max is
+  // the identity — bit-for-bit what skipping the entry produces.
   const int late = idx(Mode::Late);
   const int early = idx(Mode::Early);
   const std::size_t n = graph_->num_nodes();
@@ -1422,7 +1219,7 @@ void Timer::backward_required_staged() {
     std::fill(shadow_a_.begin(), shadow_a_.end(), kInfPs);
     std::fill(shadow_b_.begin(), shadow_b_.end(), -kInfPs);
 
-    // Endpoint boundary conditions (legacy expressions verbatim).
+    // Endpoint boundary conditions.
     for (std::size_t c = 0; c < checks.size(); ++c) {
       const TimingCheck& check = checks[c];
       CheckTiming& ct = data_.check.mut(data_.check_index(corner, c));
@@ -2291,7 +2088,7 @@ std::string Timer::UpdateStats::to_string() const {
       partition_fallbacks, eco_partitions_touched);
 }
 
-std::size_t Timer::staged_bytes() const {
+std::size_t Timer::sweep_bytes() const {
   return (arc_from_.capacity() + arc_key_.capacity() + arc_widx_.capacity() +
           fo_to_.capacity()) *
              sizeof(std::uint32_t) +
@@ -2332,8 +2129,7 @@ Timer::MemoryStats Timer::memory_stats() const {
         scc_scratch_.capacity() * sizeof(std::uint32_t) +
         part_sweep_nodes_.capacity() * sizeof(std::size_t);
   }
-  m.layout_bytes = graph_ ? graph_->permutation_bytes() : 0;
-  m.kernel_scratch_bytes = staged_bytes();
+  m.kernel_scratch_bytes = sweep_bytes();
   m.eco_log_entries = eco_touched_.size();
   const TimingData::CowStats cs = data_.cow_stats();
   m.cow_chunks = cs.chunks;
@@ -2358,7 +2154,6 @@ std::string Timer::MemoryStats::to_string() const {
       "delay cache        : %zu entries, %.1f MB\n"
       "crpr launch sets   : %.1f MB\n"
       "partition tables   : %.1f MB\n"
-      "layout permutation : %.1f MB\n"
       "kernel scratch     : %.1f MB\n"
       "eco log            : %zu touched instances\n"
       "cow arena          : %zu chunks (%zu shared), %zu live snapshots, "
@@ -2366,7 +2161,7 @@ std::string Timer::MemoryStats::to_string() const {
       "total tracked      : %.1f MB",
       num_nodes, num_arcs, num_corners, mb(arena_bytes),
       mb(arena_bytes_per_lane), delay_cache_entries, mb(delay_cache_bytes),
-      mb(launch_set_bytes), mb(partition_bytes), mb(layout_bytes),
+      mb(launch_set_bytes), mb(partition_bytes),
       mb(kernel_scratch_bytes), eco_log_entries, cow_chunks,
       cow_shared_chunks, live_snapshots, mb(cow_retained_bytes),
       mb(total_bytes()));

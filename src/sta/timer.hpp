@@ -64,13 +64,9 @@ class Timer {
   /// The design and the constraint object must outlive the Timer. The
   /// design may be mutated through its own interface; the caller must then
   /// notify the Timer (invalidate_instance / rebuild_graph). Starts with a
-  /// single identity "default" corner. \p layout picks the node/arc id
-  /// policy for every graph this Timer builds (including rebuilds); the
-  /// timing fixed point is bit-identical across layouts per terminal, but
-  /// only LevelContiguous feeds the dense vectorized sweeps.
+  /// single identity "default" corner.
   Timer(const Design& design, TimingConstraints constraints,
-        WireModel wire = {},
-        GraphLayout layout = GraphLayout::LevelContiguous);
+        WireModel wire = {});
   ~Timer();
   Timer(const Timer&) = delete;
   Timer& operator=(const Timer&) = delete;
@@ -242,10 +238,7 @@ class Timer {
     std::size_t delay_cache_bytes = 0;
     std::size_t launch_set_bytes = 0;  ///< CRPR launch bitsets (0 when off)
     std::size_t partition_bytes = 0;   ///< decomposition tables (0 when flat)
-    /// Graph old<->new id permutation tables (0 under GraphLayout::Original).
-    std::size_t layout_bytes = 0;
-    /// Staged-sweep state: factor lanes, gather tables, shadows, scratch
-    /// (0 under GraphLayout::Original, which runs the legacy sweeps).
+    /// Full-sweep state: factor lanes, gather tables, shadows, scratch.
     std::size_t kernel_scratch_bytes = 0;
     std::size_t eco_log_entries = 0;   ///< accumulated ECO-touched instances
     /// COW accounting (PR 7): total arena chunks at head, chunks some
@@ -258,7 +251,7 @@ class Timer {
     std::size_t cow_retained_bytes = 0;
     [[nodiscard]] std::size_t total_bytes() const {
       return arena_bytes + delay_cache_bytes + launch_set_bytes +
-             partition_bytes + layout_bytes + kernel_scratch_bytes;
+             partition_bytes + kernel_scratch_bytes;
     }
     [[nodiscard]] std::string to_string() const;
   };
@@ -268,13 +261,6 @@ class Timer {
   /// graph. For the ablation measuring what incremental updates [18] buy
   /// the optimization loop; leave enabled in real use.
   void set_incremental_enabled(bool enabled) { incremental_enabled_ = enabled; }
-
-  /// Disables the incremental fast path (bounded backward pass +
-  /// delay-calc memoization), reverting to the pre-fastpath incremental
-  /// engine that runs a full backward pass per update. Both settings are
-  /// bit-identical in results; the knob exists for the ablation bench.
-  void set_fastpath_enabled(bool enabled) { fastpath_enabled_ = enabled; }
-  [[nodiscard]] bool fastpath_enabled() const { return fastpath_enabled_; }
 
   /// Number of full and incremental propagations performed (for the
   /// runtime accounting of Table 5).
@@ -331,8 +317,8 @@ class Timer {
   /// removed trial buffer may remain as a disconnected tombstone
   /// instance). rollback() returns false when the checkpoint could not be
   /// kept consistent (e.g. a corner-set change mid-trial); the Timer is
-  /// then marked for a full update and the caller re-propagates the legacy
-  /// way. commit() (or destruction) keeps the trial state and drops the
+  /// then marked for a full update and the caller re-propagates.
+  /// commit() (or destruction) keeps the trial state and drops the
   /// checkpoint. Scopes must not nest.
   class TrialScope {
    public:
@@ -452,8 +438,7 @@ class Timer {
     std::uint64_t misses = 0;
   };
 
-  /// Base timing of one arc at one (corner, mode), through the memo cache
-  /// when the fast path is enabled.
+  /// Base timing of one arc at one (corner, mode), through the memo cache.
   ArcTiming arc_timing(ArcId a, const TimingArc& arc, double input_slew,
                        CornerId corner, int mode, CacheTally& tally);
 
@@ -468,42 +453,37 @@ class Timer {
   /// changed bit-wise.
   bool recompute_required(NodeId node, CornerId corner);
 
+  /// Full forward propagation: level-synchronous, each level's fanin arcs
+  /// one dense run through the kernels in sta/kernels.hpp (DESIGN.md §16).
   void full_forward();
   /// One incremental round: per corner a bounded forward frontier followed
-  /// (when the fast path is on) by the bounded backward pass; otherwise a
-  /// single full backward pass after all corners' forward frontiers.
+  /// by the bounded backward pass.
   void incremental_update();
   void incremental_forward_corner(CornerId corner);
   void incremental_backward_corner(CornerId corner);
   void collect_seeds();
   void compute_crpr_credits();
+  /// Full backward propagation, the level-descending mirror of
+  /// full_forward (bit-identical to recompute_required per node).
   void backward_required();
 
-  // --- staged vectorized sweeps ---------------------------------------------
-  // Level-contiguous layouts run the full forward/backward propagation
-  // through the SIMD kernel layer (sta/kernels.hpp): per level, gather the
-  // fanin inputs into dense scratch, probe the delay memo with one
-  // vectorized compare, apply derate x weight with eff_cand, and fold
-  // per-node with the exact legacy expressions — bit-identical to the
-  // scalar recompute_node path (see DESIGN.md §16). GraphLayout::Original
-  // keeps the legacy per-node bodies.
+  // --- full-sweep tables ----------------------------------------------------
+  // Per level, the full sweeps gather the fanin inputs into dense scratch,
+  // probe the delay memo in one pass, apply derate x weight with eff_cand,
+  // and fold per node with recompute_node's expressions.
 
-  /// The staged implementation behind full_forward() (LevelContiguous).
-  void full_forward_staged();
-  /// The staged implementation behind backward_required().
-  void backward_required_staged();
   /// Re-derives the per-arc gather keys that can drift without a graph
   /// rebuild: the memo cell key (resize_instance swaps an instance's cell
   /// in place) and the weighted-instance index. Runs at the top of every
-  /// staged forward sweep.
+  /// full forward sweep.
   void refresh_arc_statics();
   /// Rebuilds the per-(lane, arc) derate and weight factor tables when the
   /// corresponding dirty flag is set. Weight factors go through the
   /// per-instance table + gather so the cost is O(instances + arcs), not
   /// O(arcs x lookup).
   void refresh_factors();
-  /// Heap bytes of the staged-sweep tables (memory_stats accounting).
-  [[nodiscard]] std::size_t staged_bytes() const;
+  /// Heap bytes of the full-sweep tables (memory_stats accounting).
+  [[nodiscard]] std::size_t sweep_bytes() const;
 
   /// Drops every delay-cache entry whose memoized timing may be stale
   /// after a value-only mutation of \p inst (its own cell arcs, the cell
@@ -570,7 +550,7 @@ class Timer {
   [[nodiscard]] bool value_trial_active() const;
   /// Invalidates an open value checkpoint (a full re-propagation or graph
   /// rebuild makes the journal incomplete); rollback then reports failure
-  /// and the caller falls back to legacy re-propagation.
+  /// and the caller falls back to re-propagation.
   void break_value_trial();
 
   /// Clock-cell delay difference (late - early) summed over the common
@@ -581,7 +561,6 @@ class Timer {
   const Design* design_;
   TimingConstraints constraints_;
   DelayCalculator delay_;
-  GraphLayout layout_ = GraphLayout::LevelContiguous;
   /// Shared with snapshots; replaced wholesale by rebuild_graph and cloned
   /// before the in-place pad_instances mutation when still shared.
   std::shared_ptr<TimingGraph> graph_;
@@ -628,7 +607,6 @@ class Timer {
 
   bool dirty_full_ = true;
   bool incremental_enabled_ = true;
-  bool fastpath_enabled_ = true;
   std::vector<InstanceId> dirty_instances_;
   /// ECO log (see eco_touched): accumulating touched-instance list with a
   /// per-instance dedup flag, plus the poison bit.
@@ -642,10 +620,10 @@ class Timer {
   /// allocate_storage, which clears it on every structural change.
   DelayCache delay_cache_;
 
-  // --- staged-sweep state (LevelContiguous only; empty under Original) ------
+  // --- full-sweep state -----------------------------------------------------
   // Static gather tables, rebuilt per graph shape in
   // resize_incremental_scratch; arc_key_/arc_widx_ are additionally
-  // refreshed per staged sweep (refresh_arc_statics).
+  // refreshed per full forward sweep (refresh_arc_statics).
   std::vector<std::uint32_t> arc_from_;  ///< from-node per arc id
   std::vector<std::uint32_t> arc_key_;   ///< memo cell key per arc id
   /// Weight-table index per arc: the instance id for weighted cell arcs,

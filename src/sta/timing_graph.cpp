@@ -2,16 +2,14 @@
 
 #include <algorithm>
 #include <deque>
-#include <numeric>
 
 #include "util/check.hpp"
 
 namespace mgba {
 
 TimingGraph::TimingGraph(const Design& design,
-                         const std::string& clock_port_name,
-                         GraphLayout layout)
-    : design_(&design), layout_(layout) {
+                         const std::string& clock_port_name)
+    : design_(&design) {
   build_nodes();
   // Adjacency is needed before arc ids settle (clock BFS + levelize), so
   // the build phase keeps a per-node scratch fanout and converts to the
@@ -20,7 +18,7 @@ TimingGraph::TimingGraph(const Design& design,
   build_arcs(fanout_scratch);
   mark_clock_network(clock_port_name, fanout_scratch);
   levelize(fanout_scratch);
-  if (layout_ == GraphLayout::LevelContiguous) renumber_level_contiguous();
+  renumber_level_contiguous();
   build_adjacency();
   collect_checks_and_endpoints();
   trace_clock_paths();
@@ -145,98 +143,68 @@ void TimingGraph::levelize(const std::vector<std::vector<ArcId>>& fanout) {
       ready.push_back(u);
     }
   }
-  topo_order_.clear();
-  topo_order_.reserve(nodes_.size());
+  std::size_t visited = 0;
   while (!ready.empty()) {
     const NodeId u = ready.front();
     ready.pop_front();
-    topo_order_.push_back(u);
+    ++visited;
     for (const ArcId a : fanout[u]) {
       const NodeId v = arcs_[a].to;
       nodes_[v].level = std::max(nodes_[v].level, nodes_[u].level + 1);
       if (--in_degree[v] == 0) ready.push_back(v);
     }
   }
-  MGBA_CHECK(topo_order_.size() == nodes_.size() &&
+  MGBA_CHECK(visited == nodes_.size() &&
              "timing graph has a combinational cycle");
-
-  std::uint32_t max_level = 0;
-  for (const TimingNode& node : nodes_) {
-    max_level = std::max(max_level, node.level);
-  }
-  level_nodes_.assign(nodes_.empty() ? 0 : max_level + 1, {});
-  for (const NodeId u : topo_order_) level_nodes_[nodes_[u].level].push_back(u);
 }
 
 void TimingGraph::renumber_level_contiguous() {
   const std::size_t n = nodes_.size();
-  node_new2old_.resize(n);
-  node_old2new_.resize(n);
+  std::uint32_t num_levels = 0;
+  for (const TimingNode& node : nodes_) {
+    num_levels = std::max(num_levels, node.level + 1);
+  }
   // New id order: concatenated level buckets, ascending build-order id
   // within each level (any within-level order is valid — bucket members
   // have no mutual dependencies — and ascending build order keeps the ids
   // of one instance's same-level pins adjacent, which is what compresses
   // the per-(region, level) buckets of a Partitioning into short runs).
-  std::size_t next = 0;
-  for (auto& bucket : level_nodes_) {
-    std::sort(bucket.begin(), bucket.end());
-    for (const NodeId old_id : bucket) {
-      node_new2old_[next] = old_id;
-      node_old2new_[old_id] = static_cast<NodeId>(next);
-      ++next;
-    }
+  level_begin_.assign(num_levels + 1, 0);
+  for (const TimingNode& node : nodes_) ++level_begin_[node.level + 1];
+  for (std::size_t l = 0; l < num_levels; ++l) {
+    level_begin_[l + 1] += level_begin_[l];
   }
-
+  std::vector<NodeId> next(level_begin_.begin(), level_begin_.end() - 1);
+  std::vector<NodeId> old2new(n);
   std::vector<TimingNode> renumbered(n);
-  for (std::size_t new_id = 0; new_id < n; ++new_id) {
-    renumbered[new_id] = nodes_[node_new2old_[new_id]];
+  for (std::size_t old_id = 0; old_id < n; ++old_id) {
+    const NodeId new_id = next[nodes_[old_id].level]++;
+    old2new[old_id] = new_id;
+    renumbered[new_id] = nodes_[old_id];
   }
   nodes_ = std::move(renumbered);
   for (auto& pins : inst_pin_nodes_) {
     for (NodeId& id : pins) {
-      if (id != kInvalidNode) id = node_old2new_[id];
+      if (id != kInvalidNode) id = old2new[id];
     }
   }
   for (NodeId& id : port_nodes_) {
-    if (id != kInvalidNode) id = node_old2new_[id];
+    if (id != kInvalidNode) id = old2new[id];
   }
-  clock_source_ = node_old2new_[clock_source_];
+  clock_source_ = old2new[clock_source_];
 
-  // Sort arcs by (destination, old arc id): the fanin arcs of one level
-  // become a single contiguous arc range, and the stable old-id tiebreak
-  // keeps each node's fanin arcs in build order — fanin folds visit the
-  // same arc sequence as the Original layout, so arrival/slew merge
-  // results keep their bits.
+  // Sort arcs by (destination, build-order arc id): the fanin arcs of one
+  // level become a single contiguous arc range, and the build-order
+  // tiebreak keeps each node's fanin arcs in construction order, the
+  // order every fanin fold visits them in.
   for (TimingArc& arc : arcs_) {
-    arc.from = node_old2new_[arc.from];
-    arc.to = node_old2new_[arc.to];
+    arc.from = old2new[arc.from];
+    arc.to = old2new[arc.to];
   }
-  const std::size_t m = arcs_.size();
-  arc_new2old_.resize(m);
-  std::iota(arc_new2old_.begin(), arc_new2old_.end(), ArcId{0});
-  std::sort(arc_new2old_.begin(), arc_new2old_.end(),
-            [this](ArcId x, ArcId y) {
-              return arcs_[x].to != arcs_[y].to ? arcs_[x].to < arcs_[y].to
-                                                : x < y;
-            });
-  arc_old2new_.resize(m);
-  std::vector<TimingArc> sorted(m);
-  for (std::size_t new_id = 0; new_id < m; ++new_id) {
-    sorted[new_id] = arcs_[arc_new2old_[new_id]];
-    arc_old2new_[arc_new2old_[new_id]] = static_cast<ArcId>(new_id);
-  }
-  arcs_ = std::move(sorted);
-
-  // Level buckets and the topological order are now identity runs.
-  level_begin_.assign(level_nodes_.size() + 1, 0);
-  NodeId at = 0;
-  for (std::size_t l = 0; l < level_nodes_.size(); ++l) {
-    level_begin_[l] = at;
-    std::iota(level_nodes_[l].begin(), level_nodes_[l].end(), at);
-    at += static_cast<NodeId>(level_nodes_[l].size());
-  }
-  level_begin_[level_nodes_.size()] = at;
-  std::iota(topo_order_.begin(), topo_order_.end(), NodeId{0});
+  std::stable_sort(arcs_.begin(), arcs_.end(),
+                   [](const TimingArc& x, const TimingArc& y) {
+                     return x.to < y.to;
+                   });
 }
 
 void TimingGraph::build_adjacency() {
@@ -255,8 +223,7 @@ void TimingGraph::build_adjacency() {
   fanin_arcs_.resize(m);
   fanout_arcs_.resize(m);
   // Place arcs ascending id so each node's list stays in build order (and
-  // ascending arc id, which under LevelContiguous makes every fanin list a
-  // consecutive id run).
+  // ascending arc id, which makes every fanin list a consecutive id run).
   std::vector<std::uint32_t> in_pos(fanin_begin_.begin(),
                                     fanin_begin_.end() - 1);
   std::vector<std::uint32_t> out_pos(fanout_begin_.begin(),

@@ -12,18 +12,13 @@
 /// its unique clock path from the source — the input to clock reconvergence
 /// pessimism removal (CRPR).
 ///
-/// Node/arc id layout (PR 9): by default the graph renumbers its nodes so
-/// that every topological level is one contiguous id range (ascending
-/// build order within the level) and sorts arcs by destination id. Level
-/// sweeps then walk dense ranges instead of gathered index lists, and the
-/// fanin arcs of a whole level form one contiguous arc range — the layout
-/// the vectorized kernels in sta/kernels.hpp operate on. The old (build
-/// order) ids survive in permutation tables (old_node/new_node,
-/// old_arc/new_arc) so anything keyed by construction order — shell
-/// names, ECO journals, state signatures — can translate. Design-side ids
-/// (InstanceId, PortId, NetId) never change. GraphLayout::Original skips
-/// the renumbering and reproduces the historic build-order ids; the
-/// timing fixed point is bit-identical across layouts (per terminal).
+/// Node/arc id layout: the graph numbers its nodes so that every
+/// topological level is one contiguous id range (ascending build order
+/// within the level) and sorts arcs by destination id. Level sweeps walk
+/// dense id ranges, and the fanin arcs of a whole level form one contiguous
+/// arc range — the layout the kernels in sta/kernels.hpp operate on. Node
+/// ids therefore ascend in a topological order. Design-side ids
+/// (InstanceId, PortId, NetId) are never renumbered.
 
 #include <cstdint>
 #include <optional>
@@ -36,12 +31,6 @@
 #include "sta/timing_types.hpp"
 
 namespace mgba {
-
-/// Node/arc id assignment policy (see file comment).
-enum class GraphLayout : std::uint8_t {
-  Original,         ///< build-order ids (pre-PR-9 layout)
-  LevelContiguous,  ///< level buckets are contiguous id ranges (default)
-};
 
 /// Graph node: one connected pin (instance pin or port).
 struct TimingNode {
@@ -74,11 +63,9 @@ class TimingGraph {
  public:
   /// Builds the graph for \p design using \p clock_port_name as the single
   /// clock source. The design must be acyclic through flip-flops.
-  TimingGraph(const Design& design, const std::string& clock_port_name,
-              GraphLayout layout = GraphLayout::LevelContiguous);
+  TimingGraph(const Design& design, const std::string& clock_port_name);
 
   [[nodiscard]] const Design& design() const { return *design_; }
-  [[nodiscard]] GraphLayout layout() const { return layout_; }
 
   [[nodiscard]] std::size_t num_nodes() const { return nodes_.size(); }
   [[nodiscard]] std::size_t num_arcs() const { return arcs_.size(); }
@@ -97,9 +84,9 @@ class TimingGraph {
   /// graph against the post-revert design.
   void pad_instances(std::size_t num_instances);
 
-  /// Fanin arcs of a node, ascending arc id. Under LevelContiguous the
-  /// ids are consecutive (arcs are sorted by destination), so the span is
-  /// an [fanin_begin(id), fanin_begin(id+1)) run of the arc id space.
+  /// Fanin arcs of a node, ascending arc id. The ids are consecutive (arcs
+  /// are sorted by destination), so the span is the
+  /// [fanin_begin(id), fanin_begin(id+1)) run of the arc id space.
   [[nodiscard]] std::span<const ArcId> fanin(NodeId id) const {
     return {fanin_arcs_.data() + fanin_begin_[id],
             fanin_begin_[id + 1] - fanin_begin_[id]};
@@ -108,8 +95,7 @@ class TimingGraph {
     return {fanout_arcs_.data() + fanout_begin_[id],
             fanout_begin_[id + 1] - fanout_begin_[id]};
   }
-  /// First fanin arc id offset of a node (CSR row pointer). Under
-  /// LevelContiguous this doubles as the arc id itself (fanin arcs are the
+  /// First fanin arc id of a node (CSR row pointer; fanin arcs are the
   /// consecutive run [fanin_begin(id), fanin_begin(id+1))).
   [[nodiscard]] std::uint32_t fanin_begin(NodeId id) const {
     return fanin_begin_[id];
@@ -120,66 +106,26 @@ class TimingGraph {
     return fanout_begin_[id];
   }
   /// The pooled fanout arc-id array the fanout() spans slice — exposed so
-  /// the staged backward sweep can vector-gather per pool slot.
+  /// the full backward sweep can gather per pool slot.
   [[nodiscard]] std::span<const ArcId> fanout_pool() const {
     return fanout_arcs_;
   }
 
-  /// Nodes in topological order (every arc goes forward in this order).
-  /// Under LevelContiguous this is the identity permutation.
-  [[nodiscard]] const std::vector<NodeId>& topo_order() const {
-    return topo_order_;
+  /// Number of topological levels. Every arc crosses from a strictly
+  /// lower to a strictly higher level, so the nodes of one level have no
+  /// mutual dependencies — the invariant the level-synchronous parallel
+  /// propagation in Timer and PathEnumerator relies on.
+  [[nodiscard]] std::size_t num_levels() const {
+    return level_begin_.size() - 1;
   }
-
-  /// Nodes bucketed by topological level (level_nodes()[l] lists every
-  /// node with level l, in topological order). Every arc crosses from a
-  /// strictly lower to a strictly higher level, so nodes within one bucket
-  /// have no mutual dependencies — the invariant the level-synchronous
-  /// parallel propagation in Timer and PathEnumerator relies on. Under
-  /// LevelContiguous each bucket is the consecutive run level_range(l).
-  [[nodiscard]] const std::vector<std::vector<NodeId>>& level_nodes() const {
-    return level_nodes_;
-  }
-  [[nodiscard]] std::size_t num_levels() const { return level_nodes_.size(); }
-
-  /// True when node ids are level-contiguous and arcs are sorted by
-  /// destination (GraphLayout::LevelContiguous).
-  [[nodiscard]] bool level_contiguous() const {
-    return layout_ == GraphLayout::LevelContiguous;
-  }
-  /// [first, last) node id range of level \p l. LevelContiguous only.
+  /// [first, last) node id range of level \p l.
   [[nodiscard]] std::pair<NodeId, NodeId> level_range(std::size_t l) const {
     return {level_begin_[l], level_begin_[l + 1]};
   }
   /// [first, last) arc id range of the fanin arcs of every node in level
   /// \p l — dense because arcs are sorted by destination id.
-  /// LevelContiguous only.
   [[nodiscard]] std::pair<ArcId, ArcId> level_arc_range(std::size_t l) const {
     return {fanin_begin_[level_begin_[l]], fanin_begin_[level_begin_[l + 1]]};
-  }
-
-  /// Old (build-order) id of a node, and the inverse. Identity under
-  /// GraphLayout::Original. Old ids enumerate terminals in construction
-  /// order — instance pins ascending, then ports — which is what makes
-  /// them the layout-invariant canonical order for state signatures.
-  [[nodiscard]] NodeId old_node(NodeId new_id) const {
-    return node_new2old_.empty() ? new_id : node_new2old_[new_id];
-  }
-  [[nodiscard]] NodeId new_node(NodeId old_id) const {
-    return node_old2new_.empty() ? old_id : node_old2new_[old_id];
-  }
-  [[nodiscard]] ArcId old_arc(ArcId new_id) const {
-    return arc_new2old_.empty() ? new_id : arc_new2old_[new_id];
-  }
-  [[nodiscard]] ArcId new_arc(ArcId old_id) const {
-    return arc_old2new_.empty() ? old_id : arc_old2new_[old_id];
-  }
-  /// Heap bytes held by the old<->new permutation tables (reported by
-  /// Timer::memory_stats()).
-  [[nodiscard]] std::size_t permutation_bytes() const {
-    return (node_new2old_.capacity() + node_old2new_.capacity()) *
-               sizeof(NodeId) +
-           (arc_new2old_.capacity() + arc_old2new_.capacity()) * sizeof(ArcId);
   }
 
   /// Setup/hold check sites (one per flip-flop data pin).
@@ -225,18 +171,17 @@ class TimingGraph {
                           const std::vector<std::vector<ArcId>>& fanout);
   void levelize(const std::vector<std::vector<ArcId>>& fanout);
   /// Renumbers nodes level-contiguously (ascending build-order id within
-  /// each level), sorts arcs by (destination, old arc id), and fills the
-  /// permutation tables. Runs after levelize, before anything that records
-  /// node/arc ids (checks, endpoints, clock paths, adjacency CSR).
+  /// each level) and sorts arcs by (destination, build-order arc id). Runs
+  /// after levelize, before anything that records node/arc ids (checks,
+  /// endpoints, clock paths, adjacency CSR).
   void renumber_level_contiguous();
-  /// Builds the fanin/fanout CSR adjacency from the (possibly renumbered)
-  /// arc list; per-node arc lists are ascending arc id.
+  /// Builds the fanin/fanout CSR adjacency from the renumbered arc list;
+  /// per-node arc lists are ascending arc id.
   void build_adjacency();
   void collect_checks_and_endpoints();
   void trace_clock_paths();
 
   const Design* design_;
-  GraphLayout layout_;
   std::vector<TimingNode> nodes_;
   std::vector<TimingArc> arcs_;
   // CSR adjacency: per-node arc lists, ascending arc id (offsets sized
@@ -245,15 +190,7 @@ class TimingGraph {
   std::vector<std::uint32_t> fanin_begin_;
   std::vector<ArcId> fanout_arcs_;
   std::vector<std::uint32_t> fanout_begin_;
-  std::vector<NodeId> topo_order_;
-  std::vector<std::vector<NodeId>> level_nodes_;
-  std::vector<NodeId> level_begin_;  ///< size levels+1 (LevelContiguous)
-
-  // old<->new permutation tables; empty = identity (Original layout).
-  std::vector<NodeId> node_new2old_;
-  std::vector<NodeId> node_old2new_;
-  std::vector<ArcId> arc_new2old_;
-  std::vector<ArcId> arc_old2new_;
+  std::vector<NodeId> level_begin_{0};  ///< size num_levels + 1
 
   // pin -> node maps
   std::vector<std::vector<NodeId>> inst_pin_nodes_;

@@ -170,9 +170,9 @@ class CowVec {
   }
 
   // Bulk copy src[0..n) into slots [begin, begin + n), privatizing the
-  // chunks it touches. Writer-side (coordinating thread only): the staged
-  // vectorized sweeps compute into flat scratch and publish through this
-  // choke point, so pool workers never touch COW state.
+  // chunks it touches. Writer-side (coordinating thread only): the full
+  // timing sweeps compute into flat scratch and publish through this choke
+  // point, so pool workers never touch COW state.
   void write_range(std::size_t begin, const T* src, std::size_t n) {
     if (n == 0) return;
     ensure_unique_table();

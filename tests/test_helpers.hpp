@@ -127,16 +127,14 @@ struct GeneratedStack {
   std::unique_ptr<Timer> timer;
 
   explicit GeneratedStack(GeneratorOptions options,
-                          double clock_period_ps = 4000.0,
-                          GraphLayout layout = GraphLayout::LevelContiguous)
+                          double clock_period_ps = 4000.0)
       : library(make_default_library()),
         generated(generate_design(library, options)),
         table(default_aocv_table()) {
     TimingConstraints constraints;
     constraints.clock_port = generated.clock_port;
     constraints.clock_period_ps = clock_period_ps;
-    timer = std::make_unique<Timer>(generated.design, constraints, WireModel{},
-                                    layout);
+    timer = std::make_unique<Timer>(generated.design, constraints);
     timer->set_instance_derates(compute_gba_derates(timer->graph(), table));
     timer->update_timing();
   }

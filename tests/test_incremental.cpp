@@ -10,6 +10,7 @@
 #include <cstddef>
 #include <fstream>
 #include <map>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -17,6 +18,7 @@
 #include <gtest/gtest.h>
 
 #include "aocv/aocv_model.hpp"
+#include "aocv/corner_io.hpp"
 #include "netlist/design.hpp"
 #include "opt/optimizer.hpp"
 #include "shell/session.hpp"
@@ -117,20 +119,6 @@ TEST(IncrementalFastpath, MatchesFullRebuildAfterResizes) {
   }
   EXPECT_GT(fast.timer->incremental_updates(), 0u);
   EXPECT_GT(full.timer->full_updates(), fast.timer->full_updates());
-}
-
-TEST(IncrementalFastpath, MatchesLegacyIncrementalPath) {
-  GeneratedStack fast(small_options(302));
-  GeneratedStack legacy(small_options(302));
-  legacy.timer->set_fastpath_enabled(false);  // full backward, no memo cache
-
-  for (const auto& [inst, cell] :
-       resize_plan(fast.library, fast.design(), 12, 7002)) {
-    resize_both(fast, legacy, inst, cell);
-    ASSERT_EQ(state_signature(*fast.timer), state_signature(*legacy.timer));
-  }
-  EXPECT_GT(fast.timer->update_stats().delay_cache_hits, 0u);
-  EXPECT_EQ(legacy.timer->update_stats().delay_cache_hits, 0u);
 }
 
 TEST(IncrementalFastpath, ThreadCountInvariance) {
@@ -369,7 +357,7 @@ TEST(IncrementalTrial, FullUpdateMidTrialFallsBackSafely) {
   }
   EXPECT_EQ(stack.timer->update_stats().trial_fallbacks, fallbacks + 1);
 
-  // Legacy re-propagation from here must converge to a fresh evaluation.
+  // Re-propagation from here must converge to a fresh evaluation.
   stack.timer->invalidate_instance(inst);
   stack.timer->update_timing();
   Timer fresh(stack.design(), stack.timer->constraints());
@@ -379,21 +367,22 @@ TEST(IncrementalTrial, FullUpdateMidTrialFallsBackSafely) {
 }
 
 TEST(IncrementalTrial, OptimizerCheckpointsMatchLegacyRejectPath) {
-  const auto run = [](bool checkpoints) {
-    GeneratedStack stack(small_options(313), 1500.0);
-    OptimizerOptions options;
-    options.max_passes = 3;
-    options.use_trial_checkpoints = checkpoints;
-    TimingCloser closer(stack.design(), *stack.timer, stack.table, options);
-    const OptimizerReport report = closer.run();
-    return std::make_pair(state_signature(*stack.timer),
-                          report.transforms_attempted);
-  };
-  const auto with = run(true);
-  const auto without = run(false);
-  EXPECT_EQ(with.first, without.first);
-  EXPECT_EQ(with.second, without.second);
-  EXPECT_GT(with.second, 0u);
+  // Every rejected optimizer trial rolls back through a checkpoint. The
+  // state left behind must be bit-identical to a Timer built from scratch
+  // on the final design: its memo cache starts empty and it never held
+  // trial state, so it is independent of both fast paths.
+  GeneratedStack stack(small_options(313), 1500.0);
+  OptimizerOptions options;
+  options.max_passes = 3;
+  TimingCloser closer(stack.design(), *stack.timer, stack.table, options);
+  const OptimizerReport report = closer.run();
+  EXPECT_GT(report.transforms_attempted, 0u);
+  EXPECT_GT(stack.timer->update_stats().trial_rollbacks, 0u);
+
+  Timer fresh(stack.design(), stack.timer->constraints());
+  fresh.set_instance_derates(compute_gba_derates(fresh.graph(), stack.table));
+  fresh.update_timing();
+  EXPECT_EQ(state_signature(*stack.timer), state_signature(fresh));
 }
 
 // --- randomized ECO property test -------------------------------------------
@@ -435,15 +424,26 @@ std::optional<NetId> pick_buffer_net(const ShellSession& session, Rng& rng) {
   return std::nullopt;
 }
 
+/// A Timer built from scratch on \p session's design, constraints and
+/// corner set, fully updated.
+std::unique_ptr<Timer> fresh_timer(const ShellSession& session) {
+  auto timer =
+      std::make_unique<Timer>(session.design(), session.timer().constraints());
+  apply_corner_setups(*timer, session.setups());
+  timer->update_timing();
+  return timer;
+}
+
 TEST(IncrementalEco, RandomizedSequenceMatchesFullRebuildAndReplay) {
   const std::string corners =
       write_corner_spec("incremental_eco_corners.spec");
   const std::string journal = testing::TempDir() + "incremental_eco.eco";
 
-  // Twin sessions over two corners: `fast` runs the incremental fast path
-  // and trial checkpoints; `full` re-propagates the whole graph after
-  // every mutation with both knobs off. Every committed operation must
-  // leave them bit-identical.
+  // Twin sessions over two corners: `fast` runs the incremental engine;
+  // `full` re-propagates the whole graph after every mutation. Every
+  // committed operation must leave them bit-identical, and `fast` must
+  // match a Timer built from scratch on its design (fresh memo cache, no
+  // trial state) — the oracle for the memo cache and trial checkpoints.
   ShellSession fast;
   ShellSession full;
   ASSERT_EQ(fast.load(eco_request()), "");
@@ -451,7 +451,6 @@ TEST(IncrementalEco, RandomizedSequenceMatchesFullRebuildAndReplay) {
   ASSERT_EQ(fast.load_corners(corners), "");
   ASSERT_EQ(full.load_corners(corners), "");
   full.timer().set_incremental_enabled(false);
-  full.timer().set_fastpath_enabled(false);
   ASSERT_EQ(fast.timer().num_corners(), 2u);
   ASSERT_EQ(slacks_by_name(fast.timer()), slacks_by_name(full.timer()));
 
@@ -495,25 +494,24 @@ TEST(IncrementalEco, RandomizedSequenceMatchesFullRebuildAndReplay) {
                   "");
         ASSERT_EQ(fast_name, full_name);
       } else {
-        // A short closure burst: the fast session rejects trials via
-        // checkpoints, the full session via legacy re-propagation. The
-        // transform trajectories only agree if every intermediate timing
-        // read agrees.
+        // A short closure burst. The transform trajectories only agree if
+        // every intermediate timing read agrees.
         OptimizerOptions options;
         options.max_passes = 1;
         options.endpoints_per_pass = 4;
         options.enable_area_recovery = false;
         OptimizerReport fast_report;
         OptimizerReport full_report;
-        OptimizerOptions legacy = options;
-        legacy.use_trial_checkpoints = false;
         ASSERT_EQ(fast.optimize(options, fast_report), "");
-        ASSERT_EQ(full.optimize(legacy, full_report), "");
+        ASSERT_EQ(full.optimize(options, full_report), "");
         ASSERT_EQ(fast_report.transforms_attempted,
                   full_report.transforms_attempted);
       }
       ASSERT_EQ(slacks_by_name(fast.timer()), slacks_by_name(full.timer()))
           << "diverged at txn " << txn << " op " << op;
+      ASSERT_EQ(state_signature(fast.timer()),
+                state_signature(*fresh_timer(fast)))
+          << "fresh timer diverged at txn " << txn << " op " << op;
     }
     std::size_t fast_records = 0;
     std::size_t full_records = 0;

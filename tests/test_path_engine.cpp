@@ -1,12 +1,11 @@
 /// PathEngine tests: the persistent k-best candidate arena must enumerate
 /// path sets bitwise identical to a cold PathEnumerator on the same timing
 /// version — after cold builds, after randomized warm ECO sequences, in
-/// hold (early) mode, under partitioned timers, across MCMM corners, at
-/// every SIMD tier, and at 1 and 4 threads. Pruned worst-path extraction
-/// must return exactly the unpruned set, and structural drift (a graph
-/// rebuild, which also poisons the refit ECO log) must fall back to a
-/// counted cold rebuild. The tier-1 script re-runs the PathEngine* suites
-/// under ASan+UBSan and TSan and at MGBA_SIMD=off|avx2.
+/// hold (early) mode, under partitioned timers, across MCMM corners, and
+/// at 1 and 4 threads. Pruned worst-path extraction must return exactly the
+/// unpruned set, and structural drift (a graph rebuild, which also poisons
+/// the refit ECO log) must fall back to a counted cold rebuild. The tier-1
+/// script re-runs the PathEngine* suites under ASan+UBSan and TSan.
 
 #include <cstddef>
 #include <optional>
@@ -27,7 +26,6 @@
 #include "test_helpers.hpp"
 #include "util/float_bits.hpp"
 #include "util/rng.hpp"
-#include "util/simd.hpp"
 #include "util/thread_pool.hpp"
 
 namespace mgba {
@@ -41,14 +39,6 @@ using testing_helpers::small_options;
 struct ThreadGuard {
   std::size_t saved = num_threads();
   ~ThreadGuard() { set_num_threads(saved); }
-};
-
-/// Restores the ambient SIMD configuration on scope exit.
-struct SimdGuard {
-  ~SimdGuard() {
-    simd::set_staged_enabled(true);
-    simd::set_tier(simd::detect_best());
-  }
 };
 
 /// Whole-path bitwise equality: structure, launch check, and the GBA
@@ -148,19 +138,6 @@ TEST(PathEngineCold, RepeatSyncIsNoop) {
   EXPECT_EQ(engine.stats().nodes_recomputed, 0u);
 }
 
-TEST(PathEngineCold, StagedOffMatchesScalarBuild) {
-  SimdGuard guard;
-  GeneratedStack staged(small_options(903));
-  GeneratedStack scalar(small_options(903));
-  PathEngine staged_engine(*staged.timer, 8);
-  staged_engine.sync();
-  simd::set_staged_enabled(false);  // forces the scalar cold build
-  PathEngine scalar_engine(*scalar.timer, 8);
-  scalar_engine.sync();
-  expect_paths_equal(staged_engine.all_paths(), scalar_engine.all_paths(),
-                     "staged vs scalar");
-}
-
 // --- warm re-enumeration ---------------------------------------------------
 
 TEST(PathEngineWarm, BitIdentityAfterRandomizedEcos) {
@@ -230,29 +207,6 @@ TEST(PathEngineWarm, MultiCornerVariant) {
   }
   EXPECT_GT(slow.stats().warm_syncs, 0u);
   EXPECT_GT(fast.stats().warm_syncs, 0u);
-}
-
-TEST(PathEngineWarm, TiersBitIdentical) {
-  SimdGuard guard;
-  // The warm sweep is scalar; this pins down that the dense cold build at
-  // each tier leaves an arena the warm path extends bit-identically.
-  std::vector<TimingPath> reference;
-  bool first = true;
-  for (const simd::Tier tier :
-       {simd::Tier::Scalar, simd::Tier::SSE2, simd::Tier::AVX2}) {
-    if (!simd::supported(tier)) continue;
-    simd::set_staged_enabled(true);
-    simd::set_tier(tier);
-    GeneratedStack stack(small_options(915));
-    PathEngine engine(*stack.timer, 8);
-    run_eco_sequence(stack, engine, 6, 8105);
-    if (first) {
-      reference = engine.all_paths();
-      first = false;
-    } else {
-      expect_paths_equal(engine.all_paths(), reference, "tier");
-    }
-  }
 }
 
 // --- structural fallback ---------------------------------------------------

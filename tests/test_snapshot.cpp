@@ -141,12 +141,15 @@ TEST(Snapshot, ThreadCountInvariance) {
 // --- retention accounting ---------------------------------------------------
 
 TEST(Snapshot, ReleaseFreesRetainedChunks) {
-  // Build-order ids keep one instance's ECO cone clustered in a few COW
-  // chunks, so "the untouched remainder stays shared" is observable even
-  // on a design this small. The level-contiguous layout scatters the cone
-  // across every level's id range — on ~300 gates that touches every
-  // chunk of every lane, leaving nothing shared to assert on.
-  GeneratedStack stack(small_options(504), 4000.0, GraphLayout::Original);
+  // The level-contiguous layout scatters one instance's ECO cone across
+  // every level's id range, so on a few hundred gates it touches every
+  // COW chunk of every lane. Levels many chunks wide leave most chunks
+  // outside the cone, which makes "the untouched remainder stays shared"
+  // observable.
+  GeneratorOptions options = small_options(504);
+  options.num_gates = 20000;
+  options.num_flops = 1000;
+  GeneratedStack stack(options);
   EXPECT_EQ(stack.timer->live_snapshots(), 0u);
 
   auto snap = stack.timer->snapshot();

@@ -148,10 +148,8 @@ TEST_F(SolverFastpathTest, SparseGradientBitwiseAcrossThreads) {
 // --- sparse SCG vs. the dense reference ------------------------------------
 
 TEST_F(SolverFastpathTest, SparseScgBitIdenticalToDense) {
-  SolverOptions options = solver_options();
-  options.use_sparse_gradient = false;
-  const SolveResult dense = solve_scg(*problem_, {}, options);
-  options.use_sparse_gradient = true;
+  const SolverOptions options = solver_options();
+  const SolveResult dense = solve_scg_dense_reference(*problem_, {}, options);
   const SolveResult sparse = solve_scg(*problem_, {}, options);
 
   EXPECT_EQ(dense.iterations, sparse.iterations);

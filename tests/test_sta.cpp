@@ -30,18 +30,22 @@ TEST(TimingGraph, ChainStructure) {
   EXPECT_EQ(graph.checks().size(), 1u);
   // Endpoints: out port, qout port, ff D pin.
   EXPECT_EQ(graph.endpoints().size(), 3u);
-  EXPECT_EQ(graph.topo_order().size(), graph.num_nodes());
+  EXPECT_EQ(graph.level_range(graph.num_levels() - 1).second,
+            graph.num_nodes());
 }
 
 TEST(TimingGraph, TopologicalOrderRespectsArcs) {
   GeneratedStack stack(small_options(1));
   const TimingGraph& graph = stack.timer->graph();
-  std::vector<std::size_t> position(graph.num_nodes());
-  for (std::size_t i = 0; i < graph.topo_order().size(); ++i) {
-    position[graph.topo_order()[i]] = i;
-  }
+  // Node ids ascend in topological order, level by level.
   for (ArcId a = 0; a < graph.num_arcs(); ++a) {
-    EXPECT_LT(position[graph.arc(a).from], position[graph.arc(a).to]);
+    const TimingArc& arc = graph.arc(a);
+    EXPECT_LT(arc.from, arc.to);
+    EXPECT_LT(graph.node(arc.from).level, graph.node(arc.to).level);
+  }
+  for (std::size_t l = 0; l < graph.num_levels(); ++l) {
+    const auto [u0, u1] = graph.level_range(l);
+    for (NodeId u = u0; u < u1; ++u) EXPECT_EQ(graph.node(u).level, l);
   }
 }
 

@@ -48,7 +48,6 @@
 #include "server/protocol.hpp"
 #include "server/server.hpp"
 #include "shell/interpreter.hpp"
-#include "util/simd.hpp"
 #include "util/thread_pool.hpp"
 
 namespace {
@@ -84,8 +83,7 @@ int usage() {
                "       mgba_timer --serve SOCKET [--state-dir DIR]\n"
                "                  [--idle-timeout S]  (timing daemon on a\n"
                "                   Unix socket; drive with mgba_client)\n"
-               "       mgba_timer --version       (build info + active SIMD "
-               "tier)\n"
+               "       mgba_timer --version       (build info)\n"
                "  common: --library FILE (liberty-lite cell library)\n"
                "          --threads N (parallel STA/PBA/solver threads;\n"
                "                       default MGBA_THREADS env or all cores)\n"
@@ -487,14 +485,6 @@ int run_serve_mode(const Args& args) {
 int cmd_version() {
   std::printf("mgba_timer (mGBA pessimism-reduction timing engine)\n");
   std::printf("  server protocol : %u\n", mgba::server::kProtocolVersion);
-  std::printf("  simd dispatch   : %s (host best %s; override with "
-              "MGBA_SIMD=off|scalar|sse2|avx2)\n",
-              simd::staged_enabled() ? simd::tier_name(simd::active_tier())
-                                     : "off",
-              simd::tier_name(simd::detect_best()));
-  std::printf("  simd tiers      : scalar%s%s\n",
-              simd::supported(simd::Tier::SSE2) ? " sse2" : "",
-              simd::supported(simd::Tier::AVX2) ? " avx2" : "");
   return 0;
 }
 
