@@ -3,15 +3,79 @@
 #include <algorithm>
 
 #include "util/check.hpp"
+#include "util/float_bits.hpp"
 
 namespace mgba {
 
-void DelayCache::resize(std::size_t n) {
+bool ArcInputs::same_bits(const ArcInputs& o) const {
+  return float_bits(load_ff) == float_bits(o.load_ff) &&
+         float_bits(dist_um) == float_bits(o.dist_um);
+}
+
+void DelayCache::resize(std::size_t lanes, std::size_t arcs) {
+  const std::size_t n = lanes * arcs;
   slew_bits.assign(n, 0);
   cell_key.assign(n, kEmptyKey);
   delay_ps.assign(n, 0.0);
   slew_ps.assign(n, 0.0);
+  inputs.assign(arcs, ArcInputs{});
   trial_mark_.assign(n, 0);
+  trial_epoch_ = 0;
+  trial_saved_.clear();
+}
+
+namespace {
+
+/// A run of new arc ids [dst, dst + len) carried from old ids
+/// [src, src + len). A rebuild shifts ids, so runs are long.
+struct CarryRun {
+  std::size_t dst;
+  std::size_t src;
+  std::size_t len;
+};
+
+/// One memo array re-shaped lane by lane to the rebuilt arc ids: each run
+/// is copied, every other slot is \p empty. Array at a time, so a rebuild
+/// holds at most one array twice.
+template <typename T>
+void carry_lanes(std::vector<T>& values, T empty, std::size_t lanes,
+                 std::size_t old_arcs, std::size_t arcs,
+                 const std::vector<CarryRun>& runs) {
+  std::vector<T> out(lanes * arcs, empty);
+  for (std::size_t lane = 0; lane < lanes; ++lane) {
+    const T* src = values.data() + lane * old_arcs;
+    T* dst = out.data() + lane * arcs;
+    for (const CarryRun& r : runs) {
+      std::copy_n(src + r.src, r.len, dst + r.dst);
+    }
+  }
+  values = std::move(out);
+}
+
+}  // namespace
+
+void DelayCache::carry(std::size_t lanes,
+                       std::span<const ArcId> carried_from) {
+  const std::size_t old_arcs = num_arcs();
+  const std::size_t arcs = carried_from.size();
+  std::vector<CarryRun> runs;
+  for (std::size_t a = 0; a < arcs; ++a) {
+    const ArcId o = carried_from[a];
+    if (o == kInvalidArc) continue;
+    if (!runs.empty() && runs.back().dst + runs.back().len == a &&
+        runs.back().src + runs.back().len == o) {
+      ++runs.back().len;
+    } else {
+      runs.push_back({a, o, 1});
+    }
+  }
+  carry_lanes<std::uint64_t>(slew_bits, 0, lanes, old_arcs, arcs, runs);
+  carry_lanes<std::uint32_t>(cell_key, kEmptyKey, lanes, old_arcs, arcs,
+                             runs);
+  carry_lanes(delay_ps, 0.0, lanes, old_arcs, arcs, runs);
+  carry_lanes(slew_ps, 0.0, lanes, old_arcs, arcs, runs);
+  carry_lanes(inputs, ArcInputs{}, 1, old_arcs, arcs, runs);
+  trial_mark_.assign(size(), 0);
   trial_epoch_ = 0;
   trial_saved_.clear();
 }
@@ -50,15 +114,17 @@ void DelayCache::trial_record(std::size_t index) {
   trial_mark_[index] = trial_epoch_;
   trial_saved_.emplace_back(
       index, Saved{slew_bits[index], cell_key[index], delay_ps[index],
-                   slew_ps[index]});
+                   slew_ps[index], inputs[index % num_arcs()]});
 }
 
 void DelayCache::trial_restore() {
-  for (const auto& [index, saved] : trial_saved_) {
+  for (auto it = trial_saved_.rbegin(); it != trial_saved_.rend(); ++it) {
+    const auto& [index, saved] = *it;
     slew_bits[index] = saved.bits;
     cell_key[index] = saved.key;
     delay_ps[index] = saved.delay;
     slew_ps[index] = saved.slew;
+    inputs[index % num_arcs()] = saved.inputs;
   }
   trial_end();
 }
@@ -70,37 +136,53 @@ double DelayCalculator::net_load_ff(NetId net) const {
   return design_->net_load_ff(net, wire_.cap_per_um);
 }
 
-ArcTiming DelayCalculator::evaluate(const TimingGraph& graph, ArcId arc_id,
-                                    double input_slew,
-                                    const LibraryScaling& scaling) const {
+ArcInputs DelayCalculator::inputs(const TimingGraph& graph,
+                                  ArcId arc_id) const {
   const TimingArc& arc = graph.arc(arc_id);
-  ArcTiming out;
+  ArcInputs in;
   if (arc.kind == TimingArc::Kind::Cell) {
     const Instance& inst = design_->instance(arc.inst);
-    const LibCell& cell = design_->library().cell(inst.cell);
-    const LibTimingArc& lib_arc = cell.arcs[arc.lib_arc];
+    const LibTimingArc& lib_arc =
+        design_->library().cell(inst.cell).arcs[arc.lib_arc];
     const NetId out_net = inst.pin_nets[lib_arc.to_pin];
     MGBA_DCHECK(out_net != kInvalidId);
-    const double load = net_load_ff(out_net);
-    out.delay_ps = lib_arc.delay.lookup(input_slew, load) * scaling.delay;
-    out.slew_ps =
-        lib_arc.output_slew.lookup(input_slew, load) * scaling.slew;
+    in.load_ff = net_load_ff(out_net);
   } else {
     const Net& net = design_->net(arc.net);
     MGBA_DCHECK(net.driver.has_value());
     const Point driver_loc = design_->terminal_location(*net.driver);
     const Terminal& sink = graph.node(arc.to).terminal;
-    const double dist = manhattan(driver_loc, design_->terminal_location(sink));
-    double sink_cap = 0.0;
+    in.dist_um = manhattan(driver_loc, design_->terminal_location(sink));
     if (sink.kind == Terminal::Kind::InstancePin) {
-      sink_cap = design_->cell_of(sink.id).pins[sink.pin].capacitance_ff;
+      in.load_ff = design_->cell_of(sink.id).pins[sink.pin].capacitance_ff;
     }
+  }
+  return in;
+}
+
+ArcTiming DelayCalculator::evaluate(const TimingGraph& graph, ArcId arc_id,
+                                    double input_slew,
+                                    const LibraryScaling& scaling) const {
+  return evaluate(graph, arc_id, input_slew, inputs(graph, arc_id), scaling);
+}
+
+ArcTiming DelayCalculator::evaluate(const TimingGraph& graph, ArcId arc_id,
+                                    double input_slew, const ArcInputs& in,
+                                    const LibraryScaling& scaling) const {
+  const TimingArc& arc = graph.arc(arc_id);
+  ArcTiming out;
+  if (arc.kind == TimingArc::Kind::Cell) {
+    const LibTimingArc& lib_arc = design_->cell_of(arc.inst).arcs[arc.lib_arc];
+    out.delay_ps = lib_arc.delay.lookup(input_slew, in.load_ff) * scaling.delay;
+    out.slew_ps =
+        lib_arc.output_slew.lookup(input_slew, in.load_ff) * scaling.slew;
+  } else {
     // Elmore star: the branch resistance sees half its own wire cap plus
     // the sink pin cap. Interconnect tracks the corner's delay factor (an
     // RC-corner proxy); the degradation term then scales with it.
-    const double wire_res = wire_.res_per_um * dist;
-    const double wire_cap = wire_.cap_per_um * dist;
-    out.delay_ps = wire_res * (wire_cap * 0.5 + sink_cap) * scaling.delay;
+    const double wire_res = wire_.res_per_um * in.dist_um;
+    const double wire_cap = wire_.cap_per_um * in.dist_um;
+    out.delay_ps = wire_res * (wire_cap * 0.5 + in.load_ff) * scaling.delay;
     out.slew_ps = input_slew + wire_.slew_degradation * out.delay_ps;
   }
   return out;

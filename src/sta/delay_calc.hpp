@@ -9,6 +9,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -36,16 +37,28 @@ struct ArcTiming {
   double slew_ps = 0.0;  ///< transition at the arc's destination
 };
 
+/// The design-side inputs of an arc evaluation besides the cell, the lib
+/// arc and the input slew: for a cell arc the load on its output net; for
+/// a net arc the sink pin capacitance and the driver-to-sink Manhattan
+/// distance. Equal bits in, equal bits out.
+struct ArcInputs {
+  double load_ff = 0.0;
+  double dist_um = 0.0;  ///< net arcs only
+  [[nodiscard]] bool same_bits(const ArcInputs& o) const;
+};
+
 /// Memoized base arc timings: one
 /// direct-mapped entry per (lane, arc), where lane = corner * kNumModes +
 /// mode, so an entry already encodes the corner scaling. The stored key is
-/// (cell, input-slew bits); the net load is deliberately *not* part of the
-/// key — computing it per lookup costs as much as the lookup saves — so
-/// every entry whose load can have changed must be dropped explicitly
-/// (Timer::invalidate_instance does this; see DESIGN.md §10 for the
-/// complete invalidation rule set). Net arcs use a sentinel cell key:
-/// their geometry and sink caps only change through the same explicit
-/// invalidation or a graph rebuild (which clears the cache wholesale).
+/// (cell, input-slew bits); the arc's ArcInputs are deliberately *not*
+/// part of the key — computing the net load per lookup costs as much as
+/// the lookup saves — so every entry whose inputs can have changed must be
+/// dropped explicitly (Timer::invalidate_instance does this; see DESIGN.md
+/// §10 for the complete invalidation rule set). Net arcs use a sentinel
+/// cell key. Each arc also records the ArcInputs of its latest evaluation,
+/// which every live entry of the arc was computed under: a graph rebuild
+/// moves an arc's entries to its new id only when the arc survives and
+/// its current inputs still equal that record (Timer::rebuild_graph).
 ///
 /// Thread safety: entries are written only from the level-synchronous
 /// sweeps, where each (lane, arc) has exactly one writer per level (the
@@ -65,14 +78,20 @@ struct DelayCache {
   std::vector<std::uint32_t> cell_key;
   std::vector<double> delay_ps;
   std::vector<double> slew_ps;
+  /// Per arc (not per lane): the inputs of the arc's latest evaluation.
+  /// Written by the evaluating sweep next to the entry, by the arc's
+  /// single writer.
+  std::vector<ArcInputs> inputs;
 
   [[nodiscard]] std::size_t size() const { return cell_key.size(); }
   [[nodiscard]] bool empty() const { return cell_key.empty(); }
-  /// Allocated payload bytes of the four arrays (memory_stats accounting).
+  [[nodiscard]] std::size_t num_arcs() const { return inputs.size(); }
+  /// Allocated payload bytes of the arrays (memory_stats accounting).
   [[nodiscard]] std::size_t bytes() const {
     return slew_bits.capacity() * sizeof(std::uint64_t) +
            cell_key.capacity() * sizeof(std::uint32_t) +
-           (delay_ps.capacity() + slew_ps.capacity()) * sizeof(double);
+           (delay_ps.capacity() + slew_ps.capacity()) * sizeof(double) +
+           inputs.capacity() * sizeof(ArcInputs);
   }
 
   std::atomic<std::uint64_t> hits{0};
@@ -86,9 +105,16 @@ struct DelayCache {
     if (m != 0) misses.fetch_add(m, std::memory_order_relaxed);
   }
 
-  /// Re-sizes to \p n empty entries (graph rebuild / corner-set change);
-  /// the hit/miss counters survive, mirroring Timer's update counters.
-  void resize(std::size_t n);
+  /// Re-sizes to \p lanes x \p arcs empty entries (corner-set change,
+  /// structural rollback); the hit/miss counters survive, mirroring
+  /// Timer's update counters.
+  void resize(std::size_t lanes, std::size_t arcs);
+
+  /// Re-shapes the memo to a rebuilt graph with \p lanes lanes (the
+  /// current count): new arc a takes every lane's entry and the input
+  /// record of old arc carried_from[a], or starts empty when that is
+  /// kInvalidArc.
+  void carry(std::size_t lanes, std::span<const ArcId> carried_from);
 
   /// Drops one entry (journaling it first when a trial is recording).
   void invalidate(std::size_t index);
@@ -106,12 +132,15 @@ struct DelayCache {
   [[nodiscard]] bool trial_active() const { return trial_active_; }
 
  private:
-  /// One journaled entry: the four SoA slots of one index.
+  /// One journaled entry: the four SoA slots of one index plus its arc's
+  /// input record (shared by the arc's lanes; the restore walks the
+  /// journal backwards so the earliest, pre-trial record wins).
   struct Saved {
     std::uint64_t bits;
     std::uint32_t key;
     double delay;
     double slew;
+    ArcInputs inputs;
   };
 
   bool trial_active_ = false;
@@ -135,6 +164,13 @@ class DelayCalculator {
   [[nodiscard]] ArcTiming evaluate(const TimingGraph& graph, ArcId arc,
                                    double input_slew,
                                    const LibraryScaling& scaling = {}) const;
+  /// The same evaluation from the arc's already-derived inputs
+  /// (evaluate(g, a, s, sc) == evaluate(g, a, s, inputs(g, a), sc)).
+  [[nodiscard]] ArcTiming evaluate(const TimingGraph& graph, ArcId arc,
+                                   double input_slew, const ArcInputs& in,
+                                   const LibraryScaling& scaling) const;
+  /// The arc's current ArcInputs in the design.
+  [[nodiscard]] ArcInputs inputs(const TimingGraph& graph, ArcId arc) const;
 
   /// Total capacitive load on the driver of \p net: sink pin caps plus
   /// wire capacitance for the driver->sink Manhattan lengths.

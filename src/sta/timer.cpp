@@ -33,10 +33,10 @@ constexpr std::size_t kIncrementalGrain = 32;
 /// chunks they touch (the same machinery snapshots use — this replaced
 /// the hand-rolled first-touch TrialJournal). Structural trials
 /// additionally retain the graph and every derived table a rebuild_graph
-/// replaces; the graph/statics are refcounted, the remaining tables are
-/// plain copies. `broken` means an operation the checkpoint cannot cover
-/// intervened (corner-set change, weight application) — rollback then
-/// fails over to re-propagation.
+/// replaces; the graph, statics, derates and launch sets are refcounted,
+/// the per-port and per-node tables are plain copies. `broken` means an
+/// operation the checkpoint cannot cover intervened (corner-set change,
+/// weight application) — rollback then fails over to re-propagation.
 struct Timer::TrialState {
   bool structural = false;
   bool broken = false;
@@ -48,8 +48,7 @@ struct Timer::TrialState {
   std::shared_ptr<TimingGraph> graph;
   std::shared_ptr<GraphStatics> statics;
   std::vector<std::shared_ptr<const std::vector<DeratePair>>> derates;
-  std::vector<std::vector<std::uint64_t>> launch_sets;
-  std::vector<bool> port_launched;
+  std::shared_ptr<const std::vector<std::uint64_t>> launch_sets;
   std::size_t launch_words = 0;
   std::vector<double> port_input_delay;
   std::vector<double> port_output_delay;
@@ -87,6 +86,8 @@ void Timer::set_corners(std::vector<AnalysisCorner> corners) {
   weights_.assign(corners_.size(), seed_weights);
   weights_early_.assign(corners_.size(), seed_weights_early);
   allocate_storage();
+  // Entries encode their lane's corner scaling: start the memo over.
+  delay_cache_.resize(corners_.size() * kNumModes, graph_->num_arcs());
   dirty_full_ = true;
   dirty_instances_.clear();
   eco_poisoned_ = true;  // per-corner golden slacks all moved
@@ -284,8 +285,14 @@ void Timer::rebuild_graph() {
   eco_poisoned_ = true;
   break_value_trial();
   // Fresh graph object: snapshots taken against the old one keep it alive.
+  const std::shared_ptr<const TimingGraph> old_graph = graph_;
   graph_ = std::make_shared<TimingGraph>(*design_, constraints_.clock_port);
   ++state_version_;
+  if (old_graph) {
+    carry_delay_memo(*old_graph);
+  } else {
+    delay_cache_.resize(corners_.size() * kNumModes, graph_->num_arcs());
+  }
   allocate_storage();
   compute_instance_arcs();
   compute_launch_sets();
@@ -353,9 +360,53 @@ void Timer::allocate_storage() {
   resize_incremental_scratch();
 }
 
+void Timer::carry_delay_memo(const TimingGraph& old_graph) {
+  MGBA_DCHECK(delay_cache_.num_arcs() == old_graph.num_arcs());
+  std::vector<ArcId> carried_from(graph_->num_arcs(), kInvalidArc);
+  // An arc survives when the old graph has an arc of the same kind between
+  // the same two terminals over the same instance and lib arc (cell) or
+  // the same net (net). Its entries move only if the inputs the memo key
+  // leaves out are bit-equal to the ones they were computed under; the
+  // cell and input slew are re-checked by every lookup.
+  std::vector<NodeId> old_node(graph_->num_nodes());
+  for (NodeId u = 0; u < graph_->num_nodes(); ++u) {
+    old_node[u] = old_graph.find_node(graph_->node(u).terminal);
+  }
+  // Arcs are ordered by destination, and the cell arcs into one output pin
+  // all drive its net: cell_in holds that load for node cell_in_to.
+  NodeId cell_in_to = kInvalidNode;
+  ArcInputs cell_in;
+  for (ArcId a = 0; a < graph_->num_arcs(); ++a) {
+    const TimingArc& arc = graph_->arc(a);
+    const NodeId to = old_node[arc.to];
+    const NodeId from = old_node[arc.from];
+    if (to == kInvalidNode || from == kInvalidNode) continue;
+    for (const ArcId o : old_graph.fanin(to)) {
+      const TimingArc& old = old_graph.arc(o);
+      if (old.from != from || old.kind != arc.kind) continue;
+      const bool same = arc.kind == TimingArc::Kind::Cell
+                            ? old.inst == arc.inst && old.lib_arc == arc.lib_arc
+                            : old.net == arc.net;
+      if (!same) continue;
+      ArcInputs now;
+      if (arc.kind == TimingArc::Kind::Net) {
+        now = delay_.inputs(*graph_, a);
+      } else {
+        if (cell_in_to != arc.to) {
+          cell_in = delay_.inputs(*graph_, a);
+          cell_in_to = arc.to;
+        }
+        now = cell_in;
+      }
+      if (delay_cache_.inputs[o].same_bits(now)) carried_from[a] = o;
+      break;
+    }
+  }
+  delay_cache_.carry(corners_.size() * kNumModes, carried_from);
+}
+
 void Timer::resize_incremental_scratch() {
   const std::size_t lanes = corners_.size() * kNumModes;
-  delay_cache_.resize(lanes * graph_->num_arcs());
   frontier_.assign(graph_->num_levels(), {});
   on_frontier_.assign(graph_->num_nodes(), false);
   arc_changed_scratch_.assign(graph_->num_arcs(), 0);
@@ -424,26 +475,30 @@ void Timer::compute_launch_sets() {
   // order of magnitude — is skipped entirely.
   if (!constraints_.enable_crpr) {
     launch_words_ = 0;
-    launch_sets_.clear();
-    port_launched_.clear();
+    launch_sets_.reset();
     return;
   }
   const std::size_t n = graph_->num_nodes();
   const std::size_t num_checks = graph_->checks().size();
-  launch_words_ = (num_checks + 63) / 64;
-  launch_sets_.assign(n, std::vector<std::uint64_t>(launch_words_, 0));
-  port_launched_.assign(n, false);
+  // One bit per launch check, plus the port-launch bit at index
+  // num_checks; node u's set is the row [u * launch_words_, +launch_words_).
+  launch_words_ = (num_checks + 1 + 63) / 64;
+  const std::size_t port_word = num_checks / 64;
+  const std::uint64_t port_bit = std::uint64_t{1} << (num_checks % 64);
+  auto sets = std::make_shared<std::vector<std::uint64_t>>(n * launch_words_, 0);
+  std::uint64_t* const rows = sets->data();
 
   // Node ids ascend in topological order: every fanin is merged before
   // its node is read.
   for (NodeId u = 0; u < n; ++u) {
     const TimingNode& node = graph_->node(u);
+    std::uint64_t* const src = rows + u * launch_words_;
     // Seed: data input ports carry the "no clock path" marker; FF Q pins
     // carry their own flip-flop's launch bit.
     if (node.terminal.kind == Terminal::Kind::Port) {
       const Port& port = design_->port(node.terminal.id);
       if (port.direction == PortDirection::Input && u != graph_->clock_source()) {
-        port_launched_[u] = true;
+        src[port_word] |= port_bit;
       }
     } else {
       const Instance& inst = design_->instance(node.terminal.id);
@@ -452,7 +507,7 @@ void Timer::compute_launch_sets() {
           node.terminal.pin == cell.output_pin()) {
         const std::int32_t check = statics_->check_of_ff[node.terminal.id];
         if (check >= 0) {
-          launch_sets_[u][static_cast<std::size_t>(check) / 64] |=
+          src[static_cast<std::size_t>(check) / 64] |=
               std::uint64_t{1} << (static_cast<std::size_t>(check) % 64);
         }
       }
@@ -460,13 +515,11 @@ void Timer::compute_launch_sets() {
     // Merge into fanout. Clock-network internal edges never carry launch
     // bits (clock nodes have empty sets until the CK->Q boundary).
     for (const ArcId a : graph_->fanout(u)) {
-      const NodeId v = graph_->arc(a).to;
-      if (port_launched_[u]) port_launched_[v] = true;
-      auto& dst = launch_sets_[v];
-      const auto& src = launch_sets_[u];
+      std::uint64_t* const dst = rows + graph_->arc(a).to * launch_words_;
       for (std::size_t w = 0; w < launch_words_; ++w) dst[w] |= src[w];
     }
   }
+  launch_sets_ = std::move(sets);
 }
 
 bool Timer::is_weighted_arc(const TimingArc& arc) const {
@@ -576,12 +629,14 @@ ArcTiming Timer::arc_timing(ArcId a, const TimingArc& arc, double input_slew,
     return ArcTiming{delay_cache_.delay_ps[at], delay_cache_.slew_ps[at]};
   }
   ++tally.misses;
+  const ArcInputs in = delay_.inputs(*graph_, a);
   const ArcTiming timing =
-      delay_.evaluate(*graph_, a, input_slew, corners_[corner].scaling);
+      delay_.evaluate(*graph_, a, input_slew, in, corners_[corner].scaling);
   delay_cache_.slew_bits[at] = bits;
   delay_cache_.cell_key[at] = key;
   delay_cache_.delay_ps[at] = timing.delay_ps;
   delay_cache_.slew_ps[at] = timing.slew_ps;
+  delay_cache_.inputs[a] = in;
   return timing;
 }
 
@@ -765,12 +820,15 @@ void Timer::full_forward() {
                 base[i] = delay_cache_.delay_ps[at];
                 oslew[i] = delay_cache_.slew_ps[at];
               } else {
-                const ArcTiming t = delay_.evaluate(
-                    *graph_, static_cast<ArcId>(k0 + i), inslew[i], scaling);
+                const ArcId a = static_cast<ArcId>(k0 + i);
+                const ArcInputs in = delay_.inputs(*graph_, a);
+                const ArcTiming t =
+                    delay_.evaluate(*graph_, a, inslew[i], in, scaling);
                 delay_cache_.slew_bits[at] = float_bits(inslew[i]);
-                delay_cache_.cell_key[at] = arc_key_[k0 + i];
+                delay_cache_.cell_key[at] = arc_key_[a];
                 delay_cache_.delay_ps[at] = t.delay_ps;
                 delay_cache_.slew_ps[at] = t.slew_ps;
+                delay_cache_.inputs[a] = in;
                 base[i] = t.delay_ps;
                 oslew[i] = t.slew_ps;
               }
@@ -1151,12 +1209,13 @@ void Timer::compute_crpr_credits() {
     const std::size_t c = i % checks.size();
     double credit = 0.0;
     if (constraints_.enable_crpr) {
-      const NodeId data = checks[c].data_node;
-      if (port_launched_[data]) {
+      const std::uint64_t* const set =
+          launch_sets_->data() + checks[c].data_node * launch_words_;
+      const std::size_t port_bit = checks.size();
+      if ((set[port_bit / 64] >> (port_bit % 64)) & 1) {
         credit = 0.0;  // some launch has no clock path: no safe credit
       } else {
         credit = kInfPs;
-        const auto& set = launch_sets_[data];
         for (std::size_t w = 0; w < launch_words_; ++w) {
           std::uint64_t bits = set[w];
           while (bits != 0) {
@@ -1949,7 +2008,6 @@ void Timer::begin_trial(bool structural) {
   trial_->statics = statics_;
   trial_->derates = derates_;
   trial_->launch_sets = launch_sets_;
-  trial_->port_launched = port_launched_;
   trial_->launch_words = launch_words_;
   trial_->port_input_delay = port_input_delay_;
   trial_->port_output_delay = port_output_delay_;
@@ -1978,7 +2036,6 @@ bool Timer::rollback_trial() {
     derates_ = std::move(trial_->derates);
     statics_ = std::move(trial_->statics);
     launch_sets_ = std::move(trial_->launch_sets);
-    port_launched_ = std::move(trial_->port_launched);
     launch_words_ = trial_->launch_words;
     port_input_delay_ = std::move(trial_->port_input_delay);
     port_output_delay_ = std::move(trial_->port_output_delay);
@@ -2000,6 +2057,7 @@ bool Timer::rollback_trial() {
     }
     // Scratch and memo cache follow the restored shape; cached entries
     // were keyed by the trial graph's arc ids and are dropped wholesale.
+    delay_cache_.resize(corners_.size() * kNumModes, graph_->num_arcs());
     resize_incremental_scratch();
     // The decomposition was built against the trial graph's node ids;
     // rebuild it deterministically on the restored graph. Region marks
@@ -2111,10 +2169,10 @@ Timer::MemoryStats Timer::memory_stats() const {
   m.arena_bytes_per_lane = lanes == 0 ? 0 : m.arena_bytes / lanes;
   m.delay_cache_entries = delay_cache_.size();
   m.delay_cache_bytes = delay_cache_.bytes();
+  // One table, counted once: a structural trial that shares it adds
+  // nothing.
   m.launch_set_bytes =
-      launch_sets_.size() *
-          (sizeof(std::vector<std::uint64_t>) + launch_words_ * 8) +
-      port_launched_.capacity() / 8;
+      launch_sets_ ? launch_sets_->capacity() * sizeof(std::uint64_t) : 0;
   m.partition_bytes = partition_ ? partition_->storage_bytes() : 0;
   if (partition_) {
     // Timer-side partitioned-update state: dirty/selection flags, the

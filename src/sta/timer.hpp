@@ -421,11 +421,15 @@ class Timer {
   void prune_snapshots() const;
 
   void allocate_storage();
-  /// Sizes the delay cache and the incremental-frontier scratch to the
-  /// current graph/corner shape (clearing cached entries). Called from
-  /// allocate_storage and from structural-trial rollback, which restores a
-  /// differently-shaped arena without reallocating it.
+  /// Sizes the incremental-frontier and full-sweep scratch to the current
+  /// graph/corner shape. Called from allocate_storage and from
+  /// structural-trial rollback, which restores a differently-shaped arena
+  /// without reallocating it.
   void resize_incremental_scratch();
+  /// Re-shapes the delay memo from \p old_graph to the freshly built
+  /// graph_, keeping the entries of every arc that exists in both graphs
+  /// with bit-equal ArcInputs (DESIGN.md §10).
+  void carry_delay_memo(const TimingGraph& old_graph);
   void compute_instance_arcs();
   void compute_launch_sets();
   bool is_weighted_arc(const TimingArc& arc) const;
@@ -592,11 +596,12 @@ class Timer {
   std::shared_ptr<GraphStatics> statics_;
 
   // Launch-set DP for GBA CRPR: for each node, the set of launch checks
-  // (flip-flops) whose Q reaches it, as a bitset; plus a flag for paths
-  // launched at input ports (which carry zero credit). Corner-independent
-  // (clock topology does not change across corners).
-  std::vector<std::vector<std::uint64_t>> launch_sets_;
-  std::vector<bool> port_launched_;
+  // (flip-flops) whose Q reaches it, as a bitset whose extra bit at index
+  // num_checks flags paths launched at input ports (which carry zero
+  // credit). One node-major table of launch_words_ words per node, null
+  // with CRPR off; immutable once built, so structural trials share it.
+  // Corner-independent (clock topology does not change across corners).
+  std::shared_ptr<const std::vector<std::uint64_t>> launch_sets_;
   std::size_t launch_words_ = 0;
 
   /// Live snapshot registry (weak: a released snapshot self-frees its
@@ -616,8 +621,10 @@ class Timer {
   std::size_t full_updates_ = 0;
   std::size_t incremental_updates_ = 0;
 
-  /// Memoized base arc timings (see DelayCache); sized lanes x arcs in
-  /// allocate_storage, which clears it on every structural change.
+  /// Memoized base arc timings (see DelayCache); sized lanes x arcs.
+  /// A graph rebuild carries over the entries of unchanged arcs
+  /// (carry_delay_memo); a corner-set change or a structural rollback
+  /// clears it.
   DelayCache delay_cache_;
 
   // --- full-sweep state -----------------------------------------------------

@@ -1,7 +1,6 @@
 #include "sta/timing_graph.hpp"
 
 #include <algorithm>
-#include <deque>
 
 #include "util/check.hpp"
 
@@ -11,13 +10,12 @@ TimingGraph::TimingGraph(const Design& design,
                          const std::string& clock_port_name)
     : design_(&design) {
   build_nodes();
-  // Adjacency is needed before arc ids settle (clock BFS + levelize), so
-  // the build phase keeps a per-node scratch fanout and converts to the
-  // final CSR only after the renumbering fixed the id spaces.
-  std::vector<std::vector<ArcId>> fanout_scratch(nodes_.size());
-  build_arcs(fanout_scratch);
-  mark_clock_network(clock_port_name, fanout_scratch);
-  levelize(fanout_scratch);
+  build_arcs();
+  // The clock BFS and levelize need adjacency before the node/arc ids
+  // settle; they walk a build-order fanout CSR that lives only here.
+  const BuildCsr fanout = build_order_fanout();
+  mark_clock_network(clock_port_name, fanout);
+  levelize(fanout);
   renumber_level_contiguous();
   build_adjacency();
   collect_checks_and_endpoints();
@@ -50,14 +48,8 @@ void TimingGraph::build_nodes() {
   }
 }
 
-void TimingGraph::build_arcs(std::vector<std::vector<ArcId>>& fanout_scratch) {
+void TimingGraph::build_arcs() {
   const Design& d = *design_;
-
-  const auto add_arc = [&](TimingArc arc) {
-    const ArcId id = static_cast<ArcId>(arcs_.size());
-    fanout_scratch[arc.from].push_back(id);
-    arcs_.push_back(arc);
-  };
 
   // Cell arcs.
   for (std::size_t i = 0; i < d.num_instances(); ++i) {
@@ -74,7 +66,7 @@ void TimingGraph::build_arcs(std::vector<std::vector<ArcId>>& fanout_scratch) {
       arc.to = to;
       arc.inst = static_cast<InstanceId>(i);
       arc.lib_arc = static_cast<std::uint32_t>(a);
-      add_arc(arc);
+      arcs_.push_back(arc);
     }
   }
 
@@ -95,14 +87,37 @@ void TimingGraph::build_arcs(std::vector<std::vector<ArcId>>& fanout_scratch) {
       arc.from = from;
       arc.to = terminal_node(sink);
       arc.net = static_cast<NetId>(n);
-      add_arc(arc);
+      arcs_.push_back(arc);
     }
   }
 }
 
-void TimingGraph::mark_clock_network(
-    const std::string& clock_port_name,
-    const std::vector<std::vector<ArcId>>& fanout) {
+namespace {
+
+/// Fanout CSR of \p arcs over \p num_nodes nodes by a counting placement
+/// in ascending arc id, so each node's list ascends by arc id.
+void fanout_csr(const std::vector<TimingArc>& arcs, std::size_t num_nodes,
+                std::vector<std::uint32_t>& begin, std::vector<ArcId>& list) {
+  begin.assign(num_nodes + 1, 0);
+  for (const TimingArc& arc : arcs) ++begin[arc.from + 1];
+  for (std::size_t u = 0; u < num_nodes; ++u) begin[u + 1] += begin[u];
+  list.resize(arcs.size());
+  std::vector<std::uint32_t> pos(begin.begin(), begin.end() - 1);
+  for (std::size_t a = 0; a < arcs.size(); ++a) {
+    list[pos[arcs[a].from]++] = static_cast<ArcId>(a);
+  }
+}
+
+}  // namespace
+
+TimingGraph::BuildCsr TimingGraph::build_order_fanout() const {
+  BuildCsr csr;
+  fanout_csr(arcs_, nodes_.size(), csr.begin, csr.arcs);
+  return csr;
+}
+
+void TimingGraph::mark_clock_network(const std::string& clock_port_name,
+                                     const BuildCsr& fanout) {
   const Design& d = *design_;
   const auto clock_port = d.find_port(clock_port_name);
   MGBA_CHECK(clock_port.has_value());
@@ -112,17 +127,17 @@ void TimingGraph::mark_clock_network(
   // BFS from the clock source. A flip-flop CK pin belongs to the clock
   // network but the traversal does not continue through its CK->Q arc;
   // everything past Q is data.
-  std::deque<NodeId> queue{clock_source_};
+  // FIFO over a plain vector: every node enters the queue at most once.
+  std::vector<NodeId> queue{clock_source_};
   nodes_[clock_source_].is_clock_network = true;
-  while (!queue.empty()) {
-    const NodeId u = queue.front();
-    queue.pop_front();
+  for (std::size_t head = 0; head < queue.size(); ++head) {
+    const NodeId u = queue[head];
     const Terminal& t = nodes_[u].terminal;
     if (t.kind == Terminal::Kind::InstancePin) {
       const LibCell& cell = d.cell_of(t.id);
       if (cell.pins[t.pin].is_clock) continue;  // stop at FF CK pins
     }
-    for (const ArcId a : fanout[u]) {
+    for (const ArcId a : fanout.of(u)) {
       const NodeId v = arcs_[a].to;
       if (!nodes_[v].is_clock_network) {
         nodes_[v].is_clock_network = true;
@@ -132,29 +147,29 @@ void TimingGraph::mark_clock_network(
   }
 }
 
-void TimingGraph::levelize(const std::vector<std::vector<ArcId>>& fanout) {
+void TimingGraph::levelize(const BuildCsr& fanout) {
   std::vector<std::uint32_t> in_degree(nodes_.size(), 0);
   for (const TimingArc& arc : arcs_) ++in_degree[arc.to];
 
-  std::deque<NodeId> ready;
+  // Kahn's algorithm with a vector FIFO: every node is pushed exactly once,
+  // so the queue is the visit order and its length the visited count.
+  std::vector<NodeId> ready;
+  ready.reserve(nodes_.size());
   for (NodeId u = 0; u < nodes_.size(); ++u) {
     if (in_degree[u] == 0) {
       nodes_[u].level = 0;
       ready.push_back(u);
     }
   }
-  std::size_t visited = 0;
-  while (!ready.empty()) {
-    const NodeId u = ready.front();
-    ready.pop_front();
-    ++visited;
-    for (const ArcId a : fanout[u]) {
+  for (std::size_t head = 0; head < ready.size(); ++head) {
+    const NodeId u = ready[head];
+    for (const ArcId a : fanout.of(u)) {
       const NodeId v = arcs_[a].to;
       nodes_[v].level = std::max(nodes_[v].level, nodes_[u].level + 1);
       if (--in_degree[v] == 0) ready.push_back(v);
     }
   }
-  MGBA_CHECK(visited == nodes_.size() &&
+  MGBA_CHECK(ready.size() == nodes_.size() &&
              "timing graph has a combinational cycle");
 }
 
@@ -193,46 +208,33 @@ void TimingGraph::renumber_level_contiguous() {
   }
   clock_source_ = old2new[clock_source_];
 
-  // Sort arcs by (destination, build-order arc id): the fanin arcs of one
+  // Order arcs by (destination, build-order arc id): the fanin arcs of one
   // level become a single contiguous arc range, and the build-order
   // tiebreak keeps each node's fanin arcs in construction order, the
-  // order every fanin fold visits them in.
-  for (TimingArc& arc : arcs_) {
+  // order every fanin fold visits them in. A counting placement by
+  // destination, walking arcs in build order, yields exactly that order;
+  // its row pointers are the fanin CSR offsets.
+  fanin_begin_.assign(n + 1, 0);
+  for (const TimingArc& arc : arcs_) ++fanin_begin_[old2new[arc.to] + 1];
+  for (std::size_t u = 0; u < n; ++u) fanin_begin_[u + 1] += fanin_begin_[u];
+  std::vector<std::uint32_t> pos(fanin_begin_.begin(), fanin_begin_.end() - 1);
+  std::vector<TimingArc> placed(arcs_.size());
+  for (TimingArc arc : arcs_) {
     arc.from = old2new[arc.from];
     arc.to = old2new[arc.to];
+    placed[pos[arc.to]++] = arc;
   }
-  std::stable_sort(arcs_.begin(), arcs_.end(),
-                   [](const TimingArc& x, const TimingArc& y) {
-                     return x.to < y.to;
-                   });
+  arcs_ = std::move(placed);
 }
 
 void TimingGraph::build_adjacency() {
-  const std::size_t n = nodes_.size();
-  const std::size_t m = arcs_.size();
-  fanin_begin_.assign(n + 1, 0);
-  fanout_begin_.assign(n + 1, 0);
-  for (const TimingArc& arc : arcs_) {
-    ++fanin_begin_[arc.to + 1];
-    ++fanout_begin_[arc.from + 1];
+  // Arcs are ordered by destination, so each node's fanin list is the
+  // consecutive id run [fanin_begin_[u], fanin_begin_[u + 1]).
+  fanin_arcs_.resize(arcs_.size());
+  for (std::size_t a = 0; a < arcs_.size(); ++a) {
+    fanin_arcs_[a] = static_cast<ArcId>(a);
   }
-  for (std::size_t i = 0; i < n; ++i) {
-    fanin_begin_[i + 1] += fanin_begin_[i];
-    fanout_begin_[i + 1] += fanout_begin_[i];
-  }
-  fanin_arcs_.resize(m);
-  fanout_arcs_.resize(m);
-  // Place arcs ascending id so each node's list stays in build order (and
-  // ascending arc id, which makes every fanin list a consecutive id run).
-  std::vector<std::uint32_t> in_pos(fanin_begin_.begin(),
-                                    fanin_begin_.end() - 1);
-  std::vector<std::uint32_t> out_pos(fanout_begin_.begin(),
-                                     fanout_begin_.end() - 1);
-  for (std::size_t a = 0; a < m; ++a) {
-    const TimingArc& arc = arcs_[a];
-    fanin_arcs_[in_pos[arc.to]++] = static_cast<ArcId>(a);
-    fanout_arcs_[out_pos[arc.from]++] = static_cast<ArcId>(a);
-  }
+  fanout_csr(arcs_, nodes_.size(), fanout_begin_, fanout_arcs_);
 }
 
 void TimingGraph::collect_checks_and_endpoints() {
@@ -310,6 +312,16 @@ NodeId TimingGraph::node_of_pin(InstanceId inst, std::uint32_t pin) const {
 NodeId TimingGraph::node_of_port(PortId port) const {
   MGBA_CHECK(port < port_nodes_.size());
   return port_nodes_[port];
+}
+
+NodeId TimingGraph::find_node(const Terminal& terminal) const {
+  if (terminal.kind == Terminal::Kind::Port) {
+    return terminal.id < port_nodes_.size() ? port_nodes_[terminal.id]
+                                            : kInvalidNode;
+  }
+  if (terminal.id >= inst_pin_nodes_.size()) return kInvalidNode;
+  const std::vector<NodeId>& pins = inst_pin_nodes_[terminal.id];
+  return terminal.pin < pins.size() ? pins[terminal.pin] : kInvalidNode;
 }
 
 std::optional<std::size_t> TimingGraph::check_at(NodeId data_node) const {

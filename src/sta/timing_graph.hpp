@@ -75,6 +75,10 @@ class TimingGraph {
   /// Node of an instance pin / port, or kInvalidNode when unconnected.
   [[nodiscard]] NodeId node_of_pin(InstanceId inst, std::uint32_t pin) const;
   [[nodiscard]] NodeId node_of_port(PortId port) const;
+  /// Node of a terminal, or kInvalidNode when the terminal is unconnected
+  /// or names an instance/port this graph does not know (one added to the
+  /// design after the build).
+  [[nodiscard]] NodeId find_node(const Terminal& terminal) const;
 
   /// Extends the instance-pin lookup to cover instances appended to the
   /// design *after* this graph was built — the disconnected tombstones a
@@ -165,17 +169,30 @@ class TimingGraph {
       const std::string& name) const;
 
  private:
+  /// Fanout adjacency over build-order ids (CSR: node u's arcs are
+  /// arcs[begin[u] .. begin[u + 1]), ascending arc id), used only while
+  /// the constructor levelizes.
+  struct BuildCsr {
+    std::vector<std::uint32_t> begin;
+    std::vector<ArcId> arcs;
+    [[nodiscard]] std::span<const ArcId> of(NodeId u) const {
+      return {arcs.data() + begin[u], begin[u + 1] - begin[u]};
+    }
+  };
+
   void build_nodes();
-  void build_arcs(std::vector<std::vector<ArcId>>& fanout_scratch);
+  void build_arcs();
+  [[nodiscard]] BuildCsr build_order_fanout() const;
   void mark_clock_network(const std::string& clock_port_name,
-                          const std::vector<std::vector<ArcId>>& fanout);
-  void levelize(const std::vector<std::vector<ArcId>>& fanout);
+                          const BuildCsr& fanout);
+  void levelize(const BuildCsr& fanout);
   /// Renumbers nodes level-contiguously (ascending build-order id within
-  /// each level) and sorts arcs by (destination, build-order arc id). Runs
-  /// after levelize, before anything that records node/arc ids (checks,
-  /// endpoints, clock paths, adjacency CSR).
+  /// each level) and orders arcs by (destination, build-order arc id),
+  /// filling the fanin CSR offsets. Runs after levelize, before anything
+  /// that records node/arc ids (checks, endpoints, clock paths, fanout
+  /// CSR).
   void renumber_level_contiguous();
-  /// Builds the fanin/fanout CSR adjacency from the renumbered arc list;
+  /// Builds the fanin/fanout CSR arc lists from the renumbered arc list;
   /// per-node arc lists are ascending arc id.
   void build_adjacency();
   void collect_checks_and_endpoints();

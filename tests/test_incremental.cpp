@@ -385,6 +385,240 @@ TEST(IncrementalTrial, OptimizerCheckpointsMatchLegacyRejectPath) {
   EXPECT_EQ(state_signature(*stack.timer), state_signature(fresh));
 }
 
+// --- memo carry-over across graph rebuilds ----------------------------------
+
+/// A two-corner stack whose rebuilds re-derive every corner's derates on
+/// the new graph — what a Timer built from scratch on the same design
+/// computes — so its state can be compared against one bit for bit.
+struct TwoCornerStack {
+  GeneratedStack stack;
+  std::vector<CornerSetup> setups;
+
+  explicit TwoCornerStack(GeneratorOptions options)
+      : stack(std::move(options)),
+        setups(corners_from_string(
+            "corner slow delay 1.15 slew 1.05 constraint 1.02 "
+            "derate_margin 1.2\n"
+            "corner fast delay 0.85 derate_margin 0.8\n",
+            stack.table)) {
+    apply_corner_setups(*stack.timer, setups);
+    stack.timer->update_timing();
+  }
+
+  Design& design() { return stack.design(); }
+  Timer& timer() { return *stack.timer; }
+
+  /// rebuild_graph, re-derate and a full update — and nothing else: no
+  /// instance is invalidated, as on the ECO undo and replay paths.
+  void rebuild() {
+    timer().rebuild_graph();
+    for (std::size_t c = 0; c < setups.size(); ++c) {
+      timer().set_corner_derates(
+          static_cast<CornerId>(c),
+          compute_gba_derates(timer().graph(), setups[c].table));
+    }
+    timer().update_timing();
+  }
+
+  /// A Timer built from scratch on the current design: empty memo.
+  std::unique_ptr<Timer> fresh() {
+    auto timer = std::make_unique<Timer>(design(), stack.timer->constraints());
+    apply_corner_setups(*timer, setups);
+    timer->update_timing();
+    return timer;
+  }
+
+  [[nodiscard]] std::uint64_t misses() const {
+    return stack.timer->update_stats().delay_cache_misses;
+  }
+};
+
+/// A data-net sink to buffer: instance driver outside the clock network.
+std::optional<std::pair<NetId, Terminal>> pick_buffer_sink(
+    const Design& design, const Timer& timer, Rng& rng) {
+  const std::size_t start = rng.uniform_index(design.num_nets());
+  for (std::size_t k = 0; k < design.num_nets(); ++k) {
+    const auto n = static_cast<NetId>((start + k) % design.num_nets());
+    const Net& net = design.net(n);
+    if (!net.driver.has_value() || net.sinks.empty()) continue;
+    if (net.driver->kind != Terminal::Kind::InstancePin) continue;
+    const NodeId driver =
+        timer.graph().node_of_pin(net.driver->id, net.driver->pin);
+    if (timer.graph().node(driver).is_clock_network) continue;
+    return std::make_pair(n, net.sinks[rng.uniform_index(net.sinks.size())]);
+  }
+  return std::nullopt;
+}
+
+/// Two instance-pin sinks of one data net whose cells differ but share a
+/// footprint, so they can trade cells: the driver's load may keep its bits
+/// while each net arc's sink cap changes.
+std::optional<std::pair<InstanceId, InstanceId>> pick_swap_pair(
+    const Design& design, const Timer& timer, Rng& rng) {
+  const Library& library = design.library();
+  const std::size_t start = rng.uniform_index(design.num_nets());
+  for (std::size_t k = 0; k < design.num_nets(); ++k) {
+    const Net& net =
+        design.net(static_cast<NetId>((start + k) % design.num_nets()));
+    for (std::size_t i = 0; i < net.sinks.size(); ++i) {
+      for (std::size_t j = i + 1; j < net.sinks.size(); ++j) {
+        const Terminal& a = net.sinks[i];
+        const Terminal& b = net.sinks[j];
+        if (a.kind != Terminal::Kind::InstancePin ||
+            b.kind != Terminal::Kind::InstancePin || a.id == b.id) {
+          continue;
+        }
+        const std::size_t ca = design.instance(a.id).cell;
+        const std::size_t cb = design.instance(b.id).cell;
+        if (ca == cb || library.cell(ca).kind == CellKind::FlipFlop ||
+            library.cell(ca).footprint != library.cell(cb).footprint) {
+          continue;
+        }
+        if (timer.graph().node(timer.graph().node_of_pin(a.id, a.pin))
+                .is_clock_network) {
+          continue;
+        }
+        return std::make_pair(a.id, b.id);
+      }
+    }
+  }
+  return std::nullopt;
+}
+
+TEST(IncrementalRebuild, CarriedMemoMatchesFreshTimer) {
+  // Every rebuild carries the memo entries of arcs that survive with
+  // bit-equal unkeyed inputs. Whatever the mix of structural edits,
+  // resizes the timer was never told about, cell swaps that keep a net's
+  // load, moves and no-op rebuilds, the state must equal that of a Timer
+  // built from scratch (empty memo), at 1 and 4 threads.
+  ThreadGuard guard;
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    set_num_threads(threads);
+    TwoCornerStack s(small_options(321));
+    ASSERT_EQ(s.timer().num_corners(), 2u);
+    Design& design = s.design();
+    const std::size_t buffer_cell = *s.stack.library.strongest_buffer();
+    std::vector<std::pair<InstanceId, NetId>> buffers;
+    std::size_t swaps = 0;
+    std::size_t trials = 0;
+    std::size_t moves = 0;
+    Rng rng(4242);
+    for (std::size_t step = 0; step < 32; ++step) {
+      const std::uint64_t kind = rng.uniform_index(8);
+      if (kind == 0 || (kind == 1 && buffers.empty())) {
+        const auto pick = pick_buffer_sink(design, s.timer(), rng);
+        ASSERT_TRUE(pick.has_value());
+        const InstanceId buffer = design.insert_buffer_for_sink(
+            pick->first, pick->second, buffer_cell,
+            "carrybuf" + std::to_string(step), {5.0, 5.0});
+        buffers.emplace_back(buffer, pick->first);
+        s.rebuild();
+      } else if (kind == 1) {
+        // Newest first: a later buffer may sit on an earlier one's net.
+        design.remove_buffer(buffers.back().first, buffers.back().second);
+        buffers.pop_back();
+        s.rebuild();
+      } else if (kind == 2) {
+        // The undo path: cells change, then a rebuild without
+        // invalidate_instance.
+        const auto plan =
+            resize_plan(s.stack.library, design, 1 + rng.uniform_index(3),
+                        rng.next_u64());
+        for (const auto& [inst, cell] : plan) {
+          design.resize_instance(inst, cell);
+        }
+        s.rebuild();
+      } else if (kind == 3) {
+        // A resize the timer is told about: the incremental update
+        // re-evaluates (and re-records) the touched arcs.
+        const auto plan = resize_plan(s.stack.library, design, 1,
+                                      rng.next_u64());
+        design.resize_instance(plan[0].first, plan[0].second);
+        s.timer().invalidate_instance(plan[0].first);
+        s.timer().update_timing();
+      } else if (kind == 4) {
+        const auto pair = pick_swap_pair(design, s.timer(), rng);
+        ASSERT_TRUE(pair.has_value());
+        const std::size_t ca = design.instance(pair->first).cell;
+        const std::size_t cb = design.instance(pair->second).cell;
+        design.resize_instance(pair->first, cb);
+        design.resize_instance(pair->second, ca);
+        ++swaps;
+        s.rebuild();
+      } else if (kind == 5) {
+        // A rejected value trial re-evaluates the resized neighborhood
+        // and rolls the memo back; the same resize then arrives through
+        // the undo path. The rollback must have restored what the entries
+        // were computed under, not only the entries.
+        const auto plan = resize_plan(s.stack.library, design, 1,
+                                      rng.next_u64());
+        const auto [inst, cell] = plan[0];
+        const std::size_t old_cell = design.instance(inst).cell;
+        {
+          Timer::TrialScope scope(s.timer());
+          design.resize_instance(inst, cell);
+          s.timer().invalidate_instance(inst);
+          s.timer().update_timing();
+          design.resize_instance(inst, old_cell);
+          if (!scope.rollback()) {
+            s.timer().invalidate_instance(inst);
+            s.timer().update_timing();
+          }
+        }
+        design.resize_instance(inst, cell);
+        ++trials;
+        s.rebuild();
+      } else if (kind == 6) {
+        // A moved instance: wire lengths to and from it change, so do the
+        // net loads its nets' drivers see.
+        InstanceId inst = 0;
+        do {
+          inst = static_cast<InstanceId>(
+              rng.uniform_index(design.num_instances()));
+        } while (design.is_disconnected(inst));
+        const Point at = design.instance(inst).location;
+        design.set_location(inst, {at.x + 3.0, at.y});
+        ++moves;
+        s.rebuild();
+      } else {
+        s.rebuild();
+      }
+      ASSERT_TRUE(same_bits(state_signature(s.timer()),
+                            state_signature(*s.fresh())))
+          << "diverged at step " << step << " (kind " << kind << ") with "
+          << threads << " thread(s)";
+    }
+    EXPECT_GT(swaps, 0u);
+    EXPECT_GT(trials, 0u);
+    EXPECT_GT(moves, 0u);
+  }
+}
+
+TEST(IncrementalRebuild, NoOpRebuildHitsEveryEntry) {
+  TwoCornerStack s(small_options(322));
+  const std::uint64_t before = s.misses();
+  s.rebuild();
+  EXPECT_EQ(s.misses(), before);
+  EXPECT_TRUE(
+      same_bits(state_signature(s.timer()), state_signature(*s.fresh())));
+}
+
+TEST(IncrementalRebuild, BufferInsertionMissesOnlyItsCone) {
+  TwoCornerStack s(small_options(323));
+  const std::uint64_t cold = s.fresh()->update_stats().delay_cache_misses;
+  Rng rng(9);
+  const auto pick = pick_buffer_sink(s.design(), s.timer(), rng);
+  ASSERT_TRUE(pick.has_value());
+  const std::uint64_t before = s.misses();
+  s.design().insert_buffer_for_sink(pick->first, pick->second,
+                                    *s.stack.library.strongest_buffer(),
+                                    "conebuf", {5.0, 5.0});
+  s.rebuild();
+  EXPECT_LT(s.misses() - before, cold / 10);
+  EXPECT_TRUE(
+      same_bits(state_signature(s.timer()), state_signature(*s.fresh())));
+}
+
 // --- randomized ECO property test -------------------------------------------
 
 LoadRequest eco_request() {
