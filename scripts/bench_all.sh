@@ -21,7 +21,7 @@ if [ "${1:-}" = "--smoke" ]; then SMOKE_FLAG="--smoke"; fi
 cmake -B build -S . >/dev/null
 cmake --build build -j --target \
     bench_parallel_scaling bench_mcmm bench_ablation_incremental \
-    bench_solver_fastpath bench_partition_scaling bench_snapshot_cow \
+    bench_solver_fastpath bench_snapshot_cow \
     bench_server_throughput bench_pba_fastpath >/dev/null
 
 # Benches without a --smoke mode are already seconds-scale.
@@ -29,7 +29,6 @@ cmake --build build -j --target \
 ./build/bench/bench_mcmm
 ./build/bench/bench_ablation_incremental
 ./build/bench/bench_solver_fastpath $SMOKE_FLAG
-./build/bench/bench_partition_scaling $SMOKE_FLAG
 ./build/bench/bench_snapshot_cow $SMOKE_FLAG
 ./build/bench/bench_server_throughput $SMOKE_FLAG
 ./build/bench/bench_pba_fastpath $SMOKE_FLAG

@@ -270,33 +270,6 @@ void MgbaRefitSession::build_row_index() {
       node_row_idx_[cursor[n]++] = r;
     }
   }
-
-  // Region row blocks: a row belongs to the region its path stays inside,
-  // or to the shared boundary block when the path crosses a cut. The blocks
-  // let collect_stale_rows prove whole home blocks fresh by region
-  // reachability alone.
-  row_home_.clear();
-  boundary_row_count_ = 0;
-  if (const Partitioning* part = timer_->partitioning()) {
-    row_home_.assign(m, kInvalidPartition);
-    for (std::size_t r = 0; r < m; ++r) {
-      const auto& nodes = paths_[problem_->row_path(r)].nodes;
-      if (nodes.empty()) continue;
-      const PartitionId home = part->partition_of_node(nodes.front());
-      bool crosses = false;
-      for (const NodeId n : nodes) {
-        if (part->partition_of_node(n) != home) {
-          crosses = true;
-          break;
-        }
-      }
-      if (crosses) {
-        ++boundary_row_count_;
-      } else {
-        row_home_[r] = home;
-      }
-    }
-  }
 }
 
 std::size_t MgbaRefitSession::collect_stale_rows(
@@ -343,42 +316,6 @@ std::size_t MgbaRefitSession::collect_stale_rows(
   for (const std::size_t r : stale_rows_) row_stale_[r] = 0;
   // Refresh in row order, independent of cone discovery order.
   std::sort(stale_rows_.begin(), stale_rows_.end());
-
-  // Region accounting: the cone can only influence its own regions plus
-  // everything downstream in the region quotient graph. Home blocks wholly
-  // outside that closure need no node-level test — their rows are fresh by
-  // construction (checked here as the per-region decomposition's invariant
-  // and reported through RefitStats).
-  stats_.partitions_touched = 0;
-  stats_.boundary_rows = 0;
-  stats_.partition_rows_skipped = 0;
-  const Partitioning* part = timer_->partitioning();
-  if (part != nullptr && !row_home_.empty()) {
-    part_flag_.assign(part->num_partitions(), 0);
-    touched_parts_.clear();
-    for (const NodeId n : cone_) {
-      const PartitionId p = part->partition_of_node(n);
-      if (!part_flag_[p]) {
-        part_flag_[p] = 1;
-        touched_parts_.push_back(p);
-      }
-    }
-    for (std::size_t i = 0; i < touched_parts_.size(); ++i) {
-      for (const PartitionId q : part->quotient_fanout(touched_parts_[i])) {
-        if (!part_flag_[q]) {
-          part_flag_[q] = 1;
-          touched_parts_.push_back(q);
-        }
-      }
-    }
-    stats_.partitions_touched = touched_parts_.size();
-    stats_.boundary_rows = boundary_row_count_;
-    std::size_t skipped = 0;
-    for (const PartitionId home : row_home_) {
-      if (home != kInvalidPartition && !part_flag_[home]) ++skipped;
-    }
-    stats_.partition_rows_skipped = skipped;
-  }
   return cone_.size();
 }
 

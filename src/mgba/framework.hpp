@@ -122,15 +122,6 @@ struct RefitStats {
   std::size_t cone_nodes = 0;        ///< nodes in the grown touched cone
   std::size_t warm_refits = 0;       ///< refits served incrementally
   std::size_t cold_rebuilds = 0;     ///< refits that fell back to fit()
-  /// Region decomposition of the last refit, when the timer has a
-  /// Partitioning installed (0 otherwise): regions the touched cone can
-  /// influence (forward closure over the region quotient graph), cached
-  /// rows whose path crosses a region cut (the shared boundary block), and
-  /// rows whose home-region block lies wholly outside the closure — those
-  /// are provably fresh without any node-level intersection test.
-  std::size_t partitions_touched = 0;
-  std::size_t boundary_rows = 0;
-  std::size_t partition_rows_skipped = 0;
   /// Rows the head-vs-fit snapshot diff added beyond the ECO-log cone in
   /// the last refit. Zero when the log honestly covered every moved value
   /// (the diff is then a subset of the cone); nonzero means the version
@@ -216,14 +207,6 @@ class MgbaRefitSession {
   // node -> rows inverted index (CSR layout over graph nodes).
   std::vector<std::size_t> node_row_ptr_;
   std::vector<std::size_t> node_row_idx_;
-
-  // Per-region row blocks (built when the timer has a Partitioning): a
-  // row's home region when its path stays inside one region, or
-  // kInvalidPartition for shared boundary rows that cross a cut.
-  std::vector<PartitionId> row_home_;
-  std::size_t boundary_row_count_ = 0;
-  std::vector<std::uint8_t> part_flag_;
-  std::vector<PartitionId> touched_parts_;
 
   // Cone/stale scratch, cleared per refit by revisiting the touched
   // entries only.

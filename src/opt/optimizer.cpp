@@ -332,11 +332,6 @@ OptimizerReport TimingCloser::run() {
   const Stopwatch watch;
   OptimizerReport report;
 
-  if (options_.timer_partitions > 0 && !timer_->partitioning()) {
-    PartitionOptions popt;
-    popt.num_partitions = options_.timer_partitions;
-    timer_->set_partitioning(popt);
-  }
   refresh_derates();
   timer_->update_timing();
   report.initial = measure_qor(*timer_);

@@ -75,12 +75,6 @@ struct OptimizerOptions {
   /// ablation bench).
   bool mgba_incremental_refit = true;
 
-  /// Nonzero: install Timer partitioned-update mode with this many regions
-  /// at the start of the flow. mGBA weight refreshes then re-sweep only the
-  /// regions whose weights moved instead of the whole graph — bit-identical
-  /// results, large designs update near-linearly in touched regions.
-  std::size_t timer_partitions = 0;
-
   /// Inserted buffers are named "<prefix>_<k>" with k counting from
   /// buffer_name_start. A driver that runs several closure invocations on
   /// one design (the timing shell) bumps these so names stay unique.

@@ -852,9 +852,6 @@ void ShellInterpreter::register_commands() {
                      std::ostringstream os;
                      os << timer.update_stats().to_string() << "\n";
                      os << timer.memory_stats().to_string() << "\n";
-                     if (const Partitioning* part = timer.partitioning()) {
-                       os << part->stats().to_string();
-                     }
                      // Engine counters appear only once something built an
                      // engine, keeping pre-existing golden transcripts
                      // byte-stable.
@@ -864,39 +861,6 @@ void ShellInterpreter::register_commands() {
                      }
                      return ok_result(os.str());
                    }));
-  add("partition",
-      mutating_cmd(
-          "partition [regions] [-seed S] [-rounds N] [-off]",
-          "decompose the graph into regions for partitioned updates "
-          "(-off returns to flat)",
-          0, 1, {"seed", "rounds"}, {"off"}, [this](const ParsedCommand& p) {
-            if (!session_.loaded()) return no_design();
-            Timer& timer = session_.timer();
-            if (p.has_flag("off")) {
-              timer.clear_partitioning();
-              return ok_result("partitioning cleared (flat updates)\n");
-            }
-            PartitionOptions options;
-            options.num_partitions = 4;
-            if (!p.positional.empty() &&
-                !parse_size(p.positional[0], options.num_partitions)) {
-              return args_fail("not a region count: " + p.positional[0]);
-            }
-            if (const std::string* s = p.value("seed")) {
-              std::size_t seed = 0;
-              if (!parse_size(*s, seed)) {
-                return args_fail("not a seed: " + *s);
-              }
-              options.seed = seed;
-            }
-            if (const std::string* r = p.value("rounds")) {
-              if (!parse_size(*r, options.max_rounds)) {
-                return args_fail("not a round cap: " + *r);
-              }
-            }
-            timer.set_partitioning(options);
-            return ok_result(timer.partitioning()->stats().to_string());
-          }));
 
   // Fitting and transforms.
   add("fit_mgba",

@@ -160,7 +160,7 @@ class TimingSnapshot {
 
   /// Arena-side footprint of this frozen version (graph shape, arena
   /// bytes, COW chunk accounting). Engine-side fields (delay cache,
-  /// launch sets, partitions) are writer state and read zero here.
+  /// launch sets, kernel scratch) are writer state and read zero here.
   [[nodiscard]] Timer::MemoryStats memory_stats() const;
 
  private:

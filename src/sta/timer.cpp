@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <bit>
-#include <cmath>
 #include <cstring>
 #include <functional>
 
@@ -18,7 +17,6 @@
 namespace mgba {
 
 namespace {
-constexpr double kEpsPs = 1e-9;
 /// Weight factors are clamped so a pathological solver iterate can never
 /// drive an effective delay negative.
 constexpr double kMinWeightFactor = 0.05;
@@ -135,17 +133,8 @@ void Timer::set_instance_weights(std::vector<double> weights) {
 void Timer::set_instance_weights(CornerId corner,
                                  std::vector<double> weights) {
   MGBA_CHECK(corner < weights_.size());
-  // With a partitioning installed, diff the old vector against the new one
-  // and mark only the regions whose effective factors moved — the
-  // partitioned update then re-sweeps those regions to a fixed point
-  // instead of re-propagating the whole graph. A pending full update
-  // subsumes any region marks, so the diff is skipped.
-  if (partition_ && !dirty_full_) {
-    mark_weight_dirty(weights_[corner], weights);
-  } else {
-    dirty_full_ = true;
-  }
   weights_[corner] = std::move(weights);
+  dirty_full_ = true;
   fac_weight_dirty_ = true;
   // Weights are not part of either checkpoint kind; a mid-trial weight
   // change cannot be rolled back, so the trial degrades to the fallback.
@@ -159,58 +148,10 @@ void Timer::set_instance_weights_early(std::vector<double> weights) {
 void Timer::set_instance_weights_early(CornerId corner,
                                        std::vector<double> weights) {
   MGBA_CHECK(corner < weights_early_.size());
-  if (partition_ && !dirty_full_) {
-    mark_weight_dirty(weights_early_[corner], weights);
-  } else {
-    dirty_full_ = true;
-  }
   weights_early_[corner] = std::move(weights);
+  dirty_full_ = true;
   fac_weight_dirty_ = true;
   if (trial_) trial_->broken = true;
-}
-
-void Timer::mark_weight_dirty(const std::vector<double>& before,
-                              const std::vector<double>& after) {
-  const std::size_t n = std::max(before.size(), after.size());
-  for (std::size_t i = 0; i < n; ++i) {
-    const double b = i < before.size() ? before[i] : 0.0;
-    const double a = i < after.size() ? after[i] : 0.0;
-    // Compare the *effective* factors: deviations that the clamp maps to
-    // the same multiplier cannot move any delay.
-    if (std::max(kMinWeightFactor, 1.0 + b) ==
-        std::max(kMinWeightFactor, 1.0 + a)) {
-      continue;
-    }
-    if (i >= statics_->instance_arcs.size()) continue;
-    // Only instances with at least one weighted (data combinational cell)
-    // arc can move a timing value; flops and clock cells never do.
-    bool weighted = false;
-    for (const ArcId a_id : statics_->instance_arcs[i]) {
-      if (is_weighted_arc(graph_->arc(a_id))) {
-        weighted = true;
-        break;
-      }
-    }
-    if (!weighted) continue;
-    // Seed the confined sweep: the to-nodes of this instance's weighted
-    // arcs are the only places a weight change enters the timing values
-    // (recomputing them re-evaluates the arc delays under the new factor).
-    const std::size_t num_levels = partition_->num_levels();
-    for (const ArcId a_id : statics_->instance_arcs[i]) {
-      const TimingArc& arc = graph_->arc(a_id);
-      if (!is_weighted_arc(arc)) continue;
-      node_pending_[arc.to] = 1;
-      part_level_fwd_dirty_[partition_->partition_of_node(arc.to) *
-                                num_levels +
-                            graph_->node(arc.to).level] = 1;
-    }
-    const PartitionId p =
-        partition_->partition_of_instance(static_cast<InstanceId>(i));
-    if (!part_dirty_[p]) {
-      part_dirty_[p] = 1;
-      ++part_dirty_count_;
-    }
-  }
 }
 
 void Timer::invalidate_instance(InstanceId inst) {
@@ -296,10 +237,6 @@ void Timer::rebuild_graph() {
   allocate_storage();
   compute_instance_arcs();
   compute_launch_sets();
-  // An active decomposition follows the new graph (deterministic for the
-  // unchanged options, so an insert-then-revert round trip restores the
-  // original regions exactly).
-  if (partition_) set_partitioning(partition_options_);
 
   // Resolve per-port external delays once per structure.
   port_input_delay_.assign(design_->num_ports(), constraints_.input_delay_ps);
@@ -479,14 +416,16 @@ void Timer::compute_launch_sets() {
     return;
   }
   const std::size_t n = graph_->num_nodes();
-  const std::size_t num_checks = graph_->checks().size();
+  const auto& checks = graph_->checks();
+  const std::size_t num_checks = checks.size();
   // One bit per launch check, plus the port-launch bit at index
-  // num_checks; node u's set is the row [u * launch_words_, +launch_words_).
+  // num_checks; node u's set is the DP row [u * launch_words_,
+  // +launch_words_).
   launch_words_ = (num_checks + 1 + 63) / 64;
   const std::size_t port_word = num_checks / 64;
   const std::uint64_t port_bit = std::uint64_t{1} << (num_checks % 64);
-  auto sets = std::make_shared<std::vector<std::uint64_t>>(n * launch_words_, 0);
-  std::uint64_t* const rows = sets->data();
+  launch_dp_.assign(n * launch_words_, 0);
+  std::uint64_t* const rows = launch_dp_.data();
 
   // Node ids ascend in topological order: every fanin is merged before
   // its node is read.
@@ -518,6 +457,13 @@ void Timer::compute_launch_sets() {
       std::uint64_t* const dst = rows + graph_->arc(a).to * launch_words_;
       for (std::size_t w = 0; w < launch_words_; ++w) dst[w] |= src[w];
     }
+  }
+  // The credits read only the checks' data-pin rows; keep those.
+  auto sets =
+      std::make_shared<std::vector<std::uint64_t>>(num_checks * launch_words_);
+  for (std::size_t c = 0; c < num_checks; ++c) {
+    std::copy_n(rows + checks[c].data_node * launch_words_, launch_words_,
+                sets->data() + c * launch_words_);
   }
   launch_sets_ = std::move(sets);
 }
@@ -553,8 +499,8 @@ bool Timer::recompute_node(NodeId node, CornerId corner, CacheTally& tally) {
       }
       const double sl = constraints_.input_slew_ps * scaling.slew;
       const std::size_t at = data_.node_index(corner, m, node);
-      changed = changed || std::abs(data_.arrival[at] - arr) > kEpsPs ||
-                std::abs(data_.slew[at] - sl) > kEpsPs;
+      changed = changed || float_bits(data_.arrival[at]) != float_bits(arr) ||
+                float_bits(data_.slew[at]) != float_bits(sl);
       data_.arrival.mut(at) = arr;
       data_.slew.mut(at) = sl;
     }
@@ -601,8 +547,9 @@ bool Timer::recompute_node(NodeId node, CornerId corner, CacheTally& tally) {
       }
     }
     const std::size_t at = node_base + node;
-    changed = changed || std::abs(data_.arrival[at] - best_arr) > kEpsPs ||
-              std::abs(data_.slew[at] - best_slew) > kEpsPs;
+    changed = changed ||
+              float_bits(data_.arrival[at]) != float_bits(best_arr) ||
+              float_bits(data_.slew[at]) != float_bits(best_slew);
     data_.arrival.mut(at) = best_arr;
     data_.slew.mut(at) = best_slew;
   }
@@ -893,30 +840,6 @@ void Timer::full_forward() {
   }
 }
 
-void Timer::collect_seeds() {
-  seed_scratch_.clear();
-  seed_nodes_for(dirty_instances_, seed_scratch_);
-  if (partition_ == nullptr) return;
-  // Partition touch accounting rides the exact seed walk the frontier
-  // consumes — one code path for the ECO log, the frontier, and the
-  // region bookkeeping.
-  if (part_touch_scratch_.size() < partition_->num_partitions()) {
-    part_touch_scratch_.assign(partition_->num_partitions(), 0);
-  }
-  std::size_t touched = 0;
-  for (const NodeId u : seed_scratch_) {
-    const PartitionId p = partition_->partition_of_node(u);
-    if (!part_touch_scratch_[p]) {
-      part_touch_scratch_[p] = 1;
-      ++touched;
-    }
-  }
-  for (const NodeId u : seed_scratch_) {
-    part_touch_scratch_[partition_->partition_of_node(u)] = 0;
-  }
-  stat_eco_partitions_ += touched;
-}
-
 void Timer::seed_nodes_for(std::span<const InstanceId> instances,
                            std::vector<NodeId>& out) const {
   // Seed the frontier: every pin node of each dirty instance, plus the
@@ -938,7 +861,8 @@ void Timer::seed_nodes_for(std::span<const InstanceId> instances,
 }
 
 void Timer::incremental_update() {
-  collect_seeds();
+  seed_scratch_.clear();
+  seed_nodes_for(dirty_instances_, seed_scratch_);
   // One corner at a time: each corner's frontiers stop where that corner's
   // values converge, so a change that settles early at one corner does not
   // drag the others along.
@@ -1020,10 +944,10 @@ void Timer::incremental_forward_corner(CornerId c) {
       if (changed_scratch_[i] != 0) {
         for (const ArcId a : graph_->fanout(u)) push(graph_->arc(a).to);
       }
-      // Arcs whose *stored* delay moved (bit-wise — recompute_node flags
-      // them even under epsilon) re-root the backward pass at their from
-      // node: its required time is derived through that delay. Clearing
-      // the flag here keeps the scratch all-zero between sweeps.
+      // Arcs whose *stored* delay moved bit-wise (recompute_node flags
+      // them) re-root the backward pass at their from node: its required
+      // time is derived through that delay. Clearing the flag here keeps
+      // the scratch all-zero between sweeps.
       for (const ArcId a : graph_->fanin(u)) {
         if (arc_changed_scratch_[a] == 0) continue;
         arc_changed_scratch_[a] = 0;
@@ -1181,10 +1105,9 @@ void Timer::incremental_backward_corner(CornerId c) {
     }
   }
 
-  // 4. Refresh the endpoint slack caches of every *visited* check (not
-  // just changed ones: the forward sweep rewrites sub-epsilon arrival
-  // movements too, and the caches must equal the arrays bit-for-bit,
-  // exactly as the full pass leaves them).
+  // 4. Refresh the endpoint slack caches of every *visited* check, so the
+  // caches equal the arrays bit-for-bit, exactly as the full pass leaves
+  // them.
   for (const std::size_t ci : touched_checks_) {
     CheckTiming& ct = data_.check.mut(data_.check_index(c, ci));
     const NodeId d = checks[ci].data_node;
@@ -1209,8 +1132,7 @@ void Timer::compute_crpr_credits() {
     const std::size_t c = i % checks.size();
     double credit = 0.0;
     if (constraints_.enable_crpr) {
-      const std::uint64_t* const set =
-          launch_sets_->data() + checks[c].data_node * launch_words_;
+      const std::uint64_t* const set = launch_sets_->data() + c * launch_words_;
       const std::size_t port_bit = checks.size();
       if ((set[port_bit / 64] >> (port_bit % 64)) & 1) {
         credit = 0.0;  // some launch has no clock path: no safe credit
@@ -1390,11 +1312,6 @@ void Timer::backward_required() {
 
 void Timer::update_timing() {
   if (!incremental_enabled_ && !dirty_instances_.empty()) dirty_full_ = true;
-  // Weight-dirty regions and instance ECOs pending in the same update
-  // cannot be ordered against each other safely; escalate. Real flows
-  // never hit this: the refit session updates timing before it applies
-  // new weights.
-  if (part_dirty_count_ > 0 && !dirty_instances_.empty()) dirty_full_ = true;
   if (dirty_full_) {
     // A full pass rewrites every slot. An open value checkpoint degrades
     // to the fallback (preserving the PR-4 escalation contract), and the
@@ -1412,15 +1329,7 @@ void Timer::update_timing() {
     std::fill(arc_changed_scratch_.begin(), arc_changed_scratch_.end(), 0);
     dirty_full_ = false;
     dirty_instances_.clear();
-    clear_partition_dirty();
-    // Frontier seeds left behind by escalated region marks would make a
-    // later confined sweep recompute already-exact nodes; drop them.
-    if (partition_) clear_partition_frontier();
     ++full_updates_;
-    return;
-  }
-  if (part_dirty_count_ > 0) {
-    partitioned_update();
     return;
   }
   if (dirty_instances_.empty()) return;
@@ -1428,458 +1337,6 @@ void Timer::update_timing() {
   incremental_update();
   dirty_instances_.clear();
   ++incremental_updates_;
-}
-
-// --- partitioned updates ----------------------------------------------------
-
-void Timer::set_partitioning(const PartitionOptions& options) {
-  // Marks against a previous decomposition do not transfer; escalate them.
-  if (part_dirty_count_ > 0) dirty_full_ = true;
-  partition_options_ = options;
-  partition_ = std::make_unique<Partitioning>(*graph_, *design_, options);
-  const std::size_t p_count = partition_->num_partitions();
-  part_dirty_.assign(p_count, 0);
-  part_dirty_next_.assign(p_count, 0);
-  part_swept_.assign(p_count, 0);
-  part_swept_bwd_.assign(p_count, 0);
-  part_in_pass_.assign(p_count, 0);
-  part_touch_scratch_.assign(p_count, 0);
-  part_sweep_nodes_.assign(p_count, 0);
-  node_pending_.assign(graph_->num_nodes(), 0);
-  node_pending_bwd_.assign(graph_->num_nodes(), 0);
-  node_fwd_moved_.assign(graph_->num_nodes(), 0);
-  part_level_fwd_dirty_.assign(p_count * partition_->num_levels(), 0);
-  part_level_bwd_dirty_.assign(p_count * partition_->num_levels(), 0);
-  part_marked_.assign(p_count, {});
-  part_marked_seen_.assign(p_count, std::vector<std::uint8_t>(p_count, 0));
-  part_changed_fwd_.assign(p_count, {});
-  part_dirty_count_ = 0;
-  // Timing values are untouched: the decomposition is scheduling metadata
-  // only, so installing it never dirties anything by itself.
-}
-
-void Timer::clear_partitioning() {
-  if (part_dirty_count_ > 0) dirty_full_ = true;
-  partition_.reset();
-  part_dirty_.clear();
-  part_dirty_next_.clear();
-  part_swept_.clear();
-  part_swept_bwd_.clear();
-  part_in_pass_.clear();
-  part_touch_scratch_.clear();
-  part_sweep_nodes_.clear();
-  node_pending_.clear();
-  node_pending_bwd_.clear();
-  node_fwd_moved_.clear();
-  part_level_fwd_dirty_.clear();
-  part_level_bwd_dirty_.clear();
-  part_marked_.clear();
-  part_marked_seen_.clear();
-  part_changed_fwd_.clear();
-  part_dirty_count_ = 0;
-}
-
-void Timer::clear_partition_dirty() {
-  if (part_dirty_count_ == 0) return;
-  std::fill(part_dirty_.begin(), part_dirty_.end(), 0);
-  part_dirty_count_ = 0;
-}
-
-void Timer::clear_partition_frontier() {
-  std::fill(node_pending_.begin(), node_pending_.end(), 0);
-  std::fill(node_pending_bwd_.begin(), node_pending_bwd_.end(), 0);
-  std::fill(node_fwd_moved_.begin(), node_fwd_moved_.end(), 0);
-  std::fill(part_level_fwd_dirty_.begin(), part_level_fwd_dirty_.end(), 0);
-  std::fill(part_level_bwd_dirty_.begin(), part_level_bwd_dirty_.end(), 0);
-  for (std::size_t p = 0; p < part_marked_.size(); ++p) {
-    for (const PartitionId q : part_marked_[p]) part_marked_seen_[p][q] = 0;
-    part_marked_[p].clear();
-  }
-  for (auto& list : part_changed_fwd_) list.clear();
-}
-
-void Timer::sweep_partition_forward(PartitionId p) {
-  // The flat forward sweep restricted to one region, confined to the
-  // frontier that can actually move: only flagged level buckets are
-  // visited and, within them, only nodes whose pending flag a producer
-  // set — a weight-diff seed from mark_weight_dirty, or a push from an
-  // earlier recompute (here or in another region's sweep) whose
-  // arrival/slew bits moved. recompute_node is a pure function of its
-  // fanin values and the arc parameters, so skipping a node with unmoved
-  // inputs leaves exactly the bits the flat engine would recompute — the
-  // confinement is a work optimization, never a numerical one. The sweep
-  // itself costs O(flagged levels + recomputed nodes' arcs), which is
-  // what makes localized updates near-linear in the touched cone, not
-  // the region size. Cross-region pushes use relaxed atomic stores (the
-  // owner is never sweeping concurrently — same-wave SCCs share no arcs)
-  // and are recorded in part_marked_ for the serial drain to convert
-  // into dirty marks.
-  const Partitioning& part = *partition_;
-  const std::size_t num_corners = corners_.size();
-  const std::size_t num_levels = part.num_levels();
-  auto& changed = part_changed_fwd_[p];
-  auto& marked = part_marked_[p];
-  auto& seen = part_marked_seen_[p];
-  std::uint8_t* own_buckets = part_level_fwd_dirty_.data() + p * num_levels;
-  std::size_t recomputed = 0;
-  CacheTally tally;
-  for (std::size_t l = 0; l < num_levels; ++l) {
-    if (!own_buckets[l]) continue;
-    own_buckets[l] = 0;
-    for (const NodeRun& run : part.level_runs(p, l)) {
-    for (NodeId u = run.begin; u < run.end; ++u) {
-      if (!node_pending_[u]) continue;
-      node_pending_[u] = 0;
-      bool moved = false;
-      for (CornerId c = 0; c < num_corners; ++c) {
-        double before[2 * kNumModes];
-        for (int m = 0; m < kNumModes; ++m) {
-          const std::size_t at = data_.node_index(c, m, u);
-          before[m * 2] = data_.arrival[at];
-          before[m * 2 + 1] = data_.slew[at];
-        }
-        recompute_node(u, c, tally);
-        for (int m = 0; m < kNumModes; ++m) {
-          const std::size_t at = data_.node_index(c, m, u);
-          moved = moved ||
-                  float_bits(before[m * 2]) != float_bits(data_.arrival[at]) ||
-                  float_bits(before[m * 2 + 1]) != float_bits(data_.slew[at]);
-        }
-      }
-      ++recomputed;
-      // Arc delays whose bits moved feed the backward phase even when no
-      // arrival moved: the from-node's required fold reads the stored
-      // delay. recompute_node flagged them in arc_changed_scratch_.
-      for (const ArcId a : graph_->fanin(u)) {
-        if (!arc_changed_scratch_[a]) continue;
-        const NodeId from = graph_->arc(a).from;
-        std::atomic_ref<std::uint8_t>(node_pending_bwd_[from])
-            .store(1, std::memory_order_relaxed);
-        const PartitionId q = part.partition_of_node(from);
-        std::atomic_ref<std::uint8_t>(
-            part_level_bwd_dirty_[q * num_levels + graph_->node(from).level])
-            .store(1, std::memory_order_relaxed);
-      }
-      if (moved) {
-        if (!node_fwd_moved_[u]) {
-          node_fwd_moved_[u] = 1;
-          changed.push_back(u);
-        }
-        for (const ArcId a : graph_->fanout(u)) {
-          const NodeId to = graph_->arc(a).to;
-          std::atomic_ref<std::uint8_t>(node_pending_[to])
-              .store(1, std::memory_order_relaxed);
-          const PartitionId q = part.partition_of_node(to);
-          std::atomic_ref<std::uint8_t>(
-              part_level_fwd_dirty_[q * num_levels + graph_->node(to).level])
-              .store(1, std::memory_order_relaxed);
-          if (q != p && !seen[q]) {
-            seen[q] = 1;
-            marked.push_back(q);
-          }
-        }
-      }
-    }
-    }
-  }
-  delay_cache_.add_counts(tally.hits, tally.misses);
-  part_sweep_nodes_[p] += recomputed;
-}
-
-void Timer::sweep_partition_backward(PartitionId p) {
-  // Confined mirror of the flat backward pass over one region. Endpoint
-  // boundary conditions can move only when the forward phase moved the
-  // check's data (or clock) pin — forward values are frozen by now, so
-  // only this region's first backward sweep needs to look
-  // (part_swept_bwd_ is still clear exactly then). The descending pull
-  // visits only flagged buckets/nodes; the flags come from the forward
-  // sweeps (fanin arcs whose stored delay bits moved — a weight or slew
-  // change shifts the fold even when the to-node's required keeps its
-  // bits), from endpoint checks re-derived here, and from required moves
-  // pushed by this or a later-wave region's pull. Output-port requireds
-  // are pure constraint constants — they cannot move in this path and
-  // keep the bits the last full pass wrote. A flop's CK pin lives on the
-  // same instance as its D pin, hence in this region: no cross-region
-  // reads in the check recompute.
-  const Partitioning& part = *partition_;
-  const int late = idx(Mode::Late);
-  const int early = idx(Mode::Early);
-  const double period = constraints_.clock_period_ps;
-  const auto& checks = graph_->checks();
-  const std::size_t num_levels = part.num_levels();
-  auto& marked = part_marked_[p];
-  auto& seen = part_marked_seen_[p];
-  std::uint8_t* own_buckets = part_level_bwd_dirty_.data() + p * num_levels;
-  std::size_t recomputed = 0;
-  // A moved required propagates to the fanin from-nodes' folds.
-  const auto push_fanin = [&](NodeId u) {
-    for (const ArcId a : graph_->fanin(u)) {
-      const NodeId from = graph_->arc(a).from;
-      std::atomic_ref<std::uint8_t>(node_pending_bwd_[from])
-          .store(1, std::memory_order_relaxed);
-      const PartitionId q = part.partition_of_node(from);
-      std::atomic_ref<std::uint8_t>(
-          part_level_bwd_dirty_[q * num_levels + graph_->node(from).level])
-          .store(1, std::memory_order_relaxed);
-      if (q != p && !seen[q]) {
-        seen[q] = 1;
-        marked.push_back(q);
-      }
-    }
-  };
-  if (!part_swept_bwd_[p]) {
-    for (const std::uint32_t ci : part.checks_of(p)) {
-      const TimingCheck& check = checks[ci];
-      if (!node_fwd_moved_[check.data_node] &&
-          !node_fwd_moved_[check.clock_node]) {
-        continue;
-      }
-      bool moved = false;
-      for (CornerId c = 0; c < corners_.size(); ++c) {
-        const LibraryScaling& scaling = corners_[c].scaling;
-        const std::size_t late_base = data_.node_index(c, late, 0);
-        const std::size_t early_base = data_.node_index(c, early, 0);
-        CheckTiming& ct = data_.check.mut(data_.check_index(c, ci));
-        const double data_slew_late = data_.slew[late_base + check.data_node];
-        ct.setup_ps = delay_.setup_time(
-            check, data_.slew[early_base + check.clock_node], data_slew_late,
-            scaling);
-        ct.hold_ps = delay_.hold_time(
-            check, data_.slew[late_base + check.clock_node], data_slew_late,
-            scaling);
-        double req_late = kInfPs;
-        double req_early = -kInfPs;
-        if (!endpoint_false_[check.data_node]) {
-          const double capture_edge =
-              period *
-              static_cast<double>(endpoint_multicycle_[check.data_node]);
-          req_late = capture_edge +
-                     data_.arrival[early_base + check.clock_node] -
-                     ct.setup_ps + ct.crpr_credit_ps -
-                     constraints_.clock_uncertainty_ps;
-          req_early = data_.arrival[late_base + check.clock_node] +
-                      ct.hold_ps - ct.crpr_credit_ps +
-                      constraints_.clock_uncertainty_ps;
-        }
-        moved = moved ||
-                data_.required[late_base + check.data_node] != req_late ||
-                data_.required[early_base + check.data_node] != req_early;
-        data_.required.mut(late_base + check.data_node) = req_late;
-        data_.required.mut(early_base + check.data_node) = req_early;
-      }
-      ++recomputed;
-      if (moved) push_fanin(check.data_node);
-    }
-  }
-  // Descending pull. Fanout-free nodes keep their boundary (or +/-inf)
-  // values — recompute_required would reset them from an empty fold.
-  for (std::size_t l = num_levels; l-- > 0;) {
-    if (!own_buckets[l]) continue;
-    own_buckets[l] = 0;
-    for (const NodeRun& run : part.level_runs(p, l)) {
-    for (NodeId u = run.begin; u < run.end; ++u) {
-      if (!node_pending_bwd_[u]) continue;
-      node_pending_bwd_[u] = 0;
-      if (graph_->fanout(u).empty()) continue;
-      bool moved = false;
-      for (CornerId c = 0; c < corners_.size(); ++c) {
-        moved = recompute_required(u, c) || moved;
-      }
-      ++recomputed;
-      if (moved) push_fanin(u);
-    }
-    }
-  }
-  part_sweep_nodes_[p] += recomputed;
-}
-
-void Timer::partitioned_update() {
-  const Partitioning& part = *partition_;
-  const std::size_t p_count = part.num_partitions();
-  // Region sweeps rewrite arena slots wholesale — beyond a value journal
-  // (the weight application that marked the regions already broke it).
-  // Their workers write straight through mut(), so the arena privatizes
-  // up front when snapshots or a trial fork share chunks.
-  break_value_trial();
-  if (cow_writes_guarded()) data_.privatize_all();
-  ++state_version_;
-  std::fill(part_swept_.begin(), part_swept_.end(), 0);
-  std::fill(part_swept_bwd_.begin(), part_swept_bwd_.end(), 0);
-  std::fill(part_sweep_nodes_.begin(), part_sweep_nodes_.end(), 0);
-
-  // Runs one direction's boundary-convergence loop: every round walks the
-  // waves in `order` and iterates each wave until its SCC regions are
-  // mutually consistent (same-wave cut hops re-mark their target for an
-  // immediate extra pass instead of burning a full round). Within a pass
-  // the dirty regions sweep in parallel across the wave's SCCs — no cut
-  // arcs connect same-wave SCCs in either direction, so every arena slot
-  // keeps a single writer and cross-region frontier pushes never target
-  // a concurrently-sweeping region. After the parallel sweeps, a serial
-  // drain turns each swept region's pushed-into list into dirty marks:
-  // same-wave and later-wave neighbors for this round, earlier-wave
-  // neighbors for the next. The loop ends when a round finishes with
-  // nothing marked — every region is then consistent with its inputs,
-  // which on a DAG is the flat fixed point.
-  const auto converge = [&](bool forward) -> bool {
-    std::size_t rounds = 0;
-    bool pending = part_dirty_count_ > 0;
-    while (pending) {
-      if (rounds >= partition_options_.max_rounds) return false;
-      ++rounds;
-      const std::size_t num_waves = part.num_waves();
-      for (std::size_t step = 0; step < num_waves; ++step) {
-        const std::size_t w = forward ? step : num_waves - 1 - step;
-        std::size_t passes = 0;
-        while (true) {
-          // Move the wave's dirty marks into the pass-selection flags: a
-          // mark produced by a sweep below (targeting a region that swept
-          // this same pass) lands on part_dirty_ and must survive into
-          // the next pass, so the drain walk never reads part_dirty_ to
-          // decide what it just swept.
-          scc_scratch_.clear();
-          for (const std::uint32_t s : part.wave(w)) {
-            bool any = false;
-            for (const PartitionId p : part.scc_partitions(s)) {
-              if (part_dirty_[p]) {
-                part_dirty_[p] = 0;
-                --part_dirty_count_;
-                part_in_pass_[p] = 1;
-                any = true;
-              }
-            }
-            if (any) scc_scratch_.push_back(s);
-          }
-          if (scc_scratch_.empty()) break;
-          if (passes++ > partition_options_.max_rounds) return false;
-          parallel_for(scc_scratch_.size(), 1,
-                       [&](std::size_t b, std::size_t e) {
-            for (std::size_t i = b; i < e; ++i) {
-              for (const PartitionId p :
-                   part.scc_partitions(scc_scratch_[i])) {
-                if (!part_in_pass_[p]) continue;
-                if (forward) {
-                  sweep_partition_forward(p);
-                } else {
-                  sweep_partition_backward(p);
-                }
-              }
-            }
-          });
-          for (const std::uint32_t s : scc_scratch_) {
-            for (const PartitionId p : part.scc_partitions(s)) {
-              if (!part_in_pass_[p]) continue;
-              part_in_pass_[p] = 0;
-              (forward ? part_swept_ : part_swept_bwd_)[p] = 1;
-              ++stat_partition_sweeps_;
-              for (const PartitionId q : part_marked_[p]) {
-                part_marked_seen_[p][q] = 0;
-                const std::size_t qw = part.wave_of_partition(q);
-                const bool this_round = forward ? qw >= w : qw <= w;
-                if (this_round) {
-                  if (!part_dirty_[q]) {
-                    part_dirty_[q] = 1;
-                    ++part_dirty_count_;
-                  }
-                } else {
-                  part_dirty_next_[q] = 1;
-                }
-              }
-              part_marked_[p].clear();
-            }
-          }
-        }
-      }
-      pending = false;
-      for (std::size_t p = 0; p < p_count; ++p) {
-        if (!part_dirty_next_[p]) continue;
-        part_dirty_next_[p] = 0;
-        if (!part_dirty_[p]) {
-          part_dirty_[p] = 1;
-          ++part_dirty_count_;
-        }
-        pending = true;
-      }
-    }
-    stat_boundary_rounds_ += rounds;
-    return true;
-  };
-
-  const auto fallback_flat = [&]() {
-    // Counted flat fallback: the convergence loop exceeded its round cap
-    // mid-flight. The flat sweep rewrites every slot, so the half-iterated
-    // state is irrelevant — it lands on the same fixed point.
-    ++stat_partition_fallbacks_;
-    clear_partition_dirty();
-    std::fill(part_dirty_next_.begin(), part_dirty_next_.end(), 0);
-    std::fill(part_in_pass_.begin(), part_in_pass_.end(), 0);
-    // Half-consumed confinement state is meaningless after a flat rewrite.
-    clear_partition_frontier();
-    full_forward();
-    compute_crpr_credits();
-    backward_required();
-    std::fill(arc_changed_scratch_.begin(), arc_changed_scratch_.end(), 0);
-    ++full_updates_;
-  };
-
-  if (!converge(/*forward=*/true)) {
-    fallback_flat();
-    return;
-  }
-  for (std::size_t p = 0; p < p_count; ++p) {
-    stat_forward_nodes_ += part_sweep_nodes_[p];
-    part_sweep_nodes_[p] = 0;
-  }
-
-  // CRPR credits are invariant here: weights multiply data-cell delays
-  // only, clock arc delays and slews keep their bits, so the cached
-  // credits (and setup/hold constraint values) are already exact.
-
-  // Backward seeds: arc delays changed only inside forward-swept regions.
-  for (std::size_t p = 0; p < p_count; ++p) {
-    if (part_swept_[p] && !part_dirty_[p]) {
-      part_dirty_[p] = 1;
-      ++part_dirty_count_;
-    }
-  }
-  if (!converge(/*forward=*/false)) {
-    fallback_flat();
-    return;
-  }
-  for (std::size_t p = 0; p < p_count; ++p) {
-    stat_backward_nodes_ += part_sweep_nodes_[p];
-    part_sweep_nodes_[p] = 0;
-  }
-
-  // Refresh the endpoint slack caches of swept regions (their arrivals or
-  // requireds may have moved); untouched regions' caches are still exact.
-  for (std::size_t p = 0; p < p_count; ++p) {
-    if (!part_swept_[p] && !part_swept_bwd_[p]) continue;
-    for (CornerId c = 0; c < corners_.size(); ++c) {
-      const std::size_t late_base = data_.node_index(c, idx(Mode::Late), 0);
-      const std::size_t early_base = data_.node_index(c, idx(Mode::Early), 0);
-      for (const std::uint32_t ci : part.checks_of(p)) {
-        const NodeId d = graph_->checks()[ci].data_node;
-        CheckTiming& ct = data_.check.mut(data_.check_index(c, ci));
-        ct.setup_slack_ps =
-            data_.required[late_base + d] - data_.arrival[late_base + d];
-        ct.hold_slack_ps =
-            data_.arrival[early_base + d] - data_.required[early_base + d];
-      }
-    }
-  }
-
-  // Reset the per-update confinement state in O(moved): node_fwd_moved_
-  // gated this update's check re-derivation and must not leak into the
-  // next one. The pending flags and bucket flags were all consumed by the
-  // converged sweeps; the arc flags were consumed by the backward pushes —
-  // reset them like the full path does so the next incremental pass seeds
-  // only its own changes.
-  for (std::size_t p = 0; p < p_count; ++p) {
-    for (const NodeId u : part_changed_fwd_[p]) node_fwd_moved_[u] = 0;
-    part_changed_fwd_[p].clear();
-  }
-  std::fill(arc_changed_scratch_.begin(), arc_changed_scratch_.end(), 0);
-  ++partitioned_updates_;
 }
 
 // Every const query delegates to query_ops so Timer (head) and
@@ -2059,16 +1516,6 @@ bool Timer::rollback_trial() {
     // were keyed by the trial graph's arc ids and are dropped wholesale.
     delay_cache_.resize(corners_.size() * kNumModes, graph_->num_arcs());
     resize_incremental_scratch();
-    // The decomposition was built against the trial graph's node ids;
-    // rebuild it deterministically on the restored graph. Region marks
-    // pending across the rebuild reference the old decomposition —
-    // set_partitioning escalates them to a full update, and the restore
-    // of dirty_full_ below must not lose that escalation.
-    if (partition_) {
-      const bool marks_pending = part_dirty_count_ > 0;
-      set_partitioning(partition_options_);
-      if (marks_pending) trial_->dirty_full_at_begin = true;
-    }
   } else {
     data_ = std::move(trial_->data);
     delay_cache_.trial_restore();
@@ -2121,11 +1568,6 @@ Timer::UpdateStats Timer::update_stats() const {
   s.delay_cache_misses = delay_cache_.misses.load(std::memory_order_relaxed);
   s.trial_rollbacks = stat_trial_rollbacks_;
   s.trial_fallbacks = stat_trial_fallbacks_;
-  s.partitioned_updates = partitioned_updates_;
-  s.partition_sweeps = stat_partition_sweeps_;
-  s.boundary_rounds = stat_boundary_rounds_;
-  s.partition_fallbacks = stat_partition_fallbacks_;
-  s.eco_partitions_touched = stat_eco_partitions_;
   return s;
 }
 
@@ -2135,15 +1577,11 @@ std::string Timer::UpdateStats::to_string() const {
       "incremental touch  : %zu forward node recomputes, %zu backward node "
       "visits\n"
       "delay cache        : %llu hits, %llu misses (%.1f%% hit rate)\n"
-      "trial checkpoints  : %zu rollbacks, %zu fallbacks\n"
-      "partitioned        : %zu updates, %zu region sweeps, %zu rounds, "
-      "%zu fallbacks, %zu eco regions",
+      "trial checkpoints  : %zu rollbacks, %zu fallbacks",
       full_updates, incremental_updates, forward_nodes, backward_nodes,
       static_cast<unsigned long long>(delay_cache_hits),
       static_cast<unsigned long long>(delay_cache_misses),
-      100.0 * delay_cache_hit_rate(), trial_rollbacks, trial_fallbacks,
-      partitioned_updates, partition_sweeps, boundary_rounds,
-      partition_fallbacks, eco_partitions_touched);
+      100.0 * delay_cache_hit_rate(), trial_rollbacks, trial_fallbacks);
 }
 
 std::size_t Timer::sweep_bytes() const {
@@ -2169,24 +1607,11 @@ Timer::MemoryStats Timer::memory_stats() const {
   m.arena_bytes_per_lane = lanes == 0 ? 0 : m.arena_bytes / lanes;
   m.delay_cache_entries = delay_cache_.size();
   m.delay_cache_bytes = delay_cache_.bytes();
-  // One table, counted once: a structural trial that shares it adds
-  // nothing.
+  // The per-check table is counted once (a structural trial that shares it
+  // adds nothing), plus the per-node DP scratch that derives it.
   m.launch_set_bytes =
-      launch_sets_ ? launch_sets_->capacity() * sizeof(std::uint64_t) : 0;
-  m.partition_bytes = partition_ ? partition_->storage_bytes() : 0;
-  if (partition_) {
-    // Timer-side partitioned-update state: dirty/selection flags, the
-    // per-node frontier seeds, and the per-(region, level) bucket flags.
-    m.partition_bytes +=
-        part_dirty_.capacity() + part_dirty_next_.capacity() +
-        part_swept_.capacity() + part_swept_bwd_.capacity() +
-        part_in_pass_.capacity() + part_touch_scratch_.capacity() +
-        node_pending_.capacity() + node_pending_bwd_.capacity() +
-        node_fwd_moved_.capacity() + part_level_fwd_dirty_.capacity() +
-        part_level_bwd_dirty_.capacity() +
-        scc_scratch_.capacity() * sizeof(std::uint32_t) +
-        part_sweep_nodes_.capacity() * sizeof(std::size_t);
-  }
+      ((launch_sets_ ? launch_sets_->capacity() : 0) + launch_dp_.capacity()) *
+      sizeof(std::uint64_t);
   m.kernel_scratch_bytes = sweep_bytes();
   m.eco_log_entries = eco_touched_.size();
   const TimingData::CowStats cs = data_.cow_stats();
@@ -2211,7 +1636,6 @@ std::string Timer::MemoryStats::to_string() const {
       "timing arena       : %.1f MB (%.1f MB per lane)\n"
       "delay cache        : %zu entries, %.1f MB\n"
       "crpr launch sets   : %.1f MB\n"
-      "partition tables   : %.1f MB\n"
       "kernel scratch     : %.1f MB\n"
       "eco log            : %zu touched instances\n"
       "cow arena          : %zu chunks (%zu shared), %zu live snapshots, "
@@ -2219,9 +1643,8 @@ std::string Timer::MemoryStats::to_string() const {
       "total tracked      : %.1f MB",
       num_nodes, num_arcs, num_corners, mb(arena_bytes),
       mb(arena_bytes_per_lane), delay_cache_entries, mb(delay_cache_bytes),
-      mb(launch_set_bytes), mb(partition_bytes),
-      mb(kernel_scratch_bytes), eco_log_entries, cow_chunks,
-      cow_shared_chunks, live_snapshots, mb(cow_retained_bytes),
+      mb(launch_set_bytes), mb(kernel_scratch_bytes), eco_log_entries,
+      cow_chunks, cow_shared_chunks, live_snapshots, mb(cow_retained_bytes),
       mb(total_bytes()));
 }
 

@@ -40,7 +40,6 @@
 #include "sta/constraints.hpp"
 #include "sta/corner.hpp"
 #include "sta/delay_calc.hpp"
-#include "sta/partition.hpp"
 #include "sta/timing_data.hpp"
 #include "sta/timing_graph.hpp"
 #include "sta/timing_types.hpp"
@@ -198,32 +197,12 @@ class Timer {
   [[nodiscard]] std::shared_ptr<const TimingSnapshot> snapshot() const;
 
   /// Monotonic state generation, bumped by every mutating re-propagation
-  /// (full, incremental, partitioned), structural rebuild, and trial
-  /// rollback. Snapshots carry the version they forked at.
+  /// (full or incremental), structural rebuild, and trial rollback.
+  /// Snapshots carry the version they forked at.
   [[nodiscard]] std::uint64_t state_version() const { return state_version_; }
 
   /// Un-released snapshots currently alive (expired handles are pruned).
   [[nodiscard]] std::size_t live_snapshots() const;
-
-  // --- partitioned updates -------------------------------------------------
-
-  /// Installs partitioned-update mode: the graph is decomposed into regions
-  /// (see Partitioning) and weight applications (set_instance_weights*)
-  /// mark only the regions whose effective weights actually moved, instead
-  /// of forcing a full re-propagation. update_timing() then sweeps dirty
-  /// regions inside a boundary-convergence loop until every cut-pin value
-  /// is bitwise stable, falling back to a counted flat full sweep if the
-  /// loop exceeds options.max_rounds. Results are bit-identical to the flat
-  /// engine at any partition count and any thread count. Survives
-  /// rebuild_graph() (the decomposition is rebuilt). num_partitions == 1 is
-  /// allowed and exercises the full machinery with an empty boundary.
-  void set_partitioning(const PartitionOptions& options);
-  /// Returns to flat-only updates (drops the decomposition).
-  void clear_partitioning();
-  /// The active decomposition, or nullptr when flat.
-  [[nodiscard]] const Partitioning* partitioning() const {
-    return partition_.get();
-  }
 
   /// Footprint of the engine's major allocations — the flat arena is what
   /// future sharding has to split, so the shell `stats` command and
@@ -237,7 +216,6 @@ class Timer {
     std::size_t delay_cache_entries = 0;   ///< memo slots (lanes * arcs)
     std::size_t delay_cache_bytes = 0;
     std::size_t launch_set_bytes = 0;  ///< CRPR launch bitsets (0 when off)
-    std::size_t partition_bytes = 0;   ///< decomposition tables (0 when flat)
     /// Full-sweep state: factor lanes, gather tables, shadows, scratch.
     std::size_t kernel_scratch_bytes = 0;
     std::size_t eco_log_entries = 0;   ///< accumulated ECO-touched instances
@@ -251,7 +229,7 @@ class Timer {
     std::size_t cow_retained_bytes = 0;
     [[nodiscard]] std::size_t total_bytes() const {
       return arena_bytes + delay_cache_bytes + launch_set_bytes +
-             partition_bytes + kernel_scratch_bytes;
+             kernel_scratch_bytes;
     }
     [[nodiscard]] std::string to_string() const;
   };
@@ -287,14 +265,6 @@ class Timer {
     /// to re-propagation (a full update intervened mid-trial).
     std::size_t trial_rollbacks = 0;
     std::size_t trial_fallbacks = 0;
-    /// Partitioned-mode counters: updates served by the region sweep, total
-    /// region sweeps, boundary-convergence rounds, cap-triggered flat
-    /// fallbacks, and distinct regions the ECO frontier seeds touched.
-    std::size_t partitioned_updates = 0;
-    std::size_t partition_sweeps = 0;
-    std::size_t boundary_rounds = 0;
-    std::size_t partition_fallbacks = 0;
-    std::size_t eco_partitions_touched = 0;
 
     [[nodiscard]] double delay_cache_hit_rate() const {
       const std::uint64_t total = delay_cache_hits + delay_cache_misses;
@@ -447,7 +417,7 @@ class Timer {
                        CornerId corner, int mode, CacheTally& tally);
 
   /// Recomputes arrival + slew of one node at one corner from its fanin;
-  /// returns true if any value moved more than epsilon. Also refreshes
+  /// returns true if any value's bits moved. Also refreshes
   /// stored arc timings of the fanin arcs at that corner, flagging arcs
   /// whose stored effective delay changed bit-wise in arc_changed_scratch_
   /// (safe in parallel sweeps: each arc's to-node has a single writer).
@@ -465,7 +435,6 @@ class Timer {
   void incremental_update();
   void incremental_forward_corner(CornerId corner);
   void incremental_backward_corner(CornerId corner);
-  void collect_seeds();
   void compute_crpr_credits();
   /// Full backward propagation, the level-descending mirror of
   /// full_forward (bit-identical to recompute_required per node).
@@ -496,9 +465,8 @@ class Timer {
   void invalidate_cache_for(InstanceId inst);
 
   /// Walks the ECO neighborhood of one instance — the single code path
-  /// behind frontier seeding (seed_nodes_for), delay-cache invalidation
-  /// (invalidate_cache_for), and partition touch accounting, so the
-  /// consumers can never drift apart. Callbacks:
+  /// behind frontier seeding (seed_nodes_for) and delay-cache invalidation
+  /// (invalidate_cache_for), so the two can never drift apart. Callbacks:
   ///   own_pin(node)        every connected pin node of the instance;
   ///   driver(term, node)   each input net's driver terminal and node
   ///                        (instance pin or port; node may be invalid);
@@ -528,24 +496,6 @@ class Timer {
       }
     }
   }
-
-  // --- partitioned updates --------------------------------------------------
-
-  /// Diffs old vs new effective weight factors (the clamped multiplier
-  /// recompute_node applies) and marks the regions of instances whose
-  /// factor moved and that own at least one weighted arc.
-  void mark_weight_dirty(const std::vector<double>& before,
-                         const std::vector<double>& after);
-  void clear_partition_dirty();
-  /// The boundary-convergence region sweep behind update_timing() when
-  /// regions (and only regions) are dirty.
-  void partitioned_update();
-  void sweep_partition_forward(PartitionId p);
-  void sweep_partition_backward(PartitionId p);
-  /// Zeroes every per-node/per-bucket frontier flag and the marked-region
-  /// scratches — called when an escalation (full update, round-cap
-  /// fallback) makes the half-consumed frontier meaningless.
-  void clear_partition_frontier();
 
   // --- trial checkpoints ----------------------------------------------------
   void begin_trial(bool structural);
@@ -595,14 +545,18 @@ class Timer {
   // Per-instance cell ArcIds + FF check map, shared with snapshots.
   std::shared_ptr<GraphStatics> statics_;
 
-  // Launch-set DP for GBA CRPR: for each node, the set of launch checks
-  // (flip-flops) whose Q reaches it, as a bitset whose extra bit at index
-  // num_checks flags paths launched at input ports (which carry zero
-  // credit). One node-major table of launch_words_ words per node, null
-  // with CRPR off; immutable once built, so structural trials share it.
-  // Corner-independent (clock topology does not change across corners).
+  // Launch sets for GBA CRPR: for each check, the set of launch checks
+  // (flip-flops) whose Q reaches its data pin, as a bitset whose extra bit
+  // at index num_checks flags paths launched at input ports (which carry
+  // zero credit). One check-major table of launch_words_ words per check,
+  // null with CRPR off; immutable once built, so structural trials share
+  // it. Corner-independent (clock topology does not change across
+  // corners). launch_dp_ is the per-node DP that derives the table, kept
+  // between rebuilds so a buffer trial neither allocates a fresh per-node
+  // table nor retains the old one in its checkpoint.
   std::shared_ptr<const std::vector<std::uint64_t>> launch_sets_;
   std::size_t launch_words_ = 0;
+  std::vector<std::uint64_t> launch_dp_;
 
   /// Live snapshot registry (weak: a released snapshot self-frees its
   /// chunks; the registry only answers "must head writes privatize?" and
@@ -697,56 +651,6 @@ class Timer {
   std::size_t stat_backward_nodes_ = 0;
   std::size_t stat_trial_rollbacks_ = 0;
   std::size_t stat_trial_fallbacks_ = 0;
-
-  /// Partitioned-update state. part_dirty_ carries the weight-diff marks
-  /// between updates; the remaining vectors are per-update scratch.
-  std::unique_ptr<Partitioning> partition_;
-  PartitionOptions partition_options_;
-  std::vector<std::uint8_t> part_dirty_;
-  std::vector<std::uint8_t> part_dirty_next_;
-  std::vector<std::uint8_t> part_swept_;
-  std::vector<std::uint8_t> part_swept_bwd_;
-  /// Regions selected for the wave pass currently sweeping. Kept separate
-  /// from part_dirty_ so a mark produced by a sweeping region (targeting a
-  /// same-pass neighbor) is never consumed by the post-sweep drain walk —
-  /// it must survive into the next pass.
-  std::vector<std::uint8_t> part_in_pass_;
-  std::vector<std::uint8_t> part_touch_scratch_;
-  std::vector<std::uint32_t> scc_scratch_;
-  std::vector<std::size_t> part_sweep_nodes_;
-  /// Push-based frontier confinement for region sweeps. A sweep visits
-  /// only the (region, level) buckets flagged dirty and, within them, only
-  /// the nodes whose pending flag is set — both consumed on visit. Flags
-  /// are planted by the producers of a change: mark_weight_dirty seeds the
-  /// to-nodes of re-weighted arcs; a forward sweep that moves a node's
-  /// arrival/slew bits pushes the node's fanout to-nodes (and, for fanin
-  /// arcs whose stored delay bits moved, the from-nodes onto the backward
-  /// frontier — a required fold reads the delay even when downstream
-  /// requireds keep their bits); a backward sweep that moves a required
-  /// pushes the fanin from-nodes. Pushes into other regions use relaxed
-  /// atomic stores: the wave schedule guarantees the owning region is not
-  /// sweeping concurrently (no cut arcs between same-wave SCCs), so the
-  /// owner's later plain reads are join-ordered after every store. Each
-  /// sweep records the foreign regions it pushed into (part_marked_*,
-  /// owner-indexed so sweeps never share a scratch); the serial drain
-  /// after the parallel pass turns them into dirty marks. node_fwd_moved_
-  /// latches "forward bits moved this update" per node — it gates which
-  /// endpoint checks the first backward sweep of a region re-derives — and
-  /// resets in O(moved) via part_changed_fwd_.
-  std::vector<std::uint8_t> node_pending_;
-  std::vector<std::uint8_t> node_pending_bwd_;
-  std::vector<std::uint8_t> node_fwd_moved_;
-  std::vector<std::uint8_t> part_level_fwd_dirty_;  ///< [p * num_levels + l]
-  std::vector<std::uint8_t> part_level_bwd_dirty_;  ///< [p * num_levels + l]
-  std::vector<std::vector<PartitionId>> part_marked_;
-  std::vector<std::vector<std::uint8_t>> part_marked_seen_;
-  std::vector<std::vector<NodeId>> part_changed_fwd_;
-  std::size_t part_dirty_count_ = 0;
-  std::size_t partitioned_updates_ = 0;
-  std::size_t stat_partition_sweeps_ = 0;
-  std::size_t stat_boundary_rounds_ = 0;
-  std::size_t stat_partition_fallbacks_ = 0;
-  std::size_t stat_eco_partitions_ = 0;
 
   struct TrialState;
   std::unique_ptr<TrialState> trial_;

@@ -182,8 +182,7 @@ void TimingGraph::renumber_level_contiguous() {
   // New id order: concatenated level buckets, ascending build-order id
   // within each level (any within-level order is valid — bucket members
   // have no mutual dependencies — and ascending build order keeps the ids
-  // of one instance's same-level pins adjacent, which is what compresses
-  // the per-(region, level) buckets of a Partitioning into short runs).
+  // of one instance's same-level pins adjacent).
   level_begin_.assign(num_levels + 1, 0);
   for (const TimingNode& node : nodes_) ++level_begin_[node.level + 1];
   for (std::size_t l = 0; l < num_levels; ++l) {

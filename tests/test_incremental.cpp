@@ -433,6 +433,30 @@ struct TwoCornerStack {
   }
 };
 
+TEST(IncrementalFastpath, ToldResizesMatchFreshTimer) {
+  // The forward frontier stops only at nodes whose arrival and slew keep
+  // their bits, so a slew that moves by a fraction of a femtosecond still
+  // reaches the fanout. After every told resize (invalidate_instance +
+  // update_timing) the two-corner state must equal a freshly built
+  // Timer's bit for bit.
+  for (const std::uint64_t seed : {104, 106, 108}) {
+    GeneratorOptions o = small_options(seed);
+    o.num_gates = 600;
+    TwoCornerStack s(o);
+    Rng rng(seed * 7 + 1);
+    for (std::size_t step = 0; step < 60; ++step) {
+      const auto [inst, cell] =
+          resize_plan(s.stack.library, s.design(), 1, rng.next_u64()).front();
+      s.design().resize_instance(inst, cell);
+      s.timer().invalidate_instance(inst);
+      s.timer().update_timing();
+      ASSERT_TRUE(same_bits(state_signature(s.timer()),
+                            state_signature(*s.fresh())))
+          << "seed " << seed << " step " << step;
+    }
+  }
+}
+
 /// A data-net sink to buffer: instance driver outside the clock network.
 std::optional<std::pair<NetId, Terminal>> pick_buffer_sink(
     const Design& design, const Timer& timer, Rng& rng) {

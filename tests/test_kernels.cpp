@@ -2,9 +2,10 @@
 /// expression on randomized inputs seeded with ±inf / denormal /
 /// signed-zero edge values (NaN-free — the engine never feeds NaN into a
 /// sweep); reductions must follow the one canonical blocked order
-/// documented in kernels.hpp; and at the engine level a partitioned timer
-/// must land on the same timing-state bits as the flat one at 1 and 4
-/// threads. The tier-1 script re-runs Kernel* under ASan+UBSan.
+/// documented in kernels.hpp; and at the engine level the full sweep and
+/// the incremental frontier must land on the timing-state bits of a freshly
+/// built Timer at 1 and 4 threads. The tier-1 script re-runs Kernel* under
+/// ASan+UBSan.
 
 #include <bit>
 #include <cstddef>
@@ -17,7 +18,6 @@
 
 #include "netlist/design.hpp"
 #include "sta/kernels.hpp"
-#include "sta/partition.hpp"
 #include "sta/state_signature.hpp"
 #include "sta/timer.hpp"
 #include "test_helpers.hpp"
@@ -330,40 +330,53 @@ std::vector<double> make_weights(std::size_t num_instances,
   return w;
 }
 
-/// Full update, a weight refit, then an incremental resize sequence — the
-/// three sweep shapes — returning the signature after every step.
-std::vector<std::vector<double>> sweep_trace(GeneratedStack& stack,
-                                             std::uint64_t seed) {
-  std::vector<std::vector<double>> sigs;
-  sigs.push_back(state_signature(*stack.timer));
+/// The state of a Timer built from scratch on \p stack's design with its
+/// derates and weights: empty memo, one full sweep.
+std::vector<double> fresh_signature(GeneratedStack& stack) {
+  Timer fresh(stack.design(), stack.timer->constraints());
+  fresh.set_instance_derates(compute_gba_derates(fresh.graph(), stack.table));
+  fresh.set_instance_weights(stack.timer->instance_weights());
+  fresh.update_timing();
+  return state_signature(fresh);
+}
+
+struct TraceStep {
+  std::vector<double> head;   ///< the stack's timer after the step
+  std::vector<double> fresh;  ///< a freshly built Timer on the same inputs
+};
+
+/// Full update, a weight install, then six told resizes — the full sweep
+/// and the incremental frontier — pairing the head's signature after every
+/// step with a freshly built Timer's.
+std::vector<TraceStep> sweep_trace(GeneratedStack& stack, std::uint64_t seed) {
+  std::vector<TraceStep> steps;
+  const auto record = [&] {
+    steps.push_back({state_signature(*stack.timer), fresh_signature(stack)});
+  };
+  record();
   stack.timer->set_instance_weights(
       make_weights(stack.design().num_instances(), seed));
   stack.timer->update_timing();
-  sigs.push_back(state_signature(*stack.timer));
+  record();
   for (const auto& [inst, cell] :
        resize_plan(stack.library, stack.design(), 6, seed + 17)) {
     stack.design().resize_instance(inst, cell);
     stack.timer->invalidate_instance(inst);
     stack.timer->update_timing();
-    sigs.push_back(state_signature(*stack.timer));
+    record();
   }
-  return sigs;
+  return steps;
 }
 
-TEST(KernelSweep, PartitionedRenumberedMatchesFlatOriginal) {
+TEST(KernelSweep, WeightAndResizeTraceMatchesFreshTimer) {
   ThreadGuard thread_guard;
   for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
     set_num_threads(threads);
-    GeneratedStack part(small_options(902));
-    GeneratedStack flat(small_options(902));
-    PartitionOptions options;
-    options.num_partitions = 4;
-    part.timer->set_partitioning(options);
-    const auto a = sweep_trace(part, 922);
-    const auto b = sweep_trace(flat, 922);
-    ASSERT_EQ(a.size(), b.size());
-    for (std::size_t i = 0; i < a.size(); ++i) {
-      ASSERT_TRUE(same_bits(a[i], b[i]))
+    GeneratedStack stack(small_options(902));
+    const std::vector<TraceStep> steps = sweep_trace(stack, 922);
+    ASSERT_EQ(steps.size(), 8u);
+    for (std::size_t i = 0; i < steps.size(); ++i) {
+      ASSERT_TRUE(same_bits(steps[i].head, steps[i].fresh))
           << "step " << i << " threads=" << threads;
     }
   }

@@ -6,6 +6,7 @@
 #include "netlist/design.hpp"
 #include "netlist/generator.hpp"
 #include "netlist/netlist_io.hpp"
+#include "sta/timer.hpp"
 
 namespace mgba {
 namespace {
@@ -290,6 +291,25 @@ TEST(Generator, NoFloatingGateOutputs) {
       EXPECT_FALSE(net.sinks.empty()) << "floating net " << net.name;
     }
   }
+}
+
+TEST(Generator, ScaledDesignSmoke) {
+  // The end-to-end benchmark's designs come from scaled_design_options.
+  const GeneratorOptions options = scaled_design_options(20000, 5);
+  const Library library = make_default_library();
+  GeneratedDesign gen = generate_design(library, options);
+  // Within a few percent of the target (clock buffers and pads ride along).
+  const std::size_t n = gen.design.num_instances();
+  EXPECT_GE(n, 19000u);
+  EXPECT_LE(n, 22000u);
+
+  TimingConstraints constraints;
+  constraints.clock_port = gen.clock_port;
+  constraints.clock_period_ps = 4000.0;
+  constraints.enable_crpr = false;
+  Timer timer(gen.design, constraints);
+  timer.update_timing();
+  EXPECT_GT(timer.wns(Mode::Late), -1e9);
 }
 
 }  // namespace

@@ -1,11 +1,11 @@
 /// PathEngine tests: the persistent k-best candidate arena must enumerate
 /// path sets bitwise identical to a cold PathEnumerator on the same timing
 /// version — after cold builds, after randomized warm ECO sequences, in
-/// hold (early) mode, under partitioned timers, across MCMM corners, and
-/// at 1 and 4 threads. Pruned worst-path extraction must return exactly the
-/// unpruned set, and structural drift (a graph rebuild, which also poisons
-/// the refit ECO log) must fall back to a counted cold rebuild. The tier-1
-/// script re-runs the PathEngine* suites under ASan+UBSan and TSan.
+/// hold (early) mode, across MCMM corners, and at 1 and 4 threads. Pruned
+/// worst-path extraction must return exactly the unpruned set, and
+/// structural drift (a graph rebuild, which also poisons the refit ECO log)
+/// must fall back to a counted cold rebuild. The tier-1 script re-runs the
+/// PathEngine* suites under ASan+UBSan and TSan.
 
 #include <cstddef>
 #include <optional>
@@ -165,17 +165,6 @@ TEST(PathEngineWarm, HoldModeBitIdentity) {
     run_eco_sequence(stack, engine, 8, 8102);
     EXPECT_GT(engine.stats().warm_syncs, 0u) << threads;
   }
-}
-
-TEST(PathEngineWarm, PartitionedTimerVariant) {
-  GeneratedStack stack(small_options(913));
-  PartitionOptions options;
-  options.num_partitions = 4;
-  stack.timer->set_partitioning(options);
-  stack.timer->update_timing();
-  PathEngine engine(*stack.timer, 8);
-  run_eco_sequence(stack, engine, 8, 8103);
-  EXPECT_GT(engine.stats().warm_syncs, 0u);
 }
 
 TEST(PathEngineWarm, MultiCornerVariant) {

@@ -545,6 +545,36 @@ TEST(Timer, ClockCellResizeRecomputesCrpr) {
   }
 }
 
+TEST(Timer, MemoryStatsSane) {
+  GeneratedStack stack(small_options(606));
+  const Timer& timer = *stack.timer;
+  const Timer::MemoryStats m = timer.memory_stats();
+  EXPECT_EQ(m.num_nodes, static_cast<std::size_t>(timer.graph().num_nodes()));
+  EXPECT_EQ(m.arena_bytes, timer.timing_storage_bytes());
+  EXPECT_GT(m.arena_bytes_per_lane, 0u);
+  EXPECT_GT(m.delay_cache_entries, 0u);
+  EXPECT_GE(m.total_bytes(), m.arena_bytes);
+  EXPECT_FALSE(m.to_string().empty());
+}
+
+TEST(Timer, LaunchSetsGatedOnCrpr) {
+  auto options = small_options(607);
+  GeneratedStack with_crpr(options);
+  EXPECT_GT(with_crpr.timer->memory_stats().launch_set_bytes, 0u);
+
+  // CRPR off: the per-endpoint launch bitsets are never built. At 1M+
+  // instances those sets are tens of GB — this gate is what lets designs
+  // of that size fit in memory.
+  GeneratedDesign gen = generate_design(with_crpr.library, options);
+  TimingConstraints constraints;
+  constraints.clock_port = gen.clock_port;
+  constraints.clock_period_ps = 4000.0;
+  constraints.enable_crpr = false;
+  Timer timer(gen.design, constraints);
+  timer.update_timing();
+  EXPECT_EQ(timer.memory_stats().launch_set_bytes, 0u);
+}
+
 TEST(Report, SlackHistogramRenders) {
   GeneratedStack stack(small_options(202), 1500.0);
   const std::string text = report_slack_histogram(*stack.timer, 8);
