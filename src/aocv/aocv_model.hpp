@@ -29,6 +29,16 @@ std::vector<DeratePair> compute_gba_derates(const TimingGraph& graph,
                                             const DerateTable& table,
                                             const AocvOptions& options = {});
 
+/// The same derates from an existing analysis (one analysis serves every
+/// corner's table: depths and distances do not depend on it).
+std::vector<DeratePair> gba_derates(const DepthAnalysis& analysis,
+                                    const DerateTable& table,
+                                    const AocvOptions& options = {});
+
+/// One instance's entry of gba_derates.
+DeratePair gba_derate(const InstanceAocvInfo& info, const DerateTable& table,
+                      const AocvOptions& options = {});
+
 /// Per-path PBA derate: factor for a data cell on a path whose exact cell
 /// depth is \p path_depth and whose endpoints are \p path_distance_um apart.
 inline double pba_late_derate(const DerateTable& table, std::size_t path_depth,

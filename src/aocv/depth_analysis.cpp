@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "util/check.hpp"
+#include "util/float_bits.hpp"
 
 namespace mgba {
 
@@ -54,6 +55,50 @@ NodeId output_node_of(const TimingGraph& graph, InstanceId inst) {
   return kInvalidNode;
 }
 
+/// Per-node role bits: the graph's launch nodes and endpoints, the seeds
+/// of analyze_data's forward and backward DPs.
+constexpr std::uint8_t kLaunch = 1;
+constexpr std::uint8_t kEndpoint = 2;
+
+std::vector<std::uint8_t> node_roles(const TimingGraph& graph) {
+  std::vector<std::uint8_t> role(graph.num_nodes(), 0);
+  for (const NodeId u : graph.launch_nodes()) role[u] |= kLaunch;
+  for (const NodeId u : graph.endpoints()) role[u] |= kEndpoint;
+  return role;
+}
+
+/// analyze_data's box at \p start without the per-node box arrays: the
+/// locations of the launch points (forward) or endpoints (backward) whose
+/// data paths reach it, found by walking the data cone — non-clock nodes
+/// whose depth in that direction is finite.
+BoundingBox cone_box(const TimingGraph& graph,
+                     const std::vector<std::uint8_t>& role,
+                     const std::vector<double>& depth, NodeId start,
+                     bool forward) {
+  const Design& design = graph.design();
+  const std::uint8_t seed = forward ? kLaunch : kEndpoint;
+  BoundingBox box;
+  std::vector<std::uint8_t> seen(graph.num_nodes(), 0);
+  std::vector<NodeId> stack{start};
+  seen[start] = 1;
+  while (!stack.empty()) {
+    const NodeId u = stack.back();
+    stack.pop_back();
+    if ((role[u] & seed) != 0) {
+      box.expand(design.terminal_location(graph.node(u).terminal));
+    }
+    for (const ArcId a : forward ? graph.fanin(u) : graph.fanout(u)) {
+      const NodeId w = forward ? graph.arc(a).from : graph.arc(a).to;
+      if (seen[w] != 0 || graph.node(w).is_clock_network || depth[w] == kInf) {
+        continue;
+      }
+      seen[w] = 1;
+      stack.push_back(w);
+    }
+  }
+  return box;
+}
+
 }  // namespace
 
 DepthAnalysis::DepthAnalysis(const TimingGraph& graph) {
@@ -66,7 +111,10 @@ void DepthAnalysis::analyze_data(const TimingGraph& graph) {
   const Design& design = graph.design();
   const std::size_t n = graph.num_nodes();
 
-  std::vector<double> fwd(n, kInf), bwd(n, kInf);
+  fwd_.assign(n, kInf);
+  bwd_.assign(n, kInf);
+  std::vector<double>& fwd = fwd_;
+  std::vector<double>& bwd = bwd_;
   std::vector<BoundingBox> fwd_box(n), bwd_box(n);
 
   for (const NodeId launch : graph.launch_nodes()) {
@@ -176,6 +224,112 @@ void DepthAnalysis::analyze_clock(const TimingGraph& graph) {
     info_[i].depth = std::max(1.0, fwd[out] + bwd[out]);
     info_[i].distance_um = fwd_box[out].max_manhattan_to(bwd_box[out]);
   }
+}
+
+DepthAnalysis DepthAnalysis::with_buffer(const TimingGraph& graph,
+                                         const BufferPatch& patch,
+                                         std::vector<InstanceId>& moved) const {
+  const Design& design = graph.design();
+  DepthAnalysis out;
+  out.info_ = info_;
+  out.info_.resize(design.num_instances());
+  out.fwd_.assign(graph.num_nodes(), kInf);
+  out.bwd_.assign(graph.num_nodes(), kInf);
+  for (NodeId u = 0; u < patch.node_map.size(); ++u) {
+    out.fwd_[patch.node_map[u]] = fwd_[u];
+    out.bwd_[patch.node_map[u]] = bwd_[u];
+  }
+  std::vector<double>& fwd = out.fwd_;
+  std::vector<double>& bwd = out.bwd_;
+  const std::vector<std::uint8_t> role = node_roles(graph);
+
+  // analyze_data's push DP in pull form, for one non-clock node: the
+  // launch/endpoint seed, min'ed with every data fanin (fanout). Depths
+  // are small integers, so the fold order cannot move a bit.
+  const auto pull_fwd = [&](NodeId v) {
+    double best = (role[v] & kLaunch) != 0 ? 0.0 : kInf;
+    for (const ArcId a : graph.fanin(v)) {
+      const TimingArc& arc = graph.arc(a);
+      if (graph.node(arc.from).is_clock_network || fwd[arc.from] == kInf) {
+        continue;
+      }
+      best = std::min(best, fwd[arc.from] +
+                                (is_comb_cell_arc(graph, arc) ? 1.0 : 0.0));
+    }
+    return best;
+  };
+  const auto pull_bwd = [&](NodeId u) {
+    double best = (role[u] & kEndpoint) != 0 ? 0.0 : kInf;
+    for (const ArcId a : graph.fanout(u)) {
+      const TimingArc& arc = graph.arc(a);
+      if (graph.node(arc.to).is_clock_network || bwd[arc.to] == kInf) {
+        continue;
+      }
+      best = std::min(best, bwd[arc.to] +
+                                (is_comb_cell_arc(graph, arc) ? 1.0 : 0.0));
+    }
+    return best;
+  };
+
+  // Node ids ascend in topological order: a min-heap settles the forward
+  // cone of S and a max-heap the backward cone of D, each node after every
+  // node it reads; a node's duplicates pop right after it.
+  std::vector<NodeId> changed;
+  const auto sweep = [&](NodeId start, bool forward) {
+    std::vector<NodeId> heap{start};
+    const auto order = [forward](NodeId a, NodeId b) {
+      return forward ? a > b : a < b;
+    };
+    std::vector<double>& depth = forward ? fwd : bwd;
+    NodeId last = kInvalidNode;
+    while (!heap.empty()) {
+      std::pop_heap(heap.begin(), heap.end(), order);
+      const NodeId v = heap.back();
+      heap.pop_back();
+      if (v == last) continue;
+      last = v;
+      const double d = forward ? pull_fwd(v) : pull_bwd(v);
+      if (float_bits(d) == float_bits(depth[v])) continue;
+      depth[v] = d;
+      changed.push_back(v);
+      for (const ArcId a : forward ? graph.fanout(v) : graph.fanin(v)) {
+        const NodeId w = forward ? graph.arc(a).to : graph.arc(a).from;
+        if (graph.node(w).is_clock_network) continue;
+        heap.push_back(w);
+        std::push_heap(heap.begin(), heap.end(), order);
+      }
+    }
+  };
+  fwd[patch.buf_in] = pull_fwd(patch.buf_in);
+  fwd[patch.buf_out] = pull_fwd(patch.buf_out);
+  sweep(patch.sink, true);
+  bwd[patch.buf_out] = pull_bwd(patch.buf_out);
+  bwd[patch.buf_in] = pull_bwd(patch.buf_in);
+  sweep(patch.driver, false);
+
+  // Reachability is unchanged, so is every on_data_path flag and every
+  // bounding box: a moved depth moves only the depth of its instance.
+  for (const NodeId v : changed) {
+    const Terminal& t = graph.node(v).terminal;
+    if (t.kind != Terminal::Kind::InstancePin) continue;
+    InstanceAocvInfo& info = out.info_[t.id];
+    if (!info.on_data_path || output_node_of(graph, t.id) != v) continue;
+    info.depth = std::max(1.0, fwd[v] + bwd[v]);
+    moved.push_back(t.id);
+  }
+  // The buffer's own distance pairs D's launches with S's endpoints.
+  InstanceAocvInfo& buffer = out.info_[patch.buffer];
+  buffer = {};
+  const NodeId y = patch.buf_out;
+  if (fwd[y] != kInf && bwd[y] != kInf) {
+    buffer.on_data_path = true;
+    buffer.depth = std::max(1.0, fwd[y] + bwd[y]);
+    buffer.distance_um =
+        cone_box(graph, role, fwd, patch.driver, true)
+            .max_manhattan_to(cone_box(graph, role, bwd, patch.sink, false));
+  }
+  moved.push_back(patch.buffer);
+  return out;
 }
 
 const InstanceAocvInfo& DepthAnalysis::info(InstanceId inst) const {

@@ -18,6 +18,11 @@
 /// network (source -> CK pins). PBA's per-path depth/distance are exact;
 /// GBA's are these conservative bounds, and the gap is precisely the
 /// pessimism mGBA removes.
+///
+/// The analysis keeps the per-node minimum data depths (forward and
+/// backward), so a closure run can carry it across buffer insertions
+/// (with_buffer) at the cost of the cones whose depths move, instead of
+/// re-running the whole DP per trial.
 
 #include <vector>
 
@@ -54,6 +59,18 @@ class DepthAnalysis {
   [[nodiscard]] const InstanceAocvInfo& info(InstanceId inst) const;
   [[nodiscard]] std::size_t num_instances() const { return info_.size(); }
 
+  /// The analysis of \p graph, which \p patch derived from the graph this
+  /// analysis describes by inserting one buffer on a data net — equal to
+  /// DepthAnalysis(graph) for every instance. The buffer adds no launch
+  /// point or endpoint and keeps reachability, so no bounding box moves:
+  /// depths update forward from S and backward from D, stopping where
+  /// values keep their bits, and only the buffer's own distance walks the
+  /// two cones (D's launches, S's endpoints). Appends to \p moved every
+  /// instance whose info may differ, the buffer included.
+  [[nodiscard]] DepthAnalysis with_buffer(const TimingGraph& graph,
+                                          const BufferPatch& patch,
+                                          std::vector<InstanceId>& moved) const;
+
   /// Exact PBA cell depth of a path given as graph nodes (launch ->
   /// endpoint): the number of distinct combinational data cells traversed.
   [[nodiscard]] static std::size_t path_depth(const TimingGraph& graph,
@@ -65,10 +82,16 @@ class DepthAnalysis {
                                                const std::vector<NodeId>& path);
 
  private:
+  DepthAnalysis() = default;
   void analyze_data(const TimingGraph& graph);
   void analyze_clock(const TimingGraph& graph);
 
   std::vector<InstanceAocvInfo> info_;
+  /// Per node: minimum combinational cells from any launch point (fwd_)
+  /// and to any endpoint (bwd_) through the data network; kInfPs where
+  /// none is reachable and on clock nodes.
+  std::vector<double> fwd_;
+  std::vector<double> bwd_;
 };
 
 }  // namespace mgba

@@ -1,6 +1,7 @@
 #include "opt/optimizer.hpp"
 
 #include <algorithm>
+#include <utility>
 #include <vector>
 
 #include "aocv/aocv_model.hpp"
@@ -67,7 +68,7 @@ void TimingCloser::refresh_mgba(OptimizerReport& report) {
     }
   }
   // refit() serves the steady state O(touched); the first call of a run
-  // (derate refresh poisons the log) and any pass after a graph rebuild
+  // (derate refresh poisons the log) and any pass after a structural edit
   // fall back to a cold fit automatically.
   for (MgbaRefitSession& session : mgba_sessions_) session.refit();
   report.mgba_seconds += mgba_watch.seconds();
@@ -79,17 +80,44 @@ double TimingCloser::current_tns() {
 }
 
 void TimingCloser::refresh_derates() {
+  // One depth analysis serves every corner's table; the closer keeps it
+  // so buffer trials can patch it (patch_derates).
+  depths_.emplace(timer_->graph());
   if (corner_setups_.empty()) {
-    timer_->set_instance_derates(
-        compute_gba_derates(timer_->graph(), *table_));
+    timer_->set_instance_derates(gba_derates(*depths_, *table_));
     return;
   }
   // Structural edits renumber instances: rebuild each corner's derate
   // vector from that corner's own table.
   for (std::size_t c = 0; c < corner_setups_.size(); ++c) {
-    timer_->set_corner_derates(
-        static_cast<CornerId>(c),
-        compute_gba_derates(timer_->graph(), corner_setups_[c].table));
+    timer_->set_corner_derates(static_cast<CornerId>(c),
+                               gba_derates(*depths_, corner_setups_[c].table));
+  }
+}
+
+void TimingCloser::patch_derates(const BufferPatch& patch,
+                                 const DepthAnalysis& before) {
+  std::vector<InstanceId> moved;
+  depths_ = before.with_buffer(timer_->graph(), patch, moved);
+  // Every other instance keeps its depth and distance, hence its derates;
+  // the vectors grow over the buffer (and any reverted trial's tombstone,
+  // at identity).
+  const auto patched = [&](CornerId c, const DerateTable& table) {
+    std::vector<DeratePair> derates = timer_->instance_derates(c);
+    derates.resize(design_->num_instances());
+    for (const InstanceId i : moved) {
+      derates[i] = gba_derate(depths_->info(i), table);
+    }
+    return derates;
+  };
+  if (corner_setups_.empty()) {
+    timer_->set_instance_derates(patched(kDefaultCorner, *table_));
+    return;
+  }
+  for (std::size_t c = 0; c < corner_setups_.size(); ++c) {
+    const auto corner = static_cast<CornerId>(c);
+    timer_->set_corner_derates(corner,
+                               patched(corner, corner_setups_[c].table));
   }
 }
 
@@ -173,10 +201,13 @@ bool TimingCloser::try_insert_buffer(ArcId net_arc, OptimizerReport& report) {
   ++report.transforms_attempted;
   const double tns_before = current_tns();
 
-  // Buffer insertion rebuilds the graph, so the checkpoint is a full
+  // Buffer insertion changes the graph, so the checkpoint is a full
   // structural snapshot: a rejected trial restores graph + arena wholesale
-  // instead of rebuilding and re-propagating a second time.
+  // instead of rebuilding and re-propagating a second time. The depth
+  // state is restored alongside.
   Timer::TrialScope scope(*timer_, Timer::TrialScope::Kind::Structural);
+  std::optional<DepthAnalysis> depths_before =
+      std::exchange(depths_, std::nullopt);
   const InstanceId buffer = design_->insert_buffer_for_sink(
       net, sink, *buffer_cell,
       str_format("%s_%zu", options_.buffer_name_prefix.c_str(),
@@ -185,8 +216,13 @@ bool TimingCloser::try_insert_buffer(ArcId net_arc, OptimizerReport& report) {
   if (listener_) {
     listener_->on_buffer_inserted(buffer, net, sink, *buffer_cell, midpoint);
   }
-  timer_->rebuild_graph();
-  refresh_derates();
+  if (const std::optional<BufferPatch> patch =
+          timer_->buffer_inserted(buffer);
+      patch.has_value() && depths_before.has_value()) {
+    patch_derates(*patch, *depths_before);
+  } else {
+    refresh_derates();
+  }
   const double tns_after = current_tns();
   if (tns_after > tns_before + options_.min_improvement_ps) {
     scope.commit();
@@ -195,7 +231,9 @@ bool TimingCloser::try_insert_buffer(ArcId net_arc, OptimizerReport& report) {
   }
   design_->remove_buffer(buffer, net);
   if (listener_) listener_->on_buffer_removed(buffer, net);
-  if (!scope.rollback()) {
+  if (scope.rollback()) {
+    depths_ = std::move(depths_before);
+  } else {
     timer_->rebuild_graph();
     refresh_derates();
     timer_->update_timing();
@@ -209,7 +247,7 @@ bool TimingCloser::optimize_endpoint(NodeId endpoint,
   timer_->update_timing();
   if (timer_->slack_merged(endpoint, Mode::Late) >= 0.0) return false;
 
-  // The endpoint may have been renumbered by a rebuild between selection
+  // The endpoint may have been renumbered by a buffer between selection
   // and optimization; callers pass fresh ids, so this is the live path.
   // Attack the path of the corner realizing the merged worst slack — that
   // is the corner blocking signoff at this endpoint.
@@ -255,7 +293,7 @@ bool TimingCloser::optimize_endpoint(NodeId endpoint,
       if (timer_->graph().node(arc.to).is_clock_network) continue;
       ++buffers_this_endpoint;
       if (try_insert_buffer(stage.arc, report)) return true;
-      // The graph was rebuilt; the cached path/stage arc ids are stale.
+      // The graph was renumbered; the cached path/stage arc ids are stale.
       return false;
     }
   }
@@ -337,9 +375,9 @@ OptimizerReport TimingCloser::run() {
   report.initial = measure_qor(*timer_);
 
   // Endpoints are tracked by their Terminal (instance/port id), which is
-  // stable across graph rebuilds — node ids are not. Each pass walks the
+  // stable across structural edits — node ids are not. Each pass walks the
   // violating endpoints worst-first, re-resolving after every transform so
-  // buffer insertions (which rebuild the graph) do not truncate the pass.
+  // buffer insertions (which renumber the graph) do not truncate the pass.
   const auto endpoint_key = [&](NodeId node) {
     return timer_->graph().node(node).terminal;
   };

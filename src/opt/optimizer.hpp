@@ -14,6 +14,9 @@
 /// per-corner QoR alongside. Single-corner behavior is unchanged (the
 /// merge of one corner is that corner).
 
+#include <optional>
+
+#include "aocv/depth_analysis.hpp"
 #include "aocv/derate_table.hpp"
 #include "mgba/framework.hpp"
 #include "netlist/design.hpp"
@@ -69,7 +72,7 @@ struct OptimizerOptions {
   /// Serve mGBA refreshes after the first from an MgbaRefitSession: only
   /// rows whose path intersects the cone of the instances the closure loop
   /// actually touched are golden-PBA re-measured, and the solve warm-starts
-  /// from the previous weights. Structural edits (buffer insertion rebuilds
+  /// from the previous weights. Structural edits (buffer insertion renumbers
   /// the graph) automatically fall back to a cold fit. Off = every refresh
   /// is a from-scratch run_mgba_flow (the pre-refit behavior, kept for the
   /// ablation bench).
@@ -145,7 +148,12 @@ class TimingCloser {
   bool try_upsize(InstanceId inst, OptimizerReport& report);
   bool try_insert_buffer(ArcId net_arc, OptimizerReport& report);
   void area_recovery(OptimizerReport& report);
+  /// Re-derives the depth state and every corner's derates from scratch.
   void refresh_derates();
+  /// Carries the depth state \p before and the installed derates through
+  /// one patched buffer insertion: only the moved instances and the buffer
+  /// get new derates, equal bit for bit to refresh_derates'.
+  void patch_derates(const BufferPatch& patch, const DepthAnalysis& before);
   double current_tns();
 
   Design* design_;
@@ -164,6 +172,9 @@ class TimingCloser {
   /// runs (cold and refit-fallback alike); keyed per (k, mode, corner).
   PathEngineHub path_hub_;
   std::size_t buffer_counter_ = 0;
+  /// AOCV depth state of the current graph, set by refresh_derates and
+  /// patched per buffer trial (restored when the trial is rejected).
+  std::optional<DepthAnalysis> depths_;
   /// family_of() memo, indexed by cell id (empty slot = not yet computed;
   /// every real family contains at least the cell itself).
   mutable std::vector<std::vector<std::size_t>> family_cache_;

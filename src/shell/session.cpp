@@ -281,8 +281,11 @@ std::string ShellSession::insert_buffer(const std::string& net_name,
   r.y = midpoint.y;
   journal_.record(std::move(r));
 
-  design_->insert_buffer_for_sink(*net, sink, *cell, buffer_name, midpoint);
-  timer_->rebuild_graph();
+  const InstanceId buffer =
+      design_->insert_buffer_for_sink(*net, sink, *cell, buffer_name, midpoint);
+  // One interactive buffer needs no persistent depth state: the graph is
+  // patched, the derates are re-derived from scratch.
+  timer_->buffer_inserted(buffer);
   refresh_derates();
   timer_->update_timing();
   return "";

@@ -58,7 +58,8 @@ struct ArcInputs {
 /// cell key. Each arc also records the ArcInputs of its latest evaluation,
 /// which every live entry of the arc was computed under: a graph rebuild
 /// moves an arc's entries to its new id only when the arc survives and
-/// its current inputs still equal that record (Timer::rebuild_graph).
+/// its current inputs still equal that record (Timer::rebuild_graph; a
+/// buffer patch and a structural rollback apply the same rule).
 ///
 /// Thread safety: entries are written only from the level-synchronous
 /// sweeps, where each (lane, arc) has exactly one writer per level (the
@@ -105,8 +106,8 @@ struct DelayCache {
     if (m != 0) misses.fetch_add(m, std::memory_order_relaxed);
   }
 
-  /// Re-sizes to \p lanes x \p arcs empty entries (corner-set change,
-  /// structural rollback); the hit/miss counters survive, mirroring
+  /// Re-sizes to \p lanes x \p arcs empty entries (graph construction,
+  /// corner-set change); the hit/miss counters survive, mirroring
   /// Timer's update counters.
   void resize(std::size_t lanes, std::size_t arcs);
 

@@ -211,9 +211,8 @@ inline NodeId worst_endpoint_merged(const TimingData& d, const TimingGraph& g,
 /// clock-path prefix of two checks, at one corner — the exact CRPR credit
 /// PBA applies per launch/capture pair.
 inline double common_path_credit(
-    const TimingData& d, const TimingGraph& g,
-    const std::vector<std::vector<ArcId>>& instance_arcs, std::size_t check_a,
-    std::size_t check_b, CornerId corner) {
+    const TimingData& d, const TimingGraph& g, const GraphStatics& statics,
+    std::size_t check_a, std::size_t check_b, CornerId corner) {
   const auto& path_a = g.clock_path(check_a);
   const auto& path_b = g.clock_path(check_b);
   const std::size_t len = std::min(path_a.size(), path_b.size());
@@ -222,7 +221,7 @@ inline double common_path_credit(
   double credit = 0.0;
   for (std::size_t i = 0; i < len; ++i) {
     if (path_a[i] != path_b[i]) break;
-    for (const ArcId a : instance_arcs[path_a[i]]) {
+    for (const ArcId a : statics.instance_arcs(path_a[i])) {
       credit += d.arc_delay[late_base + a] - d.arc_delay[early_base + a];
     }
   }

@@ -127,7 +127,7 @@ class TimingSnapshot {
       std::optional<std::size_t> launch_check, std::size_t capture_check,
       CornerId corner = kDefaultCorner) const {
     if (!constraints_->enable_crpr || !launch_check.has_value()) return 0.0;
-    return query::common_path_credit(data_, *graph_, statics_->instance_arcs,
+    return query::common_path_credit(data_, *graph_, *statics_,
                                      *launch_check, capture_check, corner);
   }
 

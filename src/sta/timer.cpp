@@ -87,7 +87,7 @@ void Timer::set_corners(std::vector<AnalysisCorner> corners) {
   // Entries encode their lane's corner scaling: start the memo over.
   delay_cache_.resize(corners_.size() * kNumModes, graph_->num_arcs());
   dirty_full_ = true;
-  dirty_instances_.clear();
+  clear_dirty_instances();
   eco_poisoned_ = true;  // per-corner golden slacks all moved
   // Resizing the arena invalidates both journal indices and structural
   // snapshots; no checkpoint survives a corner-set change.
@@ -167,7 +167,7 @@ void Timer::invalidate_instance(InstanceId inst) {
   // cell — or changing the load on a net the clock network drives —
   // breaks that, so fall back to a full update (which recomputes the
   // credits).
-  for (const ArcId a : statics_->instance_arcs[inst]) {
+  for (const ArcId a : statics_->instance_arcs(inst)) {
     if (graph_->node(graph_->arc(a).to).is_clock_network) {
       dirty_full_ = true;
       eco_poisoned_ = true;  // clock arrivals move: every row is stale
@@ -192,14 +192,17 @@ void Timer::invalidate_instance(InstanceId inst) {
 
   // Optimizer passes re-touch the same instance several times per pass
   // (trial, accept, neighborhood re-trial); without dedup the seed list —
-  // and with it the incremental frontier — grows with every touch.
-  if (std::find(dirty_instances_.begin(), dirty_instances_.end(), inst) ==
-      dirty_instances_.end()) {
+  // and with it the incremental frontier — grows with every touch. A flag
+  // per instance keeps a batch of k touches O(k).
+  if (dirty_flag_.size() < design_->num_instances()) {
+    dirty_flag_.resize(design_->num_instances(), 0);
+  }
+  if (!dirty_flag_[inst]) {
+    dirty_flag_[inst] = 1;
     dirty_instances_.push_back(inst);
   }
 
-  // The ECO log outlives update_timing(), so it dedups with a flag array
-  // instead of the dirty list's linear scan.
+  // The ECO log outlives update_timing(), so it keeps its own flags.
   if (!eco_poisoned_) {
     if (eco_touched_flag_.size() < design_->num_instances()) {
       eco_touched_flag_.resize(design_->num_instances(), 0);
@@ -209,6 +212,11 @@ void Timer::invalidate_instance(InstanceId inst) {
       eco_touched_.push_back(inst);
     }
   }
+}
+
+void Timer::clear_dirty_instances() {
+  for (const InstanceId inst : dirty_instances_) dirty_flag_[inst] = 0;
+  dirty_instances_.clear();
 }
 
 void Timer::reset_eco_log() {
@@ -273,7 +281,40 @@ void Timer::rebuild_graph() {
   }
 
   dirty_full_ = true;
-  dirty_instances_.clear();
+  clear_dirty_instances();
+}
+
+std::optional<BufferPatch> Timer::buffer_inserted(InstanceId buffer) {
+  if (!graph_->buffer_site(buffer).has_value()) {
+    rebuild_graph();
+    return std::nullopt;
+  }
+  // rebuild_graph's bookkeeping: ids move, so the ECO log is poisoned and
+  // a value journal broken; structural checkpoints keep the old tables.
+  eco_poisoned_ = true;
+  break_value_trial();
+  const std::shared_ptr<const TimingGraph> old_graph = graph_;
+  BufferPatch patch;
+  graph_ = std::make_shared<TimingGraph>(*old_graph, buffer, patch);
+  ++state_version_;
+  patch_delay_memo(*old_graph, patch);
+  allocate_storage();
+  compute_instance_arcs();
+  // A data-net buffer changes neither which launches reach a check nor
+  // the check order: the CRPR launch-set table stays valid as it is, and
+  // so do the per-port delays. The endpoint exceptions follow their nodes.
+  std::vector<bool> endpoint_false(graph_->num_nodes(), false);
+  std::vector<int> endpoint_multicycle(graph_->num_nodes(), 1);
+  for (NodeId u = 0; u < old_graph->num_nodes(); ++u) {
+    endpoint_false[patch.node_map[u]] = endpoint_false_[u];
+    endpoint_multicycle[patch.node_map[u]] = endpoint_multicycle_[u];
+  }
+  endpoint_false_ = std::move(endpoint_false);
+  endpoint_multicycle_ = std::move(endpoint_multicycle);
+
+  dirty_full_ = true;
+  clear_dirty_instances();
+  return patch;
 }
 
 void Timer::allocate_storage() {
@@ -286,12 +327,8 @@ void Timer::allocate_storage() {
     for (int m = 0; m < kNumModes; ++m) {
       const std::size_t base = data_.node_index(c, m, 0);
       const double req_init = m == idx(Mode::Late) ? kInfPs : -kInfPs;
-      // resize() left every chunk exclusively owned (a shared table is
-      // detached, a shared chunk privatized), so plain mut() writes hold.
-      for (std::size_t u = 0; u < n; ++u) {
-        data_.slew.mut(base + u) = boundary_slew;
-        data_.required.mut(base + u) = req_init;
-      }
+      data_.slew.fill_range(base, base + n, boundary_slew);
+      data_.required.fill_range(base, base + n, req_init);
     }
   }
   resize_incremental_scratch();
@@ -342,6 +379,41 @@ void Timer::carry_delay_memo(const TimingGraph& old_graph) {
   delay_cache_.carry(corners_.size() * kNumModes, carried_from);
 }
 
+void Timer::patch_delay_memo(const TimingGraph& old_graph,
+                             const BufferPatch& patch) {
+  MGBA_DCHECK(delay_cache_.num_arcs() == old_graph.num_arcs());
+  const std::size_t lanes = corners_.size() * kNumModes;
+  const std::size_t old_arcs = old_graph.num_arcs();
+  // An arc with a live entry in some lane was last evaluated under its
+  // current inputs (invalidation drops every lane of an arc whose inputs
+  // move), and only net N's load moved: the rebuild's bit comparison can
+  // only fail for D's cell arcs. An arc without a live entry moves its
+  // record alone, which the comparison decides.
+  std::vector<std::uint8_t> live(old_arcs, 0);
+  for (std::size_t lane = 0; lane < lanes; ++lane) {
+    const std::uint32_t* key = delay_cache_.cell_key.data() + lane * old_arcs;
+    for (std::size_t o = 0; o < old_arcs; ++o) {
+      live[o] |= key[o] != DelayCache::kEmptyKey ? 1 : 0;
+    }
+  }
+  std::vector<ArcId> carried_from(graph_->num_arcs(), kInvalidArc);
+  std::optional<ArcInputs> driver_in;
+  for (ArcId o = 0; o < old_arcs; ++o) {
+    const ArcId a = patch.arc_map[o];
+    if (a == kInvalidArc) continue;
+    bool keep = true;
+    if (old_graph.arc(o).to == patch.old_driver) {
+      // The cell arcs into D all drive net N: one load for all of them.
+      if (!driver_in) driver_in = delay_.inputs(*graph_, a);
+      keep = delay_cache_.inputs[o].same_bits(*driver_in);
+    } else if (live[o] == 0) {
+      keep = delay_cache_.inputs[o].same_bits(delay_.inputs(*graph_, a));
+    }
+    if (keep) carried_from[a] = o;
+  }
+  delay_cache_.carry(lanes, carried_from);
+}
+
 void Timer::resize_incremental_scratch() {
   const std::size_t lanes = corners_.size() * kNumModes;
   frontier_.assign(graph_->num_levels(), {});
@@ -390,19 +462,28 @@ void Timer::resize_incremental_scratch() {
 void Timer::compute_instance_arcs() {
   // Fresh bundle every structural pass: snapshots holding the previous
   // one keep it alive by refcount; the head never mutates a shared one.
-  statics_ = std::make_shared<GraphStatics>();
-  statics_->instance_arcs.assign(design_->num_instances(), {});
+  // Counting placement in ascending arc id: each instance's run ascends.
+  auto statics = std::make_shared<GraphStatics>();
+  const std::size_t num_instances = design_->num_instances();
+  std::vector<std::uint32_t>& begin = statics->arc_begin;
+  begin.assign(num_instances + 1, 0);
   for (ArcId a = 0; a < graph_->num_arcs(); ++a) {
     const TimingArc& arc = graph_->arc(a);
-    if (arc.kind == TimingArc::Kind::Cell) {
-      statics_->instance_arcs[arc.inst].push_back(a);
-    }
+    if (arc.kind == TimingArc::Kind::Cell) ++begin[arc.inst + 1];
   }
-  statics_->check_of_ff.assign(design_->num_instances(), -1);
+  for (std::size_t i = 0; i < num_instances; ++i) begin[i + 1] += begin[i];
+  statics->arcs.resize(begin.back());
+  std::vector<std::uint32_t> pos(begin.begin(), begin.end() - 1);
+  for (ArcId a = 0; a < graph_->num_arcs(); ++a) {
+    const TimingArc& arc = graph_->arc(a);
+    if (arc.kind == TimingArc::Kind::Cell) statics->arcs[pos[arc.inst]++] = a;
+  }
+  statics->check_of_ff.assign(num_instances, -1);
   const auto& checks = graph_->checks();
   for (std::size_t c = 0; c < checks.size(); ++c) {
-    statics_->check_of_ff[checks[c].inst] = static_cast<std::int32_t>(c);
+    statics->check_of_ff[checks[c].inst] = static_cast<std::int32_t>(c);
   }
+  statics_ = std::move(statics);
 }
 
 void Timer::compute_launch_sets() {
@@ -588,20 +669,21 @@ ArcTiming Timer::arc_timing(ArcId a, const TimingArc& arc, double input_slew,
 }
 
 void Timer::invalidate_cache_for(InstanceId inst) {
-  if (delay_cache_.empty() || inst >= statics_->instance_arcs.size()) return;
+  if (delay_cache_.empty() || inst >= statics_->num_instances()) return;
   // Arcs whose memoized timing can be stale after a value-only edit of
   // this instance: its own cell arcs (cell footprint changed), the cell
   // arcs of each input net's driver instance (its output load changed),
   // and every net arc of those input nets (this instance's pin caps feed
   // their Elmore terms). The neighborhood itself comes from the same walk
   // the frontier seeds use (visit_eco_neighborhood).
-  std::vector<ArcId> arcs = statics_->instance_arcs[inst];
+  const std::span<const ArcId> own = statics_->instance_arcs(inst);
+  std::vector<ArcId> arcs(own.begin(), own.end());
   visit_eco_neighborhood(
       inst, [](NodeId) {},
       [&](const Terminal& t, NodeId drv) {
         if (t.kind == Terminal::Kind::InstancePin &&
-            t.id < statics_->instance_arcs.size()) {
-          for (const ArcId a : statics_->instance_arcs[t.id]) arcs.push_back(a);
+            t.id < statics_->num_instances()) {
+          for (const ArcId a : statics_->instance_arcs(t.id)) arcs.push_back(a);
         }
         if (drv == kInvalidNode) return;
         for (const ArcId a : graph_->fanout(drv)) arcs.push_back(a);
@@ -1158,7 +1240,7 @@ void Timer::compute_crpr_credits() {
 
 double Timer::common_path_credit(std::size_t check_a, std::size_t check_b,
                                  CornerId corner) const {
-  return query::common_path_credit(data_, *graph_, statics_->instance_arcs,
+  return query::common_path_credit(data_, *graph_, *statics_,
                                    check_a, check_b, corner);
 }
 
@@ -1328,14 +1410,14 @@ void Timer::update_timing() {
     // reset so the next incremental pass seeds only its own changes.
     std::fill(arc_changed_scratch_.begin(), arc_changed_scratch_.end(), 0);
     dirty_full_ = false;
-    dirty_instances_.clear();
+    clear_dirty_instances();
     ++full_updates_;
     return;
   }
   if (dirty_instances_.empty()) return;
   ++state_version_;
   incremental_update();
-  dirty_instances_.clear();
+  clear_dirty_instances();
   ++incremental_updates_;
 }
 
@@ -1488,6 +1570,7 @@ bool Timer::rollback_trial() {
     return false;
   }
   if (trial_->structural) {
+    const std::shared_ptr<const TimingGraph> trial_graph = std::move(graph_);
     graph_ = std::move(trial_->graph);
     data_ = std::move(trial_->data);
     derates_ = std::move(trial_->derates);
@@ -1505,16 +1588,17 @@ bool Timer::rollback_trial() {
     // before padding rather than mutate a shared bundle.
     if (graph_.use_count() > 1) graph_ = std::make_shared<TimingGraph>(*graph_);
     graph_->pad_instances(design_->num_instances());
-    if (statics_->instance_arcs.size() < design_->num_instances() ||
-        statics_->check_of_ff.size() < design_->num_instances()) {
+    if (statics_->num_instances() < design_->num_instances()) {
       auto fresh = std::make_shared<GraphStatics>(*statics_);
-      fresh->instance_arcs.resize(design_->num_instances());
+      fresh->arc_begin.resize(design_->num_instances() + 1,
+                              fresh->arc_begin.back());
       fresh->check_of_ff.resize(design_->num_instances(), -1);
       statics_ = std::move(fresh);
     }
-    // Scratch and memo cache follow the restored shape; cached entries
-    // were keyed by the trial graph's arc ids and are dropped wholesale.
-    delay_cache_.resize(corners_.size() * kNumModes, graph_->num_arcs());
+    // The memo follows the restored graph by the rebuild's rule: the
+    // design is back to its pre-trial state, so every arc but D's cell
+    // arcs and the restored D->S arc finds its trial entry.
+    carry_delay_memo(*trial_graph);
     resize_incremental_scratch();
   } else {
     data_ = std::move(trial_->data);
@@ -1522,7 +1606,9 @@ bool Timer::rollback_trial() {
   }
   ++state_version_;
   dirty_full_ = trial_->dirty_full_at_begin;
+  clear_dirty_instances();
   dirty_instances_ = std::move(trial_->dirty_at_begin);
+  for (const InstanceId inst : dirty_instances_) dirty_flag_[inst] = 1;
   trial_.reset();
   ++stat_trial_rollbacks_;
   return true;

@@ -23,10 +23,11 @@
 /// implementation at any thread count.
 ///
 /// The Timer supports incremental update after gate resizing (value-only
-/// change) and full rebuild after structural edits (buffer insertion), the
-/// two transforms the timing-closure optimizer applies. Incremental
-/// invalidation stays per-corner: each corner's worklist stops where that
-/// corner's values converge.
+/// change) and a structural update after buffer insertion (a graph patch;
+/// any other structural edit rebuilds), the two transforms the
+/// timing-closure optimizer applies. Incremental invalidation stays
+/// per-corner: each corner's worklist stops where that corner's values
+/// converge.
 
 #include <cstdint>
 #include <memory>
@@ -48,22 +49,12 @@ namespace mgba {
 
 class TimingSnapshot;
 
-/// Graph-derived lookup tables shared (refcounted) between the Timer head
-/// and its snapshots: per-instance cell-arc lists and the FF -> check
-/// index map, both read by the exact CRPR credit walk. Rebuilt wholesale
-/// on structural change; cloned before mutation when a snapshot still
-/// holds the old version.
-struct GraphStatics {
-  std::vector<std::vector<ArcId>> instance_arcs;
-  std::vector<std::int32_t> check_of_ff;  // InstanceId -> check idx or -1
-};
-
 class Timer {
  public:
   /// The design and the constraint object must outlive the Timer. The
   /// design may be mutated through its own interface; the caller must then
-  /// notify the Timer (invalidate_instance / rebuild_graph). Starts with a
-  /// single identity "default" corner.
+  /// notify the Timer (invalidate_instance / buffer_inserted /
+  /// rebuild_graph). Starts with a single identity "default" corner.
   Timer(const Design& design, TimingConstraints constraints,
         WireModel wire = {});
   ~Timer();
@@ -144,8 +135,19 @@ class Timer {
   void invalidate_instance(InstanceId inst);
 
   /// Rebuilds the timing graph from the (mutated) design. Use after
-  /// structural edits such as buffer insertion. The corner set survives.
+  /// structural edits (ECO undo, journal replay). The corner set survives.
   void rebuild_graph();
+
+  /// Use after Design::insert_buffer_for_sink placed \p buffer, when every
+  /// other edit since the last update was reported. Leaves the timer in
+  /// exactly the state rebuild_graph() would. A buffer on a data net costs
+  /// what it changed: the graph is patched (TimingGraph's patch
+  /// constructor), the delay memo, statics and endpoint tables are carried
+  /// through the id maps, and the CRPR launch sets are shared unchanged.
+  /// Any other edit — a buffer on the clock network, say — goes through
+  /// rebuild_graph(). Returns the patch's id maps, or nullopt after a
+  /// rebuild.
+  std::optional<BufferPatch> buffer_inserted(InstanceId buffer);
 
   // --- ECO log (incremental mGBA refit) ------------------------------------
 
@@ -160,7 +162,7 @@ class Timer {
   }
 
   /// True when something the log cannot describe happened since the last
-  /// reset: a graph rebuild, a corner-set change, a derate reload, or a
+  /// reset: a structural edit, a corner-set change, a derate reload, or a
   /// touch escalating into the clock network. A poisoned log means
   /// incremental refit is unsound; the consumer must rebuild cold.
   [[nodiscard]] bool eco_poisoned() const { return eco_poisoned_; }
@@ -179,8 +181,26 @@ class Timer {
   void seed_nodes_for(std::span<const InstanceId> instances,
                       std::vector<NodeId>& out) const;
 
+  /// Instances awaiting the next incremental update, in first-touch order
+  /// (each once); update_timing() consumes them.
+  [[nodiscard]] std::span<const InstanceId> pending_instances() const {
+    return dirty_instances_;
+  }
+
   /// Brings all timing quantities up to date (incremental when possible).
   void update_timing();
+
+  // --- derived tables (read-only; the patch-vs-rebuild oracle tests) -------
+
+  [[nodiscard]] const DelayCache& delay_cache() const { return delay_cache_; }
+  [[nodiscard]] const GraphStatics& statics() const { return *statics_; }
+  /// The CRPR launch-set table (check-major, launch_words() words per
+  /// check); empty with CRPR off.
+  [[nodiscard]] std::span<const std::uint64_t> launch_sets() const {
+    return launch_sets_ ? std::span<const std::uint64_t>(*launch_sets_)
+                        : std::span<const std::uint64_t>();
+  }
+  [[nodiscard]] std::size_t launch_words() const { return launch_words_; }
 
   // --- snapshots ------------------------------------------------------------
 
@@ -280,7 +300,7 @@ class Timer {
   /// copy-on-write (O(1)); while a scope is open, incremental updates
   /// privatize the chunks they write, so the checkpoint costs O(chunks
   /// touched). Structural kind additionally retains the graph and derived
-  /// tables (for buffer-insertion trials that rebuild the graph). A
+  /// tables (for buffer-insertion trials that replace the graph). A
   /// rejected trial calls rollback(), which restores
   /// the exact pre-trial state in O(touched) — the caller must first have
   /// restored the *design* itself (inverse resize / remove_buffer; a
@@ -338,6 +358,12 @@ class Timer {
   /// AOCV derate factors currently applied to an instance at a corner.
   [[nodiscard]] DeratePair instance_derate(
       InstanceId inst, CornerId corner = kDefaultCorner) const;
+  /// The installed per-instance derate vector of a corner (index =
+  /// InstanceId; instances past its end are at identity).
+  [[nodiscard]] const std::vector<DeratePair>& instance_derates(
+      CornerId corner = kDefaultCorner) const {
+    return *derates_[corner];
+  }
 
   /// True if the arc is a data-path combinational cell arc, i.e. one that
   /// receives an mGBA weighting factor and contributes a column to the
@@ -400,6 +426,11 @@ class Timer {
   /// graph_, keeping the entries of every arc that exists in both graphs
   /// with bit-equal ArcInputs (DESIGN.md §10).
   void carry_delay_memo(const TimingGraph& old_graph);
+  /// The same re-shaping for a buffer patch, through its arc map: keeps
+  /// exactly the entries carry_delay_memo would, re-deriving ArcInputs
+  /// only for D's cell arcs (net N's load moved) and for arcs without a
+  /// live entry, whose record alone decides.
+  void patch_delay_memo(const TimingGraph& old_graph, const BufferPatch& patch);
   void compute_instance_arcs();
   void compute_launch_sets();
   bool is_weighted_arc(const TimingArc& arc) const;
@@ -515,8 +546,9 @@ class Timer {
   const Design* design_;
   TimingConstraints constraints_;
   DelayCalculator delay_;
-  /// Shared with snapshots; replaced wholesale by rebuild_graph and cloned
-  /// before the in-place pad_instances mutation when still shared.
+  /// Shared with snapshots; replaced wholesale by rebuild_graph and
+  /// buffer_inserted, and cloned before the in-place pad_instances
+  /// mutation when still shared.
   std::shared_ptr<TimingGraph> graph_;
 
   /// At least one corner at all times; corner 0 is the default view.
@@ -564,9 +596,16 @@ class Timer {
   mutable std::vector<std::weak_ptr<const TimingSnapshot>> snapshots_;
   std::uint64_t state_version_ = 0;
 
+  /// Empties the dirty list and its dedup flags in O(listed).
+  void clear_dirty_instances();
+
   bool dirty_full_ = true;
   bool incremental_enabled_ = true;
+  /// Instances awaiting the next incremental update, in first-touch
+  /// order, with a per-instance dedup flag (set exactly for the listed
+  /// instances).
   std::vector<InstanceId> dirty_instances_;
+  std::vector<std::uint8_t> dirty_flag_;
   /// ECO log (see eco_touched): accumulating touched-instance list with a
   /// per-instance dedup flag, plus the poison bit.
   std::vector<InstanceId> eco_touched_;
@@ -576,9 +615,9 @@ class Timer {
   std::size_t incremental_updates_ = 0;
 
   /// Memoized base arc timings (see DelayCache); sized lanes x arcs.
-  /// A graph rebuild carries over the entries of unchanged arcs
-  /// (carry_delay_memo); a corner-set change or a structural rollback
-  /// clears it.
+  /// A graph rebuild, a buffer patch and a structural rollback carry over
+  /// the entries of unchanged arcs (carry_delay_memo, patch_delay_memo);
+  /// a corner-set change clears it.
   DelayCache delay_cache_;
 
   // --- full-sweep state -----------------------------------------------------

@@ -1,6 +1,7 @@
 #include "sta/timing_graph.hpp"
 
 #include <algorithm>
+#include <functional>
 
 #include "util/check.hpp"
 
@@ -22,22 +23,200 @@ TimingGraph::TimingGraph(const Design& design,
   trace_clock_paths();
 }
 
+std::optional<TimingGraph::BufferSite> TimingGraph::buffer_site(
+    InstanceId buffer) const {
+  const Design& d = *design_;
+  // The graph covers every instance but the buffer, and every port.
+  if (std::size_t{buffer} + 1 != d.num_instances() ||
+      pin_begin_.size() != d.num_instances() ||
+      port_nodes_.size() != d.num_ports()) {
+    return std::nullopt;
+  }
+  const Instance& inst = d.instance(buffer);
+  const LibCell& cell = d.cell_of(buffer);
+  if (cell.kind != CellKind::Buffer) return std::nullopt;
+  NetId in_net = kInvalidId;
+  NetId out_net = kInvalidId;
+  for (std::size_t p = 0; p < inst.pin_nets.size(); ++p) {
+    NetId& slot =
+        cell.pins[p].direction == PinDirection::Input ? in_net : out_net;
+    if (inst.pin_nets[p] == kInvalidId || slot != kInvalidId) {
+      return std::nullopt;
+    }
+    slot = inst.pin_nets[p];
+  }
+  if (in_net == kInvalidId || out_net == kInvalidId) return std::nullopt;
+  const Net& in = d.net(in_net);
+  const Net& out = d.net(out_net);
+  if (!in.driver || out.sinks.size() != 1) return std::nullopt;
+  const NodeId driver = find_node(*in.driver);
+  const NodeId sink = find_node(out.sinks.front());
+  if (driver == kInvalidNode || sink == kInvalidNode ||
+      nodes_[driver].is_clock_network || fanin(sink).size() != 1) {
+    return std::nullopt;
+  }
+  const ArcId arc = fanin(sink).front();
+  if (arcs_[arc].kind != TimingArc::Kind::Net || arcs_[arc].from != driver ||
+      arcs_[arc].net != in_net) {
+    return std::nullopt;
+  }
+  return BufferSite{driver, sink, arc};
+}
+
+TimingGraph::TimingGraph(const TimingGraph& before, InstanceId buffer,
+                         BufferPatch& patch)
+    : design_(before.design_) {
+  const Design& d = *design_;
+  const std::optional<BufferSite> site = before.buffer_site(buffer);
+  MGBA_CHECK(site.has_value() && "not a patchable buffer insertion");
+  const std::size_t old_nodes = before.nodes_.size();
+  const std::size_t old_arcs = before.arcs_.size();
+
+  // Levels. S's one fanin now comes through two more stages, so S rises
+  // to level(D) + 3 and its fanout cone rises behind it; nothing else
+  // moves. Ascending old id is a topological order, so a min-heap pops
+  // each node after every fanin has settled, and a node's duplicates pop
+  // right after it.
+  std::vector<std::uint32_t> level(old_nodes);
+  for (NodeId u = 0; u < old_nodes; ++u) level[u] = before.nodes_[u].level;
+  const std::uint32_t driver_level = level[site->driver];
+  level[site->sink] = driver_level + 3;
+  std::vector<NodeId> heap;
+  const auto push_fanout = [&](NodeId u) {
+    for (const ArcId a : before.fanout(u)) {
+      heap.push_back(before.arcs_[a].to);
+      std::push_heap(heap.begin(), heap.end(), std::greater<>{});
+    }
+  };
+  push_fanout(site->sink);
+  NodeId last = kInvalidNode;
+  while (!heap.empty()) {
+    std::pop_heap(heap.begin(), heap.end(), std::greater<>{});
+    const NodeId v = heap.back();
+    heap.pop_back();
+    if (v == last) continue;
+    last = v;
+    std::uint32_t lv = 0;
+    for (const ArcId a : before.fanin(v)) {
+      lv = std::max(lv, level[before.arcs_[a].from] + 1);
+    }
+    if (lv > level[v]) {
+      level[v] = lv;
+      push_fanout(v);
+    }
+  }
+
+  // Nodes in build order: instance pins by (instance, pin) — the buffer,
+  // the newest instance, last — then ports. to_build maps old ids.
+  std::vector<NodeId> to_build(old_nodes);
+  nodes_.reserve(old_nodes + 2);
+  const auto add_old = [&](NodeId old) -> NodeId {
+    if (old == kInvalidNode) return kInvalidNode;
+    const NodeId id = static_cast<NodeId>(nodes_.size());
+    to_build[old] = id;
+    nodes_.push_back(before.nodes_[old]);
+    nodes_.back().level = level[old];
+    return id;
+  };
+  pin_begin_ = before.pin_begin_;
+  pin_nodes_.resize(before.pin_nodes_.size());
+  for (std::size_t k = 0; k < before.pin_nodes_.size(); ++k) {
+    pin_nodes_[k] = add_old(before.pin_nodes_[k]);
+  }
+  const Instance& buf = d.instance(buffer);
+  const LibCell& buf_cell = d.cell_of(buffer);
+  NodeId buf_in = kInvalidNode;
+  NodeId buf_out = kInvalidNode;
+  for (std::size_t p = 0; p < buf.pin_nets.size(); ++p) {
+    const bool input = buf_cell.pins[p].direction == PinDirection::Input;
+    TimingNode node;
+    node.terminal =
+        Terminal::instance_pin(buffer, static_cast<std::uint32_t>(p));
+    node.level = driver_level + (input ? 1 : 2);
+    (input ? buf_in : buf_out) = static_cast<NodeId>(nodes_.size());
+    pin_nodes_.push_back(static_cast<NodeId>(nodes_.size()));
+    nodes_.push_back(node);
+  }
+  pin_begin_.push_back(static_cast<std::uint32_t>(pin_nodes_.size()));
+  port_nodes_.resize(before.port_nodes_.size());
+  for (std::size_t p = 0; p < before.port_nodes_.size(); ++p) {
+    port_nodes_[p] = add_old(before.port_nodes_[p]);
+  }
+  clock_source_ = to_build[before.clock_source_];
+
+  // Arcs in the old order, which keeps every node's fanin arcs in build
+  // order: D->S becomes Y->S in place (S's only fanin), then D->A and the
+  // buffer's cell arcs, the only fanin of A and Y, in lib-arc order.
+  arcs_.reserve(old_arcs + 1 + buf_cell.arcs.size());
+  for (ArcId a = 0; a < old_arcs; ++a) {
+    TimingArc arc = before.arcs_[a];
+    arc.to = to_build[arc.to];
+    if (a == site->arc) {
+      arc.from = buf_out;
+      arc.net = buf.pin_nets[buf_cell.output_pin()];
+    } else {
+      arc.from = to_build[arc.from];
+    }
+    arcs_.push_back(arc);
+  }
+  TimingArc to_buffer;
+  to_buffer.kind = TimingArc::Kind::Net;
+  to_buffer.from = to_build[site->driver];
+  to_buffer.to = buf_in;
+  to_buffer.net = before.arcs_[site->arc].net;
+  arcs_.push_back(to_buffer);
+  for (std::size_t a = 0; a < buf_cell.arcs.size(); ++a) {
+    const LibTimingArc& lib_arc = buf_cell.arcs[a];
+    TimingArc arc;
+    arc.kind = TimingArc::Kind::Cell;
+    arc.from = pin_node(buffer, lib_arc.from_pin);
+    arc.to = pin_node(buffer, lib_arc.to_pin);
+    arc.inst = buffer;
+    arc.lib_arc = static_cast<std::uint32_t>(a);
+    arcs_.push_back(arc);
+  }
+
+  std::vector<ArcId> arc_ids;
+  const std::vector<NodeId> to_final = renumber_level_contiguous(&arc_ids);
+  build_adjacency();
+  collect_checks_and_endpoints();
+  trace_clock_paths();
+
+  patch.buffer = buffer;
+  patch.old_driver = site->driver;
+  patch.old_sink = site->sink;
+  patch.old_arc = site->arc;
+  patch.node_map.resize(old_nodes);
+  for (NodeId u = 0; u < old_nodes; ++u) {
+    patch.node_map[u] = to_final[to_build[u]];
+  }
+  patch.arc_map.assign(arc_ids.begin(),
+                       arc_ids.begin() + static_cast<std::ptrdiff_t>(old_arcs));
+  patch.arc_map[site->arc] = kInvalidArc;
+  patch.driver = patch.node_map[site->driver];
+  patch.sink = patch.node_map[site->sink];
+  patch.buf_in = to_final[buf_in];
+  patch.buf_out = to_final[buf_out];
+}
+
 void TimingGraph::build_nodes() {
   const Design& d = *design_;
-  inst_pin_nodes_.assign(d.num_instances(), {});
   port_nodes_.assign(d.num_ports(), kInvalidNode);
 
   for (std::size_t i = 0; i < d.num_instances(); ++i) {
     const Instance& inst = d.instance(static_cast<InstanceId>(i));
-    inst_pin_nodes_[i].assign(inst.pin_nets.size(), kInvalidNode);
     for (std::size_t p = 0; p < inst.pin_nets.size(); ++p) {
-      if (inst.pin_nets[p] == kInvalidId) continue;
+      if (inst.pin_nets[p] == kInvalidId) {
+        pin_nodes_.push_back(kInvalidNode);
+        continue;
+      }
       TimingNode node;
       node.terminal = Terminal::instance_pin(static_cast<InstanceId>(i),
                                              static_cast<std::uint32_t>(p));
-      inst_pin_nodes_[i][p] = static_cast<NodeId>(nodes_.size());
+      pin_nodes_.push_back(static_cast<NodeId>(nodes_.size()));
       nodes_.push_back(node);
     }
+    pin_begin_.push_back(static_cast<std::uint32_t>(pin_nodes_.size()));
   }
   for (std::size_t p = 0; p < d.num_ports(); ++p) {
     if (d.port(static_cast<PortId>(p)).net == kInvalidId) continue;
@@ -57,8 +236,8 @@ void TimingGraph::build_arcs() {
     const LibCell& cell = d.library().cell(inst.cell);
     for (std::size_t a = 0; a < cell.arcs.size(); ++a) {
       const LibTimingArc& lib_arc = cell.arcs[a];
-      const NodeId from = inst_pin_nodes_[i][lib_arc.from_pin];
-      const NodeId to = inst_pin_nodes_[i][lib_arc.to_pin];
+      const NodeId from = pin_node(i, lib_arc.from_pin);
+      const NodeId to = pin_node(i, lib_arc.to_pin);
       if (from == kInvalidNode || to == kInvalidNode) continue;
       TimingArc arc;
       arc.kind = TimingArc::Kind::Cell;
@@ -72,9 +251,7 @@ void TimingGraph::build_arcs() {
 
   // Net arcs.
   const auto terminal_node = [&](const Terminal& t) -> NodeId {
-    if (t.kind == Terminal::Kind::InstancePin) {
-      return inst_pin_nodes_[t.id][t.pin];
-    }
+    if (t.kind == Terminal::Kind::InstancePin) return pin_node(t.id, t.pin);
     return port_nodes_[t.id];
   };
   for (std::size_t n = 0; n < d.num_nets(); ++n) {
@@ -173,7 +350,8 @@ void TimingGraph::levelize(const BuildCsr& fanout) {
              "timing graph has a combinational cycle");
 }
 
-void TimingGraph::renumber_level_contiguous() {
+std::vector<NodeId> TimingGraph::renumber_level_contiguous(
+    std::vector<ArcId>* arc_ids) {
   const std::size_t n = nodes_.size();
   std::uint32_t num_levels = 0;
   for (const TimingNode& node : nodes_) {
@@ -197,10 +375,8 @@ void TimingGraph::renumber_level_contiguous() {
     renumbered[new_id] = nodes_[old_id];
   }
   nodes_ = std::move(renumbered);
-  for (auto& pins : inst_pin_nodes_) {
-    for (NodeId& id : pins) {
-      if (id != kInvalidNode) id = old2new[id];
-    }
+  for (NodeId& id : pin_nodes_) {
+    if (id != kInvalidNode) id = old2new[id];
   }
   for (NodeId& id : port_nodes_) {
     if (id != kInvalidNode) id = old2new[id];
@@ -218,12 +394,16 @@ void TimingGraph::renumber_level_contiguous() {
   for (std::size_t u = 0; u < n; ++u) fanin_begin_[u + 1] += fanin_begin_[u];
   std::vector<std::uint32_t> pos(fanin_begin_.begin(), fanin_begin_.end() - 1);
   std::vector<TimingArc> placed(arcs_.size());
-  for (TimingArc arc : arcs_) {
+  if (arc_ids != nullptr) arc_ids->resize(arcs_.size());
+  for (std::size_t i = 0; i < arcs_.size(); ++i) {
+    TimingArc arc = arcs_[i];
     arc.from = old2new[arc.from];
     arc.to = old2new[arc.to];
+    if (arc_ids != nullptr) (*arc_ids)[i] = pos[arc.to];
     placed[pos[arc.to]++] = arc;
   }
   arcs_ = std::move(placed);
+  return old2new;
 }
 
 void TimingGraph::build_adjacency() {
@@ -245,8 +425,8 @@ void TimingGraph::collect_checks_and_endpoints() {
     const LibCell& cell = d.library().cell(inst.cell);
     for (std::size_t c = 0; c < cell.constraints.size(); ++c) {
       const LibConstraintArc& con = cell.constraints[c];
-      const NodeId data = inst_pin_nodes_[i][con.data_pin];
-      const NodeId clock = inst_pin_nodes_[i][con.clock_pin];
+      const NodeId data = pin_node(i, con.data_pin);
+      const NodeId clock = pin_node(i, con.clock_pin);
       if (data == kInvalidNode || clock == kInvalidNode) continue;
       TimingCheck check;
       check.inst = static_cast<InstanceId>(i);
@@ -259,7 +439,7 @@ void TimingGraph::collect_checks_and_endpoints() {
     }
     // Launch nodes: flip-flop Q pins.
     if (cell.kind == CellKind::FlipFlop) {
-      const NodeId q = inst_pin_nodes_[i][cell.output_pin()];
+      const NodeId q = pin_node(i, cell.output_pin());
       if (q != kInvalidNode) launch_nodes_.push_back(q);
     }
   }
@@ -295,17 +475,18 @@ void TimingGraph::trace_clock_paths() {
 }
 
 void TimingGraph::pad_instances(std::size_t num_instances) {
-  while (inst_pin_nodes_.size() < num_instances) {
-    const InstanceId id = static_cast<InstanceId>(inst_pin_nodes_.size());
-    inst_pin_nodes_.emplace_back(design_->instance(id).pin_nets.size(),
-                                 kInvalidNode);
+  for (std::size_t id = pin_begin_.size() - 1; id < num_instances; ++id) {
+    const std::size_t pins =
+        design_->instance(static_cast<InstanceId>(id)).pin_nets.size();
+    pin_nodes_.resize(pin_nodes_.size() + pins, kInvalidNode);
+    pin_begin_.push_back(static_cast<std::uint32_t>(pin_nodes_.size()));
   }
 }
 
 NodeId TimingGraph::node_of_pin(InstanceId inst, std::uint32_t pin) const {
-  MGBA_CHECK(inst < inst_pin_nodes_.size());
-  MGBA_CHECK(pin < inst_pin_nodes_[inst].size());
-  return inst_pin_nodes_[inst][pin];
+  MGBA_CHECK(std::size_t{inst} + 1 < pin_begin_.size());
+  MGBA_CHECK(pin < pin_begin_[inst + 1] - pin_begin_[inst]);
+  return pin_node(inst, pin);
 }
 
 NodeId TimingGraph::node_of_port(PortId port) const {
@@ -318,9 +499,10 @@ NodeId TimingGraph::find_node(const Terminal& terminal) const {
     return terminal.id < port_nodes_.size() ? port_nodes_[terminal.id]
                                             : kInvalidNode;
   }
-  if (terminal.id >= inst_pin_nodes_.size()) return kInvalidNode;
-  const std::vector<NodeId>& pins = inst_pin_nodes_[terminal.id];
-  return terminal.pin < pins.size() ? pins[terminal.pin] : kInvalidNode;
+  if (std::size_t{terminal.id} + 1 >= pin_begin_.size()) return kInvalidNode;
+  return terminal.pin < pin_begin_[terminal.id + 1] - pin_begin_[terminal.id]
+             ? pin_node(terminal.id, terminal.pin)
+             : kInvalidNode;
 }
 
 std::optional<std::size_t> TimingGraph::check_at(NodeId data_node) const {

@@ -51,6 +51,27 @@ struct TimingArc {
   NetId net = kInvalidId;
 };
 
+/// How TimingGraph's buffer-patch constructor numbered the post-insertion
+/// graph relative to the pre-insertion one. The buffer replaced the net
+/// arc D->S (driver D, sink S) with D->A, the buffer's cell arc A->Y and
+/// Y->S; every other node and arc exists in both graphs.
+struct BufferPatch {
+  InstanceId buffer = kInvalidId;
+  // Pre-insertion ids.
+  NodeId old_driver = kInvalidNode;
+  NodeId old_sink = kInvalidNode;
+  ArcId old_arc = kInvalidArc;  ///< the replaced D->S arc
+  // Post-insertion ids.
+  NodeId driver = kInvalidNode;
+  NodeId buf_in = kInvalidNode;   ///< A
+  NodeId buf_out = kInvalidNode;  ///< Y
+  NodeId sink = kInvalidNode;
+  /// Old node id -> new node id.
+  std::vector<NodeId> node_map;
+  /// Old arc id -> new arc id; old_arc maps to kInvalidArc.
+  std::vector<ArcId> arc_map;
+};
+
 /// A setup/hold check site: a flip-flop D pin with its clock pin.
 struct TimingCheck {
   InstanceId inst = kInvalidId;
@@ -64,6 +85,29 @@ class TimingGraph {
   /// Builds the graph for \p design using \p clock_port_name as the single
   /// clock source. The design must be acyclic through flip-flops.
   TimingGraph(const Design& design, const std::string& clock_port_name);
+
+  /// Where a buffer the patch constructor can apply sits in this
+  /// (pre-insertion) graph: the driver D, the sink S and the D->S arc.
+  struct BufferSite {
+    NodeId driver = kInvalidNode;
+    NodeId sink = kInvalidNode;
+    ArcId arc = kInvalidArc;
+  };
+  /// The site of \p buffer when it is the design's newest instance,
+  /// inserted by Design::insert_buffer_for_sink on a data net (driver
+  /// outside the clock network) after this graph was built or padded;
+  /// nullopt for any other edit, which needs a fresh build.
+  [[nodiscard]] std::optional<BufferSite> buffer_site(InstanceId buffer) const;
+
+  /// Derives the post-insertion graph from \p before, the graph of the
+  /// design just before the insertion of \p buffer (buffer_site must
+  /// accept it), and fills \p patch with the id maps. The result equals
+  /// TimingGraph(design, clock_port_name) field for field: the patch
+  /// replaces only the node/arc builds and levelize — levels rise forward
+  /// from S alone — and then runs the constructor's own renumbering,
+  /// adjacency, check and clock-path steps.
+  TimingGraph(const TimingGraph& before, InstanceId buffer,
+              BufferPatch& patch);
 
   [[nodiscard]] const Design& design() const { return *design_; }
 
@@ -182,6 +226,11 @@ class TimingGraph {
 
   void build_nodes();
   void build_arcs();
+  /// Node of pin \p pin of instance \p inst (kInvalidNode when
+  /// unconnected); the instance must be covered by pin_begin_.
+  [[nodiscard]] NodeId pin_node(std::size_t inst, std::size_t pin) const {
+    return pin_nodes_[pin_begin_[inst] + pin];
+  }
   [[nodiscard]] BuildCsr build_order_fanout() const;
   void mark_clock_network(const std::string& clock_port_name,
                           const BuildCsr& fanout);
@@ -190,8 +239,11 @@ class TimingGraph {
   /// each level) and orders arcs by (destination, build-order arc id),
   /// filling the fanin CSR offsets. Runs after levelize, before anything
   /// that records node/arc ids (checks, endpoints, clock paths, fanout
-  /// CSR).
-  void renumber_level_contiguous();
+  /// CSR). Arcs may come in any order that keeps each node's fanin arcs
+  /// in build order. Returns the build-order -> final node id map; \p
+  /// arc_ids, when given, receives each input arc's final id.
+  std::vector<NodeId> renumber_level_contiguous(
+      std::vector<ArcId>* arc_ids = nullptr);
   /// Builds the fanin/fanout CSR arc lists from the renumbered arc list;
   /// per-node arc lists are ascending arc id.
   void build_adjacency();
@@ -209,8 +261,10 @@ class TimingGraph {
   std::vector<std::uint32_t> fanout_begin_;
   std::vector<NodeId> level_begin_{0};  ///< size num_levels + 1
 
-  // pin -> node maps
-  std::vector<std::vector<NodeId>> inst_pin_nodes_;
+  // pin -> node maps. Instance i's pins are the run
+  // pin_nodes_[pin_begin_[i] .. pin_begin_[i + 1]).
+  std::vector<std::uint32_t> pin_begin_{0};
+  std::vector<NodeId> pin_nodes_;
   std::vector<NodeId> port_nodes_;
 
   std::vector<TimingCheck> checks_;
@@ -219,6 +273,27 @@ class TimingGraph {
   std::vector<NodeId> launch_nodes_;
   NodeId clock_source_ = kInvalidNode;
   std::vector<std::vector<InstanceId>> clock_paths_;
+};
+
+/// Graph-derived lookup tables shared (refcounted) between the Timer head
+/// and its snapshots: per-instance cell-arc lists and the FF -> check
+/// index map, both read by the exact CRPR credit walk. Rebuilt on every
+/// structural change; cloned before mutation when a snapshot still holds
+/// the old version.
+struct GraphStatics {
+  /// Cell arcs of instance i, ascending id: the run
+  /// arcs[arc_begin[i] .. arc_begin[i + 1]) (CSR over InstanceId).
+  std::vector<std::uint32_t> arc_begin{0};
+  std::vector<ArcId> arcs;
+  std::vector<std::int32_t> check_of_ff;  // InstanceId -> check idx or -1
+
+  [[nodiscard]] std::size_t num_instances() const {
+    return arc_begin.size() - 1;
+  }
+  [[nodiscard]] std::span<const ArcId> instance_arcs(InstanceId inst) const {
+    return {arcs.data() + arc_begin[inst],
+            arc_begin[inst + 1] - arc_begin[inst]};
+  }
 };
 
 }  // namespace mgba

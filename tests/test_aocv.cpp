@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <string>
+#include <vector>
+
 #include "aocv/aocv_model.hpp"
 #include "aocv/depth_analysis.hpp"
 #include "aocv/derate_io.hpp"
@@ -7,11 +11,14 @@
 #include "pba/path_enum.hpp"
 #include "pba/path_eval.hpp"
 #include "test_helpers.hpp"
+#include "util/float_bits.hpp"
 
 namespace mgba {
 namespace {
 
+using testing_helpers::BufferSinkKind;
 using testing_helpers::GeneratedStack;
+using testing_helpers::pick_buffer_site;
 using testing_helpers::small_options;
 
 TEST(DerateTable, PaperTable1ExactValues) {
@@ -183,6 +190,102 @@ TEST(DepthAnalysis, ClockCellsMarked) {
     }
   }
   EXPECT_GT(clock_cells, 0u);
+}
+
+/// Bitwise equality of two derate vectors.
+bool same_derates(const std::vector<DeratePair>& a,
+                  const std::vector<DeratePair>& b) {
+  if (a.size() != b.size()) return false;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    if (float_bits(a[i].late) != float_bits(b[i].late) ||
+        float_bits(a[i].early) != float_bits(b[i].early)) {
+      return false;
+    }
+  }
+  return true;
+}
+
+TEST(DepthAnalysis, BufferUpdateMatchesFullAnalysis) {
+  // with_buffer carries the depth state through one inserted buffer. After
+  // each of 40 seeded insertions per design (every seventh rejected,
+  // leaving a tombstone and the previous state), every instance's info
+  // equals a full analysis of the patched graph, and derates patched the
+  // way the closer patches them — the previous vector, grown, with the
+  // moved instances re-derived — equal compute_gba_derates bit for bit
+  // under two different derate tables.
+  const Library library = make_default_library();
+  const std::size_t buffer_cell = *library.strongest_buffer();
+  const DerateTable base = default_aocv_table();
+  const std::vector<DerateTable> tables = {base, base.scaled_margin(1.7)};
+  GeneratorOptions small = small_options(71);
+  small.num_gates = 600;
+  std::size_t moved_others = 0;
+  for (const GeneratorOptions& options :
+       {benchmark_design_options(1), benchmark_design_options(3), small}) {
+    SCOPED_TRACE(options.name + " seed " + std::to_string(options.seed));
+    GeneratedDesign generated = generate_design(library, options);
+    Design& design = generated.design;
+    auto graph = std::make_unique<TimingGraph>(design, generated.clock_port);
+    auto state = std::make_unique<DepthAnalysis>(*graph);
+    std::vector<std::vector<DeratePair>> derates;
+    for (const DerateTable& table : tables) {
+      derates.push_back(gba_derates(*state, table));
+    }
+    Rng rng(options.seed * 3 + 1);
+    for (std::size_t step = 0; step < 40; ++step) {
+      SCOPED_TRACE("step " + std::to_string(step));
+      auto site = pick_buffer_site(design, *graph, rng,
+                                   static_cast<BufferSinkKind>(step % 5));
+      if (!site.has_value()) {
+        site = pick_buffer_site(design, *graph, rng, BufferSinkKind::Any);
+      }
+      ASSERT_TRUE(site.has_value());
+      const auto [net, sink] = *site;
+      const InstanceId buffer = design.insert_buffer_for_sink(
+          net, sink, buffer_cell, "depthbuf" + std::to_string(step),
+          design.terminal_location(*design.net(net).driver));
+      BufferPatch patch;
+      auto patched = std::make_unique<TimingGraph>(*graph, buffer, patch);
+      std::vector<InstanceId> moved;
+      auto next = std::make_unique<DepthAnalysis>(
+          state->with_buffer(*patched, patch, moved));
+      moved_others += moved.size() > 1 ? 1 : 0;
+
+      const DepthAnalysis full(*patched);
+      ASSERT_EQ(next->num_instances(), full.num_instances());
+      for (InstanceId i = 0; i < full.num_instances(); ++i) {
+        const InstanceAocvInfo& got = next->info(i);
+        const InstanceAocvInfo& want = full.info(i);
+        ASSERT_EQ(got.on_data_path, want.on_data_path) << "instance " << i;
+        ASSERT_EQ(got.on_clock_path, want.on_clock_path) << "instance " << i;
+        ASSERT_EQ(float_bits(got.depth), float_bits(want.depth))
+            << "instance " << i;
+        ASSERT_EQ(float_bits(got.distance_um), float_bits(want.distance_um))
+            << "instance " << i;
+      }
+      std::vector<std::vector<DeratePair>> next_derates = derates;
+      for (std::size_t t = 0; t < tables.size(); ++t) {
+        next_derates[t].resize(design.num_instances());
+        for (const InstanceId i : moved) {
+          next_derates[t][i] = gba_derate(next->info(i), tables[t]);
+        }
+        ASSERT_TRUE(same_derates(next_derates[t],
+                                 compute_gba_derates(*patched, tables[t])))
+            << "table " << t;
+      }
+
+      if (step % 7 == 3) {
+        design.remove_buffer(buffer, net);
+        graph->pad_instances(design.num_instances());
+      } else {
+        graph = std::move(patched);
+        state = std::move(next);
+        derates = std::move(next_derates);
+      }
+    }
+  }
+  // Some insertions moved depths beyond the buffer's own.
+  EXPECT_GT(moved_others, 0u);
 }
 
 TEST(AocvModel, DeratesIdentityForFlops) {

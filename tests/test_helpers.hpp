@@ -5,7 +5,9 @@
 /// assembles the generated-design + timer + derates stack.
 
 #include <memory>
+#include <optional>
 #include <string>
+#include <utility>
 
 #include "aocv/aocv_model.hpp"
 #include "aocv/derate_table.hpp"
@@ -13,6 +15,7 @@
 #include "netlist/design.hpp"
 #include "netlist/generator.hpp"
 #include "sta/timer.hpp"
+#include "util/rng.hpp"
 
 namespace mgba::testing_helpers {
 
@@ -141,6 +144,44 @@ struct GeneratedStack {
 
   Design& design() { return generated.design; }
 };
+
+/// Which sink of a data net a buffer-insertion test buffers.
+enum class BufferSinkKind { FlopData, OutputPort, OneOfMany, Deepest, Any };
+
+/// A (net, sink) pair to buffer: a data net (driver outside the clock
+/// network, per \p graph, the design's current graph) and one of its
+/// sinks of the requested kind — a flip-flop D pin, an output port, one
+/// sink of a net with three or more, a node on the graph's last level, or
+/// any. Scans the nets from a random start; nullopt when none matches.
+inline std::optional<std::pair<NetId, Terminal>> pick_buffer_site(
+    const Design& design, const TimingGraph& graph, Rng& rng,
+    BufferSinkKind kind) {
+  const std::size_t start = rng.uniform_index(design.num_nets());
+  for (std::size_t k = 0; k < design.num_nets(); ++k) {
+    const auto n = static_cast<NetId>((start + k) % design.num_nets());
+    const Net& net = design.net(n);
+    if (!net.driver.has_value() || net.sinks.empty()) continue;
+    const NodeId driver = graph.find_node(*net.driver);
+    if (driver == kInvalidNode || graph.node(driver).is_clock_network) {
+      continue;
+    }
+    if (kind == BufferSinkKind::Any ||
+        (kind == BufferSinkKind::OneOfMany && net.sinks.size() >= 3)) {
+      return std::make_pair(n, net.sinks[rng.uniform_index(net.sinks.size())]);
+    }
+    for (const Terminal& sink : net.sinks) {
+      const NodeId node = graph.find_node(sink);
+      const bool match =
+          (kind == BufferSinkKind::FlopData && graph.check_at(node)) ||
+          (kind == BufferSinkKind::OutputPort &&
+           sink.kind == Terminal::Kind::Port) ||
+          (kind == BufferSinkKind::Deepest &&
+           graph.node(node).level + 1 == graph.num_levels());
+      if (match) return std::make_pair(n, sink);
+    }
+  }
+  return std::nullopt;
+}
 
 inline GeneratorOptions small_options(std::uint64_t seed = 42) {
   GeneratorOptions opt;

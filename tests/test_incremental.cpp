@@ -12,6 +12,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <ranges>
 #include <string>
 #include <vector>
 
@@ -22,6 +23,7 @@
 #include "netlist/design.hpp"
 #include "opt/optimizer.hpp"
 #include "shell/session.hpp"
+#include "sta/snapshot.hpp"
 #include "sta/state_signature.hpp"
 #include "sta/timer.hpp"
 #include "test_helpers.hpp"
@@ -33,7 +35,9 @@ namespace {
 
 using shell::LoadRequest;
 using shell::ShellSession;
+using testing_helpers::BufferSinkKind;
 using testing_helpers::GeneratedStack;
+using testing_helpers::pick_buffer_site;
 using testing_helpers::small_options;
 
 /// Restores the ambient thread count on scope exit so test order doesn't
@@ -177,6 +181,50 @@ TEST(IncrementalFastpath, RepeatedInvalidationIsDeduplicated) {
   EXPECT_EQ(once.timer->update_stats().forward_nodes - f0,
             thrice.timer->update_stats().forward_nodes - f1);
   EXPECT_EQ(state_signature(*once.timer), state_signature(*thrice.timer));
+}
+
+TEST(IncrementalTrial, RolledBackDirtyListKeepsDedup) {
+  // The dirty list dedups with a per-instance flag; a rollback restores
+  // the list as it was at begin, and the flags with it: a restored
+  // instance is not listed twice, and one the trial added (and the
+  // rollback dropped) is listed again when touched.
+  GeneratedStack stack(small_options(343));
+  Timer& timer = *stack.timer;
+  Design& design = stack.design();
+  const auto plan = resize_plan(stack.library, design, 2, 7043);
+  const auto [x, x_cell] = plan[0];
+  const auto [y, y_cell] = plan[1];
+  ASSERT_NE(x, y);
+  const auto pending = [&] {
+    return std::vector<InstanceId>(timer.pending_instances().begin(),
+                                   timer.pending_instances().end());
+  };
+  design.resize_instance(x, x_cell);
+  timer.invalidate_instance(x);
+  timer.invalidate_instance(x);
+  ASSERT_EQ(pending(), std::vector<InstanceId>{x});
+  for (const bool timed : {false, true}) {
+    const std::size_t y_old = design.instance(y).cell;
+    {
+      Timer::TrialScope scope(timer);
+      design.resize_instance(y, y_cell);
+      timer.invalidate_instance(y);
+      timer.invalidate_instance(x);
+      ASSERT_EQ(pending(), (std::vector<InstanceId>{x, y}));
+      if (timed) timer.update_timing();
+      design.resize_instance(y, y_old);
+      ASSERT_TRUE(scope.rollback());
+    }
+    ASSERT_EQ(pending(), std::vector<InstanceId>{x}) << "timed " << timed;
+    timer.invalidate_instance(x);
+    ASSERT_EQ(pending(), std::vector<InstanceId>{x});
+  }
+  timer.invalidate_instance(y);
+  ASSERT_EQ(pending(), (std::vector<InstanceId>{x, y}));
+  timer.update_timing();
+  ASSERT_TRUE(pending().empty());
+  timer.invalidate_instance(x);
+  ASSERT_EQ(pending(), std::vector<InstanceId>{x});
 }
 
 // --- delay-calc memoization -------------------------------------------------
@@ -641,6 +689,226 @@ TEST(IncrementalRebuild, BufferInsertionMissesOnlyItsCone) {
   EXPECT_LT(s.misses() - before, cold / 10);
   EXPECT_TRUE(
       same_bits(state_signature(s.timer()), state_signature(*s.fresh())));
+}
+
+/// The derived tables of \p a equal those of \p b bit for bit: the delay
+/// memo (entries, ArcInputs records, hit/miss counters), the update
+/// counters, the statics and the CRPR launch-set table.
+void expect_same_tables(const Timer& a, const Timer& b) {
+  const DelayCache& x = a.delay_cache();
+  const DelayCache& y = b.delay_cache();
+  ASSERT_EQ(x.slew_bits, y.slew_bits);
+  ASSERT_EQ(x.cell_key, y.cell_key);
+  ASSERT_TRUE(same_bits(x.delay_ps, y.delay_ps));
+  ASSERT_TRUE(same_bits(x.slew_ps, y.slew_ps));
+  ASSERT_EQ(x.inputs.size(), y.inputs.size());
+  for (std::size_t i = 0; i < x.inputs.size(); ++i) {
+    ASSERT_TRUE(x.inputs[i].same_bits(y.inputs[i])) << "arc " << i;
+  }
+  const Timer::UpdateStats sa = a.update_stats();
+  const Timer::UpdateStats sb = b.update_stats();
+  ASSERT_EQ(sa.delay_cache_hits, sb.delay_cache_hits);
+  ASSERT_EQ(sa.delay_cache_misses, sb.delay_cache_misses);
+  ASSERT_EQ(sa.full_updates, sb.full_updates);
+  ASSERT_EQ(sa.forward_nodes, sb.forward_nodes);
+  ASSERT_EQ(sa.trial_rollbacks, sb.trial_rollbacks);
+  ASSERT_EQ(a.statics().arc_begin, b.statics().arc_begin);
+  ASSERT_EQ(a.statics().arcs, b.statics().arcs);
+  ASSERT_EQ(a.statics().check_of_ff, b.statics().check_of_ff);
+  ASSERT_EQ(a.launch_words(), b.launch_words());
+  ASSERT_TRUE(std::ranges::equal(a.launch_sets(), b.launch_sets()));
+  ASSERT_EQ(a.graph().num_nodes(), b.graph().num_nodes());
+  ASSERT_EQ(a.graph().num_arcs(), b.graph().num_arcs());
+}
+
+/// A net driven from the clock network (buffering it changes the clock
+/// tree), or nullopt.
+std::optional<std::pair<NetId, Terminal>> pick_clock_site(
+    const Design& design, const TimingGraph& graph) {
+  for (std::size_t n = 0; n < design.num_nets(); ++n) {
+    const Net& net = design.net(static_cast<NetId>(n));
+    if (!net.driver.has_value() || net.sinks.empty()) continue;
+    const NodeId driver = graph.find_node(*net.driver);
+    if (driver != kInvalidNode && graph.node(driver).is_clock_network) {
+      return std::make_pair(static_cast<NetId>(n), net.sinks.back());
+    }
+  }
+  return std::nullopt;
+}
+
+TEST(IncrementalRebuild, BufferInsertedMatchesRebuildGraph) {
+  // Twin timers over twin designs: one is told about every buffer through
+  // buffer_inserted (the patch), the other through rebuild_graph. Both
+  // must hold the same tables after the edit, after the full update that
+  // follows, and after a rejected trial's rollback — two corners, endpoint
+  // exceptions that follow renumbered nodes, a live snapshot across the
+  // insertion, told resizes still pending at the insertion, committed and
+  // rejected trials, one clock-net buffer (which the patch hands to
+  // rebuild_graph), at 1 and 4 threads.
+  ThreadGuard guard;
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    SCOPED_TRACE(std::to_string(threads) + " thread(s)");
+    set_num_threads(threads);
+    GeneratorOptions options = small_options(331);
+    options.num_gates = 600;
+    TwoCornerStack patched(options);
+    TwoCornerStack rebuilt(options);
+    TimingConstraints constraints = patched.timer().constraints();
+    const TimingGraph& g0 = patched.timer().graph();
+    constraints.false_path_endpoints.insert(g0.node_name(g0.endpoints()[1]));
+    constraints.multicycle_endpoints[g0.node_name(g0.endpoints()[2])] = 2;
+    for (TwoCornerStack* s : {&patched, &rebuilt}) {
+      s->stack.timer = std::make_unique<Timer>(s->design(), constraints);
+      apply_corner_setups(s->timer(), s->setups);
+      s->timer().update_timing();
+    }
+    Timer& a = patched.timer();
+    Timer& b = rebuilt.timer();
+    const std::size_t buffer_cell =
+        *patched.stack.library.strongest_buffer();
+    Rng rng(77);
+    std::size_t committed = 0;
+    std::size_t rejected = 0;
+    for (std::size_t step = 0; step < 24; ++step) {
+      SCOPED_TRACE("step " + std::to_string(step));
+      const bool clock = step == 10;
+      const bool reject = !clock && step % 3 == 1;
+      auto site = clock ? pick_clock_site(patched.design(), a.graph())
+                        : pick_buffer_site(patched.design(), a.graph(), rng,
+                                           static_cast<BufferSinkKind>(step % 5));
+      if (!site.has_value()) {
+        site = pick_buffer_site(patched.design(), a.graph(), rng,
+                                BufferSinkKind::Any);
+      }
+      ASSERT_TRUE(site.has_value());
+      const auto [net, sink] = *site;
+      std::shared_ptr<const TimingSnapshot> snap;
+      std::vector<double> snap_sig;
+      if (step % 4 == 0) {
+        snap = a.snapshot();
+        snap_sig = state_signature(*snap);
+      }
+      if (step % 4 == 2) {
+        // A told resize still pending at the insertion: its neighborhood's
+        // entries are dropped, their records stale.
+        const auto [inst, cell] = resize_plan(patched.stack.library,
+                                              patched.design(), 1,
+                                              rng.next_u64())
+                                      .front();
+        for (TwoCornerStack* s : {&patched, &rebuilt}) {
+          s->design().resize_instance(inst, cell);
+          s->timer().invalidate_instance(inst);
+        }
+      }
+      {
+        Timer::TrialScope trial_a(a, Timer::TrialScope::Kind::Structural);
+        Timer::TrialScope trial_b(b, Timer::TrialScope::Kind::Structural);
+        const std::string name = "twinbuf" + std::to_string(step);
+        const InstanceId buffer = patched.design().insert_buffer_for_sink(
+            net, sink, buffer_cell, name, {4.0, 4.0});
+        ASSERT_EQ(rebuilt.design().insert_buffer_for_sink(
+                      net, sink, buffer_cell, name, {4.0, 4.0}),
+                  buffer);
+        const bool was_patched = a.buffer_inserted(buffer).has_value();
+        b.rebuild_graph();
+        ASSERT_EQ(was_patched, !clock);
+        expect_same_tables(a, b);
+        if (HasFatalFailure()) return;
+        for (TwoCornerStack* s : {&patched, &rebuilt}) {
+          for (std::size_t c = 0; c < s->setups.size(); ++c) {
+            s->timer().set_corner_derates(
+                static_cast<CornerId>(c),
+                compute_gba_derates(s->timer().graph(), s->setups[c].table));
+          }
+          s->timer().update_timing();
+        }
+        ASSERT_TRUE(same_bits(state_signature(a), state_signature(b)));
+        expect_same_tables(a, b);
+        if (HasFatalFailure()) return;
+        if (reject) {
+          patched.design().remove_buffer(buffer, net);
+          rebuilt.design().remove_buffer(buffer, net);
+          ASSERT_TRUE(trial_a.rollback());
+          ASSERT_TRUE(trial_b.rollback());
+          expect_same_tables(a, b);
+          if (HasFatalFailure()) return;
+          ++rejected;
+        } else {
+          trial_a.commit();
+          trial_b.commit();
+          ++committed;
+        }
+      }
+      a.update_timing();
+      b.update_timing();
+      ASSERT_TRUE(same_bits(state_signature(a), state_signature(b)));
+      if (snap) {
+        ASSERT_TRUE(same_bits(state_signature(*snap), snap_sig));
+      }
+    }
+    EXPECT_GT(committed, 0u);
+    EXPECT_GT(rejected, 0u);
+    Timer fresh(patched.design(), constraints);
+    apply_corner_setups(fresh, patched.setups);
+    fresh.update_timing();
+    EXPECT_TRUE(same_bits(state_signature(a), state_signature(fresh)));
+  }
+}
+
+TEST(IncrementalRebuild, RejectedBufferTrialKeepsMemo) {
+  // A rejected buffer trial carries the memo back to the restored graph
+  // instead of clearing it. Rejected before any update, only D's cell
+  // arcs (their load moved in the trial) and the restored D->S arc miss
+  // on the next full update; rejected after the trial's own update, the
+  // entries that update re-keyed miss as well, still fewer than the whole
+  // memo. Either way the state equals a freshly built Timer's.
+  TwoCornerStack s(small_options(341));
+  Design& design = s.design();
+  const std::size_t lanes = s.timer().num_corners() * kNumModes;
+  const std::size_t buffer_cell = *s.stack.library.strongest_buffer();
+  Rng rng(5);
+  for (const bool timed : {false, true}) {
+    SCOPED_TRACE(timed ? "timed trial" : "untimed trial");
+    const TimingGraph& graph = s.timer().graph();
+    const auto site =
+        pick_buffer_site(design, graph, rng, BufferSinkKind::OneOfMany);
+    ASSERT_TRUE(site.has_value());
+    const auto [net, sink] = *site;
+    const NodeId driver = graph.find_node(*design.net(net).driver);
+    const std::size_t bound = (graph.fanin(driver).size() + 1) * lanes;
+    const std::size_t whole = graph.num_arcs() * lanes;
+    {
+      Timer::TrialScope scope(s.timer(), Timer::TrialScope::Kind::Structural);
+      const InstanceId buffer = design.insert_buffer_for_sink(
+          net, sink, buffer_cell, timed ? "keepbuf1" : "keepbuf0",
+          {6.0, 6.0});
+      ASSERT_TRUE(s.timer().buffer_inserted(buffer).has_value());
+      if (timed) {
+        for (std::size_t c = 0; c < s.setups.size(); ++c) {
+          s.timer().set_corner_derates(
+              static_cast<CornerId>(c),
+              compute_gba_derates(s.timer().graph(), s.setups[c].table));
+        }
+        s.timer().update_timing();
+      }
+      design.remove_buffer(buffer, net);
+      ASSERT_TRUE(scope.rollback());
+    }
+    // Force a full update over the restored graph.
+    for (CornerId c = 0; c < s.timer().num_corners(); ++c) {
+      s.timer().set_corner_derates(c, s.timer().instance_derates(c));
+    }
+    const std::uint64_t before = s.misses();
+    s.timer().update_timing();
+    const std::uint64_t misses = s.misses() - before;
+    if (timed) {
+      EXPECT_LT(misses, whole);
+    } else {
+      EXPECT_LE(misses, bound);
+    }
+    EXPECT_TRUE(
+        same_bits(state_signature(s.timer()), state_signature(*s.fresh())));
+  }
 }
 
 // --- randomized ECO property test -------------------------------------------

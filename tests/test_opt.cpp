@@ -1,7 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <vector>
+
+#include "aocv/corner_io.hpp"
 #include "opt/optimizer.hpp"
 #include "opt/qor.hpp"
+#include "sta/state_signature.hpp"
 #include "test_helpers.hpp"
 
 namespace mgba {
@@ -126,6 +131,60 @@ TEST(Optimizer, BufferRevertKeepsDesignValid) {
   const OptimizerReport report = closer.run();
   (void)report;
   stack.design().validate();
+}
+
+TEST(Optimizer, PatchedBufferTrialsMatchFullAnalysis) {
+  // Buffer trials patch the graph, the timer's tables, the depth state and
+  // the installed derates. After a buffering-only closure — one corner,
+  // then two with their own tables — every corner's derates equal
+  // compute_gba_derates on the final graph bit for bit, and the timing
+  // state equals a Timer built from scratch.
+  for (const bool two_corners : {false, true}) {
+    SCOPED_TRACE(two_corners ? "two corners" : "one corner");
+    GeneratorOptions generator = small_options(91);
+    generator.num_gates = 600;
+    GeneratedStack stack(generator, 1500.0);
+    std::vector<CornerSetup> setups;
+    if (two_corners) {
+      setups = corners_from_string(
+          "corner slow delay 1.15 slew 1.05 derate_margin 1.3\n"
+          "corner fast delay 0.85 derate_margin 0.7\n",
+          stack.table);
+      apply_corner_setups(*stack.timer, setups);
+    }
+    OptimizerOptions options;
+    options.max_passes = 6;
+    options.enable_sizing = false;
+    options.buffer_wire_threshold_ps = 0.5;
+    options.enable_area_recovery = false;
+    TimingCloser closer(stack.design(), *stack.timer, stack.table, options);
+    if (two_corners) closer.set_corner_setups(setups);
+    const OptimizerReport report = closer.run();
+    EXPECT_GT(report.buffers_inserted, 0u);
+    EXPECT_GT(report.buffers_reverted, 0u);
+
+    // A rolled-back trial reinstalls the shorter pre-trial vector; the
+    // instances past its end (tombstones) read as identity.
+    const Timer& timer = *stack.timer;
+    for (CornerId c = 0; c < timer.num_corners(); ++c) {
+      const std::vector<DeratePair> want = compute_gba_derates(
+          timer.graph(), two_corners ? setups[c].table : stack.table);
+      for (InstanceId i = 0; i < want.size(); ++i) {
+        const DeratePair got = timer.instance_derate(i, c);
+        ASSERT_EQ(std::memcmp(&got, &want[i], sizeof(DeratePair)), 0)
+            << "corner " << c << " instance " << i;
+      }
+    }
+    Timer fresh(stack.design(), timer.constraints());
+    if (two_corners) {
+      apply_corner_setups(fresh, setups);
+    } else {
+      fresh.set_instance_derates(
+          compute_gba_derates(fresh.graph(), stack.table));
+    }
+    fresh.update_timing();
+    EXPECT_TRUE(same_bits(state_signature(timer), state_signature(fresh)));
+  }
 }
 
 }  // namespace

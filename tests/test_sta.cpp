@@ -3,7 +3,10 @@
 #include <algorithm>
 #include <cmath>
 #include <string>
+#include <memory>
+#include <ranges>
 #include <tuple>
+#include <vector>
 
 #include "sta/report.hpp"
 #include "sta/state_signature.hpp"
@@ -17,6 +20,8 @@ namespace {
 using testing_helpers::ChainCircuit;
 using testing_helpers::FlopPairCircuit;
 using testing_helpers::GeneratedStack;
+using testing_helpers::BufferSinkKind;
+using testing_helpers::pick_buffer_site;
 using testing_helpers::small_options;
 
 TimingConstraints unit_constraints(double period) {
@@ -148,6 +153,165 @@ TEST(TimingGraph, LayoutKeepsBuildOrder) {
   }
 }
 
+
+/// Every accessor of \p got equals that of \p want, a graph of the same
+/// design.
+void expect_same_graph(const TimingGraph& got, const TimingGraph& want) {
+  const Design& design = want.design();
+  ASSERT_EQ(got.num_nodes(), want.num_nodes());
+  ASSERT_EQ(got.num_arcs(), want.num_arcs());
+  ASSERT_EQ(got.num_levels(), want.num_levels());
+  for (NodeId u = 0; u <= want.num_nodes(); ++u) {
+    ASSERT_EQ(got.fanin_begin(u), want.fanin_begin(u)) << "node " << u;
+    ASSERT_EQ(got.fanout_begin(u), want.fanout_begin(u)) << "node " << u;
+  }
+  for (NodeId u = 0; u < want.num_nodes(); ++u) {
+    const TimingNode& a = got.node(u);
+    const TimingNode& b = want.node(u);
+    ASSERT_TRUE(a.terminal == b.terminal) << "node " << u;
+    ASSERT_EQ(a.is_clock_network, b.is_clock_network) << "node " << u;
+    ASSERT_EQ(a.level, b.level) << "node " << u;
+    ASSERT_EQ(got.check_at(u), want.check_at(u)) << "node " << u;
+    ASSERT_TRUE(std::ranges::equal(got.fanin(u), want.fanin(u)));
+    ASSERT_TRUE(std::ranges::equal(got.fanout(u), want.fanout(u)));
+  }
+  for (ArcId a = 0; a < want.num_arcs(); ++a) {
+    const TimingArc& x = got.arc(a);
+    const TimingArc& y = want.arc(a);
+    ASSERT_EQ(std::tie(x.kind, x.from, x.to, x.inst, x.lib_arc, x.net),
+              std::tie(y.kind, y.from, y.to, y.inst, y.lib_arc, y.net))
+        << "arc " << a;
+  }
+  ASSERT_TRUE(std::ranges::equal(got.fanout_pool(), want.fanout_pool()));
+  for (std::size_t l = 0; l < want.num_levels(); ++l) {
+    ASSERT_EQ(got.level_range(l), want.level_range(l));
+    ASSERT_EQ(got.level_arc_range(l), want.level_arc_range(l));
+  }
+  ASSERT_EQ(got.checks().size(), want.checks().size());
+  for (std::size_t c = 0; c < want.checks().size(); ++c) {
+    const TimingCheck& x = got.checks()[c];
+    const TimingCheck& y = want.checks()[c];
+    ASSERT_EQ(std::tie(x.inst, x.data_node, x.clock_node, x.constraint),
+              std::tie(y.inst, y.data_node, y.clock_node, y.constraint));
+    ASSERT_EQ(got.clock_path(c), want.clock_path(c));
+  }
+  ASSERT_EQ(got.endpoints(), want.endpoints());
+  ASSERT_EQ(got.launch_nodes(), want.launch_nodes());
+  ASSERT_EQ(got.clock_source(), want.clock_source());
+  for (InstanceId i = 0; i < design.num_instances(); ++i) {
+    for (std::uint32_t p = 0; p < design.instance(i).pin_nets.size(); ++p) {
+      ASSERT_EQ(got.node_of_pin(i, p), want.node_of_pin(i, p));
+    }
+  }
+  for (PortId p = 0; p < design.num_ports(); ++p) {
+    ASSERT_EQ(got.node_of_port(p), want.node_of_port(p));
+  }
+}
+
+TEST(TimingGraph, BufferPatchMatchesFreshBuild) {
+  // The patch constructor derives the post-insertion graph from the
+  // pre-insertion one; it must equal a fresh build field for field on
+  // D1-D3 and a 600-gate design, 40 seeded insertions each, chained
+  // patch on patch. Every seventh insertion is a rejected trial: the
+  // buffer stays as a tombstone and the pre-insertion graph comes back
+  // padded over it, as a structural rollback restores it.
+  const Library library = make_default_library();
+  const std::size_t buffer_cell = *library.strongest_buffer();
+  std::vector<GeneratorOptions> designs;
+  for (int d = 1; d <= 3; ++d) designs.push_back(benchmark_design_options(d));
+  designs.push_back(small_options(61));
+  designs.back().num_gates = 600;
+  std::size_t flop_sinks = 0;
+  std::size_t port_sinks = 0;
+  std::size_t shared_sinks = 0;
+  std::size_t raised = 0;
+  std::size_t grown = 0;
+  std::size_t after_tombstone = 0;
+  for (std::size_t k = 0; k < designs.size(); ++k) {
+    GeneratedDesign generated = generate_design(library, designs[k]);
+    Design& design = generated.design;
+    auto graph = std::make_unique<TimingGraph>(design, generated.clock_port);
+    Rng rng(900 + k);
+    bool tombstone = false;
+    for (std::size_t step = 0; step < 40; ++step) {
+      SCOPED_TRACE("design " + std::to_string(k) + " step " +
+                   std::to_string(step));
+      auto site = pick_buffer_site(design, *graph, rng,
+                                   static_cast<BufferSinkKind>(step % 5));
+      if (!site.has_value()) {
+        site = pick_buffer_site(design, *graph, rng, BufferSinkKind::Any);
+      }
+      ASSERT_TRUE(site.has_value());
+      const auto [net, sink] = *site;
+      const InstanceId buffer = design.insert_buffer_for_sink(
+          net, sink, buffer_cell, "patchbuf" + std::to_string(step),
+          design.terminal_location(sink));
+      BufferPatch patch;
+      auto patched = std::make_unique<TimingGraph>(*graph, buffer, patch);
+      const TimingGraph fresh(design, generated.clock_port);
+      expect_same_graph(*patched, fresh);
+      if (HasFatalFailure()) return;
+
+      // The id maps name the same terminals in both graphs.
+      for (NodeId u = 0; u < graph->num_nodes(); ++u) {
+        ASSERT_TRUE(patched->node(patch.node_map[u]).terminal ==
+                    graph->node(u).terminal);
+      }
+      for (ArcId a = 0; a < graph->num_arcs(); ++a) {
+        if (a == patch.old_arc) {
+          ASSERT_EQ(patch.arc_map[a], kInvalidArc);
+          continue;
+        }
+        const TimingArc& was = graph->arc(a);
+        const TimingArc& now = patched->arc(patch.arc_map[a]);
+        ASSERT_EQ(now.from, patch.node_map[was.from]);
+        ASSERT_EQ(now.to, patch.node_map[was.to]);
+        ASSERT_EQ(std::tie(now.kind, now.inst, now.lib_arc, now.net),
+                  std::tie(was.kind, was.inst, was.lib_arc, was.net));
+      }
+      ASSERT_EQ(patched->arc(patched->fanin(patch.sink)[0]).from,
+                patch.buf_out);
+
+      flop_sinks += fresh.check_at(patch.sink).has_value() ? 1 : 0;
+      port_sinks += sink.kind == Terminal::Kind::Port ? 1 : 0;
+      shared_sinks += design.net(net).sinks.size() > 1 ? 1 : 0;
+      grown += patched->num_levels() > graph->num_levels() ? 1 : 0;
+      after_tombstone += tombstone ? 1 : 0;
+      for (NodeId u = 0; u < graph->num_nodes(); ++u) {
+        if (u != patch.old_sink &&
+            patched->node(patch.node_map[u]).level != graph->node(u).level) {
+          ++raised;
+          break;
+        }
+      }
+      if (step % 7 == 3) {
+        design.remove_buffer(buffer, net);
+        graph->pad_instances(design.num_instances());
+        tombstone = true;
+      } else {
+        graph = std::move(patched);
+      }
+    }
+  }
+  EXPECT_GT(flop_sinks, 0u);
+  EXPECT_GT(port_sinks, 0u);
+  EXPECT_GT(shared_sinks, 0u);
+  EXPECT_GT(raised, 0u);
+  EXPECT_GT(grown, 0u);
+  EXPECT_GT(after_tombstone, 0u);
+}
+
+TEST(TimingGraph, ClockNetBufferNeedsFreshBuild) {
+  // A buffer on the clock network is not a patch site: the caller builds.
+  FlopPairCircuit circuit(2);
+  Design& design = *circuit.design;
+  const TimingGraph graph(design, "CLK");
+  const NetId trunk = *design.find_net("trunk");
+  const Terminal sink = design.net(trunk).sinks.front();
+  const InstanceId buffer = design.insert_buffer_for_sink(
+      trunk, sink, circuit.library.cell_id("BUF_X1"), "ckbuf", {0.0, 0.0});
+  EXPECT_FALSE(graph.buffer_site(buffer).has_value());
+}
 TEST(Timer, ChainArrivalExact) {
   const ChainCircuit circuit(4);
   Timer timer(*circuit.design, unit_constraints(1000.0));
