@@ -1,6 +1,7 @@
 #include "opt/optimizer.hpp"
 
 #include <algorithm>
+#include <cstdint>
 #include <utility>
 #include <vector>
 
@@ -101,7 +102,8 @@ void TimingCloser::patch_derates(const BufferPatch& patch,
   depths_ = before.with_buffer(timer_->graph(), patch, moved);
   // Every other instance keeps its depth and distance, hence its derates;
   // the vectors grow over the buffer (and any reverted trial's tombstone,
-  // at identity).
+  // at identity). Naming the moved instances keeps the update that follows
+  // on the incremental frontier.
   const auto patched = [&](CornerId c, const DerateTable& table) {
     std::vector<DeratePair> derates = timer_->instance_derates(c);
     derates.resize(design_->num_instances());
@@ -111,13 +113,13 @@ void TimingCloser::patch_derates(const BufferPatch& patch,
     return derates;
   };
   if (corner_setups_.empty()) {
-    timer_->set_instance_derates(patched(kDefaultCorner, *table_));
+    timer_->set_instance_derates(patched(kDefaultCorner, *table_), moved);
     return;
   }
   for (std::size_t c = 0; c < corner_setups_.size(); ++c) {
     const auto corner = static_cast<CornerId>(c);
-    timer_->set_corner_derates(corner,
-                               patched(corner, corner_setups_[c].table));
+    timer_->set_corner_derates(
+        corner, patched(corner, corner_setups_[c].table), moved);
   }
 }
 
@@ -307,6 +309,9 @@ void TimingCloser::area_recovery(OptimizerReport& report) {
   // is how production flows recover area — per-gate accept/reject updates
   // would dominate the flow runtime.
   const double tns_target = current_tns() - options_.min_improvement_ps;
+  // Per instance, 1 + its index into the round's downsized list (0: not
+  // downsized this round), so a path node finds its record in O(1).
+  std::vector<std::uint32_t> slot(design_->num_instances(), 0);
 
   for (int round = 0; round < 3; ++round) {
     timer_->update_timing();
@@ -327,6 +332,7 @@ void TimingCloser::area_recovery(OptimizerReport& report) {
       }
       ++report.transforms_attempted;
       downsized.emplace_back(inst, design_->instance(inst).cell);
+      slot[inst] = static_cast<std::uint32_t>(downsized.size());
       design_->resize_instance(inst, *(it - 1));
       if (listener_) listener_->on_resize(inst, downsized.back().second,
                                           *(it - 1));
@@ -345,21 +351,22 @@ void TimingCloser::area_recovery(OptimizerReport& report) {
              timer_->worst_path(e, timer_->worst_slack_corner(e, Mode::Late))) {
           const Terminal& t = timer_->graph().node(node).terminal;
           if (t.kind != Terminal::Kind::InstancePin) continue;
-          for (auto& [inst, old_cell] : downsized) {
-            if (inst != t.id || old_cell == kInvalidId) continue;
-            if (design_->instance(inst).cell == old_cell) continue;
-            const std::size_t small_cell = design_->instance(inst).cell;
-            design_->resize_instance(inst, old_cell);
-            if (listener_) listener_->on_resize(inst, small_cell, old_cell);
-            timer_->invalidate_instance(inst);
-            old_cell = kInvalidId;  // mark as reverted
-            any_revert = true;
-            ++reverted;
-          }
+          if (t.id >= slot.size() || slot[t.id] == 0) continue;
+          auto& [inst, old_cell] = downsized[slot[t.id] - 1];
+          if (old_cell == kInvalidId) continue;
+          if (design_->instance(inst).cell == old_cell) continue;
+          const std::size_t small_cell = design_->instance(inst).cell;
+          design_->resize_instance(inst, old_cell);
+          if (listener_) listener_->on_resize(inst, small_cell, old_cell);
+          timer_->invalidate_instance(inst);
+          old_cell = kInvalidId;  // mark as reverted
+          any_revert = true;
+          ++reverted;
         }
       }
       if (!any_revert) break;  // nothing left to revert on violating paths
     }
+    for (const auto& entry : downsized) slot[entry.first] = 0;
     report.downsizes += downsized.size() - reverted;
     if (downsized.size() == reverted) break;  // no net progress
   }

@@ -116,6 +116,56 @@ class CowVec {
     }
   }
 
+  // Discard current contents and hold `n` slots left unwritten: the
+  // caller writes every slot (copy_from, fill_range, write_range) before
+  // reading one, so no slot is written twice.
+  void assign_for_overwrite(std::size_t n) {
+    release();
+    if (n == 0) return;
+    table_ = new Table;
+    table_->size = n;
+    table_->chunks.resize((n + kMask) >> kShift, nullptr);
+    for (Chunk*& c : table_->chunks) c = new Chunk;
+  }
+
+  // Copy `src` slots [from, from + len) into slots [to, to + len).
+  // Writer-side. A chunk the copy covers whole, read from a source chunk at
+  // the same offset, is shared with `src` (a fork of that chunk) instead of
+  // copied.
+  void copy_from(const CowVec& src, std::size_t from, std::size_t to,
+                 std::size_t len) {
+    if (len == 0) return;
+    ensure_unique_table();
+    const std::size_t end = to + len;
+    std::size_t at = to;
+    while (at < end) {
+      const std::size_t ci = at >> kShift;
+      const std::size_t chunk_end = std::min(end, (ci + 1) << kShift);
+      const std::size_t chunk_live =
+          std::min(table_->size, (ci + 1) << kShift) - (ci << kShift);
+      if ((at & kMask) == 0 && ((from + (at - to)) & kMask) == 0 &&
+          chunk_end - at == chunk_live) {
+        Chunk* shared = src.table_->chunks[(from + (at - to)) >> kShift];
+        shared->refs.fetch_add(1, std::memory_order_relaxed);
+        release_chunk(table_->chunks[ci]);
+        table_->chunks[ci] = shared;
+        at = chunk_end;
+        continue;
+      }
+      privatize_chunk(ci);
+      Chunk* c = table_->chunks[ci];
+      while (at < chunk_end) {
+        const std::size_t s = from + (at - to);
+        const std::size_t n =
+            std::min(chunk_end - at, kChunkElems - (s & kMask));
+        std::memcpy(c->data + (at & kMask),
+                    src.table_->chunks[s >> kShift]->data + (s & kMask),
+                    n * sizeof(T));
+        at += n;
+      }
+    }
+  }
+
   const T& operator[](std::size_t i) const {
     return table_->chunks[i >> kShift]->data[i & kMask];
   }

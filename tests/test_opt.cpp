@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <cstring>
+#include <map>
+#include <set>
 #include <vector>
 
 #include "aocv/corner_io.hpp"
@@ -63,6 +67,94 @@ TEST(Optimizer, AreaRecoveryIsTimingNeutral) {
     EXPECT_LT(report.final_qor.area_um2, report.initial.area_um2 + 1e-9);
   }
   stack.design().validate();
+}
+
+/// Records every resize a TimingCloser reports, in order.
+struct ResizeLog : TransformListener {
+  struct Event {
+    InstanceId inst;
+    std::size_t from;
+    std::size_t to;
+  };
+  std::vector<Event> events;
+  void on_resize(InstanceId inst, std::size_t from, std::size_t to) override {
+    events.push_back({inst, from, to});
+  }
+  void on_buffer_inserted(InstanceId, NetId, const Terminal&, std::size_t,
+                          Point) override {}
+  void on_buffer_removed(InstanceId, NetId) override {}
+};
+
+TEST(Optimizer, AreaRecoveryRevertsMatchParent) {
+  // Area recovery alone (no closure passes, so every resize is a recovery
+  // resize) on two seeded 600-gate designs, with no slack margin, clocked
+  // tight enough that the downsizing sweep breaks paths and the repair
+  // loop reverts gates on them. Each revert restores the cell its round's
+  // sweep replaced, at most once per instance and round. The event count,
+  // reverts, downsizes and the final area and TNS bits are pinned to what
+  // the linear-scan revert loop, which the per-instance slots replaced,
+  // produced.
+  struct Pinned {
+    std::uint64_t seed;
+    double period_ps;
+    std::size_t events;
+    std::size_t reverts;
+    std::size_t downsizes;
+    std::uint64_t area_bits;
+    std::uint64_t tns_bits;
+  };
+  const Pinned cases[] = {
+      {89, 2600.0, 265, 31, 203, 0x4096d8f5c28f5c3a, 0xc096335c3e95b8e0},
+      {90, 3000.0, 300, 40, 220, 0x4095bfae147ae159, 0x0},
+  };
+  for (const Pinned& pin : cases) {
+    SCOPED_TRACE("seed " + std::to_string(pin.seed));
+    GeneratorOptions generator = small_options(pin.seed);
+    generator.num_gates = 600;
+    GeneratedStack stack(generator, pin.period_ps);
+    OptimizerOptions options;
+    options.max_passes = 0;
+    options.enable_area_recovery = true;
+    options.recovery_margin_ps = 0.0;
+    TimingCloser closer(stack.design(), *stack.timer, stack.table, options);
+    ResizeLog log;
+    closer.set_transform_listener(&log);
+    const OptimizerReport report = closer.run();
+
+    // A resize to a smaller cell is a sweep downsize; one after a revert
+    // opens the next round.
+    const Library& library = stack.library;
+    std::map<InstanceId, ResizeLog::Event> swept;
+    std::set<InstanceId> reverted;
+    bool repairing = false;
+    std::size_t reverts = 0;
+    for (const ResizeLog::Event& e : log.events) {
+      if (library.cell(e.to).area_um2 < library.cell(e.from).area_um2) {
+        if (repairing) {
+          swept.clear();
+          reverted.clear();
+          repairing = false;
+        }
+        swept[e.inst] = e;
+        continue;
+      }
+      repairing = true;
+      ++reverts;
+      const auto it = swept.find(e.inst);
+      ASSERT_NE(it, swept.end()) << "instance " << e.inst;
+      EXPECT_EQ(e.from, it->second.to) << "instance " << e.inst;
+      EXPECT_EQ(e.to, it->second.from) << "instance " << e.inst;
+      EXPECT_TRUE(reverted.insert(e.inst).second) << "instance " << e.inst;
+    }
+    EXPECT_GT(reverts, 0u);
+    EXPECT_EQ(log.events.size(), pin.events);
+    EXPECT_EQ(reverts, pin.reverts);
+    EXPECT_EQ(report.downsizes, pin.downsizes);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(report.final_qor.area_um2),
+              pin.area_bits);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(report.final_qor.tns_ps),
+              pin.tns_bits);
+  }
 }
 
 TEST(Optimizer, SizingDisabledMeansNoResizes) {
