@@ -2,10 +2,11 @@
 # Tier-1 verification (see ROADMAP.md), one line per pass:
 #   1. standard build + the full ctest suite;
 #   2. TSan, 4 threads: the suites whose pool workers or reader threads share state;
-#   3. ASan+UBSan, 4 threads: the suites that index arenas, scratch, frames, the graph CSR
-#      and its buffer patch, the AOCV depth state, and the optimizer (area recovery's
-#      per-instance revert slots, moved-derate installs and the arena carry of a patched
-#      buffer trial under a real closure);
+#   3. ASan+UBSan with assertions compiled in (MGBA_DCHECK, assert), 4 threads: the suites
+#      that index arenas, scratch, frames, the graph CSR and its buffer patch, the AOCV
+#      depth state, and the optimizer (area recovery's per-instance revert slots,
+#      moved-derate installs and the arena carry of a patched buffer trial under a real
+#      closure); the pass first checks that the assertion death test was compiled in;
 #   4. shell golden-transcript smoke at 1 and 4 threads (byte-identical);
 #   5. server smoke at 1 and 4 threads, including a kill -9 / --recover round trip.
 set -euo pipefail
@@ -21,7 +22,12 @@ MGBA_THREADS=4 ./build-tsan/tests/mgba_tests --gtest_filter='Parallel*:ThreadPoo
 
 cmake -B build-asan -S . -DMGBA_SANITIZE=address
 cmake --build build-asan -j --target mgba_tests
-MGBA_THREADS=4 ./build-asan/tests/mgba_tests --gtest_filter='Mcmm*:Parallel*:Shell*:Incremental*:SolverFastpath*:Snapshot*:Server*:Kernel*:PathEngine*:TimingGraph*:Timer.*:DepthAnalysis*:AocvModel*:Optimizer*'
+if ! ./build-asan/tests/mgba_tests --gtest_list_tests |
+    grep -q 'DcheckAbortsWithAssertionsOn'; then
+  echo "tier1: the ASan+UBSan build compiled assertions out (NDEBUG)" >&2
+  exit 1
+fi
+MGBA_THREADS=4 ./build-asan/tests/mgba_tests --gtest_filter='CheckDeathTest*:Mcmm*:Parallel*:Shell*:Incremental*:SolverFastpath*:Snapshot*:Server*:Kernel*:PathEngine*:TimingGraph*:Timer.*:DepthAnalysis*:AocvModel*:Optimizer*'
 
 for threads in 1 4; do
   ./scripts/shell_smoke.sh build/tools/mgba_timer \
@@ -32,4 +38,4 @@ for threads in 1 4; do
   ./scripts/server_smoke.sh build/tools/mgba_timer build/tools/mgba_client \
       examples/close_timing.mgbash examples/close_timing.golden "$threads"
 done
-echo "tier-1 OK (ctest + TSan parallel/incremental/server/path-engine suites + ASan MCMM/shell/incremental/kernel/path-engine/timing-graph/timer/depth-analysis/aocv/optimizer suites + shell and server smokes)"
+echo "tier-1 OK (ctest + TSan parallel/incremental/server/path-engine suites + ASan+UBSan with assertions: check/MCMM/shell/incremental/kernel/path-engine/timing-graph/timer/depth-analysis/aocv/optimizer suites + shell and server smokes)"

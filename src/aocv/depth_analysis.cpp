@@ -55,17 +55,10 @@ NodeId output_node_of(const TimingGraph& graph, InstanceId inst) {
   return kInvalidNode;
 }
 
-/// Per-node role bits: the graph's launch nodes and endpoints, the seeds
-/// of analyze_data's forward and backward DPs.
+/// Per-node role bits (DepthAnalysis::role_): the graph's launch nodes and
+/// endpoints, the seeds of analyze_data's forward and backward DPs.
 constexpr std::uint8_t kLaunch = 1;
 constexpr std::uint8_t kEndpoint = 2;
-
-std::vector<std::uint8_t> node_roles(const TimingGraph& graph) {
-  std::vector<std::uint8_t> role(graph.num_nodes(), 0);
-  for (const NodeId u : graph.launch_nodes()) role[u] |= kLaunch;
-  for (const NodeId u : graph.endpoints()) role[u] |= kEndpoint;
-  return role;
-}
 
 /// analyze_data's box at \p start without the per-node box arrays: the
 /// locations of the launch points (forward) or endpoints (backward) whose
@@ -81,19 +74,23 @@ BoundingBox cone_box(const TimingGraph& graph,
   std::vector<std::uint8_t> seen(graph.num_nodes(), 0);
   std::vector<NodeId> stack{start};
   seen[start] = 1;
+  const auto visit = [&](NodeId w) {
+    if (seen[w] != 0 || graph.node(w).is_clock_network || depth[w] == kInf) {
+      return;
+    }
+    seen[w] = 1;
+    stack.push_back(w);
+  };
   while (!stack.empty()) {
     const NodeId u = stack.back();
     stack.pop_back();
     if ((role[u] & seed) != 0) {
       box.expand(design.terminal_location(graph.node(u).terminal));
     }
-    for (const ArcId a : forward ? graph.fanin(u) : graph.fanout(u)) {
-      const NodeId w = forward ? graph.arc(a).from : graph.arc(a).to;
-      if (seen[w] != 0 || graph.node(w).is_clock_network || depth[w] == kInf) {
-        continue;
-      }
-      seen[w] = 1;
-      stack.push_back(w);
+    if (forward) {
+      for (const ArcId a : graph.fanin(u)) visit(graph.arc(a).from);
+    } else {
+      for (const ArcId a : graph.fanout(u)) visit(graph.arc(a).to);
     }
   }
   return box;
@@ -113,6 +110,9 @@ void DepthAnalysis::analyze_data(const TimingGraph& graph) {
 
   fwd_.assign(n, kInf);
   bwd_.assign(n, kInf);
+  role_.assign(n, 0);
+  for (const NodeId u : graph.launch_nodes()) role_[u] |= kLaunch;
+  for (const NodeId u : graph.endpoints()) role_[u] |= kEndpoint;
   std::vector<double>& fwd = fwd_;
   std::vector<double>& bwd = bwd_;
   std::vector<BoundingBox> fwd_box(n), bwd_box(n);
@@ -233,15 +233,27 @@ DepthAnalysis DepthAnalysis::with_buffer(const TimingGraph& graph,
   DepthAnalysis out;
   out.info_ = info_;
   out.info_.resize(design.num_instances());
-  out.fwd_.assign(graph.num_nodes(), kInf);
-  out.bwd_.assign(graph.num_nodes(), kInf);
-  for (NodeId u = 0; u < patch.node_map.size(); ++u) {
-    out.fwd_[patch.node_map[u]] = fwd_[u];
-    out.bwd_[patch.node_map[u]] = bwd_[u];
-  }
+  // The per-node state follows the node map: the unmoved ids in one
+  // block, the moved range one by one, the tail in one block two ids up.
+  // A and Y are neither launch points nor endpoints and start unreachable;
+  // the pulls below settle their depths.
+  const auto carry = [&]<typename T>(const std::vector<T>& from,
+                                     std::vector<T>& to, T fill) {
+    to.reserve(graph.num_nodes());
+    to.assign(from.begin(), from.begin() + patch.first_moved_node);
+    to.resize(graph.num_nodes(), fill);
+    for (NodeId u = patch.first_moved_node; u < patch.tail_node; ++u) {
+      to[patch.node_map[u]] = from[u];
+    }
+    std::copy(from.begin() + patch.tail_node, from.end(),
+              to.begin() + patch.tail_node + 2);
+  };
+  carry(fwd_, out.fwd_, kInf);
+  carry(bwd_, out.bwd_, kInf);
+  carry(role_, out.role_, std::uint8_t{0});
   std::vector<double>& fwd = out.fwd_;
   std::vector<double>& bwd = out.bwd_;
-  const std::vector<std::uint8_t> role = node_roles(graph);
+  const std::vector<std::uint8_t>& role = out.role_;
 
   // analyze_data's push DP in pull form, for one non-clock node: the
   // launch/endpoint seed, min'ed with every data fanin (fanout). Depths
@@ -280,6 +292,11 @@ DepthAnalysis DepthAnalysis::with_buffer(const TimingGraph& graph,
     const auto order = [forward](NodeId a, NodeId b) {
       return forward ? a > b : a < b;
     };
+    const auto push = [&](NodeId w) {
+      if (graph.node(w).is_clock_network) return;
+      heap.push_back(w);
+      std::push_heap(heap.begin(), heap.end(), order);
+    };
     std::vector<double>& depth = forward ? fwd : bwd;
     NodeId last = kInvalidNode;
     while (!heap.empty()) {
@@ -292,11 +309,10 @@ DepthAnalysis DepthAnalysis::with_buffer(const TimingGraph& graph,
       if (float_bits(d) == float_bits(depth[v])) continue;
       depth[v] = d;
       changed.push_back(v);
-      for (const ArcId a : forward ? graph.fanout(v) : graph.fanin(v)) {
-        const NodeId w = forward ? graph.arc(a).to : graph.arc(a).from;
-        if (graph.node(w).is_clock_network) continue;
-        heap.push_back(w);
-        std::push_heap(heap.begin(), heap.end(), order);
+      if (forward) {
+        for (const ArcId a : graph.fanout(v)) push(graph.arc(a).to);
+      } else {
+        for (const ArcId a : graph.fanin(v)) push(graph.arc(a).from);
       }
     }
   };

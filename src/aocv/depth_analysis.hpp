@@ -24,6 +24,7 @@
 /// (with_buffer) at the cost of the cones whose depths move, instead of
 /// re-running the whole DP per trial.
 
+#include <cstdint>
 #include <vector>
 
 #include "sta/timing_graph.hpp"
@@ -92,6 +93,10 @@ class DepthAnalysis {
   /// none is reachable and on clock nodes.
   std::vector<double> fwd_;
   std::vector<double> bwd_;
+  /// Per node: launch point (bit 1) and endpoint (bit 2), the DPs' seeds.
+  /// A buffer patch carries it with the depths; the buffer's pins have
+  /// neither role.
+  std::vector<std::uint8_t> role_;
 };
 
 }  // namespace mgba

@@ -105,7 +105,10 @@ void TimingCloser::patch_derates(const BufferPatch& patch,
   // at identity). Naming the moved instances keeps the update that follows
   // on the incremental frontier.
   const auto patched = [&](CornerId c, const DerateTable& table) {
-    std::vector<DeratePair> derates = timer_->instance_derates(c);
+    const std::vector<DeratePair>& installed = timer_->instance_derates(c);
+    std::vector<DeratePair> derates;
+    derates.reserve(design_->num_instances());
+    derates.assign(installed.begin(), installed.end());
     derates.resize(design_->num_instances());
     for (const InstanceId i : moved) {
       derates[i] = gba_derate(depths_->info(i), table);

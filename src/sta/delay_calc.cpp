@@ -1,6 +1,7 @@
 #include "sta/delay_calc.hpp"
 
 #include <algorithm>
+#include <cstring>
 
 #include "util/check.hpp"
 #include "util/float_bits.hpp"
@@ -52,7 +53,55 @@ void carry_lanes(std::vector<T>& values, T empty, std::size_t lanes,
   values = std::move(out);
 }
 
+/// Grows \p values to \p n elements in place. Past the capacity it
+/// reserves 1/64 more than asked: a buffer patch adds a couple of arcs, so
+/// the next few hundred patches fit without reallocating, at a fraction of
+/// the slack std::vector's doubling would hold.
+template <typename T>
+void grow(std::vector<T>& values, std::size_t n) {
+  if (n > values.capacity()) values.reserve(n + n / 64);
+  values.resize(n);
+}
+
+/// One memo array re-shaped in place through a buffer patch's arc map,
+/// lane by lane from the last: a lane only moves up, into space the lanes
+/// above it have left, so only its moved range needs a copy aside.
+template <typename T>
+void patch_lanes(std::vector<T>& values, T empty, std::size_t lanes,
+                 std::size_t old_arcs, const BufferPatch& patch) {
+  const std::size_t shift = patch.arc_shift();
+  const std::size_t arcs = old_arcs + shift;
+  const std::size_t first = patch.first_moved_arc;
+  const std::size_t tail = patch.tail_arc;
+  grow(values, lanes * arcs);
+  std::vector<T> moved;
+  moved.reserve(tail - first);
+  for (std::size_t lane = lanes; lane-- > 0;) {
+    T* const src = values.data() + lane * old_arcs;
+    T* const dst = values.data() + lane * arcs;
+    moved.assign(src + first, src + tail);
+    std::memmove(dst + tail + shift, src + tail,
+                 (old_arcs - tail) * sizeof(T));
+    std::memmove(dst, src, first * sizeof(T));
+    for (std::size_t k = 0; k < moved.size(); ++k) {
+      const ArcId a = patch.arc_map[first + k];
+      if (a != kInvalidArc) dst[a] = moved[k];
+    }
+    for (const ArcId a : patch.new_arcs) dst[a] = empty;
+  }
+}
+
 }  // namespace
+
+void DelayCache::patch(std::size_t lanes, const BufferPatch& patch) {
+  const std::size_t old_arcs = num_arcs();
+  MGBA_DCHECK(patch.arc_map.size() == old_arcs);
+  patch_lanes<std::uint64_t>(slew_bits, 0, lanes, old_arcs, patch);
+  patch_lanes<std::uint32_t>(cell_key, kEmptyKey, lanes, old_arcs, patch);
+  patch_lanes(delay_ps, 0.0, lanes, old_arcs, patch);
+  patch_lanes(slew_ps, 0.0, lanes, old_arcs, patch);
+  patch_lanes(inputs, ArcInputs{}, 1, old_arcs, patch);
+}
 
 void DelayCache::carry(std::size_t lanes,
                        std::span<const ArcId> carried_from) {
@@ -80,20 +129,25 @@ void DelayCache::carry(std::size_t lanes,
   trial_saved_.clear();
 }
 
-void DelayCache::invalidate(std::size_t index) {
-  if (index >= size()) return;
-  if (trial_active_) trial_record(index);
-  slew_bits[index] = 0;
-  cell_key[index] = kEmptyKey;
-  delay_ps[index] = 0.0;
-  slew_ps[index] = 0.0;
+void DelayCache::invalidate_arc(std::size_t lanes, ArcId a) {
+  const std::size_t arcs = num_arcs();
+  if (a >= arcs) return;
+  for (std::size_t lane = 0; lane < lanes; ++lane) {
+    const std::size_t index = lane * arcs + a;
+    if (trial_active_) trial_record(index);
+    slew_bits[index] = 0;
+    cell_key[index] = kEmptyKey;
+    delay_ps[index] = 0.0;
+    slew_ps[index] = 0.0;
+  }
+  inputs[a] = ArcInputs{};
 }
 
 void DelayCache::trial_begin() {
-  if (trial_mark_.size() != size()) {
-    trial_mark_.assign(size(), 0);
-    trial_epoch_ = 0;
-  }
+  // A buffer patch grows the memo and leaves the marks where they were:
+  // every mark predates the epoch this trial starts, so none can pass for
+  // a first touch of this trial.
+  if (trial_mark_.size() < size()) grow(trial_mark_, size());
   if (trial_epoch_ == 0xffffffffu) {
     std::fill(trial_mark_.begin(), trial_mark_.end(), 0);
     trial_epoch_ = 0;

@@ -56,10 +56,11 @@ struct ArcInputs {
 /// dropped explicitly (Timer::invalidate_instance does this; see DESIGN.md
 /// §10 for the complete invalidation rule set). Net arcs use a sentinel
 /// cell key. Each arc also records the ArcInputs of its latest evaluation,
-/// which every live entry of the arc was computed under: a graph rebuild
-/// moves an arc's entries to its new id only when the arc survives and
-/// its current inputs still equal that record (Timer::rebuild_graph; a
-/// buffer patch and a structural rollback apply the same rule).
+/// which every live entry of the arc was computed under; an arc without a
+/// live entry holds the empty record. A graph rebuild moves an arc's
+/// entries to its new id only when the arc survives and its current inputs
+/// still equal that record (Timer::rebuild_graph; a structural rollback
+/// applies the same rule, and a buffer patch keeps exactly those entries).
 ///
 /// Thread safety: entries are written only from the level-synchronous
 /// sweeps, where each (lane, arc) has exactly one writer per level (the
@@ -117,8 +118,16 @@ struct DelayCache {
   /// kInvalidArc.
   void carry(std::size_t lanes, std::span<const ArcId> carried_from);
 
-  /// Drops one entry (journaling it first when a trial is recording).
-  void invalidate(std::size_t index);
+  /// Re-shapes the memo in place to the graph \p patch derived, with \p
+  /// lanes lanes: every old arc's entries and record move to its new id
+  /// (per lane, the unmoved arcs and the tail in one block each, the moved
+  /// range one by one) and the new arcs start empty. Grows the arrays with
+  /// a little headroom, so successive patches rarely reallocate.
+  void patch(std::size_t lanes, const BufferPatch& patch);
+
+  /// Drops every lane's entry of arc \p a and empties its record
+  /// (journaling each entry first when a trial is recording).
+  void invalidate_arc(std::size_t lanes, ArcId a);
 
   // --- trial journal --------------------------------------------------------
   // First-touch journal of entries overwritten or invalidated during a

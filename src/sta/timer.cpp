@@ -77,8 +77,8 @@ struct Timer::TrialState {
   std::size_t launch_words = 0;
   std::vector<double> port_input_delay;
   std::vector<double> port_output_delay;
-  std::vector<bool> endpoint_false;
-  std::vector<int> endpoint_multicycle;
+  std::vector<EndpointException> check_exception;
+  std::vector<EndpointException> port_exception;
 };
 
 Timer::Timer(const Design& design, TimingConstraints constraints,
@@ -320,20 +320,31 @@ void Timer::rebuild_graph() {
     }
   }
 
-  // Resolve endpoint-scoped timing exceptions by name.
-  endpoint_false_.assign(graph_->num_nodes(), false);
-  endpoint_multicycle_.assign(graph_->num_nodes(), 1);
+  // Resolve endpoint-scoped timing exceptions by name, per check and per
+  // output port.
+  const auto& checks = graph_->checks();
+  check_exception_.assign(checks.size(), {});
+  port_exception_.assign(design_->num_ports(), {});
   if (!constraints_.false_path_endpoints.empty() ||
       !constraints_.multicycle_endpoints.empty()) {
-    for (const NodeId e : graph_->endpoints()) {
-      const std::string name = graph_->node_name(e);
-      if (constraints_.false_path_endpoints.count(name) > 0) {
-        endpoint_false_[e] = true;
-      }
+    const auto resolve = [&](NodeId endpoint, EndpointException& out) {
+      const std::string name = graph_->node_name(endpoint);
+      out.false_path = constraints_.false_path_endpoints.count(name) > 0;
       if (const auto it = constraints_.multicycle_endpoints.find(name);
           it != constraints_.multicycle_endpoints.end()) {
         MGBA_CHECK(it->second >= 1);
-        endpoint_multicycle_[e] = it->second;
+        out.multicycle = it->second;
+      }
+    };
+    for (std::size_t c = 0; c < checks.size(); ++c) {
+      resolve(checks[c].data_node, check_exception_[c]);
+    }
+    for (std::size_t p = 0; p < design_->num_ports(); ++p) {
+      const auto port = static_cast<PortId>(p);
+      const NodeId node = graph_->node_of_port(port);
+      if (node != kInvalidNode &&
+          design_->port(port).direction == PortDirection::Output) {
+        resolve(node, port_exception_[p]);
       }
     }
   }
@@ -351,26 +362,17 @@ std::optional<BufferPatch> Timer::buffer_inserted(InstanceId buffer) {
   // a value journal broken; structural checkpoints keep the old tables.
   eco_poisoned_ = true;
   break_value_trial();
-  const std::shared_ptr<const TimingGraph> old_graph = graph_;
   BufferPatch patch;
-  graph_ = std::make_shared<TimingGraph>(*old_graph, buffer, patch);
+  graph_ = std::make_shared<TimingGraph>(*graph_, buffer, patch);
   ++state_version_;
-  patch_delay_memo(*old_graph, patch);
+  patch_delay_memo(patch);
   // The arena and its pending work (told resizes, seeds) carry over; when
   // a full update is due anyway, it rewrites every slot and clears them.
   carry_storage(std::move(data_), patch);
-  compute_instance_arcs();
+  patch_instance_arcs(patch);
   // A data-net buffer changes neither which launches reach a check nor
   // the check order: the CRPR launch-set table stays valid as it is, and
-  // so do the per-port delays. The endpoint exceptions follow their nodes.
-  std::vector<bool> endpoint_false(graph_->num_nodes(), false);
-  std::vector<int> endpoint_multicycle(graph_->num_nodes(), 1);
-  for (NodeId u = 0; u < old_graph->num_nodes(); ++u) {
-    endpoint_false[patch.node_map[u]] = endpoint_false_[u];
-    endpoint_multicycle[patch.node_map[u]] = endpoint_multicycle_[u];
-  }
-  endpoint_false_ = std::move(endpoint_false);
-  endpoint_multicycle_ = std::move(endpoint_multicycle);
+  // so do the per-port delays and the endpoint exceptions.
 
   // Seeds of the next update. Forward: D (its load moved), and A, Y and S,
   // whose fanin is new — A and Y start from the fill values. N's other
@@ -423,27 +425,37 @@ void Timer::carry_storage(TimingData before, const BufferPatch& patch) {
   data_.check = std::move(before.check);  // the check order is unchanged
 
   // Maximal runs of consecutive old ids mapped to consecutive new ids:
-  // levels below D's keep their ids, and above the raised cone every id
-  // shifts by the two new nodes, so most of a lane moves in a few runs.
+  // the unmoved ids, the moved range in the few runs its re-sorted levels
+  // leave, and the tail; a lane moves in a handful of copies, and whole
+  // chunks at unmoved offsets are shared, not copied.
   struct Run {
     std::size_t from, to, len;
   };
-  const auto runs_of = [](std::span<const std::uint32_t> map) {
+  const auto runs_of = [](std::span<const std::uint32_t> map,
+                          std::size_t first, std::size_t tail,
+                          std::size_t shift) {
     std::vector<Run> runs;
-    for (std::size_t o = 0; o < map.size();) {
+    if (first > 0) runs.push_back({0, 0, first});
+    for (std::size_t o = first; o < tail;) {
       if (map[o] == kInvalidArc) {
         ++o;
         continue;
       }
       std::size_t len = 1;
-      while (o + len < map.size() && map[o + len] == map[o] + len) ++len;
+      while (o + len < tail && map[o + len] == map[o] + len) ++len;
       runs.push_back({o, map[o], len});
       o += len;
     }
+    if (tail < map.size()) {
+      runs.push_back({tail, tail + shift, map.size() - tail});
+    }
     return runs;
   };
-  const std::vector<Run> node_runs = runs_of(patch.node_map);
-  const std::vector<Run> arc_runs = runs_of(patch.arc_map);
+  const std::vector<Run> node_runs =
+      runs_of(patch.node_map, patch.first_moved_node, patch.tail_node, 2);
+  const std::vector<Run> arc_runs =
+      runs_of(patch.arc_map, patch.first_moved_arc, patch.tail_arc,
+              patch.arc_shift());
   const auto carry = [&](CowVec<double>& to, const CowVec<double>& from,
                          const std::vector<Run>& runs, std::size_t old_size,
                          std::size_t new_size) {
@@ -532,39 +544,22 @@ void Timer::carry_delay_memo(const TimingGraph& old_graph) {
   delay_cache_.carry(corners_.size() * kNumModes, carried_from);
 }
 
-void Timer::patch_delay_memo(const TimingGraph& old_graph,
-                             const BufferPatch& patch) {
-  MGBA_DCHECK(delay_cache_.num_arcs() == old_graph.num_arcs());
+void Timer::patch_delay_memo(const BufferPatch& patch) {
   const std::size_t lanes = corners_.size() * kNumModes;
-  const std::size_t old_arcs = old_graph.num_arcs();
-  // An arc with a live entry in some lane was last evaluated under its
-  // current inputs (invalidation drops every lane of an arc whose inputs
-  // move), and only net N's load moved: the rebuild's bit comparison can
-  // only fail for D's cell arcs. An arc without a live entry moves its
-  // record alone, which the comparison decides.
-  std::vector<std::uint8_t> live(old_arcs, 0);
-  for (std::size_t lane = 0; lane < lanes; ++lane) {
-    const std::uint32_t* key = delay_cache_.cell_key.data() + lane * old_arcs;
-    for (std::size_t o = 0; o < old_arcs; ++o) {
-      live[o] |= key[o] != DelayCache::kEmptyKey ? 1 : 0;
+  delay_cache_.patch(lanes, patch);
+  // Every entry carry_delay_memo would keep moved with its arc. Live
+  // entries were computed under their arc's current inputs (invalidation
+  // drops an arc whose inputs move, record and all), and of those inputs
+  // only net N's load moved: D's cell arcs, which all drive N, keep their
+  // entries only if their record still matches.
+  const auto driver_arcs = graph_->fanin(patch.driver);
+  if (driver_arcs.empty()) return;  // D is an input port
+  const ArcInputs now = delay_.inputs(*graph_, driver_arcs.front());
+  for (const ArcId a : driver_arcs) {
+    if (!delay_cache_.inputs[a].same_bits(now)) {
+      delay_cache_.invalidate_arc(lanes, a);
     }
   }
-  std::vector<ArcId> carried_from(graph_->num_arcs(), kInvalidArc);
-  std::optional<ArcInputs> driver_in;
-  for (ArcId o = 0; o < old_arcs; ++o) {
-    const ArcId a = patch.arc_map[o];
-    if (a == kInvalidArc) continue;
-    bool keep = true;
-    if (old_graph.arc(o).to == patch.old_driver) {
-      // The cell arcs into D all drive net N: one load for all of them.
-      if (!driver_in) driver_in = delay_.inputs(*graph_, a);
-      keep = delay_cache_.inputs[o].same_bits(*driver_in);
-    } else if (live[o] == 0) {
-      keep = delay_cache_.inputs[o].same_bits(delay_.inputs(*graph_, a));
-    }
-    if (keep) carried_from[a] = o;
-  }
-  delay_cache_.carry(lanes, carried_from);
 }
 
 void Timer::resize_incremental_scratch() {
@@ -641,6 +636,43 @@ void Timer::compute_instance_arcs() {
   for (std::size_t c = 0; c < checks.size(); ++c) {
     statics->check_of_ff[checks[c].inst] = static_cast<std::int32_t>(c);
   }
+  statics_ = std::move(statics);
+}
+
+void Timer::patch_instance_arcs(const BufferPatch& patch) {
+  // Instance ids do not move and the buffer is the newest instance: the
+  // old bundle, copied, with the run of each instance that owns a moved
+  // arc rewritten from its old run through the arc map (and re-sorted
+  // where the patch reordered the instance's output pins), and the
+  // buffer's cell arcs appended.
+  const GraphStatics& old = *statics_;
+  MGBA_CHECK(old.num_instances() == patch.buffer);
+  auto statics = std::make_shared<GraphStatics>(old);
+  InstanceId last = kInvalidId;
+  for (ArcId a = patch.first_moved_arc; a < graph_->num_arcs(); ++a) {
+    const TimingArc& arc = graph_->arc(a);
+    if (arc.kind != TimingArc::Kind::Cell || arc.inst == patch.buffer ||
+        arc.inst == last) {
+      continue;
+    }
+    last = arc.inst;
+    const std::uint32_t k0 = old.arc_begin[arc.inst];
+    const std::uint32_t k1 = old.arc_begin[arc.inst + 1];
+    for (std::uint32_t k = k0; k < k1; ++k) {
+      const ArcId o = old.arcs[k];
+      statics->arcs[k] = o < patch.first_moved_arc ? o : patch.arc_map[o];
+    }
+    const auto run = std::span(statics->arcs).subspan(k0, k1 - k0);
+    if (!std::ranges::is_sorted(run)) std::ranges::sort(run);
+  }
+  for (const ArcId a : patch.new_arcs) {
+    if (graph_->arc(a).kind == TimingArc::Kind::Cell) {
+      statics->arcs.push_back(a);
+    }
+  }
+  statics->arc_begin.push_back(
+      static_cast<std::uint32_t>(statics->arcs.size()));
+  statics->check_of_ff.push_back(-1);
   statics_ = std::move(statics);
 }
 
@@ -848,10 +880,7 @@ void Timer::invalidate_cache_for(InstanceId inst) {
       },
       [](NodeId) {});
   const std::size_t lanes = corners_.size() * kNumModes;
-  for (std::size_t lane = 0; lane < lanes; ++lane) {
-    const std::size_t base = lane * data_.num_arcs;
-    for (const ArcId a : arcs) delay_cache_.invalidate(base + a);
-  }
+  for (const ArcId a : arcs) delay_cache_.invalidate_arc(lanes, a);
 }
 
 // --- full sweeps -------------------------------------------------------------
@@ -1282,9 +1311,10 @@ void Timer::incremental_backward_corner(CornerId c) {
         check, data_.slew[late_node + check.clock_node], data_slew_late,
         scaling);
     ++stat_backward_nodes_;
-    if (endpoint_false_[check.data_node]) continue;  // set_false_path
+    const EndpointException& exception = check_exception_[ci];
+    if (exception.false_path) continue;  // set_false_path
     const double capture_edge =
-        period * static_cast<double>(endpoint_multicycle_[check.data_node]);
+        period * static_cast<double>(exception.multicycle);
     const double req_late = capture_edge +
                             data_.arrival[early_node + check.clock_node] -
                             ct.setup_ps + ct.crpr_credit_ps -
@@ -1459,11 +1489,12 @@ void Timer::backward_required() {
           check, data_.slew[late_base + check.clock_node], data_slew_late,
           scaling);
 
-      if (endpoint_false_[check.data_node]) continue;  // set_false_path
+      const EndpointException& exception = check_exception_[c];
+      if (exception.false_path) continue;  // set_false_path
       // set_multicycle_path moves the setup capture edge out by N periods;
       // hold stays at the launch edge (the -setup multicycle default).
       const double capture_edge =
-          period * static_cast<double>(endpoint_multicycle_[check.data_node]);
+          period * static_cast<double>(exception.multicycle);
       const double req_late = capture_edge +
                               data_.arrival[early_base + check.clock_node] -
                               ct.setup_ps + ct.crpr_credit_ps -
@@ -1481,9 +1512,10 @@ void Timer::backward_required() {
       if (port.direction != PortDirection::Output) continue;
       const NodeId node = graph_->node_of_port(static_cast<PortId>(p));
       if (node == kInvalidNode) continue;
-      if (endpoint_false_[node]) continue;
+      const EndpointException& exception = port_exception_[p];
+      if (exception.false_path) continue;
       const double capture_edge =
-          period * static_cast<double>(endpoint_multicycle_[node]);
+          period * static_cast<double>(exception.multicycle);
       shadow_a_[node] =
           std::min(shadow_a_[node], capture_edge - port_output_delay_[p]);
     }
@@ -1717,8 +1749,8 @@ void Timer::begin_trial(bool structural) {
   trial_->launch_words = launch_words_;
   trial_->port_input_delay = port_input_delay_;
   trial_->port_output_delay = port_output_delay_;
-  trial_->endpoint_false = endpoint_false_;
-  trial_->endpoint_multicycle = endpoint_multicycle_;
+  trial_->check_exception = check_exception_;
+  trial_->port_exception = port_exception_;
 }
 
 void Timer::commit_trial() {
@@ -1746,8 +1778,8 @@ bool Timer::rollback_trial() {
     launch_words_ = trial_->launch_words;
     port_input_delay_ = std::move(trial_->port_input_delay);
     port_output_delay_ = std::move(trial_->port_output_delay);
-    endpoint_false_ = std::move(trial_->endpoint_false);
-    endpoint_multicycle_ = std::move(trial_->endpoint_multicycle);
+    check_exception_ = std::move(trial_->check_exception);
+    port_exception_ = std::move(trial_->port_exception);
     // The reverted buffer survives in the design as a disconnected
     // tombstone instance; extend instance-indexed lookups over it so
     // queries stay in bounds (its pins resolve to kInvalidNode). The
@@ -1788,7 +1820,11 @@ bool Timer::value_trial_active() const {
 }
 
 void Timer::break_value_trial() {
-  if (trial_ && !trial_->structural) trial_->broken = true;
+  if (trial_ && !trial_->structural) {
+    trial_->broken = true;
+    // A broken trial is never restored: stop journaling the memo.
+    delay_cache_.trial_end();
+  }
 }
 
 Timer::TrialScope::TrialScope(Timer& timer, Kind kind) : timer_(&timer) {

@@ -157,15 +157,16 @@ class Timer {
   /// update_timing() lands on exactly the state rebuild_graph() and a full
   /// update would. A buffer on a data net (driver D, buffer pins A and Y,
   /// sink S, net N) costs what it changed: the graph is patched
-  /// (TimingGraph's patch constructor); the delay memo, statics, endpoint
-  /// tables and the timing arena are carried through the id maps, A, Y and
-  /// the three new arcs at the fill values; the CRPR launch sets and check
-  /// records are shared unchanged. Told resizes stay pending, and the next
-  /// update runs the incremental frontier, seeded forward at D, A, Y and S
-  /// and backward at D, A and Y — or the full sweep, when one was already
-  /// due. Any other edit — a buffer on the clock network, say — goes through
-  /// rebuild_graph(). Returns the patch's id maps, or nullopt after a
-  /// rebuild.
+  /// (TimingGraph's patch constructor); the delay memo, statics and the
+  /// timing arena are carried through the id maps — the ids below the
+  /// moved range in place or in blocks, the tail in blocks, only the moved
+  /// range id by id — A, Y and the three new arcs at the fill values; the
+  /// CRPR launch sets, check records and endpoint exceptions are kept.
+  /// Told resizes stay pending, and the next update runs the incremental
+  /// frontier, seeded forward at D, A, Y and S and backward at D, A and Y
+  /// — or the full sweep, when one was already due. Any other edit — a
+  /// buffer on the clock network, say — goes through rebuild_graph().
+  /// Returns the patch's id maps, or nullopt after a rebuild.
   std::optional<BufferPatch> buffer_inserted(InstanceId buffer);
 
   // --- ECO log (incremental mGBA refit) ------------------------------------
@@ -450,8 +451,9 @@ class Timer {
   /// allocate_storage for a buffer patch that carries \p before, the
   /// pre-insertion arena: node and arc lanes move through the patch's id
   /// maps in runs of consecutive ids (whole chunks at unmoved offsets are
-  /// shared, not copied), the check records are shared, and only A, Y and
-  /// the new arcs are filled.
+  /// shared, not copied, and no other chunk is allocated before it is
+  /// written), the check records are shared, and only A, Y and the new
+  /// arcs are filled.
   void carry_storage(TimingData before, const BufferPatch& patch);
   /// The bookkeeping of a derate install: a full update without \p moved;
   /// with it, frontier seeds at the nodes the cell arcs of \p moved drive
@@ -470,12 +472,14 @@ class Timer {
   /// graph_, keeping the entries of every arc that exists in both graphs
   /// with bit-equal ArcInputs (DESIGN.md §10).
   void carry_delay_memo(const TimingGraph& old_graph);
-  /// The same re-shaping for a buffer patch, through its arc map: keeps
-  /// exactly the entries carry_delay_memo would, re-deriving ArcInputs
-  /// only for D's cell arcs (net N's load moved) and for arcs without a
-  /// live entry, whose record alone decides.
-  void patch_delay_memo(const TimingGraph& old_graph, const BufferPatch& patch);
+  /// The same re-shaping for a buffer patch, in place through its arc map:
+  /// keeps exactly the entries carry_delay_memo would, re-deriving
+  /// ArcInputs only for D's cell arcs (net N's load moved).
+  void patch_delay_memo(const BufferPatch& patch);
   void compute_instance_arcs();
+  /// compute_instance_arcs for a buffer patch: the previous statics with
+  /// the moved arc ids remapped and the buffer's arcs appended.
+  void patch_instance_arcs(const BufferPatch& patch);
   void compute_launch_sets();
   bool is_weighted_arc(const TimingArc& arc) const;
   double derate_for(const TimingArc& arc, Mode mode, CornerId corner) const;
@@ -610,9 +614,16 @@ class Timer {
   // rebuild time (index = PortId).
   std::vector<double> port_input_delay_;
   std::vector<double> port_output_delay_;
-  // Timing exceptions resolved per node at rebuild time.
-  std::vector<bool> endpoint_false_;
-  std::vector<int> endpoint_multicycle_;
+  /// Timing exceptions resolved at rebuild time, per check (index into
+  /// graph().checks()) and per output port (index = PortId). A buffer
+  /// patch keeps both the check order and the port ids, so they carry over
+  /// as they are.
+  struct EndpointException {
+    bool false_path = false;
+    int multicycle = 1;
+  };
+  std::vector<EndpointException> check_exception_;
+  std::vector<EndpointException> port_exception_;
 
   /// Corner-major SoA arena holding every per-node/per-arc/per-check
   /// timing quantity for all corners.

@@ -21,7 +21,9 @@
 /// (InstanceId, PortId, NetId) are never renumbered.
 
 #include <cstdint>
+#include <memory>
 #include <optional>
+#include <ranges>
 #include <span>
 #include <string>
 #include <utility>
@@ -55,6 +57,11 @@ struct TimingArc {
 /// graph relative to the pre-insertion one. The buffer replaced the net
 /// arc D->S (driver D, sink S) with D->A, the buffer's cell arc A->Y and
 /// Y->S; every other node and arc exists in both graphs.
+///
+/// The maps have three parts. Below first_moved_node / first_moved_arc
+/// they are the identity. From tail_node / tail_arc on — the levels above
+/// the cone the insertion raised — they add the graph's growth: two nodes,
+/// and arc_shift() arcs. Only the moved range between is a permutation.
 struct BufferPatch {
   InstanceId buffer = kInvalidId;
   // Pre-insertion ids.
@@ -70,6 +77,19 @@ struct BufferPatch {
   std::vector<NodeId> node_map;
   /// Old arc id -> new arc id; old_arc maps to kInvalidArc.
   std::vector<ArcId> arc_map;
+  // The moved range's bounds, in pre-insertion ids; the first moved id
+  // does map to a different id.
+  NodeId first_moved_node = kInvalidNode;
+  ArcId first_moved_arc = kInvalidArc;
+  NodeId tail_node = kInvalidNode;
+  ArcId tail_arc = kInvalidArc;
+  /// The new arcs: D->A, the buffer's cell arcs and Y->S (post-insertion
+  /// ids).
+  std::vector<ArcId> new_arcs;
+
+  /// Arcs the insertion added: the net gained one, the buffer brings its
+  /// cell arcs.
+  [[nodiscard]] std::size_t arc_shift() const { return new_arcs.size() - 1; }
 };
 
 /// A setup/hold check site: a flip-flop D pin with its clock pin.
@@ -102,10 +122,12 @@ class TimingGraph {
   /// Derives the post-insertion graph from \p before, the graph of the
   /// design just before the insertion of \p buffer (buffer_site must
   /// accept it), and fills \p patch with the id maps. The result equals
-  /// TimingGraph(design, clock_port_name) field for field: the patch
-  /// replaces only the node/arc builds and levelize — levels rise forward
-  /// from S alone — and then runs the constructor's own renumbering,
-  /// adjacency, check and clock-path steps.
+  /// TimingGraph(design, clock_port_name) field for field. Levels rise
+  /// forward from S alone, so the levels below A's keep every node and arc
+  /// id, and the levels above the raised cone shift by the growth: the
+  /// patch copies both in blocks, re-sorts only the levels between in
+  /// build order, and carries checks, endpoints, launch nodes and clock
+  /// paths through the node map (a data-net buffer changes none of them).
   TimingGraph(const TimingGraph& before, InstanceId buffer,
               BufferPatch& patch);
 
@@ -133,11 +155,10 @@ class TimingGraph {
   void pad_instances(std::size_t num_instances);
 
   /// Fanin arcs of a node, ascending arc id. The ids are consecutive (arcs
-  /// are sorted by destination), so the span is the
-  /// [fanin_begin(id), fanin_begin(id+1)) run of the arc id space.
-  [[nodiscard]] std::span<const ArcId> fanin(NodeId id) const {
-    return {fanin_arcs_.data() + fanin_begin_[id],
-            fanin_begin_[id + 1] - fanin_begin_[id]};
+  /// are sorted by destination): the [fanin_begin(id), fanin_begin(id+1))
+  /// run of the arc id space.
+  [[nodiscard]] std::ranges::iota_view<ArcId, ArcId> fanin(NodeId id) const {
+    return {fanin_begin_[id], fanin_begin_[id + 1]};
   }
   [[nodiscard]] std::span<const ArcId> fanout(NodeId id) const {
     return {fanout_arcs_.data() + fanout_begin_[id],
@@ -200,7 +221,7 @@ class TimingGraph {
   /// for CRPR common-prefix computation.
   [[nodiscard]] const std::vector<InstanceId>& clock_path(
       std::size_t check_idx) const {
-    return clock_paths_[check_idx];
+    return (*clock_paths_)[check_idx];
   }
 
   /// Human-readable name of a node ("inst/PIN" or "port").
@@ -224,6 +245,15 @@ class TimingGraph {
     }
   };
 
+  /// A node a buffer insertion lifts: its pre-insertion id and new level.
+  struct RaisedNode {
+    NodeId node;
+    std::uint32_t level;
+  };
+  /// The nodes a buffer at \p site lifts (S and the part of its fanout
+  /// cone whose level rises), ascending pre-insertion id.
+  static std::vector<RaisedNode> raise_cone(const TimingGraph& before,
+                                            const BufferSite& site);
   void build_nodes();
   void build_arcs();
   /// Node of pin \p pin of instance \p inst (kInvalidNode when
@@ -239,23 +269,18 @@ class TimingGraph {
   /// each level) and orders arcs by (destination, build-order arc id),
   /// filling the fanin CSR offsets. Runs after levelize, before anything
   /// that records node/arc ids (checks, endpoints, clock paths, fanout
-  /// CSR). Arcs may come in any order that keeps each node's fanin arcs
-  /// in build order. Returns the build-order -> final node id map; \p
-  /// arc_ids, when given, receives each input arc's final id.
-  std::vector<NodeId> renumber_level_contiguous(
-      std::vector<ArcId>* arc_ids = nullptr);
-  /// Builds the fanin/fanout CSR arc lists from the renumbered arc list;
-  /// per-node arc lists are ascending arc id.
-  void build_adjacency();
+  /// CSR).
+  void renumber_level_contiguous();
   void collect_checks_and_endpoints();
   void trace_clock_paths();
 
   const Design* design_;
   std::vector<TimingNode> nodes_;
   std::vector<TimingArc> arcs_;
-  // CSR adjacency: per-node arc lists, ascending arc id (offsets sized
-  // num_nodes + 1).
-  std::vector<ArcId> fanin_arcs_;
+  // CSR adjacency, offsets sized num_nodes + 1: a node's fanin arcs are
+  // the id run [fanin_begin_[u], fanin_begin_[u + 1]); its fanout arcs,
+  // ascending arc id, the pool run fanout_arcs_[fanout_begin_[u] ..
+  // fanout_begin_[u + 1]).
   std::vector<std::uint32_t> fanin_begin_;
   std::vector<ArcId> fanout_arcs_;
   std::vector<std::uint32_t> fanout_begin_;
@@ -272,7 +297,9 @@ class TimingGraph {
   std::vector<NodeId> endpoints_;
   std::vector<NodeId> launch_nodes_;
   NodeId clock_source_ = kInvalidNode;
-  std::vector<std::vector<InstanceId>> clock_paths_;
+  /// Per check; instance ids only, so a buffer patch and pad_instances'
+  /// copy share it.
+  std::shared_ptr<const std::vector<std::vector<InstanceId>>> clock_paths_;
 };
 
 /// Graph-derived lookup tables shared (refcounted) between the Timer head

@@ -118,14 +118,14 @@ class CowVec {
 
   // Discard current contents and hold `n` slots left unwritten: the
   // caller writes every slot (copy_from, fill_range, write_range) before
-  // reading one, so no slot is written twice.
+  // reading one, so no slot is written twice. No chunk exists until a
+  // write reaches it, so a chunk copy_from shares is never allocated.
   void assign_for_overwrite(std::size_t n) {
     release();
     if (n == 0) return;
     table_ = new Table;
     table_->size = n;
-    table_->chunks.resize((n + kMask) >> kShift, nullptr);
-    for (Chunk*& c : table_->chunks) c = new Chunk;
+    table_->chunks.assign((n + kMask) >> kShift, nullptr);
   }
 
   // Copy `src` slots [from, from + len) into slots [to, to + len).
@@ -147,7 +147,7 @@ class CowVec {
           chunk_end - at == chunk_live) {
         Chunk* shared = src.table_->chunks[(from + (at - to)) >> kShift];
         shared->refs.fetch_add(1, std::memory_order_relaxed);
-        release_chunk(table_->chunks[ci]);
+        if (table_->chunks[ci] != nullptr) release_chunk(table_->chunks[ci]);
         table_->chunks[ci] = shared;
         at = chunk_end;
         continue;
@@ -234,7 +234,7 @@ class CowVec {
       const std::size_t chunk_live =
           std::min(table_->size, (ci + 1) << kShift) - (ci << kShift);
       Chunk* c = table_->chunks[ci];
-      if (hi_abs - lo_abs == chunk_live &&
+      if (hi_abs - lo_abs == chunk_live && c != nullptr &&
           c->refs.load(std::memory_order_acquire) > 1) {
         // The write covers the chunk's whole live span: take a fresh
         // chunk instead of cloning bytes we are about to overwrite.
@@ -368,7 +368,9 @@ class CowVec {
   void release() {
     if (!table_) return;
     if (table_->refs.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-      for (Chunk* c : table_->chunks) release_chunk(c);
+      for (Chunk* c : table_->chunks) {
+        if (c != nullptr) release_chunk(c);
+      }
       delete table_;
     }
     table_ = nullptr;
@@ -382,15 +384,21 @@ class CowVec {
     Table* fresh = new Table;
     fresh->size = table_->size;
     fresh->chunks = table_->chunks;
-    for (Chunk* c : fresh->chunks)
-      c->refs.fetch_add(1, std::memory_order_relaxed);
+    for (Chunk* c : fresh->chunks) {
+      if (c != nullptr) c->refs.fetch_add(1, std::memory_order_relaxed);
+    }
     release();
     table_ = fresh;
   }
 
-  // Requires a unique table. Clone the chunk if a fork still shares it.
+  // Requires a unique table. Clone the chunk if a fork still shares it;
+  // allocate it if assign_for_overwrite left it unwritten.
   void privatize_chunk(std::size_t ci) {
     Chunk* c = table_->chunks[ci];
+    if (c == nullptr) {
+      table_->chunks[ci] = new Chunk;
+      return;
+    }
     if (c->refs.load(std::memory_order_acquire) == 1) return;
     Chunk* fresh = new Chunk;
     std::memcpy(fresh->data, c->data, sizeof(fresh->data));

@@ -18,7 +18,9 @@ namespace {
 
 using testing_helpers::BufferSinkKind;
 using testing_helpers::GeneratedStack;
+using testing_helpers::MovedRangeExtreme;
 using testing_helpers::pick_buffer_site;
+using testing_helpers::pick_extreme_site;
 using testing_helpers::small_options;
 
 TEST(DerateTable, PaperTable1ExactValues) {
@@ -207,12 +209,15 @@ bool same_derates(const std::vector<DeratePair>& a,
 
 TEST(DepthAnalysis, BufferUpdateMatchesFullAnalysis) {
   // with_buffer carries the depth state through one inserted buffer. After
-  // each of 40 seeded insertions per design (every seventh rejected,
-  // leaving a tombstone and the previous state), every instance's info
-  // equals a full analysis of the patched graph, and derates patched the
-  // way the closer patches them — the previous vector, grown, with the
-  // moved instances re-derived — equal compute_gba_derates bit for bit
-  // under two different derate tables.
+  // each insertion — first the moved range's extremes (a net driven from
+  // level 0 or 1, a sink whose raised cone lands on the top level, a
+  // rejected trial, an endpoint on the top level and that sink again),
+  // then 40 seeded ones per design (every seventh rejected) — every
+  // instance's info equals a full analysis of the patched graph, and
+  // derates patched the way the closer patches them — the previous vector,
+  // grown, with the moved instances re-derived — equal compute_gba_derates
+  // bit for bit under two different derate tables. A rejected insertion
+  // leaves a tombstone and the previous state.
   const Library library = make_default_library();
   const std::size_t buffer_cell = *library.strongest_buffer();
   const DerateTable base = default_aocv_table();
@@ -231,18 +236,12 @@ TEST(DepthAnalysis, BufferUpdateMatchesFullAnalysis) {
     for (const DerateTable& table : tables) {
       derates.push_back(gba_derates(*state, table));
     }
-    Rng rng(options.seed * 3 + 1);
-    for (std::size_t step = 0; step < 40; ++step) {
-      SCOPED_TRACE("step " + std::to_string(step));
-      auto site = pick_buffer_site(design, *graph, rng,
-                                   static_cast<BufferSinkKind>(step % 5));
-      if (!site.has_value()) {
-        site = pick_buffer_site(design, *graph, rng, BufferSinkKind::Any);
-      }
-      ASSERT_TRUE(site.has_value());
-      const auto [net, sink] = *site;
+    std::size_t count = 0;
+    // One insertion at (net, sink), checked against a full analysis;
+    // returns the buffer.
+    const auto insert = [&](NetId net, const Terminal& sink, bool reject) {
       const InstanceId buffer = design.insert_buffer_for_sink(
-          net, sink, buffer_cell, "depthbuf" + std::to_string(step),
+          net, sink, buffer_cell, "depthbuf" + std::to_string(count++),
           design.terminal_location(*design.net(net).driver));
       BufferPatch patch;
       auto patched = std::make_unique<TimingGraph>(*graph, buffer, patch);
@@ -252,16 +251,18 @@ TEST(DepthAnalysis, BufferUpdateMatchesFullAnalysis) {
       moved_others += moved.size() > 1 ? 1 : 0;
 
       const DepthAnalysis full(*patched);
-      ASSERT_EQ(next->num_instances(), full.num_instances());
+      EXPECT_EQ(next->num_instances(), full.num_instances());
+      if (HasFailure()) return buffer;
       for (InstanceId i = 0; i < full.num_instances(); ++i) {
         const InstanceAocvInfo& got = next->info(i);
         const InstanceAocvInfo& want = full.info(i);
-        ASSERT_EQ(got.on_data_path, want.on_data_path) << "instance " << i;
-        ASSERT_EQ(got.on_clock_path, want.on_clock_path) << "instance " << i;
-        ASSERT_EQ(float_bits(got.depth), float_bits(want.depth))
+        EXPECT_EQ(got.on_data_path, want.on_data_path) << "instance " << i;
+        EXPECT_EQ(got.on_clock_path, want.on_clock_path) << "instance " << i;
+        EXPECT_EQ(float_bits(got.depth), float_bits(want.depth))
             << "instance " << i;
-        ASSERT_EQ(float_bits(got.distance_um), float_bits(want.distance_um))
+        EXPECT_EQ(float_bits(got.distance_um), float_bits(want.distance_um))
             << "instance " << i;
+        if (HasFailure()) return buffer;
       }
       std::vector<std::vector<DeratePair>> next_derates = derates;
       for (std::size_t t = 0; t < tables.size(); ++t) {
@@ -269,12 +270,12 @@ TEST(DepthAnalysis, BufferUpdateMatchesFullAnalysis) {
         for (const InstanceId i : moved) {
           next_derates[t][i] = gba_derate(next->info(i), tables[t]);
         }
-        ASSERT_TRUE(same_derates(next_derates[t],
+        EXPECT_TRUE(same_derates(next_derates[t],
                                  compute_gba_derates(*patched, tables[t])))
             << "table " << t;
       }
 
-      if (step % 7 == 3) {
+      if (reject) {
         design.remove_buffer(buffer, net);
         graph->pad_instances(design.num_instances());
       } else {
@@ -282,6 +283,49 @@ TEST(DepthAnalysis, BufferUpdateMatchesFullAnalysis) {
         state = std::move(next);
         derates = std::move(next_derates);
       }
+      return buffer;
+    };
+
+    for (const MovedRangeExtreme kind :
+         {MovedRangeExtreme::NearlyAll, MovedRangeExtreme::NearTop}) {
+      SCOPED_TRACE("extreme " + std::to_string(static_cast<int>(kind)));
+      const auto site = pick_extreme_site(design, *graph, kind);
+      ASSERT_TRUE(site.has_value());
+      insert(site->first, site->second, false);
+      if (HasFailure()) return;
+    }
+    Rng rng(options.seed * 3 + 1);
+    {
+      SCOPED_TRACE("tombstone");
+      const auto site =
+          pick_buffer_site(design, *graph, rng, BufferSinkKind::Any);
+      ASSERT_TRUE(site.has_value());
+      insert(site->first, site->second, true);
+      if (HasFailure()) return;
+    }
+    {
+      SCOPED_TRACE("top and the same sink again");
+      const auto site =
+          pick_extreme_site(design, *graph, MovedRangeExtreme::Top);
+      ASSERT_TRUE(site.has_value());
+      const InstanceId top = insert(site->first, site->second, false);
+      if (HasFailure()) return;
+      const NetId out =
+          design.instance(top).pin_nets[design.cell_of(top).output_pin()];
+      insert(out, site->second, false);
+      if (HasFailure()) return;
+    }
+
+    for (std::size_t step = 0; step < 40; ++step) {
+      SCOPED_TRACE("step " + std::to_string(step));
+      auto site = pick_buffer_site(design, *graph, rng,
+                                   static_cast<BufferSinkKind>(step % 5));
+      if (!site.has_value()) {
+        site = pick_buffer_site(design, *graph, rng, BufferSinkKind::Any);
+      }
+      ASSERT_TRUE(site.has_value());
+      insert(site->first, site->second, step % 7 == 3);
+      if (HasFailure()) return;
     }
   }
   // Some insertions moved depths beyond the buffer's own.

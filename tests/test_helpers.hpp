@@ -4,8 +4,12 @@
 /// circuits with exactly known timing, plus a convenience wrapper that
 /// assembles the generated-design + timer + derates stack.
 
+#include <algorithm>
+#include <cstddef>
+#include <map>
 #include <memory>
 #include <optional>
+#include <set>
 #include <string>
 #include <utility>
 
@@ -178,6 +182,83 @@ inline std::optional<std::pair<NetId, Terminal>> pick_buffer_site(
           (kind == BufferSinkKind::Deepest &&
            graph.node(node).level + 1 == graph.num_levels());
       if (match) return std::make_pair(n, sink);
+    }
+  }
+  return std::nullopt;
+}
+
+/// Buffer sites at the extremes of a buffer patch's moved range (the node
+/// ids the patch renumbers one by one, between the unmoved low levels and
+/// the shifted tail).
+enum class MovedRangeExtreme {
+  /// A net driven from level 0 or 1: nearly every node id moves.
+  NearlyAll,
+  /// A sink whose raised cone lands exactly on the top level: no tail is
+  /// left, and the level count stays.
+  NearTop,
+  /// An endpoint sink on the top level: the graph grows two levels.
+  Top,
+};
+
+/// The highest level the fanout cone of \p sink reaches once a buffer in
+/// front of it lifts it two levels — the rule the patch applies: ascending
+/// id is a topological order, and a node rises to one above its highest
+/// fanin.
+inline std::uint32_t raised_cone_top(const TimingGraph& graph, NodeId sink) {
+  std::map<NodeId, std::uint32_t> raised{{sink, graph.node(sink).level + 2}};
+  std::set<NodeId> pending;
+  for (const ArcId a : graph.fanout(sink)) pending.insert(graph.arc(a).to);
+  std::uint32_t top = raised.begin()->second;
+  while (!pending.empty()) {
+    const NodeId v = *pending.begin();
+    pending.erase(pending.begin());
+    std::uint32_t level = 0;
+    for (const ArcId a : graph.fanin(v)) {
+      const NodeId u = graph.arc(a).from;
+      const auto it = raised.find(u);
+      level = std::max(level,
+                       (it != raised.end() ? it->second : graph.node(u).level) +
+                           1);
+    }
+    if (level <= graph.node(v).level) continue;
+    raised[v] = level;
+    top = std::max(top, level);
+    for (const ArcId a : graph.fanout(v)) pending.insert(graph.arc(a).to);
+  }
+  return top;
+}
+
+/// The first site of \p kind in net order (a data net and one of its
+/// sinks, per \p graph, the design's current graph), or nullopt.
+inline std::optional<std::pair<NetId, Terminal>> pick_extreme_site(
+    const Design& design, const TimingGraph& graph, MovedRangeExtreme kind) {
+  const std::uint32_t top = static_cast<std::uint32_t>(graph.num_levels() - 1);
+  for (std::size_t n = 0; n < design.num_nets(); ++n) {
+    const Net& net = design.net(static_cast<NetId>(n));
+    if (!net.driver.has_value()) continue;
+    const NodeId driver = graph.find_node(*net.driver);
+    if (driver == kInvalidNode || graph.node(driver).is_clock_network) {
+      continue;
+    }
+    for (const Terminal& sink : net.sinks) {
+      const NodeId node = graph.find_node(sink);
+      if (node == kInvalidNode) continue;
+      const std::uint32_t level = graph.node(node).level;
+      bool match = false;
+      switch (kind) {
+        case MovedRangeExtreme::NearlyAll:
+          match = graph.node(driver).level <= 1;
+          break;
+        case MovedRangeExtreme::NearTop:
+          // Only sinks a few levels down, whose cones are small.
+          match = level + 12 >= top && level + 2 <= top &&
+                  raised_cone_top(graph, node) == top;
+          break;
+        case MovedRangeExtreme::Top:
+          match = level == top && graph.fanout(node).empty();
+          break;
+      }
+      if (match) return std::make_pair(static_cast<NetId>(n), sink);
     }
   }
   return std::nullopt;

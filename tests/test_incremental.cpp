@@ -41,6 +41,8 @@ using shell::ShellSession;
 using testing_helpers::BufferSinkKind;
 using testing_helpers::GeneratedStack;
 using testing_helpers::pick_buffer_site;
+using testing_helpers::MovedRangeExtreme;
+using testing_helpers::pick_extreme_site;
 using testing_helpers::small_options;
 
 /// Restores the ambient thread count on scope exit so test order doesn't
@@ -842,14 +844,18 @@ TEST(IncrementalRebuild, BufferInsertedMatchesRebuildGraph) {
   // goes through rebuild_graph, whole-vector derates and the full sweep.
   // The state must be equal bit for bit after every update, and the tables
   // after the edit, after the update and after a rejected trial's rollback
-  // — two corners, endpoint exceptions that follow renumbered nodes, a
-  // live snapshot across the insertion, told resizes still pending at the
-  // insertion, committed and rejected trials, one clock-net buffer (which
-  // the patch hands to rebuild_graph), at 1 and 4 threads. The update
-  // counters part ways by design: the patched twin takes no full sweep for
-  // a data-net buffer unless a told resize made one due (step 6 resizes a
-  // clock-tree buffer; the other resizes are resize_plan's picks, any
-  // sizable instance), and never misses the memo more often.
+  // — two corners, endpoint exceptions, a live snapshot across the
+  // insertion, told resizes still pending at the insertion, committed and
+  // rejected trials, one clock-net buffer (which the patch hands to
+  // rebuild_graph), at 1 and 4 threads. The update counters part ways by
+  // design: the patched twin takes no full sweep for a data-net buffer
+  // unless a told resize made one due (step 6 resizes a clock-tree buffer;
+  // the other resizes are resize_plan's picks, any sizable instance), and
+  // never misses the memo more often. The moved range's extremes come
+  // before 24 seeded steps: a sink whose raised cone lands on the top level
+  // (no tail), a net driven from level 0 or 1 (nearly every id moves), a
+  // rejected trial (a tombstone), an endpoint on the top level (two new
+  // levels) and that sink again (one moved node).
   ThreadGuard guard;
   for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
     SCOPED_TRACE(std::to_string(threads) + " thread(s)");
@@ -874,19 +880,10 @@ TEST(IncrementalRebuild, BufferInsertedMatchesRebuildGraph) {
     Rng rng(77);
     std::size_t committed = 0;
     std::size_t rejected = 0;
-    for (std::size_t step = 0; step < 24; ++step) {
-      SCOPED_TRACE("step " + std::to_string(step));
-      const bool clock = step == 10;
-      const bool reject = !clock && step % 3 == 1;
-      auto site = clock ? pick_clock_site(patched.design(), a.graph())
-                        : pick_buffer_site(patched.design(), a.graph(), rng,
-                                           static_cast<BufferSinkKind>(step % 5));
-      if (!site.has_value()) {
-        site = pick_buffer_site(patched.design(), a.graph(), rng,
-                                BufferSinkKind::Any);
-      }
-      ASSERT_TRUE(site.has_value());
-      const auto [net, sink] = *site;
+    // One insertion on both twins at (net, sink); \p step picks the
+    // snapshot and pending-resize variants. Returns the buffer.
+    const auto insert = [&](std::size_t step, NetId net, const Terminal& sink,
+                            bool clock, bool reject) {
       std::shared_ptr<const TimingSnapshot> snap;
       std::vector<double> snap_sig;
       if (step % 4 == 0) {
@@ -911,24 +908,25 @@ TEST(IncrementalRebuild, BufferInsertedMatchesRebuildGraph) {
         }
         full_due = a.eco_poisoned();
         if (step == 6) {
-          ASSERT_TRUE(full_due);
+          EXPECT_TRUE(full_due);
         }
       }
+      const std::string name = "twinbuf" + std::to_string(step);
+      InstanceId buffer = kInvalidId;
       {
         Timer::TrialScope trial_a(a, Timer::TrialScope::Kind::Structural);
         Timer::TrialScope trial_b(b, Timer::TrialScope::Kind::Structural);
-        const std::string name = "twinbuf" + std::to_string(step);
-        const InstanceId buffer = patched.design().insert_buffer_for_sink(
+        buffer = patched.design().insert_buffer_for_sink(
             net, sink, buffer_cell, name, {4.0, 4.0});
-        ASSERT_EQ(rebuilt.design().insert_buffer_for_sink(
+        EXPECT_EQ(rebuilt.design().insert_buffer_for_sink(
                       net, sink, buffer_cell, name, {4.0, 4.0}),
                   buffer);
         const bool was_patched = a.buffer_inserted(buffer).has_value();
         b.rebuild_graph();
-        ASSERT_EQ(was_patched, !clock);
+        EXPECT_EQ(was_patched, !clock);
         expect_same_tables(a, b);
         expect_memo_valid(a);
-        if (HasFatalFailure()) return;
+        if (HasFatalFailure()) return buffer;
         const std::size_t full_before = a.full_updates();
         patched.rederate_moved();
         a.update_timing();
@@ -938,21 +936,21 @@ TEST(IncrementalRebuild, BufferInsertedMatchesRebuildGraph) {
               compute_gba_derates(b.graph(), rebuilt.setups[c].table));
         }
         b.update_timing();
-        ASSERT_TRUE(same_bits(state_signature(a), state_signature(b)));
+        EXPECT_TRUE(same_bits(state_signature(a), state_signature(b)));
         if (!clock) {
           EXPECT_EQ(a.full_updates(), full_before + (full_due ? 1 : 0));
         }
         EXPECT_LE(patched.misses(), rebuilt.misses());
         expect_same_tables(a, b);
         expect_memo_valid(a);
-        if (HasFatalFailure()) return;
+        if (HasFatalFailure()) return buffer;
         if (reject) {
           patched.design().remove_buffer(buffer, net);
           rebuilt.design().remove_buffer(buffer, net);
-          ASSERT_TRUE(trial_a.rollback());
-          ASSERT_TRUE(trial_b.rollback());
+          EXPECT_TRUE(trial_a.rollback());
+          EXPECT_TRUE(trial_b.rollback());
           expect_same_tables(a, b);
-          if (HasFatalFailure()) return;
+          if (HasFatalFailure()) return buffer;
           ++rejected;
         } else {
           trial_a.commit();
@@ -962,11 +960,66 @@ TEST(IncrementalRebuild, BufferInsertedMatchesRebuildGraph) {
       }
       a.update_timing();
       b.update_timing();
-      ASSERT_TRUE(same_bits(state_signature(a), state_signature(b)));
+      EXPECT_TRUE(same_bits(state_signature(a), state_signature(b)));
       if (snap) {
-        ASSERT_TRUE(same_bits(state_signature(*snap), snap_sig));
+        EXPECT_TRUE(same_bits(state_signature(*snap), snap_sig));
       }
+      return buffer;
+    };
+    // The extremes first, on the generated design; step numbers from 24
+    // give them the seeded steps' snapshot and pending-resize variants.
+    std::size_t extreme_step = 24;
+    for (const MovedRangeExtreme kind :
+         {MovedRangeExtreme::NearTop, MovedRangeExtreme::NearlyAll}) {
+      SCOPED_TRACE("extreme " + std::to_string(static_cast<int>(kind)));
+      const auto site = pick_extreme_site(patched.design(), a.graph(), kind);
+      ASSERT_TRUE(site.has_value());
+      insert(extreme_step++, site->first, site->second, false, false);
+      if (HasFailure()) return;
     }
+    {
+      SCOPED_TRACE("tombstone");
+      const auto site = pick_buffer_site(patched.design(), a.graph(), rng,
+                                         BufferSinkKind::Any);
+      ASSERT_TRUE(site.has_value());
+      insert(extreme_step++, site->first, site->second, false, true);
+      if (HasFailure()) return;
+    }
+    {
+      SCOPED_TRACE("top and the same sink again");
+      const auto site = pick_extreme_site(patched.design(), a.graph(),
+                                          MovedRangeExtreme::Top);
+      ASSERT_TRUE(site.has_value());
+      const std::size_t levels = a.graph().num_levels();
+      const InstanceId top =
+          insert(extreme_step++, site->first, site->second, false, false);
+      if (HasFailure()) return;
+      EXPECT_EQ(a.graph().num_levels(), levels + 2);
+      const NetId out =
+          patched.design()
+              .instance(top)
+              .pin_nets[patched.design().cell_of(top).output_pin()];
+      insert(extreme_step++, out, site->second, false, false);
+      if (HasFailure()) return;
+      EXPECT_EQ(a.graph().num_levels(), levels + 4);
+    }
+
+    for (std::size_t step = 0; step < 24; ++step) {
+      SCOPED_TRACE("step " + std::to_string(step));
+      const bool clock = step == 10;
+      const bool reject = !clock && step % 3 == 1;
+      auto site = clock ? pick_clock_site(patched.design(), a.graph())
+                        : pick_buffer_site(patched.design(), a.graph(), rng,
+                                           static_cast<BufferSinkKind>(step % 5));
+      if (!site.has_value()) {
+        site = pick_buffer_site(patched.design(), a.graph(), rng,
+                                BufferSinkKind::Any);
+      }
+      ASSERT_TRUE(site.has_value());
+      insert(step, site->first, site->second, clock, reject);
+      if (HasFailure()) return;
+    }
+
     EXPECT_GT(committed, 0u);
     EXPECT_GT(rejected, 0u);
     Timer fresh(patched.design(), constraints);

@@ -21,7 +21,9 @@ using testing_helpers::ChainCircuit;
 using testing_helpers::FlopPairCircuit;
 using testing_helpers::GeneratedStack;
 using testing_helpers::BufferSinkKind;
+using testing_helpers::MovedRangeExtreme;
 using testing_helpers::pick_buffer_site;
+using testing_helpers::pick_extreme_site;
 using testing_helpers::small_options;
 
 TimingConstraints unit_constraints(double period) {
@@ -208,6 +210,57 @@ void expect_same_graph(const TimingGraph& got, const TimingGraph& want) {
   }
 }
 
+/// The moved-range structure of \p patch, which derived \p after from \p
+/// before, derived from the two graphs alone: the id maps are the identity
+/// below first_moved_node / first_moved_arc and the first of those ids
+/// moves; above the levels the insertion touched (Y's and the raised
+/// cone's) every old id shifts by the growth; the moved range between maps
+/// into itself.
+void expect_moved_range(const TimingGraph& before, const TimingGraph& after,
+                        const BufferPatch& patch) {
+  const std::size_t nodes = before.num_nodes();
+  const std::size_t arcs = before.num_arcs();
+  const std::size_t shift = after.num_arcs() - arcs;
+  ASSERT_EQ(after.num_nodes(), nodes + 2);
+  ASSERT_EQ(patch.arc_shift(), shift);
+  ASSERT_EQ(patch.new_arcs.size(), shift + 1);
+  ASSERT_LT(patch.first_moved_node, nodes);
+  for (NodeId u = 0; u < patch.first_moved_node; ++u) {
+    ASSERT_EQ(patch.node_map[u], u) << "node " << u;
+  }
+  ASSERT_NE(patch.node_map[patch.first_moved_node], patch.first_moved_node);
+  ASSERT_EQ(patch.first_moved_arc, before.fanin_begin(patch.first_moved_node));
+  for (ArcId a = 0; a < patch.first_moved_arc; ++a) {
+    ASSERT_EQ(patch.arc_map[a], a) << "arc " << a;
+  }
+  ASSERT_NE(patch.arc_map[patch.first_moved_arc], patch.first_moved_arc);
+
+  std::uint32_t top = after.node(patch.buf_out).level;
+  for (NodeId u = 0; u < nodes; ++u) {
+    const std::uint32_t level = after.node(patch.node_map[u]).level;
+    if (level != before.node(u).level) top = std::max(top, level);
+  }
+  const NodeId tail = top + 1 < before.num_levels()
+                          ? before.level_range(top + 1).first
+                          : static_cast<NodeId>(nodes);
+  ASSERT_EQ(patch.tail_node, tail);
+  ASSERT_EQ(patch.tail_arc, before.fanin_begin(tail));
+  for (NodeId u = tail; u < nodes; ++u) {
+    ASSERT_EQ(patch.node_map[u], u + 2) << "node " << u;
+  }
+  for (ArcId a = patch.tail_arc; a < arcs; ++a) {
+    ASSERT_EQ(patch.arc_map[a], a + shift) << "arc " << a;
+  }
+  for (NodeId u = patch.first_moved_node; u < tail; ++u) {
+    ASSERT_GE(patch.node_map[u], patch.first_moved_node);
+    ASSERT_LT(patch.node_map[u], tail + 2);
+  }
+  for (const ArcId a : patch.new_arcs) {
+    const NodeId to = after.arc(a).to;
+    ASSERT_TRUE(to == patch.buf_in || to == patch.buf_out || to == patch.sink);
+  }
+}
+
 TEST(TimingGraph, BufferPatchMatchesFreshBuild) {
   // The patch constructor derives the post-insertion graph from the
   // pre-insertion one; it must equal a fresh build field for field on
@@ -250,6 +303,7 @@ TEST(TimingGraph, BufferPatchMatchesFreshBuild) {
       auto patched = std::make_unique<TimingGraph>(*graph, buffer, patch);
       const TimingGraph fresh(design, generated.clock_port);
       expect_same_graph(*patched, fresh);
+      expect_moved_range(*graph, *patched, patch);
       if (HasFatalFailure()) return;
 
       // The id maps name the same terminals in both graphs.
@@ -299,6 +353,104 @@ TEST(TimingGraph, BufferPatchMatchesFreshBuild) {
   EXPECT_GT(raised, 0u);
   EXPECT_GT(grown, 0u);
   EXPECT_GT(after_tombstone, 0u);
+}
+
+TEST(TimingGraph, BufferPatchMovedRangeExtremes) {
+  // The moved range at its extremes, each patch equal to a fresh build
+  // field for field and holding the moved-range structure, on D1-D3 and a
+  // 600-gate design, patch on patch: a buffer on a net driven from level 0
+  // or 1 (nearly every id moves); on a sink whose raised cone lands on the
+  // top level (no tail, no new level); a
+  // rejected trial, whose tombstone the next patch builds over; on an
+  // endpoint on the top level (two new levels); and on the same sink
+  // again, now alone on the top level (the one node that moves).
+  const Library library = make_default_library();
+  const std::size_t buffer_cell = *library.strongest_buffer();
+  std::vector<GeneratorOptions> designs;
+  for (int d = 1; d <= 3; ++d) designs.push_back(benchmark_design_options(d));
+  designs.push_back(small_options(62));
+  designs.back().num_gates = 600;
+  for (std::size_t k = 0; k < designs.size(); ++k) {
+    SCOPED_TRACE("design " + std::to_string(k));
+    GeneratedDesign generated = generate_design(library, designs[k]);
+    Design& design = generated.design;
+    auto graph = std::make_unique<TimingGraph>(design, generated.clock_port);
+    std::size_t count = 0;
+    // Inserts a buffer on (net, sink) and patches; a patch equal to a
+    // fresh build replaces the graph unless \p reject, which leaves the
+    // tombstone and pads the old graph over it.
+    const auto insert = [&](NetId net, const Terminal& sink, bool reject) {
+      const std::size_t levels = graph->num_levels();
+      const InstanceId buffer = design.insert_buffer_for_sink(
+          net, sink, buffer_cell, "extbuf" + std::to_string(count++),
+          design.terminal_location(sink));
+      BufferPatch patch;
+      auto patched = std::make_unique<TimingGraph>(*graph, buffer, patch);
+      expect_same_graph(*patched, TimingGraph(design, generated.clock_port));
+      expect_moved_range(*graph, *patched, patch);
+      if (reject) {
+        design.remove_buffer(buffer, net);
+        graph->pad_instances(design.num_instances());
+      } else {
+        graph = std::move(patched);
+      }
+      return std::make_tuple(buffer, patch, graph->num_levels() - levels);
+    };
+
+    auto site = pick_extreme_site(design, *graph, MovedRangeExtreme::NearlyAll);
+    ASSERT_TRUE(site.has_value());
+    const std::uint32_t driver_level =
+        graph->node(graph->find_node(*design.net(site->first).driver)).level;
+    const NodeId low = graph->level_range(driver_level + 2).first;
+    {
+      const auto [buffer, patch, grown] = insert(site->first, site->second,
+                                                 false);
+      if (HasFatalFailure()) return;
+      EXPECT_LT(patch.first_moved_node, low);
+    }
+
+    site = pick_extreme_site(design, *graph, MovedRangeExtreme::NearTop);
+    ASSERT_TRUE(site.has_value());
+    {
+      const std::size_t nodes = graph->num_nodes();
+      const auto [buffer, patch, grown] = insert(site->first, site->second,
+                                                 false);
+      if (HasFatalFailure()) return;
+      EXPECT_EQ(patch.tail_node, nodes);
+      EXPECT_EQ(grown, 0u);
+    }
+
+    Rng rng(700 + k);
+    site = pick_buffer_site(design, *graph, rng, BufferSinkKind::Any);
+    ASSERT_TRUE(site.has_value());
+    insert(site->first, site->second, true);
+    if (HasFatalFailure()) return;
+
+    site = pick_extreme_site(design, *graph, MovedRangeExtreme::Top);
+    ASSERT_TRUE(site.has_value());
+    const Terminal sink = site->second;
+    InstanceId top_buffer = kInvalidId;
+    {
+      const std::size_t nodes = graph->num_nodes();
+      const auto [buffer, patch, grown] = insert(site->first, sink, false);
+      if (HasFatalFailure()) return;
+      EXPECT_EQ(patch.tail_node, nodes);
+      EXPECT_EQ(grown, 2u);
+      top_buffer = buffer;
+    }
+
+    const NetId out = design.instance(top_buffer)
+                          .pin_nets[design.cell_of(top_buffer).output_pin()];
+    {
+      const std::size_t nodes = graph->num_nodes();
+      const auto [buffer, patch, grown] = insert(out, sink, false);
+      if (HasFatalFailure()) return;
+      EXPECT_EQ(patch.first_moved_node, nodes - 1);
+      EXPECT_EQ(patch.tail_node, nodes);
+      EXPECT_EQ(patch.node_map[nodes - 1], nodes + 1);
+      EXPECT_EQ(grown, 2u);
+    }
+  }
 }
 
 TEST(TimingGraph, ClockNetBufferNeedsFreshBuild) {

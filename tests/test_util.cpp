@@ -4,12 +4,23 @@
 #include <set>
 
 #include "linalg/histogram.hpp"
+#include "util/check.hpp"
 #include "util/rng.hpp"
 #include "util/stopwatch.hpp"
 #include "util/strings.hpp"
 
 namespace mgba {
 namespace {
+
+#ifndef NDEBUG
+// Compiled only when assertions are: scripts/tier1.sh requires this test in
+// the list of its ASan+UBSan build, so that pass fails if NDEBUG ever
+// compiles MGBA_DCHECK (and CowVec::mut's assert) out of it again.
+TEST(CheckDeathTest, DcheckAbortsWithAssertionsOn) {
+  testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEATH(MGBA_DCHECK(1 + 1 == 3), "MGBA_CHECK failed: 1 \\+ 1 == 3");
+}
+#endif
 
 TEST(Rng, DeterministicAcrossInstances) {
   Rng a(123), b(123);
