@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Tier-1 verification (see ROADMAP.md), one line per pass:
 #   1. standard build + the full ctest suite;
-#   2. TSan, 4 threads: the suites whose pool workers or reader threads share state;
+#   2. TSan, 4 threads: the suites whose pool workers or reader threads share state,
+#      and the optimizer, whose rejected upsizes re-propagate on the parallel frontier;
 #   3. ASan+UBSan with assertions compiled in (MGBA_DCHECK, assert), 4 threads: the suites
 #      that index arenas, scratch, frames, the graph CSR and its buffer patch, the AOCV
 #      depth state, and the optimizer (area recovery's per-instance revert slots,
@@ -18,7 +19,7 @@ cmake --build build -j
 
 cmake -B build-tsan -S . -DMGBA_SANITIZE=thread
 cmake --build build-tsan -j --target mgba_tests
-MGBA_THREADS=4 ./build-tsan/tests/mgba_tests --gtest_filter='Parallel*:ThreadPool*:Incremental*:SolverFastpath*:Snapshot*:Server*:PathEngine*'
+MGBA_THREADS=4 ./build-tsan/tests/mgba_tests --gtest_filter='Parallel*:ThreadPool*:Incremental*:SolverFastpath*:Snapshot*:Server*:PathEngine*:Optimizer*'
 
 cmake -B build-asan -S . -DMGBA_SANITIZE=address
 cmake --build build-asan -j --target mgba_tests
@@ -38,4 +39,4 @@ for threads in 1 4; do
   ./scripts/server_smoke.sh build/tools/mgba_timer build/tools/mgba_client \
       examples/close_timing.mgbash examples/close_timing.golden "$threads"
 done
-echo "tier-1 OK (ctest + TSan parallel/incremental/server/path-engine suites + ASan+UBSan with assertions: check/MCMM/shell/incremental/kernel/path-engine/timing-graph/timer/depth-analysis/aocv/optimizer suites + shell and server smokes)"
+echo "tier-1 OK (ctest + TSan parallel/incremental/server/path-engine/optimizer suites + ASan+UBSan with assertions: check/MCMM/shell/incremental/kernel/path-engine/timing-graph/timer/depth-analysis/aocv/optimizer suites + shell and server smokes)"

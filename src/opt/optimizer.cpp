@@ -40,16 +40,6 @@ std::vector<RefitStats> TimingCloser::mgba_refit_stats() const {
 
 void TimingCloser::refresh_mgba(OptimizerReport& report) {
   const Stopwatch mgba_watch;
-  if (!options_.mgba_incremental_refit) {
-    if (corner_setups_.empty()) {
-      run_mgba_flow(*timer_, *table_, options_.mgba_options, &path_hub_);
-    } else {
-      run_mgba_flow_all_corners(*timer_, corner_setups_, options_.mgba_options,
-                                &path_hub_);
-    }
-    report.mgba_seconds += mgba_watch.seconds();
-    return;
-  }
   if (mgba_sessions_.empty()) {
     if (corner_setups_.empty()) {
       mgba_sessions_.emplace_back(*timer_, *table_, options_.mgba_options);
@@ -163,24 +153,19 @@ bool TimingCloser::try_upsize(InstanceId inst, OptimizerReport& report) {
   ++report.transforms_attempted;
   const double tns_before = current_tns();
 
-  Timer::TrialScope scope(*timer_);
   design_->resize_instance(inst, bigger);
   if (listener_) listener_->on_resize(inst, original, bigger);
   timer_->invalidate_instance(inst);
   const double tns_after = current_tns();
   if (tns_after > tns_before + options_.min_improvement_ps) {
-    scope.commit();
     ++report.upsizes;
     return true;
   }
+  // The incremental frontier is bit-exact: the next update re-propagates
+  // the resize back onto the pre-trial bits.
   design_->resize_instance(inst, original);
   if (listener_) listener_->on_resize(inst, bigger, original);
-  if (!scope.rollback()) {
-    // Checkpoint broke mid-trial (e.g. escalation to a full update):
-    // restore timing by re-propagation.
-    timer_->invalidate_instance(inst);
-    timer_->update_timing();
-  }
+  timer_->invalidate_instance(inst);
   return false;
 }
 
@@ -206,11 +191,11 @@ bool TimingCloser::try_insert_buffer(ArcId net_arc, OptimizerReport& report) {
   ++report.transforms_attempted;
   const double tns_before = current_tns();
 
-  // Buffer insertion changes the graph, so the checkpoint is a full
-  // structural snapshot: a rejected trial restores graph + arena wholesale
-  // instead of rebuilding and re-propagating a second time. The depth
-  // state is restored alongside.
-  Timer::TrialScope scope(*timer_, Timer::TrialScope::Kind::Structural);
+  // Buffer insertion changes the graph, so the trial runs under a
+  // checkpoint: a rejected trial restores graph + arena wholesale instead
+  // of rebuilding and re-propagating a second time. The depth state is
+  // restored alongside.
+  Timer::TrialScope scope(*timer_);
   std::optional<DepthAnalysis> depths_before =
       std::exchange(depths_, std::nullopt);
   const InstanceId buffer = design_->insert_buffer_for_sink(

@@ -65,18 +65,15 @@ struct OptimizerOptions {
   /// Endpoint slack margin required before a gate may be downsized.
   double recovery_margin_ps = 40.0;
 
-  /// Embedded mGBA: refresh the weighting factors every N passes.
+  /// Embedded mGBA: refresh the weighting factors every N passes. Each
+  /// corner's refreshes run through one MgbaRefitSession: after the first,
+  /// only rows whose path intersects the cone of the instances the closure
+  /// loop actually touched are golden-PBA re-measured, and the solve
+  /// warm-starts from the previous weights. Structural edits (buffer
+  /// insertion renumbers the graph) automatically fall back to a cold fit.
   bool use_mgba = false;
   std::size_t mgba_refresh_passes = 4;
   MgbaFlowOptions mgba_options;
-  /// Serve mGBA refreshes after the first from an MgbaRefitSession: only
-  /// rows whose path intersects the cone of the instances the closure loop
-  /// actually touched are golden-PBA re-measured, and the solve warm-starts
-  /// from the previous weights. Structural edits (buffer insertion renumbers
-  /// the graph) automatically fall back to a cold fit. Off = every refresh
-  /// is a from-scratch run_mgba_flow (the pre-refit behavior, kept for the
-  /// ablation bench).
-  bool mgba_incremental_refit = true;
 
   /// Inserted buffers are named "<prefix>_<k>" with k counting from
   /// buffer_name_start. A driver that runs several closure invocations on
@@ -128,8 +125,7 @@ class TimingCloser {
   OptimizerReport run();
 
   /// Refit-session counters of the embedded mGBA (empty when use_mgba is
-  /// off or mgba_incremental_refit is disabled; one entry per corner in
-  /// MCMM mode). Valid after run().
+  /// off; one entry per corner in MCMM mode). Valid after run().
   [[nodiscard]] std::vector<RefitStats> mgba_refit_stats() const;
 
   /// The persistent path-engine hub every mGBA refresh of this closer

@@ -844,7 +844,7 @@ void ShellInterpreter::register_commands() {
   add("stats",
       mutating_cmd("stats",
                    "timing-update statistics (updates, frontier sizes, "
-                   "delay-cache hit rate, trial checkpoints, memory "
+                   "delay-cache hit rate, buffer-trial rollbacks, memory "
                    "footprint)",
                    0, 0, {}, {}, [this](const ParsedCommand&) {
                      if (!session_.loaded()) return no_design();

@@ -20,9 +20,6 @@ void DelayCache::resize(std::size_t lanes, std::size_t arcs) {
   delay_ps.assign(n, 0.0);
   slew_ps.assign(n, 0.0);
   inputs.assign(arcs, ArcInputs{});
-  trial_mark_.assign(n, 0);
-  trial_epoch_ = 0;
-  trial_saved_.clear();
 }
 
 namespace {
@@ -124,9 +121,6 @@ void DelayCache::carry(std::size_t lanes,
   carry_lanes(delay_ps, 0.0, lanes, old_arcs, arcs, runs);
   carry_lanes(slew_ps, 0.0, lanes, old_arcs, arcs, runs);
   carry_lanes(inputs, ArcInputs{}, 1, old_arcs, arcs, runs);
-  trial_mark_.assign(size(), 0);
-  trial_epoch_ = 0;
-  trial_saved_.clear();
 }
 
 void DelayCache::invalidate_arc(std::size_t lanes, ArcId a) {
@@ -134,53 +128,12 @@ void DelayCache::invalidate_arc(std::size_t lanes, ArcId a) {
   if (a >= arcs) return;
   for (std::size_t lane = 0; lane < lanes; ++lane) {
     const std::size_t index = lane * arcs + a;
-    if (trial_active_) trial_record(index);
     slew_bits[index] = 0;
     cell_key[index] = kEmptyKey;
     delay_ps[index] = 0.0;
     slew_ps[index] = 0.0;
   }
   inputs[a] = ArcInputs{};
-}
-
-void DelayCache::trial_begin() {
-  // A buffer patch grows the memo and leaves the marks where they were:
-  // every mark predates the epoch this trial starts, so none can pass for
-  // a first touch of this trial.
-  if (trial_mark_.size() < size()) grow(trial_mark_, size());
-  if (trial_epoch_ == 0xffffffffu) {
-    std::fill(trial_mark_.begin(), trial_mark_.end(), 0);
-    trial_epoch_ = 0;
-  }
-  ++trial_epoch_;
-  trial_saved_.clear();
-  trial_active_ = true;
-}
-
-void DelayCache::trial_end() {
-  trial_saved_.clear();
-  trial_active_ = false;
-}
-
-void DelayCache::trial_record(std::size_t index) {
-  if (!trial_active_ || index >= size()) return;
-  if (trial_mark_[index] == trial_epoch_) return;
-  trial_mark_[index] = trial_epoch_;
-  trial_saved_.emplace_back(
-      index, Saved{slew_bits[index], cell_key[index], delay_ps[index],
-                   slew_ps[index], inputs[index % num_arcs()]});
-}
-
-void DelayCache::trial_restore() {
-  for (auto it = trial_saved_.rbegin(); it != trial_saved_.rend(); ++it) {
-    const auto& [index, saved] = *it;
-    slew_bits[index] = saved.bits;
-    cell_key[index] = saved.key;
-    delay_ps[index] = saved.delay;
-    slew_ps[index] = saved.slew;
-    inputs[index % num_arcs()] = saved.inputs;
-  }
-  trial_end();
 }
 
 DelayCalculator::DelayCalculator(const Design& design, WireModel wire)

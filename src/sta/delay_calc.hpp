@@ -10,7 +10,6 @@
 #include <atomic>
 #include <cstdint>
 #include <span>
-#include <utility>
 #include <vector>
 
 #include "liberty/library.hpp"
@@ -59,8 +58,11 @@ struct ArcInputs {
 /// which every live entry of the arc was computed under; an arc without a
 /// live entry holds the empty record. A graph rebuild moves an arc's
 /// entries to its new id only when the arc survives and its current inputs
-/// still equal that record (Timer::rebuild_graph; a structural rollback
-/// applies the same rule, and a buffer patch keeps exactly those entries).
+/// still equal that record (Timer::rebuild_graph; a buffer trial's
+/// rollback applies the same rule, and a buffer patch keeps exactly those
+/// entries). A rejected resize is undone like any other: resized back and
+/// invalidated, the entries it dropped are recomputed from the same key
+/// and inputs, hence to the same bits.
 ///
 /// Thread safety: entries are written only from the level-synchronous
 /// sweeps, where each (lane, arc) has exactly one writer per level (the
@@ -125,38 +127,8 @@ struct DelayCache {
   /// a little headroom, so successive patches rarely reallocate.
   void patch(std::size_t lanes, const BufferPatch& patch);
 
-  /// Drops every lane's entry of arc \p a and empties its record
-  /// (journaling each entry first when a trial is recording).
+  /// Drops every lane's entry of arc \p a and empties its record.
   void invalidate_arc(std::size_t lanes, ArcId a);
-
-  // --- trial journal --------------------------------------------------------
-  // First-touch journal of entries overwritten or invalidated during a
-  // value trial (Timer::TrialScope), so a rejected transform restores the
-  // exact pre-trial cache. Driven serially by the Timer: record calls
-  // happen on the coordinating thread before each parallel level sweep.
-
-  void trial_begin();
-  void trial_end();
-  void trial_record(std::size_t index);
-  void trial_restore();
-  [[nodiscard]] bool trial_active() const { return trial_active_; }
-
- private:
-  /// One journaled entry: the four SoA slots of one index plus its arc's
-  /// input record (shared by the arc's lanes; the restore walks the
-  /// journal backwards so the earliest, pre-trial record wins).
-  struct Saved {
-    std::uint64_t bits;
-    std::uint32_t key;
-    double delay;
-    double slew;
-    ArcInputs inputs;
-  };
-
-  bool trial_active_ = false;
-  std::uint32_t trial_epoch_ = 0;
-  std::vector<std::uint32_t> trial_mark_;
-  std::vector<std::pair<std::size_t, Saved>> trial_saved_;
 };
 
 class DelayCalculator {

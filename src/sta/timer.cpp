@@ -51,25 +51,21 @@ constexpr std::size_t kIncrementalGrain = 32;
 }
 }  // namespace
 
-/// Checkpoint state of one open TrialScope. Both kinds checkpoint the
-/// arena by COW fork: begin is O(1), and head writes privatize only the
-/// chunks they touch (the same machinery snapshots use — this replaced
-/// the hand-rolled first-touch TrialJournal). Structural trials
-/// additionally retain the graph and every derived table a rebuild_graph
-/// replaces; the graph, statics, derates and launch sets are refcounted,
-/// the per-port and per-node tables are plain copies. `broken` means an
-/// operation the checkpoint cannot cover intervened (corner-set change,
-/// weight application) — rollback then fails over to re-propagation.
+/// Checkpoint state of one open TrialScope: a COW fork of the arena
+/// (begin is O(1), and head writes privatize only the chunks they touch —
+/// the same machinery snapshots use), plus the graph and every derived
+/// table a buffer patch or rebuild_graph replaces; the graph, statics,
+/// derates and launch sets are refcounted, the per-port and per-endpoint
+/// tables are plain copies. `broken` means an operation the checkpoint
+/// cannot cover intervened (corner-set change, weight application) —
+/// rollback then fails over to a full update.
 struct Timer::TrialState {
-  bool structural = false;
   bool broken = false;
   std::vector<InstanceId> dirty_at_begin;
   std::vector<NodeId> seed_forward_at_begin;
   std::vector<NodeId> seed_backward_at_begin;
   bool dirty_full_at_begin = false;
-  // Both kinds: COW fork of the arena at begin.
   TimingData data;
-  // Structural kind:
   std::shared_ptr<TimingGraph> graph;
   std::shared_ptr<GraphStatics> statics;
   std::vector<std::shared_ptr<const std::vector<DeratePair>>> derates;
@@ -116,8 +112,8 @@ void Timer::set_corners(std::vector<AnalysisCorner> corners) {
   dirty_full_ = true;
   clear_pending();
   eco_poisoned_ = true;  // per-corner golden slacks all moved
-  // Resizing the arena invalidates both journal indices and structural
-  // snapshots; no checkpoint survives a corner-set change.
+  // The checkpoint's arena has the old lane count; no checkpoint survives
+  // a corner-set change.
   if (trial_) trial_->broken = true;
 }
 
@@ -158,9 +154,6 @@ void Timer::derates_installed(
     std::optional<std::span<const InstanceId>> moved) {
   fac_derate_dirty_ = true;
   eco_poisoned_ = true;  // every matrix entry a_ij = d_j * lambda_j moved
-  // A value checkpoint does not hold the derates, so an open one degrades
-  // to the fallback. Structural snapshots hold their own copy; they keep.
-  break_value_trial();
   if (!moved) {
     dirty_full_ = true;
     return;
@@ -192,8 +185,8 @@ void Timer::set_instance_weights(CornerId corner,
   weights_[corner] = std::move(weights);
   dirty_full_ = true;
   fac_weight_dirty_ = true;
-  // Weights are not part of either checkpoint kind; a mid-trial weight
-  // change cannot be rolled back, so the trial degrades to the fallback.
+  // Weights are not part of the checkpoint; a mid-trial weight change
+  // cannot be rolled back, so the trial degrades to the fallback.
   if (trial_) trial_->broken = true;
 }
 
@@ -285,12 +278,10 @@ void Timer::reset_eco_log() {
 }
 
 void Timer::rebuild_graph() {
-  // Node/arc ids change wholesale; a value journal indexed by the old ids
-  // cannot restore the new arena. Structural snapshots are exactly the
-  // checkpoint kind built for this and stay valid. The ECO log speaks in
-  // the old ids too — poison it.
+  // Node/arc ids change wholesale, and the ECO log speaks in the old ids —
+  // poison it. An open trial holds the old graph and tables and stays
+  // valid.
   eco_poisoned_ = true;
-  break_value_trial();
   // Fresh graph object: snapshots taken against the old one keep it alive.
   const std::shared_ptr<const TimingGraph> old_graph = graph_;
   graph_ = std::make_shared<TimingGraph>(*design_, constraints_.clock_port);
@@ -358,10 +349,9 @@ std::optional<BufferPatch> Timer::buffer_inserted(InstanceId buffer) {
     rebuild_graph();
     return std::nullopt;
   }
-  // rebuild_graph's bookkeeping: ids move, so the ECO log is poisoned and
-  // a value journal broken; structural checkpoints keep the old tables.
+  // rebuild_graph's bookkeeping: ids move, so the ECO log is poisoned; an
+  // open trial keeps the old tables.
   eco_poisoned_ = true;
-  break_value_trial();
   BufferPatch patch;
   graph_ = std::make_shared<TimingGraph>(*graph_, buffer, patch);
   ++state_version_;
@@ -1165,7 +1155,6 @@ void Timer::incremental_forward_corner(CornerId c) {
   for (const NodeId s : seed_scratch_) push(s);
 
   const bool guard = cow_writes_guarded();
-  const bool cache_journal = value_trial_active();
   // Level-synchronous frontier sweep. Fanouts land on strictly higher
   // levels, so a bucket never regrows once processed, and nodes within one
   // bucket have no mutual dependencies — the same invariant full_forward's
@@ -1178,8 +1167,7 @@ void Timer::incremental_forward_corner(CornerId c) {
     // COW choke point: when a snapshot or trial fork shares chunks,
     // privatize every slot the sweep may overwrite — serially, before
     // dispatch (privatization is not thread-safe; workers only write
-    // already-private chunks). The delay cache keeps its own first-touch
-    // journal for value trials.
+    // already-private chunks).
     if (guard) {
       for (const NodeId u : bucket) {
         data_.arrival.privatize(late_node + u);
@@ -1191,10 +1179,6 @@ void Timer::incremental_forward_corner(CornerId c) {
           data_.arc_delay.privatize(early_arc + a);
           data_.arc_delay_base.privatize(late_arc + a);
           data_.arc_delay_base.privatize(early_arc + a);
-          if (cache_journal) {
-            delay_cache_.trial_record(late_arc + a);
-            delay_cache_.trial_record(early_arc + a);
-          }
         }
       }
     }
@@ -1591,12 +1575,9 @@ void Timer::update_timing() {
                        !seed_backward_.empty();
   if (!incremental_enabled_ && pending) dirty_full_ = true;
   if (dirty_full_) {
-    // A full pass rewrites every slot. An open value checkpoint degrades
-    // to the fallback (preserving the PR-4 escalation contract), and the
-    // whole arena is privatized up front when snapshots or a trial fork
-    // still share chunks — O(arena) once, instead of per-slot checks in
-    // the sweeps.
-    break_value_trial();
+    // A full pass rewrites every slot: the whole arena is privatized up
+    // front when snapshots or a trial fork still share chunks — O(arena)
+    // once, instead of per-slot checks in the sweeps.
     if (cow_writes_guarded()) data_.privatize_all();
     ++state_version_;
     if (sweep_tables_stale_) size_sweep_tables();
@@ -1725,10 +1706,9 @@ bool Timer::cow_writes_guarded() const {
 
 // --- trial checkpoints ------------------------------------------------------
 
-void Timer::begin_trial(bool structural) {
+void Timer::begin_trial() {
   MGBA_CHECK(!trial_ && "trial scopes must not nest");
   trial_ = std::make_unique<TrialState>();
-  trial_->structural = structural;
   trial_->dirty_at_begin = dirty_instances_;
   trial_->seed_forward_at_begin = seed_forward_;
   trial_->seed_backward_at_begin = seed_backward_;
@@ -1736,12 +1716,8 @@ void Timer::begin_trial(bool structural) {
   // COW fork of the whole arena: O(1) per array, rollback is a move-back.
   // Head writes between begin and rollback privatize the chunks they
   // touch (cow_writes_guarded() sees the open trial), so the fork keeps
-  // the begin-time bits. This replaced the first-touch TrialJournal.
+  // the begin-time bits.
   trial_->data = data_;
-  if (!structural) {
-    delay_cache_.trial_begin();
-    return;
-  }
   trial_->graph = graph_;
   trial_->statics = statics_;
   trial_->derates = derates_;
@@ -1753,56 +1729,46 @@ void Timer::begin_trial(bool structural) {
   trial_->port_exception = port_exception_;
 }
 
-void Timer::commit_trial() {
-  if (!trial_) return;
-  if (!trial_->structural) delay_cache_.trial_end();
-  trial_.reset();
-}
+void Timer::commit_trial() { trial_.reset(); }
 
 bool Timer::rollback_trial() {
   if (!trial_) return false;
   if (trial_->broken) {
-    if (!trial_->structural) delay_cache_.trial_end();
     trial_.reset();
     dirty_full_ = true;
     ++stat_trial_fallbacks_;
     return false;
   }
-  if (trial_->structural) {
-    const std::shared_ptr<const TimingGraph> trial_graph = std::move(graph_);
-    graph_ = std::move(trial_->graph);
-    data_ = std::move(trial_->data);
-    derates_ = std::move(trial_->derates);
-    statics_ = std::move(trial_->statics);
-    launch_sets_ = std::move(trial_->launch_sets);
-    launch_words_ = trial_->launch_words;
-    port_input_delay_ = std::move(trial_->port_input_delay);
-    port_output_delay_ = std::move(trial_->port_output_delay);
-    check_exception_ = std::move(trial_->check_exception);
-    port_exception_ = std::move(trial_->port_exception);
-    // The reverted buffer survives in the design as a disconnected
-    // tombstone instance; extend instance-indexed lookups over it so
-    // queries stay in bounds (its pins resolve to kInvalidNode). The
-    // restored graph/statics may still back a live snapshot — clone
-    // before padding rather than mutate a shared bundle.
-    if (graph_.use_count() > 1) graph_ = std::make_shared<TimingGraph>(*graph_);
-    graph_->pad_instances(design_->num_instances());
-    if (statics_->num_instances() < design_->num_instances()) {
-      auto fresh = std::make_shared<GraphStatics>(*statics_);
-      fresh->arc_begin.resize(design_->num_instances() + 1,
-                              fresh->arc_begin.back());
-      fresh->check_of_ff.resize(design_->num_instances(), -1);
-      statics_ = std::move(fresh);
-    }
-    // The memo follows the restored graph by the rebuild's rule: the
-    // design is back to its pre-trial state, so every arc but D's cell
-    // arcs and the restored D->S arc finds its trial entry.
-    carry_delay_memo(*trial_graph);
-    resize_incremental_scratch();
-  } else {
-    data_ = std::move(trial_->data);
-    delay_cache_.trial_restore();
+  const std::shared_ptr<const TimingGraph> trial_graph = std::move(graph_);
+  graph_ = std::move(trial_->graph);
+  data_ = std::move(trial_->data);
+  derates_ = std::move(trial_->derates);
+  statics_ = std::move(trial_->statics);
+  launch_sets_ = std::move(trial_->launch_sets);
+  launch_words_ = trial_->launch_words;
+  port_input_delay_ = std::move(trial_->port_input_delay);
+  port_output_delay_ = std::move(trial_->port_output_delay);
+  check_exception_ = std::move(trial_->check_exception);
+  port_exception_ = std::move(trial_->port_exception);
+  // A reverted buffer survives in the design as a disconnected tombstone
+  // instance; extend instance-indexed lookups over it so queries stay in
+  // bounds (its pins resolve to kInvalidNode). The restored graph/statics
+  // may still back a live snapshot — clone before padding rather than
+  // mutate a shared bundle.
+  if (graph_.use_count() > 1) graph_ = std::make_shared<TimingGraph>(*graph_);
+  graph_->pad_instances(design_->num_instances());
+  if (statics_->num_instances() < design_->num_instances()) {
+    auto fresh = std::make_shared<GraphStatics>(*statics_);
+    fresh->arc_begin.resize(design_->num_instances() + 1,
+                            fresh->arc_begin.back());
+    fresh->check_of_ff.resize(design_->num_instances(), -1);
+    statics_ = std::move(fresh);
   }
+  // The memo follows the restored graph by the rebuild's rule: the design
+  // is back to its pre-trial state, so every arc but D's cell arcs and the
+  // restored D->S arc finds its trial entry.
+  carry_delay_memo(*trial_graph);
+  resize_incremental_scratch();
   ++state_version_;
   dirty_full_ = trial_->dirty_full_at_begin;
   clear_pending();
@@ -1815,20 +1781,8 @@ bool Timer::rollback_trial() {
   return true;
 }
 
-bool Timer::value_trial_active() const {
-  return trial_ && !trial_->structural && !trial_->broken;
-}
-
-void Timer::break_value_trial() {
-  if (trial_ && !trial_->structural) {
-    trial_->broken = true;
-    // A broken trial is never restored: stop journaling the memo.
-    delay_cache_.trial_end();
-  }
-}
-
-Timer::TrialScope::TrialScope(Timer& timer, Kind kind) : timer_(&timer) {
-  timer_->begin_trial(kind == Kind::Structural);
+Timer::TrialScope::TrialScope(Timer& timer) : timer_(&timer) {
+  timer_->begin_trial();
 }
 
 Timer::TrialScope::~TrialScope() {
@@ -1898,8 +1852,8 @@ Timer::MemoryStats Timer::memory_stats() const {
   m.arena_bytes_per_lane = lanes == 0 ? 0 : m.arena_bytes / lanes;
   m.delay_cache_entries = delay_cache_.size();
   m.delay_cache_bytes = delay_cache_.bytes();
-  // The per-check table is counted once (a structural trial that shares it
-  // adds nothing), plus the per-node DP scratch that derives it.
+  // The per-check table is counted once (a trial that shares it adds
+  // nothing), plus the per-node DP scratch that derives it.
   m.launch_set_bytes =
       ((launch_sets_ ? launch_sets_->capacity() : 0) + launch_dp_.capacity()) *
       sizeof(std::uint64_t);

@@ -312,8 +312,10 @@ class Timer {
     std::size_t backward_nodes = 0;
     std::uint64_t delay_cache_hits = 0;
     std::uint64_t delay_cache_misses = 0;
-    /// Trial transforms undone by checkpoint restore vs. by falling back
-    /// to re-propagation (a full update intervened mid-trial).
+    /// Trials (TrialScope: the optimizer's buffer trials) undone by
+    /// checkpoint restore vs. by falling back to a full update (a weight
+    /// install or corner-set change intervened mid-trial). A rejected
+    /// resize opens no trial and counts in neither.
     std::size_t trial_rollbacks = 0;
     std::size_t trial_fallbacks = 0;
 
@@ -327,24 +329,26 @@ class Timer {
   };
   [[nodiscard]] UpdateStats update_stats() const;
 
-  /// RAII checkpoint for a trial transform. Construction forks the arena
-  /// copy-on-write (O(1)); while a scope is open, incremental updates
+  /// RAII checkpoint for a trial transform that changes the graph (the
+  /// optimizer's buffer trials). Construction forks the arena
+  /// copy-on-write (O(1)) and retains the graph and every derived table a
+  /// buffer patch or rebuild replaces; while a scope is open, updates
   /// privatize the chunks they write, so the checkpoint costs O(chunks
-  /// touched). Structural kind additionally retains the graph and derived
-  /// tables (for buffer-insertion trials that replace the graph). A
-  /// rejected trial calls rollback(), which restores
-  /// the exact pre-trial state in O(touched) — the caller must first have
-  /// restored the *design* itself (inverse resize / remove_buffer; a
-  /// removed trial buffer may remain as a disconnected tombstone
-  /// instance). rollback() returns false when the checkpoint could not be
-  /// kept consistent (e.g. a corner-set change mid-trial); the Timer is
-  /// then marked for a full update and the caller re-propagates.
-  /// commit() (or destruction) keeps the trial state and drops the
-  /// checkpoint. Scopes must not nest.
+  /// touched). A rejected trial calls rollback(), which restores the exact
+  /// pre-trial state and carries the delay memo back — the caller must
+  /// first have restored the *design* itself (remove_buffer; the removed
+  /// buffer remains as a disconnected tombstone instance). rollback()
+  /// returns false when the checkpoint could not be kept consistent (a
+  /// weight install or corner-set change mid-trial); the Timer is then
+  /// marked for a full update and the caller re-derives what the trial
+  /// changed. commit() (or destruction) keeps the trial state and drops
+  /// the checkpoint. Scopes must not nest. A resize needs no scope: the
+  /// incremental frontier is bit-exact, so a resize back, passed to
+  /// invalidate_instance, lands on the pre-trial bits at the next
+  /// update_timing.
   class TrialScope {
    public:
-    enum class Kind { Value, Structural };
-    explicit TrialScope(Timer& timer, Kind kind = Kind::Value);
+    explicit TrialScope(Timer& timer);
     ~TrialScope();
     TrialScope(const TrialScope&) = delete;
     TrialScope& operator=(const TrialScope&) = delete;
@@ -461,7 +465,7 @@ class Timer {
   void derates_installed(std::optional<std::span<const InstanceId>> moved);
   /// Sizes the incremental-frontier scratch to the current graph/corner
   /// shape and marks the full-sweep tables stale. Called from
-  /// allocate_storage, carry_storage and structural-trial rollback, which
+  /// allocate_storage, carry_storage and trial rollback, which
   /// restores a differently-shaped arena without reallocating it.
   void resize_incremental_scratch();
   /// Re-derives the full-sweep tables for the current shape; the next full
@@ -577,14 +581,9 @@ class Timer {
   }
 
   // --- trial checkpoints ----------------------------------------------------
-  void begin_trial(bool structural);
+  void begin_trial();
   void commit_trial();
   bool rollback_trial();
-  [[nodiscard]] bool value_trial_active() const;
-  /// Invalidates an open value checkpoint (a full re-propagation or graph
-  /// rebuild makes the journal incomplete); rollback then reports failure
-  /// and the caller falls back to re-propagation.
-  void break_value_trial();
 
   /// Clock-cell delay difference (late - early) summed over the common
   /// clock-path prefix of two checks, at one corner.
@@ -636,11 +635,11 @@ class Timer {
   // (flip-flops) whose Q reaches its data pin, as a bitset whose extra bit
   // at index num_checks flags paths launched at input ports (which carry
   // zero credit). One check-major table of launch_words_ words per check,
-  // null with CRPR off; immutable once built, so structural trials share
-  // it. Corner-independent (clock topology does not change across
-  // corners). launch_dp_ is the per-node DP that derives the table, kept
-  // between rebuilds so a buffer trial neither allocates a fresh per-node
-  // table nor retains the old one in its checkpoint.
+  // null with CRPR off; immutable once built, so trials share it.
+  // Corner-independent (clock topology does not change across corners).
+  // launch_dp_ is the per-node DP that derives the table, kept between
+  // rebuilds so a buffer trial neither allocates a fresh per-node table
+  // nor retains the old one in its checkpoint.
   std::shared_ptr<const std::vector<std::uint64_t>> launch_sets_;
   std::size_t launch_words_ = 0;
   std::vector<std::uint64_t> launch_dp_;
@@ -675,7 +674,7 @@ class Timer {
   std::size_t incremental_updates_ = 0;
 
   /// Memoized base arc timings (see DelayCache); sized lanes x arcs.
-  /// A graph rebuild, a buffer patch and a structural rollback carry over
+  /// A graph rebuild, a buffer patch and a trial rollback carry over
   /// the entries of unchanged arcs (carry_delay_memo, patch_delay_memo);
   /// a corner-set change clears it.
   DelayCache delay_cache_;

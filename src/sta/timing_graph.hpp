@@ -150,8 +150,8 @@ class TimingGraph {
   /// design *after* this graph was built — the disconnected tombstones a
   /// reverted buffer trial leaves behind. Their pins resolve to
   /// kInvalidNode, matching how unconnected pins behave everywhere else.
-  /// Used when a structural trial checkpoint restores a pre-insertion
-  /// graph against the post-revert design.
+  /// Used when a trial checkpoint restores a pre-insertion graph against
+  /// the post-revert design.
   void pad_instances(std::size_t num_instances);
 
   /// Fanin arcs of a node, ascending arc id. The ids are consecutive (arcs

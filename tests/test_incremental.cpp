@@ -1,6 +1,7 @@
 /// Incremental-engine tests: the bounded backward pass and delay-calc
 /// memoization must be bit-identical to full re-propagation at any thread
-/// count, trial checkpoints must restore rejected transforms exactly, and
+/// count, a rejected resize must re-propagate onto the pre-trial bits and
+/// the trial checkpoint restore a rejected buffer exactly, and
 /// the headline property — a randomized ECO sequence evaluated through the
 /// fast path matches a twin session running full rebuilds after every
 /// mutation, and the journal it writes replays bit-identically at 1 and 4
@@ -297,27 +298,34 @@ TEST(IncrementalStats, CountersAdvanceAndReportRenders) {
 // --- trial checkpoints ------------------------------------------------------
 
 TEST(IncrementalTrial, ValueRollbackIsBitIdentical) {
+  // A rejected resize needs no checkpoint: resized back and passed to
+  // invalidate_instance, it is re-propagated by the next update onto the
+  // pre-trial bits, on the incremental frontier.
   GeneratedStack stack(small_options(309));
   const auto plan = resize_plan(stack.library, stack.design(), 1, 7009);
   const InstanceId inst = plan[0].first;
   const std::size_t old_cell = stack.design().instance(inst).cell;
   const std::vector<double> before = state_signature(*stack.timer);
-  const std::size_t rollbacks = stack.timer->update_stats().trial_rollbacks;
+  const Timer::UpdateStats stats = stack.timer->update_stats();
 
-  {
-    Timer::TrialScope scope(*stack.timer);
-    stack.design().resize_instance(inst, plan[0].second);
-    stack.timer->invalidate_instance(inst);
-    stack.timer->update_timing();
-    stack.design().resize_instance(inst, old_cell);
-    ASSERT_TRUE(scope.rollback());
-  }
-
-  EXPECT_EQ(state_signature(*stack.timer), before);
-  EXPECT_EQ(stack.timer->update_stats().trial_rollbacks, rollbacks + 1);
-  // The rolled-back timer is not left dirty: another update is a no-op.
+  stack.design().resize_instance(inst, plan[0].second);
+  stack.timer->invalidate_instance(inst);
   stack.timer->update_timing();
-  EXPECT_EQ(state_signature(*stack.timer), before);
+  ASSERT_NE(state_signature(*stack.timer), before);
+  stack.design().resize_instance(inst, old_cell);
+  stack.timer->invalidate_instance(inst);
+  stack.timer->update_timing();
+
+  EXPECT_TRUE(same_bits(state_signature(*stack.timer), before));
+  const Timer::UpdateStats after = stack.timer->update_stats();
+  EXPECT_EQ(after.full_updates, stats.full_updates);
+  EXPECT_EQ(after.incremental_updates, stats.incremental_updates + 2);
+  EXPECT_EQ(after.trial_rollbacks, stats.trial_rollbacks);
+  // The reverted timer is not left dirty: another update is a no-op.
+  stack.timer->update_timing();
+  EXPECT_EQ(stack.timer->update_stats().incremental_updates,
+            after.incremental_updates);
+  EXPECT_TRUE(same_bits(state_signature(*stack.timer), before));
 }
 
 TEST(IncrementalTrial, CommittedTrialKeepsTheNewState) {
@@ -358,8 +366,7 @@ TEST(IncrementalTrial, StructuralRollbackIsBitIdentical) {
   const std::size_t buffer_cell = *stack.library.strongest_buffer();
 
   {
-    Timer::TrialScope scope(*stack.timer,
-                            Timer::TrialScope::Kind::Structural);
+    Timer::TrialScope scope(*stack.timer);
     const Net net_before = design.net(*target);
     const InstanceId buffer = design.insert_buffer_for_sink(
         *target, net_before.sinks[0], buffer_cell, "trialbuf", {0.0, 0.0});
@@ -389,48 +396,73 @@ TEST(IncrementalTrial, StructuralRollbackIsBitIdentical) {
 }
 
 TEST(IncrementalTrial, FullUpdateMidTrialFallsBackSafely) {
+  // The checkpoint holds the arena, the graph, its tables and the
+  // derates, so a full re-propagation mid-trial (a derate reload) rolls
+  // back exactly. Weights are not part of it: a weight install mid-trial
+  // makes rollback refuse and flag the timer for a full update.
   GeneratedStack stack(small_options(312));
   const auto plan = resize_plan(stack.library, stack.design(), 1, 7012);
   const InstanceId inst = plan[0].first;
   const std::size_t old_cell = stack.design().instance(inst).cell;
-  const std::size_t fallbacks = stack.timer->update_stats().trial_fallbacks;
-
-  {
+  const std::vector<double> before = state_signature(*stack.timer);
+  const Timer::UpdateStats stats = stack.timer->update_stats();
+  const auto trial = [&](auto&& mid_trial) {
     Timer::TrialScope scope(*stack.timer);
     stack.design().resize_instance(inst, plan[0].second);
     stack.timer->invalidate_instance(inst);
     stack.timer->update_timing();
-    // A derate refresh forces a full re-propagation, which a value journal
-    // cannot undo — rollback must refuse and flag the timer dirty.
-    stack.timer->set_instance_derates(
-        compute_gba_derates(stack.timer->graph(), stack.table));
+    mid_trial();
     stack.timer->update_timing();
     stack.design().resize_instance(inst, old_cell);
-    EXPECT_FALSE(scope.rollback());
-  }
-  EXPECT_EQ(stack.timer->update_stats().trial_fallbacks, fallbacks + 1);
+    return scope.rollback();
+  };
 
-  // Re-propagation from here must converge to a fresh evaluation.
+  EXPECT_TRUE(trial([&] {
+    stack.timer->set_instance_derates(
+        compute_gba_derates(stack.timer->graph(), stack.table));
+  }));
+  EXPECT_EQ(stack.timer->update_stats().full_updates, stats.full_updates + 1);
+  EXPECT_EQ(stack.timer->update_stats().trial_rollbacks,
+            stats.trial_rollbacks + 1);
+  EXPECT_TRUE(same_bits(state_signature(*stack.timer), before));
+  stack.timer->update_timing();
+  EXPECT_TRUE(same_bits(state_signature(*stack.timer), before));
+
+  const std::vector<double> weights(stack.design().num_instances(), 0.05);
+  EXPECT_FALSE(trial([&] { stack.timer->set_instance_weights(weights); }));
+  EXPECT_EQ(stack.timer->update_stats().trial_fallbacks,
+            stats.trial_fallbacks + 1);
+
+  // Re-propagation from here must converge to a fresh evaluation under
+  // the installed weights.
   stack.timer->invalidate_instance(inst);
   stack.timer->update_timing();
   Timer fresh(stack.design(), stack.timer->constraints());
   fresh.set_instance_derates(compute_gba_derates(fresh.graph(), stack.table));
+  fresh.set_instance_weights(weights);
   fresh.update_timing();
-  EXPECT_EQ(state_signature(*stack.timer), state_signature(fresh));
+  EXPECT_TRUE(
+      same_bits(state_signature(*stack.timer), state_signature(fresh)));
 }
 
 TEST(IncrementalTrial, OptimizerCheckpointsMatchLegacyRejectPath) {
-  // Every rejected optimizer trial rolls back through a checkpoint. The
-  // state left behind must be bit-identical to a Timer built from scratch
-  // on the final design: its memo cache starts empty and it never held
-  // trial state, so it is independent of both fast paths.
+  // Every rejected buffer trial rolls back through the checkpoint (with
+  // sizing off and a low wire threshold the closer tries, and rejects,
+  // buffers). The state left behind must be bit-identical to a Timer
+  // built from scratch on the final design: its memo cache starts empty
+  // and it never held trial state, so it is independent of the checkpoint
+  // and of the frontier.
   GeneratedStack stack(small_options(313), 1500.0);
   OptimizerOptions options;
   options.max_passes = 3;
+  options.enable_sizing = false;
+  options.buffer_wire_threshold_ps = 0.5;
   TimingCloser closer(stack.design(), *stack.timer, stack.table, options);
   const OptimizerReport report = closer.run();
   EXPECT_GT(report.transforms_attempted, 0u);
-  EXPECT_GT(stack.timer->update_stats().trial_rollbacks, 0u);
+  EXPECT_GT(report.buffers_reverted, 0u);
+  EXPECT_EQ(stack.timer->update_stats().trial_rollbacks,
+            report.buffers_reverted);
 
   Timer fresh(stack.design(), stack.timer->constraints());
   fresh.set_instance_derates(compute_gba_derates(fresh.graph(), stack.table));
@@ -643,25 +675,20 @@ TEST(IncrementalRebuild, CarriedMemoMatchesFreshTimer) {
         ++swaps;
         s.rebuild();
       } else if (kind == 5) {
-        // A rejected value trial re-evaluates the resized neighborhood
-        // and rolls the memo back; the same resize then arrives through
-        // the undo path. The rollback must have restored what the entries
-        // were computed under, not only the entries.
+        // A rejected resize re-evaluates the resized neighborhood twice,
+        // re-propagated there and back; the same resize then arrives
+        // through the undo path. The revert must have re-recorded what the
+        // entries were computed under, not only the entries.
         const auto plan = resize_plan(s.stack.library, design, 1,
                                       rng.next_u64());
         const auto [inst, cell] = plan[0];
         const std::size_t old_cell = design.instance(inst).cell;
-        {
-          Timer::TrialScope scope(s.timer());
-          design.resize_instance(inst, cell);
-          s.timer().invalidate_instance(inst);
-          s.timer().update_timing();
-          design.resize_instance(inst, old_cell);
-          if (!scope.rollback()) {
-            s.timer().invalidate_instance(inst);
-            s.timer().update_timing();
-          }
-        }
+        design.resize_instance(inst, cell);
+        s.timer().invalidate_instance(inst);
+        s.timer().update_timing();
+        design.resize_instance(inst, old_cell);
+        s.timer().invalidate_instance(inst);
+        s.timer().update_timing();
         design.resize_instance(inst, cell);
         ++trials;
         s.rebuild();
@@ -914,8 +941,8 @@ TEST(IncrementalRebuild, BufferInsertedMatchesRebuildGraph) {
       const std::string name = "twinbuf" + std::to_string(step);
       InstanceId buffer = kInvalidId;
       {
-        Timer::TrialScope trial_a(a, Timer::TrialScope::Kind::Structural);
-        Timer::TrialScope trial_b(b, Timer::TrialScope::Kind::Structural);
+        Timer::TrialScope trial_a(a);
+        Timer::TrialScope trial_b(b);
         buffer = patched.design().insert_buffer_for_sink(
             net, sink, buffer_cell, name, {4.0, 4.0});
         EXPECT_EQ(rebuilt.design().insert_buffer_for_sink(
@@ -1159,13 +1186,13 @@ TEST(IncrementalRebuild, PatchedBufferRunsFrontier) {
       const std::shared_ptr<const TimingSnapshot> snap = timer.snapshot();
       const std::vector<double> snap_sig = state_signature(*snap);
       {
-        Timer::TrialScope trial(timer, Timer::TrialScope::Kind::Structural);
+        Timer::TrialScope trial(timer);
         insert(BufferSinkKind::FlopData, BufferSpot::Midpoint);
         update_and_check("committed trial");
         trial.commit();
       }
       {
-        Timer::TrialScope trial(timer, Timer::TrialScope::Kind::Structural);
+        Timer::TrialScope trial(timer);
         const auto [buffer, net] =
             insert(BufferSinkKind::OneOfMany, BufferSpot::AtDriver);
         update_and_check("rejected trial");
@@ -1257,7 +1284,7 @@ TEST(IncrementalRebuild, RejectedBufferTrialKeepsMemo) {
     const std::size_t bound = (graph.fanin(driver).size() + 1) * lanes;
     const std::size_t whole = graph.num_arcs() * lanes;
     {
-      Timer::TrialScope scope(s.timer(), Timer::TrialScope::Kind::Structural);
+      Timer::TrialScope scope(s.timer());
       const InstanceId buffer = design.insert_buffer_for_sink(
           net, sink, buffer_cell, timed ? "keepbuf1" : "keepbuf0",
           {6.0, 6.0});

@@ -12,6 +12,7 @@
 #include "opt/qor.hpp"
 #include "sta/state_signature.hpp"
 #include "test_helpers.hpp"
+#include "util/thread_pool.hpp"
 
 namespace mgba {
 namespace {
@@ -223,6 +224,40 @@ TEST(Optimizer, BufferRevertKeepsDesignValid) {
   const OptimizerReport report = closer.run();
   (void)report;
   stack.design().validate();
+}
+
+TEST(Optimizer, RejectedUpsizesRepropagateExactly) {
+  // An upsize trial opens no checkpoint: a rejected one is resized back
+  // and re-propagated by the next update on the incremental frontier.
+  // With an improvement bar no upsize clears, every trial is rejected and
+  // the design ends where it began; the timing state must equal a Timer
+  // built from scratch on it, bit for bit, at 1 and 4 threads.
+  const std::size_t saved_threads = num_threads();
+  for (const std::uint64_t seed : {91u, 313u, 343u}) {
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+      SCOPED_TRACE("seed " + std::to_string(seed) + ", " +
+                   std::to_string(threads) + " thread(s)");
+      set_num_threads(threads);
+      GeneratedStack stack(small_options(seed), 1500.0);
+      OptimizerOptions options;
+      options.min_improvement_ps = 1e9;
+      options.enable_buffering = false;
+      options.enable_area_recovery = false;
+      TimingCloser closer(stack.design(), *stack.timer, stack.table, options);
+      const OptimizerReport report = closer.run();
+      EXPECT_EQ(report.upsizes, 0u);
+      EXPECT_GT(report.transforms_attempted, 0u);
+      EXPECT_EQ(stack.timer->update_stats().trial_rollbacks, 0u);
+
+      Timer fresh(stack.design(), stack.timer->constraints());
+      fresh.set_instance_derates(
+          compute_gba_derates(fresh.graph(), stack.table));
+      fresh.update_timing();
+      EXPECT_TRUE(
+          same_bits(state_signature(*stack.timer), state_signature(fresh)));
+    }
+  }
+  set_num_threads(saved_threads);
 }
 
 TEST(Optimizer, PatchedBufferTrialsMatchFullAnalysis) {

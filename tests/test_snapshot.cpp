@@ -223,8 +223,7 @@ TEST(Snapshot, StructuralTrialRollbackWithLiveSnapshot) {
   const std::size_t buffer_cell = *stack.library.strongest_buffer();
 
   {
-    Timer::TrialScope scope(*stack.timer,
-                            Timer::TrialScope::Kind::Structural);
+    Timer::TrialScope scope(*stack.timer);
     const Net net_before = design.net(*target);
     const InstanceId buffer = design.insert_buffer_for_sink(
         *target, net_before.sinks[0], buffer_cell, "trialbuf", {0.0, 0.0});

@@ -89,8 +89,8 @@ int usage() {
                "                       default MGBA_THREADS env or all cores)\n"
                "          --verbose (timing-update statistics: update\n"
                "                     counts, frontier sizes, delay-cache\n"
-               "                     hit rate, trial checkpoints, memory\n"
-               "                     footprint)\n"
+               "                     hit rate, buffer-trial rollbacks,\n"
+               "                     memory footprint)\n"
                "          --corners FILE (MCMM corner spec; per-corner +\n"
                "                          merged worst-corner analysis)\n"
                "  generate --design 1..10 | --instances N (scaled preset) |\n"
