@@ -9,7 +9,11 @@
 #      moved-derate installs and the arena carry of a patched buffer trial under a real
 #      closure); the pass first checks that the assertion death test was compiled in;
 #   4. shell golden-transcript smoke at 1 and 4 threads (byte-identical);
-#   5. server smoke at 1 and 4 threads, including a kill -9 / --recover round trip.
+#   5. server smoke at 1 and 4 threads, including a kill -9 / --recover round trip;
+#   6. the end-to-end benchmark's correctness gates on its smoke workloads
+#      (bench/e2e/run.sh --smoke, Release build under .bench_build/): reps agree, refits
+#      stay warm, the head matches a fresh Timer, the stepwise fit matches the session
+#      fit, and the query_serve transcripts match.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -39,4 +43,6 @@ for threads in 1 4; do
   ./scripts/server_smoke.sh build/tools/mgba_timer build/tools/mgba_client \
       examples/close_timing.mgbash examples/close_timing.golden "$threads"
 done
-echo "tier-1 OK (ctest + TSan parallel/incremental/server/path-engine/optimizer suites + ASan+UBSan with assertions: check/MCMM/shell/incremental/kernel/path-engine/timing-graph/timer/depth-analysis/aocv/optimizer suites + shell and server smokes)"
+
+bash bench/e2e/run.sh --smoke
+echo "tier-1 OK (ctest + TSan parallel/incremental/server/path-engine/optimizer suites + ASan+UBSan with assertions: check/MCMM/shell/incremental/kernel/path-engine/timing-graph/timer/depth-analysis/aocv/optimizer suites + shell and server smokes + e2e smoke gates)"

@@ -471,9 +471,16 @@ MgbaFlowResult MgbaRefitSession::refit() {
   // Warm re-solve from the previous solution. The refit always uses the
   // plain SCG kernel: Algorithm 1's doubling rounds exist to find a good
   // subset from scratch, while here rows_ is already selected and x_ is
-  // already near the optimum.
+  // already near the optimum. That makes the refit one more warm-started
+  // Algorithm-1 round, and it takes one round's budget: from a warm start
+  // the convergence test does not fire, and iterations past a round fit
+  // no better while they walk ||x|| and the optimism outward.
+  SolverOptions warm_options = options_.solver_options;
+  warm_options.max_iterations =
+      std::min(warm_options.max_iterations,
+               options_.sampling_options.inner_iterations);
   SolveResult solved =
-      solve_scg(*problem_, rows_, options_.solver_options, x_, &scratch_);
+      solve_scg(*problem_, rows_, warm_options, x_, &scratch_);
   result.solve_seconds = solved.seconds;
   result.solver_iterations = solved.iterations;
 

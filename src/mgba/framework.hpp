@@ -140,9 +140,15 @@ struct RefitStats {
 /// cached rows whose path intersects the cone via a node->rows inverted
 /// index, golden-PBA re-evaluates ONLY those rows (refreshing their matrix
 /// values in place — the sparsity pattern of a path never changes), and
-/// re-solves warm-started from the previous solution with the Eq.-11
-/// sampling state reused. A poisoned log (graph rebuild, corner change,
-/// derate reload, clock touch) falls back to a cold fit() automatically.
+/// runs one more warm-started Algorithm-1 round over the already-selected
+/// rows: plain SCG from the previous solution, with the Eq.-11 sampling
+/// state reused, for min(solver_options.max_iterations,
+/// sampling_options.inner_iterations) iterations. From a warm start the
+/// convergence test does not fire (see SolverOptions::convergence_tol), and
+/// iterations past one round fit no better while they walk ||x|| and the
+/// optimism outward (EXPERIMENTS.md "Warm refits take one round's budget").
+/// A poisoned log (graph rebuild, corner change, derate reload, clock
+/// touch) falls back to a cold fit() automatically.
 ///
 /// Soundness of refreshing while the previous fit's weights stay applied:
 /// every refreshed quantity — base delays, derates, PBA slacks, endpoint

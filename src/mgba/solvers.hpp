@@ -44,7 +44,17 @@ struct SolverOptions {
   /// around the optimum with the noise averaged out, and travels far
   /// enough on every problem scale.
   double step_decay = 0.0;
-  double convergence_tol = 1e-3;     ///< eps_c in Algorithm 2
+  /// eps_c in Algorithm 2. With iterate averaging on, the test runs every
+  /// 100 iterations on the averaged iterate. From a warm start at this
+  /// repo's scale it does not fire: the step stays s and the batches are a
+  /// few hundred rows, so the averaged iterate keeps moving 1.4-3.4 % of
+  /// ||x|| per 100 iterations (seed-7 eco_refit refits), far above 0.1 %.
+  /// Warm refits are bounded by their budget instead (see
+  /// MgbaRefitSession).
+  double convergence_tol = 1e-3;
+  /// Iteration cap of one solve_scg / solve_gradient_descent call.
+  /// Algorithm 1 caps each round at min(max_iterations,
+  /// SamplingOptions::inner_iterations), and so does a warm refit.
   std::size_t max_iterations = 4000;
   double row_fraction = 0.02;        ///< k'' as a fraction of active rows
   std::size_t min_rows = 32;         ///< floor for k''
@@ -72,7 +82,9 @@ struct SamplingOptions {
   /// Per-round cap on the inner Algorithm-2 iterations. Rounds are
   /// warm-started, so the accumulated iteration count across doublings
   /// does the converging; uncapped inner solves would burn the whole
-  /// budget on the first (tiny, underdetermined) samples.
+  /// budget on the first (tiny, underdetermined) samples. A warm refit is
+  /// one more such round over rows already selected, so
+  /// MgbaRefitSession::refit caps its solve here too.
   std::size_t inner_iterations = 600;
   /// Ablation: sample rows with probability proportional to their squared
   /// norm (a cheap leverage-score surrogate) instead of uniformly. The

@@ -221,13 +221,8 @@ bool TimingCloser::try_insert_buffer(ArcId net_arc, OptimizerReport& report) {
   }
   design_->remove_buffer(buffer, net);
   if (listener_) listener_->on_buffer_removed(buffer, net);
-  if (scope.rollback()) {
-    depths_ = std::move(depths_before);
-  } else {
-    timer_->rebuild_graph();
-    refresh_derates();
-    timer_->update_timing();
-  }
+  scope.rollback();
+  depths_ = std::move(depths_before);
   ++report.buffers_reverted;
   return false;
 }

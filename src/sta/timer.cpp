@@ -56,11 +56,10 @@ constexpr std::size_t kIncrementalGrain = 32;
 /// the same machinery snapshots use), plus the graph and every derived
 /// table a buffer patch or rebuild_graph replaces; the graph, statics,
 /// derates and launch sets are refcounted, the per-port and per-endpoint
-/// tables are plain copies. `broken` means an operation the checkpoint
-/// cannot cover intervened (corner-set change, weight application) —
-/// rollback then fails over to a full update.
+/// tables are plain copies. Weights and the corner set are not part of it:
+/// installing either while a trial is open is an internal-invariant
+/// violation (MGBA_CHECK), so a rollback always restores exactly.
 struct Timer::TrialState {
-  bool broken = false;
   std::vector<InstanceId> dirty_at_begin;
   std::vector<NodeId> seed_forward_at_begin;
   std::vector<NodeId> seed_backward_at_begin;
@@ -93,6 +92,9 @@ Timer::~Timer() = default;
 
 void Timer::set_corners(std::vector<AnalysisCorner> corners) {
   MGBA_CHECK(!corners.empty());
+  // The checkpoint's arena has the old lane count; no trial may span a
+  // corner-set change.
+  MGBA_CHECK(!trial_ && "corner-set change inside a trial");
   // Corner 0's configuration seeds every corner of the new set; callers
   // refine per corner afterwards (per-corner derate tables, fits).
   const std::shared_ptr<const std::vector<DeratePair>> seed_derates =
@@ -112,9 +114,6 @@ void Timer::set_corners(std::vector<AnalysisCorner> corners) {
   dirty_full_ = true;
   clear_pending();
   eco_poisoned_ = true;  // per-corner golden slacks all moved
-  // The checkpoint's arena has the old lane count; no checkpoint survives
-  // a corner-set change.
-  if (trial_) trial_->broken = true;
 }
 
 std::optional<CornerId> Timer::find_corner(std::string_view name) const {
@@ -182,12 +181,12 @@ void Timer::set_instance_weights(std::vector<double> weights) {
 void Timer::set_instance_weights(CornerId corner,
                                  std::vector<double> weights) {
   MGBA_CHECK(corner < weights_.size());
+  // Weights are not part of the checkpoint, so a rollback could not undo
+  // them; no trial may span a weight install.
+  MGBA_CHECK(!trial_ && "weight install inside a trial");
   weights_[corner] = std::move(weights);
   dirty_full_ = true;
   fac_weight_dirty_ = true;
-  // Weights are not part of the checkpoint; a mid-trial weight change
-  // cannot be rolled back, so the trial degrades to the fallback.
-  if (trial_) trial_->broken = true;
 }
 
 void Timer::set_instance_weights_early(std::vector<double> weights) {
@@ -197,10 +196,10 @@ void Timer::set_instance_weights_early(std::vector<double> weights) {
 void Timer::set_instance_weights_early(CornerId corner,
                                        std::vector<double> weights) {
   MGBA_CHECK(corner < weights_early_.size());
+  MGBA_CHECK(!trial_ && "weight install inside a trial");
   weights_early_[corner] = std::move(weights);
   dirty_full_ = true;
   fac_weight_dirty_ = true;
-  if (trial_) trial_->broken = true;
 }
 
 void Timer::invalidate_instance(InstanceId inst) {
@@ -1731,14 +1730,8 @@ void Timer::begin_trial() {
 
 void Timer::commit_trial() { trial_.reset(); }
 
-bool Timer::rollback_trial() {
-  if (!trial_) return false;
-  if (trial_->broken) {
-    trial_.reset();
-    dirty_full_ = true;
-    ++stat_trial_fallbacks_;
-    return false;
-  }
+void Timer::rollback_trial() {
+  MGBA_CHECK(trial_ != nullptr);
   const std::shared_ptr<const TimingGraph> trial_graph = std::move(graph_);
   graph_ = std::move(trial_->graph);
   data_ = std::move(trial_->data);
@@ -1778,7 +1771,6 @@ bool Timer::rollback_trial() {
   seed_backward_ = std::move(trial_->seed_backward_at_begin);
   trial_.reset();
   ++stat_trial_rollbacks_;
-  return true;
 }
 
 Timer::TrialScope::TrialScope(Timer& timer) : timer_(&timer) {
@@ -1795,10 +1787,10 @@ void Timer::TrialScope::commit() {
   timer_->commit_trial();
 }
 
-bool Timer::TrialScope::rollback() {
-  if (!open_) return false;
+void Timer::TrialScope::rollback() {
+  if (!open_) return;
   open_ = false;
-  return timer_->rollback_trial();
+  timer_->rollback_trial();
 }
 
 // --- update statistics ------------------------------------------------------
@@ -1812,7 +1804,6 @@ Timer::UpdateStats Timer::update_stats() const {
   s.delay_cache_hits = delay_cache_.hits.load(std::memory_order_relaxed);
   s.delay_cache_misses = delay_cache_.misses.load(std::memory_order_relaxed);
   s.trial_rollbacks = stat_trial_rollbacks_;
-  s.trial_fallbacks = stat_trial_fallbacks_;
   return s;
 }
 
@@ -1822,11 +1813,11 @@ std::string Timer::UpdateStats::to_string() const {
       "incremental touch  : %zu forward node recomputes, %zu backward node "
       "visits\n"
       "delay cache        : %llu hits, %llu misses (%.1f%% hit rate)\n"
-      "trial checkpoints  : %zu rollbacks, %zu fallbacks",
+      "trial checkpoints  : %zu rollbacks",
       full_updates, incremental_updates, forward_nodes, backward_nodes,
       static_cast<unsigned long long>(delay_cache_hits),
       static_cast<unsigned long long>(delay_cache_misses),
-      100.0 * delay_cache_hit_rate(), trial_rollbacks, trial_fallbacks);
+      100.0 * delay_cache_hit_rate(), trial_rollbacks);
 }
 
 std::size_t Timer::sweep_bytes() const {

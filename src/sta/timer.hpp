@@ -313,11 +313,9 @@ class Timer {
     std::uint64_t delay_cache_hits = 0;
     std::uint64_t delay_cache_misses = 0;
     /// Trials (TrialScope: the optimizer's buffer trials) undone by
-    /// checkpoint restore vs. by falling back to a full update (a weight
-    /// install or corner-set change intervened mid-trial). A rejected
-    /// resize opens no trial and counts in neither.
+    /// checkpoint restore. A rejected resize opens no trial and is not
+    /// counted.
     std::size_t trial_rollbacks = 0;
-    std::size_t trial_fallbacks = 0;
 
     [[nodiscard]] double delay_cache_hit_rate() const {
       const std::uint64_t total = delay_cache_hits + delay_cache_misses;
@@ -337,15 +335,13 @@ class Timer {
   /// touched). A rejected trial calls rollback(), which restores the exact
   /// pre-trial state and carries the delay memo back — the caller must
   /// first have restored the *design* itself (remove_buffer; the removed
-  /// buffer remains as a disconnected tombstone instance). rollback()
-  /// returns false when the checkpoint could not be kept consistent (a
-  /// weight install or corner-set change mid-trial); the Timer is then
-  /// marked for a full update and the caller re-derives what the trial
-  /// changed. commit() (or destruction) keeps the trial state and drops
-  /// the checkpoint. Scopes must not nest. A resize needs no scope: the
-  /// incremental frontier is bit-exact, so a resize back, passed to
-  /// invalidate_instance, lands on the pre-trial bits at the next
-  /// update_timing.
+  /// buffer remains as a disconnected tombstone instance). Weights and the
+  /// corner set are outside the checkpoint: installing either while a
+  /// scope is open fails an MGBA_CHECK. commit() (or destruction) keeps
+  /// the trial state and drops the checkpoint. Scopes must not nest. A
+  /// resize needs no scope: the incremental frontier is bit-exact, so a
+  /// resize back, passed to invalidate_instance, lands on the pre-trial
+  /// bits at the next update_timing.
   class TrialScope {
    public:
     explicit TrialScope(Timer& timer);
@@ -354,7 +350,7 @@ class Timer {
     TrialScope& operator=(const TrialScope&) = delete;
 
     void commit();
-    [[nodiscard]] bool rollback();
+    void rollback();
 
    private:
     Timer* timer_;
@@ -583,7 +579,7 @@ class Timer {
   // --- trial checkpoints ----------------------------------------------------
   void begin_trial();
   void commit_trial();
-  bool rollback_trial();
+  void rollback_trial();
 
   /// Clock-cell delay difference (late - early) summed over the common
   /// clock-path prefix of two checks, at one corner.
@@ -750,7 +746,6 @@ class Timer {
   std::size_t stat_forward_nodes_ = 0;
   std::size_t stat_backward_nodes_ = 0;
   std::size_t stat_trial_rollbacks_ = 0;
-  std::size_t stat_trial_fallbacks_ = 0;
 
   struct TrialState;
   std::unique_ptr<TrialState> trial_;

@@ -219,7 +219,7 @@ TEST(IncrementalTrial, RolledBackDirtyListKeepsDedup) {
       ASSERT_EQ(pending(), (std::vector<InstanceId>{x, y}));
       if (timed) timer.update_timing();
       design.resize_instance(y, y_old);
-      ASSERT_TRUE(scope.rollback());
+      scope.rollback();
     }
     ASSERT_EQ(pending(), std::vector<InstanceId>{x}) << "timed " << timed;
     timer.invalidate_instance(x);
@@ -376,7 +376,7 @@ TEST(IncrementalTrial, StructuralRollbackIsBitIdentical) {
     stack.timer->update_timing();
     EXPECT_NE(state_signature(*stack.timer), before);
     design.remove_buffer(buffer, *target);
-    ASSERT_TRUE(scope.rollback());
+    scope.rollback();
   }
 
   EXPECT_EQ(state_signature(*stack.timer), before);
@@ -398,44 +398,59 @@ TEST(IncrementalTrial, StructuralRollbackIsBitIdentical) {
 TEST(IncrementalTrial, FullUpdateMidTrialFallsBackSafely) {
   // The checkpoint holds the arena, the graph, its tables and the
   // derates, so a full re-propagation mid-trial (a derate reload) rolls
-  // back exactly. Weights are not part of it: a weight install mid-trial
-  // makes rollback refuse and flag the timer for a full update.
+  // back exactly. Weights and the corner set are not part of it; installing
+  // either mid-trial aborts (IncrementalTrialDeathTest below).
   GeneratedStack stack(small_options(312));
   const auto plan = resize_plan(stack.library, stack.design(), 1, 7012);
   const InstanceId inst = plan[0].first;
   const std::size_t old_cell = stack.design().instance(inst).cell;
   const std::vector<double> before = state_signature(*stack.timer);
   const Timer::UpdateStats stats = stack.timer->update_stats();
-  const auto trial = [&](auto&& mid_trial) {
+  {
     Timer::TrialScope scope(*stack.timer);
     stack.design().resize_instance(inst, plan[0].second);
     stack.timer->invalidate_instance(inst);
     stack.timer->update_timing();
-    mid_trial();
-    stack.timer->update_timing();
-    stack.design().resize_instance(inst, old_cell);
-    return scope.rollback();
-  };
-
-  EXPECT_TRUE(trial([&] {
     stack.timer->set_instance_derates(
         compute_gba_derates(stack.timer->graph(), stack.table));
-  }));
+    stack.timer->update_timing();
+    stack.design().resize_instance(inst, old_cell);
+    scope.rollback();
+  }
   EXPECT_EQ(stack.timer->update_stats().full_updates, stats.full_updates + 1);
   EXPECT_EQ(stack.timer->update_stats().trial_rollbacks,
             stats.trial_rollbacks + 1);
   EXPECT_TRUE(same_bits(state_signature(*stack.timer), before));
   stack.timer->update_timing();
   EXPECT_TRUE(same_bits(state_signature(*stack.timer), before));
+}
 
+TEST(IncrementalTrialDeathTest, WeightInstallInsideTrialAborts) {
+  // A rollback cannot undo a weight install, so the timer refuses one
+  // while a trial is open instead of degrading the trial.
+  testing::FLAGS_gtest_death_test_style = "threadsafe";
+  GeneratedStack stack(small_options(312));
   const std::vector<double> weights(stack.design().num_instances(), 0.05);
-  EXPECT_FALSE(trial([&] { stack.timer->set_instance_weights(weights); }));
-  EXPECT_EQ(stack.timer->update_stats().trial_fallbacks,
-            stats.trial_fallbacks + 1);
-
-  // Re-propagation from here must converge to a fresh evaluation under
-  // the installed weights.
-  stack.timer->invalidate_instance(inst);
+  EXPECT_DEATH(
+      {
+        Timer::TrialScope scope(*stack.timer);
+        stack.timer->set_instance_weights(weights);
+      },
+      "MGBA_CHECK failed: .*weight install inside a trial");
+  EXPECT_DEATH(
+      {
+        Timer::TrialScope scope(*stack.timer);
+        stack.timer->set_instance_weights_early(weights);
+      },
+      "MGBA_CHECK failed: .*weight install inside a trial");
+  EXPECT_DEATH(
+      {
+        Timer::TrialScope scope(*stack.timer);
+        stack.timer->set_corners({stack.timer->corner(kDefaultCorner)});
+      },
+      "MGBA_CHECK failed: .*corner-set change inside a trial");
+  // Outside a trial the same installs are ordinary.
+  stack.timer->set_instance_weights(weights);
   stack.timer->update_timing();
   Timer fresh(stack.design(), stack.timer->constraints());
   fresh.set_instance_derates(compute_gba_derates(fresh.graph(), stack.table));
@@ -974,8 +989,8 @@ TEST(IncrementalRebuild, BufferInsertedMatchesRebuildGraph) {
         if (reject) {
           patched.design().remove_buffer(buffer, net);
           rebuilt.design().remove_buffer(buffer, net);
-          EXPECT_TRUE(trial_a.rollback());
-          EXPECT_TRUE(trial_b.rollback());
+          trial_a.rollback();
+          trial_b.rollback();
           expect_same_tables(a, b);
           if (HasFatalFailure()) return buffer;
           ++rejected;
@@ -1197,7 +1212,7 @@ TEST(IncrementalRebuild, PatchedBufferRunsFrontier) {
             insert(BufferSinkKind::OneOfMany, BufferSpot::AtDriver);
         update_and_check("rejected trial");
         design.remove_buffer(buffer, net);
-        EXPECT_TRUE(trial.rollback());
+        trial.rollback();
       }
       timer.update_timing();
       EXPECT_TRUE(
@@ -1298,7 +1313,7 @@ TEST(IncrementalRebuild, RejectedBufferTrialKeepsMemo) {
         s.timer().update_timing();
       }
       design.remove_buffer(buffer, net);
-      ASSERT_TRUE(scope.rollback());
+      scope.rollback();
     }
     // Force a full update over the restored graph.
     for (CornerId c = 0; c < s.timer().num_corners(); ++c) {

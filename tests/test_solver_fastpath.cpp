@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "linalg/sparse_accumulator.hpp"
@@ -42,6 +43,23 @@ std::optional<std::size_t> sizable_sibling(const Library& library,
   return std::nullopt;
 }
 
+/// The sibling an ECO may resize \p inst to, or nullopt. Clock-tree
+/// buffers are skipped: resizing one escalates to a clock-network
+/// invalidation, which poisons the ECO log and forces a cold rebuild.
+std::optional<std::size_t> eco_sibling(GeneratedStack& stack,
+                                       InstanceId inst) {
+  const auto sibling = sizable_sibling(stack.library, stack.design(), inst);
+  if (!sibling.has_value()) return std::nullopt;
+  const LibCell& cell = stack.design().cell_of(inst);
+  const NodeId out = stack.timer->graph().node_of_pin(
+      inst, static_cast<std::uint32_t>(cell.output_pin()));
+  if (out == kInvalidNode ||
+      stack.timer->graph().node(out).is_clock_network) {
+    return std::nullopt;
+  }
+  return sibling;
+}
+
 /// Applies a small deterministic ECO: resizes \p count gates picked by a
 /// seeded RNG, invalidating each in the timer (value-only — no rebuild, so
 /// the ECO log stays clean). Returns the touched instances.
@@ -53,24 +71,78 @@ std::vector<InstanceId> apply_small_eco(GeneratedStack& stack,
   while (touched.size() < count) {
     const auto inst = static_cast<InstanceId>(
         rng.uniform_index(stack.design().num_instances()));
-    const auto sibling =
-        sizable_sibling(stack.library, stack.design(), inst);
+    const auto sibling = eco_sibling(stack, inst);
     if (!sibling.has_value()) continue;
-    if (stack.design().instance(inst).cell == *sibling) continue;
-    // Skip clock-tree buffers: resizing one escalates to a clock-network
-    // invalidation, which poisons the ECO log and forces a cold rebuild.
-    const LibCell& cell = stack.design().cell_of(inst);
-    const NodeId out = stack.timer->graph().node_of_pin(
-        inst, static_cast<std::uint32_t>(cell.output_pin()));
-    if (out == kInvalidNode ||
-        stack.timer->graph().node(out).is_clock_network) {
-      continue;
-    }
     stack.design().resize_instance(inst, *sibling);
     stack.timer->invalidate_instance(inst);
     touched.push_back(inst);
   }
   return touched;
+}
+
+/// Every gate an ECO may resize.
+std::vector<InstanceId> sizable_instances(GeneratedStack& stack) {
+  std::vector<InstanceId> out;
+  for (std::size_t i = 0; i < stack.design().num_instances(); ++i) {
+    const auto inst = static_cast<InstanceId>(i);
+    if (eco_sibling(stack, inst).has_value()) out.push_back(inst);
+  }
+  return out;
+}
+
+/// Resizes \p count distinct sizable gates, drawn by a seeded RNG; value
+/// only, like apply_small_eco.
+void apply_large_eco(GeneratedStack& stack, std::size_t count,
+                     std::uint64_t seed) {
+  const std::vector<InstanceId> sizable = sizable_instances(stack);
+  Rng rng(seed);
+  for (const std::size_t k :
+       rng.sample_without_replacement(sizable.size(), count)) {
+    const InstanceId inst = sizable[k];
+    stack.design().resize_instance(inst, *eco_sibling(stack, inst));
+    stack.timer->invalidate_instance(inst);
+  }
+}
+
+/// The no-optimism measure. Clears \p stack's weights and judges both
+/// weight vectors on one fresh problem (fresh enumeration, fresh golden
+/// PBA, no cached session state): a row is optimistic when its model slack
+/// exceeds the Eq. (5) bound s_pba + eps|s_pba| by more than 1 ps of
+/// penalty softness. The warm weights may leave at most the cold fit's
+/// optimistic rows plus 2 % of the rows plus one.
+void expect_optimism_within_cold(GeneratedStack& stack,
+                                 std::span<const double> warm_weights,
+                                 std::span<const double> cold_weights,
+                                 std::size_t paths_per_endpoint,
+                                 double epsilon) {
+  stack.timer->set_instance_weights(kDefaultCorner, {});
+  stack.timer->update_timing();
+  const PathEnumerator enumerator(*stack.timer, paths_per_endpoint);
+  const std::vector<TimingPath> paths = enumerator.all_paths();
+  const PathEvaluator evaluator(*stack.timer, stack.table);
+  const MgbaProblem fresh(*stack.timer, evaluator, paths, epsilon);
+
+  const auto optimism_count = [&](std::span<const double> weights) {
+    std::vector<double> x(fresh.num_cols(), 0.0);
+    for (std::size_t c = 0; c < fresh.num_cols(); ++c) {
+      x[c] = weights[fresh.column_instance(c)];
+    }
+    std::size_t optimistic = 0;
+    for (std::size_t i = 0; i < fresh.num_rows(); ++i) {
+      const double slack = fresh.model_slack(i, x);
+      const double pba = fresh.pba_slack()[i];
+      const double bound = pba + epsilon * std::abs(pba);
+      if (slack > bound + 1.0) ++optimistic;
+    }
+    return optimistic;
+  };
+  const std::size_t warm_optimistic = optimism_count(warm_weights);
+  const std::size_t cold_optimistic = optimism_count(cold_weights);
+  EXPECT_LE(static_cast<double>(warm_optimistic),
+            static_cast<double>(cold_optimistic) +
+                0.02 * static_cast<double>(fresh.num_rows()) + 1.0)
+      << warm_optimistic << " warm vs " << cold_optimistic
+      << " cold optimistic rows of " << fresh.num_rows();
 }
 
 /// Shared fixture: a violated design with its full mGBA problem.
@@ -198,20 +270,24 @@ MgbaFlowOptions refit_flow_options() {
   return options;
 }
 
-TEST(SolverFastpathRefit, WarmRefitReevaluatesOnlyTouchedRows) {
-  // A blocked design: taps never cross blocks, so an ECO's cone — and
-  // hence the stale row set — is confined to the touched blocks. This is
-  // the SoC-like shape the incremental refit is built for; on a tiny
-  // single-cone design most paths genuinely overlap any ECO.
+/// A blocked design: taps never cross blocks, so an ECO's cone — and hence
+/// the stale row set — is confined to the touched blocks. This is the
+/// SoC-like shape the incremental refit is built for; on a tiny
+/// single-cone design most paths genuinely overlap any ECO.
+GeneratorOptions blocked_options(std::uint64_t seed) {
   GeneratorOptions opt;
-  opt.seed = 92;
+  opt.seed = seed;
   opt.num_gates = 3200;
   opt.num_flops = 320;
   opt.num_inputs = 32;
   opt.num_outputs = 32;
   opt.target_depth = 24;
   opt.num_blocks = 32;
-  GeneratedStack stack(opt, 1800.0);
+  return opt;
+}
+
+TEST(SolverFastpathRefit, WarmRefitReevaluatesOnlyTouchedRows) {
+  GeneratedStack stack(blocked_options(92), 1800.0);
   MgbaRefitSession session(*stack.timer, stack.table, refit_flow_options());
   const MgbaFlowResult cold = session.fit();
   ASSERT_TRUE(session.has_fit());
@@ -284,34 +360,8 @@ TEST(SolverFastpathRefit, NoOptimismBoundHonoredOnRefit) {
   const MgbaFlowResult cold =
       run_mgba_flow(*cold_stack.timer, cold_stack.table, options);
 
-  warm_stack.timer->set_instance_weights(kDefaultCorner, {});
-  warm_stack.timer->update_timing();
-  const PathEnumerator enumerator(*warm_stack.timer, 8);
-  const std::vector<TimingPath> paths = enumerator.all_paths();
-  const PathEvaluator evaluator(*warm_stack.timer, warm_stack.table);
-  const MgbaProblem fresh(*warm_stack.timer, evaluator, paths, 0.02);
-
-  const auto optimism_count = [&](std::span<const double> weights) {
-    std::vector<double> x(fresh.num_cols(), 0.0);
-    for (std::size_t c = 0; c < fresh.num_cols(); ++c) {
-      x[c] = weights[fresh.column_instance(c)];
-    }
-    std::size_t optimistic = 0;
-    for (std::size_t i = 0; i < fresh.num_rows(); ++i) {
-      const double slack = fresh.model_slack(i, x);
-      const double pba = fresh.pba_slack()[i];
-      const double bound = pba + 0.02 * std::abs(pba);
-      if (slack > bound + 1.0) ++optimistic;  // 1 ps of penalty softness
-    }
-    return optimistic;
-  };
-  const std::size_t warm_optimistic = optimism_count(warm.instance_weights);
-  const std::size_t cold_optimistic = optimism_count(cold.instance_weights);
-  EXPECT_LE(static_cast<double>(warm_optimistic),
-            static_cast<double>(cold_optimistic) +
-                0.02 * static_cast<double>(fresh.num_rows()) + 1.0)
-      << warm_optimistic << " warm vs " << cold_optimistic
-      << " cold optimistic rows of " << fresh.num_rows();
+  expect_optimism_within_cold(warm_stack, warm.instance_weights,
+                              cold.instance_weights, 8, 0.02);
 }
 
 TEST(SolverFastpathRefit, PoisonedLogFallsBackToCold) {
@@ -345,6 +395,99 @@ TEST(SolverFastpathRefit, WarmRefitBitIdenticalAcrossThreads) {
     session.fit();
     apply_small_eco(stack, 2, 53);
     const MgbaFlowResult warm = session.refit();
+    weights.push_back(warm.instance_weights);
+  }
+  ASSERT_EQ(weights[0].size(), weights[1].size());
+  for (std::size_t i = 0; i < weights[0].size(); ++i) {
+    EXPECT_EQ(weights[0][i], weights[1][i]) << "instance " << i;
+  }
+}
+
+// --- the warm budget under default options ---------------------------------
+//
+// The tests above cap every solve at 600 iterations, so none of them
+// reaches the default max_iterations. These run the default flow options:
+// a cold Algorithm-1 fit, then warm refits that take one round's budget
+// (sampling_options.inner_iterations), judged against a twin stack that
+// receives the same ECOs and fits cold once. The fit-quality tests use the
+// blocked 3200-gate design, where the ECOs stay a small share of the gates,
+// as in an ECO loop: a refit keeps the path set of its cold fit, so once
+// the ECOs rewrite a large share of a design (80 resizes of a 300-gate
+// one) that set is stale at any budget.
+
+TEST(SolverFastpathRefit, DefaultBudgetRefitsTrackColdFitOverFortyRounds) {
+  // 80 resizes, 2.5 % of the gates.
+  const MgbaFlowOptions options;
+  GeneratedStack warm_stack(blocked_options(97), 1800.0);
+  GeneratedStack cold_stack(blocked_options(97), 1800.0);
+  MgbaRefitSession session(*warm_stack.timer, warm_stack.table, options);
+  session.fit();
+  ASSERT_TRUE(session.has_fit());
+
+  MgbaFlowResult warm;
+  for (std::uint64_t round = 0; round < 40; ++round) {
+    apply_small_eco(warm_stack, 2, 1000 + round);
+    apply_small_eco(cold_stack, 2, 1000 + round);
+    warm = session.refit();
+    EXPECT_LE(warm.solver_iterations,
+              options.sampling_options.inner_iterations)
+        << "round " << round;
+  }
+  EXPECT_EQ(session.stats().warm_refits, 40u);
+  EXPECT_EQ(session.stats().cold_rebuilds, 0u);
+
+  const MgbaFlowResult cold =
+      run_mgba_flow(*cold_stack.timer, cold_stack.table, options);
+  EXPECT_NEAR(warm.pass_ratio_after, cold.pass_ratio_after, 0.05);
+  expect_optimism_within_cold(warm_stack, warm.instance_weights,
+                              cold.instance_weights,
+                              options.candidate_paths_per_endpoint,
+                              options.epsilon);
+}
+
+TEST(SolverFastpathRefit, DefaultBudgetRefitAfterLargeEcoTracksColdFit) {
+  // One ECO over 5 % of the sizable gates: far more rows go stale than in
+  // the loop above, and the one warm round still fits as well as a cold
+  // Algorithm-1 fit.
+  const MgbaFlowOptions options;
+  GeneratedStack warm_stack(blocked_options(98), 1800.0);
+  GeneratedStack cold_stack(blocked_options(98), 1800.0);
+  MgbaRefitSession session(*warm_stack.timer, warm_stack.table, options);
+  session.fit();
+  ASSERT_TRUE(session.has_fit());
+
+  const std::size_t count =
+      (sizable_instances(warm_stack).size() * 5 + 99) / 100;
+  apply_large_eco(warm_stack, count, 61);
+  apply_large_eco(cold_stack, count, 61);
+  const MgbaFlowResult warm = session.refit();
+  EXPECT_EQ(session.stats().eco_instances, count);
+  EXPECT_EQ(session.stats().warm_refits, 1u);
+  EXPECT_LE(warm.solver_iterations,
+            options.sampling_options.inner_iterations);
+
+  const MgbaFlowResult cold =
+      run_mgba_flow(*cold_stack.timer, cold_stack.table, options);
+  EXPECT_NEAR(warm.pass_ratio_after, cold.pass_ratio_after, 0.05);
+  expect_optimism_within_cold(warm_stack, warm.instance_weights,
+                              cold.instance_weights,
+                              options.candidate_paths_per_endpoint,
+                              options.epsilon);
+}
+
+TEST(SolverFastpathRefit, DefaultBudgetRefitBitIdenticalAcrossThreads) {
+  ThreadGuard guard;
+  std::vector<std::vector<double>> weights;
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    set_num_threads(threads);
+    GeneratedStack stack(small_options(96), 1800.0);
+    MgbaRefitSession session(*stack.timer, stack.table, MgbaFlowOptions{});
+    session.fit();
+    MgbaFlowResult warm;
+    for (std::uint64_t round = 0; round < 3; ++round) {
+      apply_small_eco(stack, 2, 53 + round);
+      warm = session.refit();
+    }
     weights.push_back(warm.instance_weights);
   }
   ASSERT_EQ(weights[0].size(), weights[1].size());
