@@ -2,7 +2,8 @@
 # Tier-1 verification (see ROADMAP.md), one line per pass:
 #   1. standard build + the full ctest suite;
 #   2. TSan, 4 threads: the suites whose pool workers or reader threads share state,
-#      and the optimizer, whose rejected upsizes re-propagate on the parallel frontier;
+#      the MCMM suites, whose sweeps run corners x nodes on the pool, and the
+#      optimizer, whose rejected upsizes re-propagate on the parallel frontier;
 #   3. ASan+UBSan with assertions compiled in (MGBA_DCHECK, assert), 4 threads: the suites
 #      that index arenas, scratch, frames, the graph CSR and its buffer patch, the AOCV
 #      depth state, and the optimizer (area recovery's per-instance revert slots,
@@ -23,12 +24,15 @@ cmake --build build -j
 
 cmake -B build-tsan -S . -DMGBA_SANITIZE=thread
 cmake --build build-tsan -j --target mgba_tests
-MGBA_THREADS=4 ./build-tsan/tests/mgba_tests --gtest_filter='Parallel*:ThreadPool*:Incremental*:SolverFastpath*:Snapshot*:Server*:PathEngine*:Optimizer*'
+MGBA_THREADS=4 ./build-tsan/tests/mgba_tests --gtest_filter='Parallel*:ThreadPool*:Mcmm*:Incremental*:SolverFastpath*:Snapshot*:Server*:PathEngine*:Optimizer*'
 
 cmake -B build-asan -S . -DMGBA_SANITIZE=address
 cmake --build build-asan -j --target mgba_tests
-if ! ./build-asan/tests/mgba_tests --gtest_list_tests |
-    grep -q 'DcheckAbortsWithAssertionsOn'; then
+# The listing is read whole before grep -q runs: piped, grep -q's early exit
+# could kill the lister with SIGPIPE, and pipefail would report that as
+# missing assertions.
+if ! grep -q 'DcheckAbortsWithAssertionsOn' \
+    <<<"$(./build-asan/tests/mgba_tests --gtest_list_tests)"; then
   echo "tier1: the ASan+UBSan build compiled assertions out (NDEBUG)" >&2
   exit 1
 fi
@@ -45,4 +49,4 @@ for threads in 1 4; do
 done
 
 bash bench/e2e/run.sh --smoke
-echo "tier-1 OK (ctest + TSan parallel/incremental/server/path-engine/optimizer suites + ASan+UBSan with assertions: check/MCMM/shell/incremental/kernel/path-engine/timing-graph/timer/depth-analysis/aocv/optimizer suites + shell and server smokes + e2e smoke gates)"
+echo "tier-1 OK (ctest + TSan parallel/MCMM/incremental/server/path-engine/optimizer suites + ASan+UBSan with assertions: check/MCMM/shell/incremental/kernel/path-engine/timing-graph/timer/depth-analysis/aocv/optimizer suites + shell and server smokes + e2e smoke gates)"

@@ -16,7 +16,6 @@
 #include "mgba/problem.hpp"
 #include "mgba/solvers.hpp"
 #include "pba/path.hpp"
-#include "sta/snapshot.hpp"
 #include "sta/timer.hpp"
 
 namespace mgba {
@@ -84,13 +83,13 @@ struct MgbaFlowResult {
 };
 
 /// Runs one mGBA fit on \p timer at options.corner and leaves the
-/// weighting factors applied (Timer::set_instance_weights + update_timing).
-/// Clears any previously applied weights on that corner first so the fit
-/// is against plain GBA. \p table must be the derate table of that corner.
-/// With a \p path_hub the candidate enumeration is served by that hub's
-/// persistent PathEngine for (candidate_paths_per_endpoint, mode, corner)
-/// — warm across fits, bit-identical results — instead of a throwaway
-/// cold PathEnumerator.
+/// weighting factors applied (Timer::set_instance_weights + update_timing):
+/// the fit() of a throwaway MgbaRefitSession. Clears any previously applied
+/// weights on that corner first so the fit is against plain GBA. \p table
+/// must be the derate table of that corner. With a \p path_hub the
+/// candidate enumeration is served by that hub's persistent PathEngine for
+/// (candidate_paths_per_endpoint, mode, corner) — warm across fits,
+/// bit-identical results — instead of a throwaway cold PathEnumerator.
 MgbaFlowResult run_mgba_flow(Timer& timer, const DerateTable& table,
                              const MgbaFlowOptions& options = {},
                              PathEngineHub* path_hub = nullptr);
@@ -122,39 +121,37 @@ struct RefitStats {
   std::size_t cone_nodes = 0;        ///< nodes in the grown touched cone
   std::size_t warm_refits = 0;       ///< refits served incrementally
   std::size_t cold_rebuilds = 0;     ///< refits that fell back to fit()
-  /// Rows the head-vs-fit snapshot diff added beyond the ECO-log cone in
-  /// the last refit. Zero when the log honestly covered every moved value
-  /// (the diff is then a subset of the cone); nonzero means the version
-  /// diff caught arena movement the log missed and backstopped it.
-  std::size_t diff_rows_added = 0;
 };
 
 /// Incremental mGBA refit session: makes repeated fits inside an ECO loop
 /// O(touched), not O(problem).
 ///
-/// fit() runs the full Fig. 5 flow — identical to run_mgba_flow, including
-/// bit-identical results — and caches the enumerated paths, the built
-/// problem, the selected row set, and the solution, then arms the timer's
-/// ECO log. refit() consumes the log: it grows the touched cone from the
-/// logged instances (the incremental engine's own seeding rule), finds the
-/// cached rows whose path intersects the cone via a node->rows inverted
-/// index, golden-PBA re-evaluates ONLY those rows (refreshing their matrix
-/// values in place — the sparsity pattern of a path never changes), and
-/// runs one more warm-started Algorithm-1 round over the already-selected
-/// rows: plain SCG from the previous solution, with the Eq.-11 sampling
-/// state reused, for min(solver_options.max_iterations,
+/// fit() runs the full Fig. 5 flow (run_mgba_flow is the fit() of a
+/// throwaway session), caches the enumerated paths, the built problem,
+/// the selected row set and the solution, and keeps the timer's ECO mark
+/// (Timer::eco_mark) taken when it started. refit() reads the timer's ECO
+/// record against that mark: it grows the touched cone from the
+/// instances stamped since (the incremental engine's own seeding rule),
+/// marks stale exactly the cached rows whose endpoint lies in the cone,
+/// golden-PBA re-evaluates ONLY those rows (refreshing their matrix values
+/// in place — the sparsity pattern of a path never changes), and runs one
+/// more warm-started Algorithm-1 round over the already-selected rows:
+/// plain SCG from the previous solution, with the Eq.-11 sampling state
+/// reused, for min(solver_options.max_iterations,
 /// sampling_options.inner_iterations) iterations. From a warm start the
 /// convergence test does not fire (see SolverOptions::convergence_tol), and
 /// iterations past one round fit no better while they walk ||x|| and the
 /// optimism outward (EXPERIMENTS.md "Warm refits take one round's budget").
-/// A poisoned log (graph rebuild, corner change, derate reload, clock
-/// touch) falls back to a cold fit() automatically.
+/// A poison stamped since the mark (graph rebuild or buffer patch, corner
+/// change, derate install, clock touch) falls back to a cold fit()
+/// automatically. Each session holds its own mark, so sessions sharing a
+/// timer — one per corner in MCMM — never consume each other's record.
 ///
 /// Soundness of refreshing while the previous fit's weights stay applied:
 /// every refreshed quantity — base delays, derates, PBA slacks, endpoint
 /// required times, and the plain-GBA path arrival — is independent of the
-/// mGBA weights, so the refit never needs to clear and re-apply them (that
-/// would cost two extra full propagations per refit).
+/// mGBA weights (of any corner), so the refit never needs to clear and
+/// re-apply them (that would cost two extra full propagations per refit).
 class MgbaRefitSession {
  public:
   /// \p timer and \p table must outlive the session. \p table must be the
@@ -162,13 +159,13 @@ class MgbaRefitSession {
   MgbaRefitSession(Timer& timer, const DerateTable& table,
                    MgbaFlowOptions options = {});
 
-  /// Cold fit; leaves weights applied, caches the fit state, resets the
-  /// ECO log.
+  /// Cold fit; leaves weights applied, caches the fit state, and takes the
+  /// ECO mark the next refit() reads against.
   MgbaFlowResult fit();
 
-  /// Incremental refit of the cached fit against the ECOs logged since the
-  /// last fit()/refit(); cold fallback when there is no cached fit or the
-  /// log is poisoned. Leaves the refreshed weights applied.
+  /// Incremental refit of the cached fit against the ECOs stamped since
+  /// the last fit()/refit(); cold fallback when there is no cached fit or
+  /// a poison was stamped since. Leaves the refreshed weights applied.
   MgbaFlowResult refit();
 
   [[nodiscard]] bool has_fit() const { return has_fit_; }
@@ -181,16 +178,9 @@ class MgbaRefitSession {
   void set_path_hub(PathEngineHub* hub) { path_hub_ = hub; }
 
  private:
-  void build_row_index();
-  /// Marks rows whose path intersects the forward cone of the logged
-  /// instances; fills stale_rows_. Returns the cone size.
+  /// Fills stale_rows_, in row order, with the rows whose endpoint lies in
+  /// the forward cone of \p touched. Returns the cone size.
   std::size_t collect_stale_rows(std::span<const InstanceId> touched);
-  /// Bit-diffs the current head arena against the snapshot fit() captured
-  /// (value compare confined to pointer-diverged COW chunks) and unions
-  /// the rows of any node whose value moved into stale_rows_. Returns the
-  /// number of rows added beyond the log-derived set — the refit no longer
-  /// has to trust the poisonable ECO log alone.
-  std::size_t add_version_diff_rows();
 
   Timer* timer_;
   const DerateTable* table_;
@@ -198,29 +188,21 @@ class MgbaRefitSession {
   PathEngineHub* path_hub_ = nullptr;
   RefitStats stats_;
   bool has_fit_ = false;
+  /// The timer's ECO mark the cached fit is current to.
+  Timer::EcoMark mark_ = 0;
 
   // Cached fit state.
   std::vector<TimingPath> paths_;
   std::unique_ptr<MgbaProblem> problem_;
   std::vector<std::size_t> rows_;  ///< selected (fitted) row subset
   std::vector<double> x_;          ///< previous solution (warm start)
-  MgbaFlowResult last_result_;
   SolverScratch scratch_;
-  /// The timing version the cached problem was fit against, captured right
-  /// after fit()/refit() applied its weights. refit() diffs head vs this.
-  std::shared_ptr<const TimingSnapshot> fit_view_;
 
-  // node -> rows inverted index (CSR layout over graph nodes).
-  std::vector<std::size_t> node_row_ptr_;
-  std::vector<std::size_t> node_row_idx_;
-
-  // Cone/stale scratch, cleared per refit by revisiting the touched
-  // entries only.
+  // Per-refit scratch; node_flag_ is cleared by revisiting the cone.
+  std::vector<InstanceId> touched_;
   std::vector<std::uint8_t> node_flag_;
   std::vector<NodeId> cone_;
-  std::vector<NodeId> diff_nodes_;
   std::vector<NodeId> seed_scratch_;
-  std::vector<std::uint8_t> row_stale_;
   std::vector<std::size_t> stale_rows_;
   std::vector<PathTiming> fresh_timings_;
 };

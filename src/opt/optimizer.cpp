@@ -59,8 +59,9 @@ void TimingCloser::refresh_mgba(OptimizerReport& report) {
     }
   }
   // refit() serves the steady state O(touched); the first call of a run
-  // (derate refresh poisons the log) and any pass after a structural edit
-  // fall back to a cold fit automatically.
+  // (the derate refresh stamps the ECO poison) and any pass after a
+  // structural edit fall back to a cold fit automatically, every corner's
+  // session alike.
   for (MgbaRefitSession& session : mgba_sessions_) session.refit();
   report.mgba_seconds += mgba_watch.seconds();
 }

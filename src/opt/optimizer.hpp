@@ -160,9 +160,10 @@ class TimingCloser {
   std::vector<CornerSetup> corner_setups_;
   TransformListener* listener_ = nullptr;
   /// Embedded-mGBA refit sessions, created lazily on the first refresh of
-  /// run() and kept across passes (and across run() invocations — cold
-  /// falls back automatically whenever the timer's ECO log was poisoned in
-  /// between). One session in single-corner mode, one per corner in MCMM.
+  /// run() and kept across passes (and across run() invocations — each
+  /// falls back cold automatically whenever the timer's ECO poison was
+  /// stamped since its last fit). One session in single-corner mode, one
+  /// per corner in MCMM, each reading the record against its own mark.
   std::vector<MgbaRefitSession> mgba_sessions_;
   /// Persistent k-best candidate state shared by every fit this closer
   /// runs (cold and refit-fallback alike); keyed per (k, mode, corner).

@@ -44,8 +44,8 @@ void PathEngine::sync() {
     view_ = std::move(head);
     return;
   }
-  // Structural drift: a rebuilt graph (the case that also poisons the
-  // refit ECO log) renumbers nodes and arcs, so the arena and every
+  // Structural drift: a rebuilt graph (the case that also stamps the
+  // timer's ECO poison) renumbers nodes and arcs, so the arena and every
   // derived table are meaningless. Shape drift without a graph swap
   // cannot happen today but would corrupt the lane arithmetic; guard it
   // the same way.

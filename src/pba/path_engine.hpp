@@ -41,9 +41,8 @@ class PathEngine {
   /// previously synced version (warm: recompute the forward cone of
   /// changed arc delays / launch arrivals only) or rebuild cold (first
   /// sync, structural drift such as a graph rebuild, or a diff too broad
-  /// for the warm sweep to pay off). Unlike the refit ECO log this
-  /// contract has no consumable state, so any number of engines can track
-  /// one timer.
+  /// for the warm sweep to pay off). The contract keeps no state in the
+  /// timer, so any number of engines can track one timer.
   void sync();
 
   /// The up-to-k worst paths ending at \p endpoint, worst-first. Bitwise

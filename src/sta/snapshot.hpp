@@ -72,7 +72,7 @@ class TimingSnapshot {
   /// Timer::state_version() at fork time.
   [[nodiscard]] std::uint64_t version() const { return version_; }
 
-  /// The frozen arena itself (byte-equality checks, refit version diffs).
+  /// The frozen arena itself (byte-equality checks, path-engine diffs).
   [[nodiscard]] const TimingData& data() const { return data_; }
 
   // --- queries (same semantics as the Timer methods of the same name) ------

@@ -113,7 +113,7 @@ void Timer::set_corners(std::vector<AnalysisCorner> corners) {
   delay_cache_.resize(corners_.size() * kNumModes, graph_->num_arcs());
   dirty_full_ = true;
   clear_pending();
-  eco_poisoned_ = true;  // per-corner golden slacks all moved
+  poison_eco();  // per-corner golden slacks all moved
 }
 
 std::optional<CornerId> Timer::find_corner(std::string_view name) const {
@@ -152,7 +152,7 @@ void Timer::set_corner_derates(
 void Timer::derates_installed(
     std::optional<std::span<const InstanceId>> moved) {
   fac_derate_dirty_ = true;
-  eco_poisoned_ = true;  // every matrix entry a_ij = d_j * lambda_j moved
+  poison_eco();  // every matrix entry a_ij = d_j * lambda_j moved
   if (!moved) {
     dirty_full_ = true;
     return;
@@ -218,7 +218,7 @@ void Timer::invalidate_instance(InstanceId inst) {
   for (const ArcId a : statics_->instance_arcs(inst)) {
     if (graph_->node(graph_->arc(a).to).is_clock_network) {
       dirty_full_ = true;
-      eco_poisoned_ = true;  // clock arrivals move: every row is stale
+      poison_eco();  // clock arrivals move: every row is stale
       return;
     }
   }
@@ -232,7 +232,7 @@ void Timer::invalidate_instance(InstanceId inst) {
       const NodeId drv = graph_->node_of_pin(net.driver->id, net.driver->pin);
       if (drv != kInvalidNode && graph_->node(drv).is_clock_network) {
         dirty_full_ = true;
-        eco_poisoned_ = true;
+        poison_eco();
         return;
       }
     }
@@ -250,16 +250,11 @@ void Timer::invalidate_instance(InstanceId inst) {
     dirty_instances_.push_back(inst);
   }
 
-  // The ECO log outlives update_timing(), so it keeps its own flags.
-  if (!eco_poisoned_) {
-    if (eco_touched_flag_.size() < design_->num_instances()) {
-      eco_touched_flag_.resize(design_->num_instances(), 0);
-    }
-    if (!eco_touched_flag_[inst]) {
-      eco_touched_flag_[inst] = 1;
-      eco_touched_.push_back(inst);
-    }
+  // The ECO record outlives update_timing(), so it keeps its own stamps.
+  if (eco_touch_stamp_.size() < design_->num_instances()) {
+    eco_touch_stamp_.resize(design_->num_instances(), 0);
   }
+  eco_touch_stamp_[inst] = ++eco_clock_;
 }
 
 void Timer::clear_pending() {
@@ -269,18 +264,19 @@ void Timer::clear_pending() {
   seed_backward_.clear();
 }
 
-void Timer::reset_eco_log() {
-  for (const InstanceId inst : eco_touched_) eco_touched_flag_[inst] = 0;
-  eco_touched_.clear();
-  eco_touched_flag_.resize(design_->num_instances(), 0);
-  eco_poisoned_ = false;
+void Timer::eco_touched_since(EcoMark mark,
+                              std::vector<InstanceId>& out) const {
+  out.clear();
+  for (std::size_t i = 0; i < eco_touch_stamp_.size(); ++i) {
+    if (eco_touch_stamp_[i] > mark) out.push_back(static_cast<InstanceId>(i));
+  }
 }
 
 void Timer::rebuild_graph() {
-  // Node/arc ids change wholesale, and the ECO log speaks in the old ids —
-  // poison it. An open trial holds the old graph and tables and stays
-  // valid.
-  eco_poisoned_ = true;
+  // Node/arc ids change wholesale, and a consumer's rows speak in the old
+  // ids — poison the ECO record. An open trial holds the old graph and
+  // tables and stays valid.
+  poison_eco();
   // Fresh graph object: snapshots taken against the old one keep it alive.
   const std::shared_ptr<const TimingGraph> old_graph = graph_;
   graph_ = std::make_shared<TimingGraph>(*design_, constraints_.clock_port);
@@ -348,9 +344,9 @@ std::optional<BufferPatch> Timer::buffer_inserted(InstanceId buffer) {
     rebuild_graph();
     return std::nullopt;
   }
-  // rebuild_graph's bookkeeping: ids move, so the ECO log is poisoned; an
-  // open trial keeps the old tables.
-  eco_poisoned_ = true;
+  // rebuild_graph's bookkeeping: ids move, so the ECO record is poisoned;
+  // an open trial keeps the old tables.
+  poison_eco();
   BufferPatch patch;
   graph_ = std::make_shared<TimingGraph>(*graph_, buffer, patch);
   ++state_version_;
@@ -1849,7 +1845,6 @@ Timer::MemoryStats Timer::memory_stats() const {
       ((launch_sets_ ? launch_sets_->capacity() : 0) + launch_dp_.capacity()) *
       sizeof(std::uint64_t);
   m.kernel_scratch_bytes = sweep_bytes();
-  m.eco_log_entries = eco_touched_.size();
   const TimingData::CowStats cs = data_.cow_stats();
   m.cow_chunks = cs.chunks;
   m.cow_shared_chunks = cs.shared_chunks;
@@ -1873,14 +1868,13 @@ std::string Timer::MemoryStats::to_string() const {
       "delay cache        : %zu entries, %.1f MB\n"
       "crpr launch sets   : %.1f MB\n"
       "kernel scratch     : %.1f MB\n"
-      "eco log            : %zu touched instances\n"
       "cow arena          : %zu chunks (%zu shared), %zu live snapshots, "
       "%.1f MB retained\n"
       "total tracked      : %.1f MB",
       num_nodes, num_arcs, num_corners, mb(arena_bytes),
       mb(arena_bytes_per_lane), delay_cache_entries, mb(delay_cache_bytes),
-      mb(launch_set_bytes), mb(kernel_scratch_bytes), eco_log_entries,
-      cow_chunks, cow_shared_chunks, live_snapshots, mb(cow_retained_bytes),
+      mb(launch_set_bytes), mb(kernel_scratch_bytes), cow_chunks,
+      cow_shared_chunks, live_snapshots, mb(cow_retained_bytes),
       mb(total_bytes()));
 }
 

@@ -169,27 +169,31 @@ class Timer {
   /// Returns the patch's id maps, or nullopt after a rebuild.
   std::optional<BufferPatch> buffer_inserted(InstanceId buffer);
 
-  // --- ECO log (incremental mGBA refit) ------------------------------------
+  // --- ECO record (incremental mGBA refit) ---------------------------------
 
-  /// Instances touched by value-only ECOs since the last reset_eco_log().
-  /// Unlike the engine's internal dirty list — which update_timing()
-  /// consumes — this log ACCUMULATES across updates, so a consumer can
-  /// batch many ECOs and refresh once. The mGBA refit session keys its
-  /// row invalidation on it. Weight applications (set_instance_weights*)
-  /// are fit *outputs*, not ECOs, and are deliberately not logged.
-  [[nodiscard]] std::span<const InstanceId> eco_touched() const {
-    return eco_touched_;
+  /// A point in the ECO record. Every value-only ECO touch
+  /// (invalidate_instance) stamps its instance with a fresh tick, and
+  /// every change the record cannot describe per instance — a structural
+  /// edit, a corner-set change, a derate install, a touch escalating into
+  /// the clock network — stamps the poison. A consumer keeps the mark it
+  /// last caught up at and reads the record against it, so consumers never
+  /// share or clear each other's state; unlike the engine's dirty list,
+  /// which update_timing() consumes, the record spans any number of
+  /// updates. Weight installs (set_instance_weights*) are fit *outputs*,
+  /// not ECOs, and stamp nothing.
+  using EcoMark = std::uint64_t;
+  [[nodiscard]] EcoMark eco_mark() const { return eco_clock_; }
+
+  /// Replaces \p out with the instances touched since \p mark, in id
+  /// order. O(instances).
+  void eco_touched_since(EcoMark mark, std::vector<InstanceId>& out) const;
+
+  /// True when a change the record cannot describe happened since
+  /// \p mark: refitting against the touches alone is then unsound, and
+  /// the consumer must rebuild cold.
+  [[nodiscard]] bool eco_poisoned_since(EcoMark mark) const {
+    return eco_poison_stamp_ > mark;
   }
-
-  /// True when something the log cannot describe happened since the last
-  /// reset: a structural edit, a corner-set change, a derate reload, or a
-  /// touch escalating into the clock network. A poisoned log means
-  /// incremental refit is unsound; the consumer must rebuild cold.
-  [[nodiscard]] bool eco_poisoned() const { return eco_poisoned_; }
-
-  /// Clears the log (O(touched)) and re-arms it against the current
-  /// design/graph shape.
-  void reset_eco_log();
 
   /// Frontier seed nodes a value-only change to \p instances would
   /// re-propagate from — the exact rule the incremental engine applies to
@@ -269,7 +273,6 @@ class Timer {
     std::size_t launch_set_bytes = 0;  ///< CRPR launch bitsets (0 when off)
     /// Full-sweep state: factor lanes, gather tables, shadows, scratch.
     std::size_t kernel_scratch_bytes = 0;
-    std::size_t eco_log_entries = 0;   ///< accumulated ECO-touched instances
     /// COW accounting (PR 7): total arena chunks at head, chunks some
     /// snapshot or open trial still shares, live snapshot count, and the
     /// bytes those snapshots retain in chunks the head has diverged from
@@ -661,11 +664,12 @@ class Timer {
   /// pending_forward_seeds), in the current graph's node ids.
   std::vector<NodeId> seed_forward_;
   std::vector<NodeId> seed_backward_;
-  /// ECO log (see eco_touched): accumulating touched-instance list with a
-  /// per-instance dedup flag, plus the poison bit.
-  std::vector<InstanceId> eco_touched_;
-  std::vector<std::uint8_t> eco_touched_flag_;
-  bool eco_poisoned_ = false;
+  /// ECO record (see eco_mark): the tick of each instance's last touch
+  /// (0 = never) and of the last poison; eco_clock_ is the latest tick.
+  void poison_eco() { eco_poison_stamp_ = ++eco_clock_; }
+  std::vector<EcoMark> eco_touch_stamp_;
+  EcoMark eco_poison_stamp_ = 0;
+  EcoMark eco_clock_ = 0;
   std::size_t full_updates_ = 0;
   std::size_t incremental_updates_ = 0;
 

@@ -936,19 +936,19 @@ TEST(IncrementalRebuild, BufferInsertedMatchesRebuildGraph) {
       if (step % 4 == 2) {
         // A told resize still pending at the insertion: its neighborhood's
         // entries are dropped, their records stale. One escalating into the
-        // clock network poisons the ECO log and makes a full update due.
+        // clock network poisons the ECO record and makes a full update due.
         const auto [inst, cell] =
             step == 6 ? clock_resize(patched.stack.library, patched.design(),
                                      a.graph())
                       : resize_plan(patched.stack.library, patched.design(), 1,
                                     rng.next_u64())
                             .front();
-        a.reset_eco_log();
+        const Timer::EcoMark mark = a.eco_mark();
         for (TwoCornerStack* s : {&patched, &rebuilt}) {
           s->design().resize_instance(inst, cell);
           s->timer().invalidate_instance(inst);
         }
-        full_due = a.eco_poisoned();
+        full_due = a.eco_poisoned_since(mark);
         if (step == 6) {
           EXPECT_TRUE(full_due);
         }

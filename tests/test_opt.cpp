@@ -5,6 +5,7 @@
 #include <cstring>
 #include <map>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "aocv/corner_io.hpp"
@@ -311,6 +312,110 @@ TEST(Optimizer, PatchedBufferTrialsMatchFullAnalysis) {
     }
     fresh.update_timing();
     EXPECT_TRUE(same_bits(state_signature(timer), state_signature(fresh)));
+  }
+}
+
+// --- MCMM refit sessions ----------------------------------------------------
+//
+// The closer runs one MgbaRefitSession per corner on one Timer. Each must
+// see every change since its own last fit, whatever the other corners'
+// sessions did in between.
+
+std::vector<CornerSetup> two_test_corners(const DerateTable& table) {
+  return corners_from_string(
+      "corner slow delay 1.15 slew 1.05 derate_margin 1.3\n"
+      "corner fast delay 0.85 derate_margin 0.7\n",
+      table);
+}
+
+TEST(Optimizer, McmmBufferingRefitsEveryCornerCold) {
+  // A buffer insertion renumbers the graph under every corner's cached
+  // rows, so after a buffering pass every session refits cold — corner 1's
+  // as well as corner 0's, whose cold fit runs first.
+  for (const std::uint64_t seed : {91u, 313u}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    GeneratorOptions generator = small_options(seed);
+    generator.num_gates = 600;
+    GeneratedStack stack(generator, 1500.0);
+    const std::vector<CornerSetup> setups = two_test_corners(stack.table);
+    apply_corner_setups(*stack.timer, setups);
+    OptimizerOptions options;
+    options.max_passes = 6;
+    options.enable_sizing = false;
+    options.buffer_wire_threshold_ps = 0.5;
+    options.enable_area_recovery = false;
+    options.use_mgba = true;
+    options.mgba_refresh_passes = 1;
+    options.mgba_options.candidate_paths_per_endpoint = 8;
+    options.mgba_options.paths_per_endpoint = 8;
+    TimingCloser closer(stack.design(), *stack.timer, stack.table, options);
+    closer.set_corner_setups(setups);
+    const OptimizerReport report = closer.run();
+    EXPECT_GT(report.buffers_inserted, 0u);
+
+    const std::vector<RefitStats> stats = closer.mgba_refit_stats();
+    ASSERT_EQ(stats.size(), 2u);
+    EXPECT_GE(stats[0].cold_rebuilds, 2u);
+    EXPECT_EQ(stats[1].cold_rebuilds, stats[0].cold_rebuilds);
+    EXPECT_EQ(stats[1].warm_refits, stats[0].warm_refits);
+  }
+}
+
+TEST(Optimizer, McmmRefitSessionsKeepTheirOwnEcoRecord) {
+  // One session per corner, both fit, then one 2-gate ECO: corner 0's
+  // refit must not consume the ECO corner 1's refit still owes.
+  GeneratorOptions generator = small_options(91);
+  generator.num_gates = 600;
+  GeneratedStack stack(generator, 1500.0);
+  const std::vector<CornerSetup> setups = two_test_corners(stack.table);
+  apply_corner_setups(*stack.timer, setups);
+  std::vector<MgbaRefitSession> sessions;
+  for (std::size_t c = 0; c < setups.size(); ++c) {
+    MgbaFlowOptions options;
+    options.candidate_paths_per_endpoint = 8;
+    options.paths_per_endpoint = 8;
+    options.corner = static_cast<CornerId>(c);
+    sessions.emplace_back(*stack.timer, setups[c].table, options);
+  }
+  for (MgbaRefitSession& session : sessions) {
+    session.fit();
+    ASSERT_TRUE(session.has_fit());
+  }
+
+  // The first two data gates with a same-footprint sibling.
+  Design& design = stack.design();
+  const Library& library = stack.library;
+  std::size_t resized = 0;
+  for (std::size_t i = 0; i < design.num_instances() && resized < 2; ++i) {
+    const auto inst = static_cast<InstanceId>(i);
+    const LibCell& cell = design.cell_of(inst);
+    if (cell.kind == CellKind::FlipFlop) continue;
+    const NodeId out = stack.timer->graph().node_of_pin(
+        inst, static_cast<std::uint32_t>(cell.output_pin()));
+    if (out == kInvalidNode ||
+        stack.timer->graph().node(out).is_clock_network) {
+      continue;
+    }
+    for (std::size_t j = 0; j < library.num_cells(); ++j) {
+      if (library.cell(j).footprint != cell.footprint ||
+          library.cell(j).name == cell.name) {
+        continue;
+      }
+      design.resize_instance(inst, j);
+      stack.timer->invalidate_instance(inst);
+      ++resized;
+      break;
+    }
+  }
+  ASSERT_EQ(resized, 2u);
+
+  for (MgbaRefitSession& session : sessions) session.refit();
+  for (std::size_t c = 0; c < sessions.size(); ++c) {
+    SCOPED_TRACE("corner " + std::to_string(c));
+    const RefitStats& stats = sessions[c].stats();
+    EXPECT_EQ(stats.cold_rebuilds, 0u);
+    EXPECT_EQ(stats.warm_refits, 1u);
+    EXPECT_EQ(stats.eco_instances, 2u);
   }
 }
 

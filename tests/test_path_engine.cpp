@@ -220,6 +220,7 @@ TEST(PathEngineFallback, GraphRebuildFallsBackColdAndCounts) {
   ASSERT_TRUE(target.has_value());
   const Terminal sink = design.net(*target).sinks[0];  // copy: the insert
                                                        // rewires the net
+  const Timer::EcoMark mark = stack.timer->eco_mark();
   design.insert_buffer_for_sink(*target, sink,
                                 *stack.library.strongest_buffer(), "pebuf",
                                 {0.0, 0.0});
@@ -227,14 +228,18 @@ TEST(PathEngineFallback, GraphRebuildFallsBackColdAndCounts) {
   stack.timer->set_instance_derates(
       compute_gba_derates(stack.timer->graph(), stack.table));
   stack.timer->update_timing();
-  // The same structural edit poisons the refit ECO log; the engine's
-  // version-diff contract detects it independently (it must never consume
-  // that single-consumer log).
-  EXPECT_TRUE(stack.timer->eco_poisoned());
+  // The same structural edit poisons the ECO record the refit sessions
+  // read; the engine's version-diff contract detects it independently and
+  // never writes to that record.
+  EXPECT_TRUE(stack.timer->eco_poisoned_since(mark));
+  const Timer::EcoMark before_sync = stack.timer->eco_mark();
 
   engine.sync();
   EXPECT_EQ(engine.stats().cold_fallbacks, 1u);
-  EXPECT_TRUE(stack.timer->eco_poisoned());  // log left for its owner
+  // The record is left for its owners: still poisoned since their mark,
+  // and the sync stamped nothing.
+  EXPECT_TRUE(stack.timer->eco_poisoned_since(mark));
+  EXPECT_EQ(stack.timer->eco_mark(), before_sync);
   expect_paths_equal(engine.all_paths(),
                      PathEnumerator(*stack.timer, 8).all_paths(),
                      "after rebuild");

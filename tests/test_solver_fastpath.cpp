@@ -3,9 +3,11 @@
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <memory>
 #include <optional>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "linalg/sparse_accumulator.hpp"
@@ -371,15 +373,16 @@ TEST(SolverFastpathRefit, PoisonedLogFallsBackToCold) {
   ASSERT_TRUE(session.has_fit());
 
   // A derate reload is structural for the fit: every matrix entry moves.
+  const Timer::EcoMark mark = stack.timer->eco_mark();
   stack.timer->set_instance_derates(
       compute_gba_derates(stack.timer->graph(), stack.table));
-  EXPECT_TRUE(stack.timer->eco_poisoned());
+  EXPECT_TRUE(stack.timer->eco_poisoned_since(mark));
 
   const MgbaFlowResult result = session.refit();
   EXPECT_EQ(session.stats().cold_rebuilds, 1u);
   EXPECT_EQ(session.stats().warm_refits, 0u);
   EXPECT_GT(result.fitted_paths, 0u);
-  // The cold fallback re-arms the log: a value-only ECO now refits warm.
+  // The cold fallback takes a fresh mark: a value-only ECO now refits warm.
   apply_small_eco(stack, 1, 41);
   session.refit();
   EXPECT_EQ(session.stats().warm_refits, 1u);
@@ -400,6 +403,53 @@ TEST(SolverFastpathRefit, WarmRefitBitIdenticalAcrossThreads) {
   ASSERT_EQ(weights[0].size(), weights[1].size());
   for (std::size_t i = 0; i < weights[0].size(); ++i) {
     EXPECT_EQ(weights[0][i], weights[1][i]) << "instance " << i;
+  }
+}
+
+TEST(SolverFastpathRefit, StaleRowRuleIsComplete) {
+  // Completeness oracle for the stale-row rule — a row is stale iff its
+  // endpoint lies in the forward cone of the touched instances. Twin B
+  // receives twin A's ECOs and also invalidates every sizable gate without
+  // resizing it, so all of B's rows go stale and B re-measures every one.
+  // A row the rule left out of A's refresh that would have re-measured to
+  // other bits would make the twins' weights differ.
+  ThreadGuard guard;
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    SCOPED_TRACE(std::to_string(threads) + " thread(s)");
+    set_num_threads(threads);
+    GeneratedStack a(small_options(99), 1800.0);
+    GeneratedStack b(small_options(99), 1800.0);
+    const std::vector<InstanceId> sizable = sizable_instances(b);
+    MgbaRefitSession session_a(*a.timer, a.table, refit_flow_options());
+    MgbaRefitSession session_b(*b.timer, b.table, refit_flow_options());
+    session_a.fit();
+    session_b.fit();
+    ASSERT_TRUE(session_a.has_fit());
+    ASSERT_TRUE(session_b.has_fit());
+
+    // The oracle says something only where A leaves rows out.
+    std::size_t rows_left_out = 0;
+    for (std::uint64_t round = 0; round < 20; ++round) {
+      SCOPED_TRACE("round " + std::to_string(round));
+      apply_small_eco(a, 2, 3000 + round);
+      apply_small_eco(b, 2, 3000 + round);
+      for (const InstanceId inst : sizable) b.timer->invalidate_instance(inst);
+      const MgbaFlowResult warm_a = session_a.refit();
+      const MgbaFlowResult warm_b = session_b.refit();
+      const RefitStats& stats_a = session_a.stats();
+      const RefitStats& stats_b = session_b.stats();
+      ASSERT_EQ(stats_a.warm_refits, round + 1);
+      ASSERT_EQ(stats_b.warm_refits, round + 1);
+      EXPECT_EQ(stats_b.rows_reevaluated, stats_b.rows_total);
+      EXPECT_GE(stats_b.rows_reevaluated, stats_a.rows_reevaluated);
+      rows_left_out += stats_a.rows_total - stats_a.rows_reevaluated;
+      ASSERT_EQ(warm_a.instance_weights.size(), warm_b.instance_weights.size());
+      ASSERT_EQ(std::memcmp(warm_a.instance_weights.data(),
+                            warm_b.instance_weights.data(),
+                            warm_a.instance_weights.size() * sizeof(double)),
+                0);
+    }
+    EXPECT_GT(rows_left_out, 0u);
   }
 }
 
