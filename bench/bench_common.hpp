@@ -19,6 +19,7 @@
 #include "liberty/default_library.hpp"
 #include "netlist/generator.hpp"
 #include "opt/optimizer.hpp"
+#include "pba/path_engine.hpp"
 #include "sta/timer.hpp"
 
 namespace mgba::bench {
@@ -100,7 +101,8 @@ inline FlowRun run_closure_flow(int d, bool use_mgba) {
   TimingCloser closer(stack->design(), *stack->timer, stack->table, options);
   FlowRun run;
   run.report = closer.run();
-  run.report.final_qor = measure_golden_qor(*stack->timer, stack->table);
+  PathEngineHub hub(*stack->timer);
+  run.report.final_qor = measure_golden_qor(*stack->timer, stack->table, hub);
   run.clock_period_ps = stack->constraints.clock_period_ps;
   return run;
 }

@@ -16,7 +16,7 @@
 #include "bench/bench_common.hpp"
 #include "linalg/histogram.hpp"
 #include "mgba/framework.hpp"
-#include "pba/path_enum.hpp"
+#include "pba/path_engine.hpp"
 #include "pba/path_eval.hpp"
 
 int main(int argc, char** argv) {
@@ -34,8 +34,9 @@ int main(int argc, char** argv) {
 
   // Per-path pessimism (PBA slack - GBA slack) on the worst paths, and the
   // contribution of each PBA refinement.
-  const PathEnumerator enumerator(timer, 8);
-  const std::vector<TimingPath> paths = enumerator.all_paths();
+  PathEngine engine(timer, 8);
+  engine.sync();
+  const std::vector<TimingPath> paths = engine.all_paths();
 
   PathEvalOptions full_opts;
   PathEvalOptions derate_only;

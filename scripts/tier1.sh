@@ -1,14 +1,17 @@
 #!/usr/bin/env bash
 # Tier-1 verification (see ROADMAP.md), one line per pass:
-#   1. standard build + the full ctest suite;
+#   1. standard build + the full ctest suite (with it the CLI smokes, among them the
+#      one-corner --corners regression of mgba_timer fit/optimize/report);
 #   2. TSan, 4 threads: the suites whose pool workers or reader threads share state,
 #      the MCMM suites, whose sweeps run corners x nodes on the pool, and the
 #      optimizer, whose rejected upsizes re-propagate on the parallel frontier;
 #   3. ASan+UBSan with assertions compiled in (MGBA_DCHECK, assert), 4 threads: the suites
 #      that index arenas, scratch, frames, the graph CSR and its buffer patch, the AOCV
-#      depth state, and the optimizer (area recovery's per-instance revert slots,
+#      depth state, the optimizer (area recovery's per-instance revert slots,
 #      moved-derate installs and the arena carry of a patched buffer trial under a real
-#      closure); the pass first checks that the assertion death test was compiled in;
+#      closure), and the path engine's node-major tables where the hub-less fit's
+#      throwaway engine and the hub-served golden QoR use them (MgbaFramework*, Qor*);
+#      the pass first checks that the assertion death test was compiled in;
 #   4. shell golden-transcript smoke at 1 and 4 threads (byte-identical);
 #   5. server smoke at 1 and 4 threads, including a kill -9 / --recover round trip;
 #   6. the end-to-end benchmark's correctness gates on its smoke workloads
@@ -36,7 +39,7 @@ if ! grep -q 'DcheckAbortsWithAssertionsOn' \
   echo "tier1: the ASan+UBSan build compiled assertions out (NDEBUG)" >&2
   exit 1
 fi
-MGBA_THREADS=4 ./build-asan/tests/mgba_tests --gtest_filter='CheckDeathTest*:Mcmm*:Parallel*:Shell*:Incremental*:SolverFastpath*:Snapshot*:Server*:Kernel*:PathEngine*:TimingGraph*:Timer.*:DepthAnalysis*:AocvModel*:Optimizer*'
+MGBA_THREADS=4 ./build-asan/tests/mgba_tests --gtest_filter='CheckDeathTest*:Mcmm*:Parallel*:Shell*:Incremental*:SolverFastpath*:Snapshot*:Server*:Kernel*:PathEngine*:TimingGraph*:Timer.*:DepthAnalysis*:AocvModel*:Optimizer*:MgbaFramework*:Qor*'
 
 for threads in 1 4; do
   ./scripts/shell_smoke.sh build/tools/mgba_timer \
@@ -49,4 +52,4 @@ for threads in 1 4; do
 done
 
 bash bench/e2e/run.sh --smoke
-echo "tier-1 OK (ctest + TSan parallel/MCMM/incremental/server/path-engine/optimizer suites + ASan+UBSan with assertions: check/MCMM/shell/incremental/kernel/path-engine/timing-graph/timer/depth-analysis/aocv/optimizer suites + shell and server smokes + e2e smoke gates)"
+echo "tier-1 OK (ctest + TSan parallel/MCMM/incremental/server/path-engine/optimizer suites + ASan+UBSan with assertions: check/MCMM/shell/incremental/kernel/path-engine/timing-graph/timer/depth-analysis/aocv/optimizer/mGBA-framework/QoR suites + shell and server smokes + e2e smoke gates)"

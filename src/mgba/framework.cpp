@@ -7,7 +7,6 @@
 #include "mgba/metrics.hpp"
 #include "mgba/path_selection.hpp"
 #include "pba/path_engine.hpp"
-#include "pba/path_enum.hpp"
 #include "sta/report.hpp"
 #include "sta/snapshot.hpp"
 #include "util/check.hpp"
@@ -99,23 +98,22 @@ MgbaFlowResult MgbaRefitSession::fit() {
   // flow targets violations only, skip clean endpoints entirely — this is
   // what keeps the fit overhead a small fraction of the closure flow
   // (paper Table 5: mGBA column ~2% of the flow runtime). With a hub the
-  // enumeration comes from its persistent engine (warm across fits); the
-  // golden evaluation shares whichever frozen view the paths came from,
-  // so the whole fit forks at most one snapshot.
-  PathEngine* engine = nullptr;
-  if (path_hub_ != nullptr) {
-    engine =
-        &path_hub_->engine(options_.candidate_paths_per_endpoint, mode, corner);
-    engine->sync();
-  }
-  std::shared_ptr<const TimingSnapshot> view =
-      engine != nullptr ? engine->view() : timer.snapshot();
+  // enumeration comes from its persistent engine (warm across fits);
+  // without one a throwaway engine cold-builds and is released once the
+  // paths are extracted, so its tables never coexist with the problem. The
+  // golden evaluation shares the engine's frozen view, so the whole fit
+  // forks at most one snapshot.
+  std::shared_ptr<const TimingSnapshot> view;
   {
-    std::optional<PathEnumerator> enumerator;
-    if (engine == nullptr) {
-      enumerator.emplace(view, options_.candidate_paths_per_endpoint, mode,
-                         corner);
-    }
+    std::optional<PathEngine> throwaway;
+    PathEngine& engine =
+        path_hub_ != nullptr
+            ? path_hub_->engine(options_.candidate_paths_per_endpoint, mode,
+                                corner)
+            : throwaway.emplace(timer, options_.candidate_paths_per_endpoint,
+                                mode, corner);
+    engine.sync();
+    view = engine.view();
     std::vector<NodeId> endpoints;
     for (const NodeId e : timer.graph().endpoints()) {
       if (!options_.only_violated || timer.slack(e, mode, corner) < 0.0) {
@@ -127,24 +125,22 @@ MgbaFlowResult MgbaRefitSession::fit() {
       // Hold checks exist only at flip-flop data pins; keep the path list
       // aligned 1:1 with the problem rows by filtering here.
       if (hold && !timer.graph().check_at(e).has_value()) continue;
-      for (TimingPath& p : engine != nullptr ? engine->paths_to(e)
-                                             : enumerator->paths_to(e)) {
-        paths_.push_back(std::move(p));
-      }
+      for (TimingPath& p : engine.paths_to(e)) paths_.push_back(std::move(p));
     }
-    result.candidate_paths = paths_.size();
-    if (paths_.empty()) return result;
-
-    // Full problem over all candidates (also the measurement set).
-    const PathEvaluator evaluator(view, *table_, options_.eval_options,
-                                  corner);
+  }
+  result.candidate_paths = paths_.size();
+  if (paths_.empty()) return result;
+  {
+    // Full problem over all candidates (also the measurement set). The
+    // evaluator holds this scope's last reference to the frozen version
+    // and drops it before the weight application below, so head writes
+    // stop privatizing against it (a hub engine keeps its own pinned view
+    // as the next sync's diff base).
+    const PathEvaluator evaluator(std::move(view), *table_,
+                                  options_.eval_options, corner);
     problem_ = std::make_unique<MgbaProblem>(timer, evaluator, paths_,
                                              options_.epsilon,
                                              options_.check_kind);
-    // Done reading the frozen version: release it before the weight
-    // application below so head writes stop privatizing against it (the
-    // engine keeps its own pinned view as the next sync's diff base).
-    view.reset();
   }
   result.variables = problem_->num_cols();
   if (problem_->num_rows() == 0 || problem_->num_cols() == 0) return result;

@@ -88,8 +88,9 @@ struct MgbaFlowResult {
 /// weights on that corner first so the fit is against plain GBA. \p table
 /// must be the derate table of that corner. With a \p path_hub the
 /// candidate enumeration is served by that hub's persistent PathEngine for
-/// (candidate_paths_per_endpoint, mode, corner) — warm across fits,
-/// bit-identical results — instead of a throwaway cold PathEnumerator.
+/// (candidate_paths_per_endpoint, mode, corner), warm across fits; without
+/// one a throwaway PathEngine cold-builds and is released before the
+/// problem build. Both give bit-identical results.
 MgbaFlowResult run_mgba_flow(Timer& timer, const DerateTable& table,
                              const MgbaFlowOptions& options = {},
                              PathEngineHub* path_hub = nullptr);
@@ -173,8 +174,8 @@ class MgbaRefitSession {
   [[nodiscard]] const MgbaFlowOptions& options() const { return options_; }
 
   /// Serves cold fits' candidate enumeration from \p hub's persistent
-  /// PathEngine (nullptr to restore throwaway enumerators). Not owned;
-  /// must outlive the session.
+  /// PathEngine (nullptr to restore throwaway engines). Not owned; must
+  /// outlive the session.
   void set_path_hub(PathEngineHub* hub) { path_hub_ = hub; }
 
  private:

@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "aocv/aocv_model.hpp"
-#include "pba/path_enum.hpp"
 #include "pba/path_eval.hpp"
 #include "util/check.hpp"
 #include "util/log.hpp"
@@ -19,8 +18,8 @@ TimingCloser::TimingCloser(Design& design, Timer& timer,
                            const DerateTable& table, OptimizerOptions options)
     : design_(&design),
       timer_(&timer),
-      table_(&table),
       options_(std::move(options)),
+      corner_setups_(default_corner_setups(table)),
       path_hub_(timer),
       buffer_counter_(options_.buffer_name_start) {}
 
@@ -41,16 +40,12 @@ std::vector<RefitStats> TimingCloser::mgba_refit_stats() const {
 void TimingCloser::refresh_mgba(OptimizerReport& report) {
   const Stopwatch mgba_watch;
   if (mgba_sessions_.empty()) {
-    if (corner_setups_.empty()) {
-      mgba_sessions_.emplace_back(*timer_, *table_, options_.mgba_options);
-    } else {
-      mgba_sessions_.reserve(corner_setups_.size());
-      for (std::size_t c = 0; c < corner_setups_.size(); ++c) {
-        MgbaFlowOptions per_corner = options_.mgba_options;
-        per_corner.corner = static_cast<CornerId>(c);
-        mgba_sessions_.emplace_back(*timer_, corner_setups_[c].table,
-                                    per_corner);
-      }
+    mgba_sessions_.reserve(corner_setups_.size());
+    for (std::size_t c = 0; c < corner_setups_.size(); ++c) {
+      MgbaFlowOptions per_corner = options_.mgba_options;
+      per_corner.corner = static_cast<CornerId>(c);
+      mgba_sessions_.emplace_back(*timer_, corner_setups_[c].table,
+                                  per_corner);
     }
     // Cold fits (the first refresh and every poisoned-log fallback)
     // enumerate through the closer's persistent engines.
@@ -75,10 +70,6 @@ void TimingCloser::refresh_derates() {
   // One depth analysis serves every corner's table; the closer keeps it
   // so buffer trials can patch it (patch_derates).
   depths_.emplace(timer_->graph());
-  if (corner_setups_.empty()) {
-    timer_->set_instance_derates(gba_derates(*depths_, *table_));
-    return;
-  }
   // Structural edits renumber instances: rebuild each corner's derate
   // vector from that corner's own table.
   for (std::size_t c = 0; c < corner_setups_.size(); ++c) {
@@ -106,10 +97,6 @@ void TimingCloser::patch_derates(const BufferPatch& patch,
     }
     return derates;
   };
-  if (corner_setups_.empty()) {
-    timer_->set_instance_derates(patched(kDefaultCorner, *table_), moved);
-    return;
-  }
   for (std::size_t c = 0; c < corner_setups_.size(); ++c) {
     const auto corner = static_cast<CornerId>(c);
     timer_->set_corner_derates(
@@ -360,6 +347,8 @@ void TimingCloser::area_recovery(OptimizerReport& report) {
 OptimizerReport TimingCloser::run() {
   const Stopwatch watch;
   OptimizerReport report;
+  // A multi-corner timer needs set_corner_setups before the first run.
+  MGBA_CHECK(corner_setups_.size() == timer_->num_corners());
 
   refresh_derates();
   timer_->update_timing();
@@ -429,16 +418,14 @@ OptimizerReport TimingCloser::run() {
 double choose_clock_period(Timer& timer, const DerateTable& table,
                            double utilization) {
   MGBA_CHECK(utilization > 0.0);
-  timer.update_timing();
-  // One pinned view serves enumeration and evaluation (was: one fork per
-  // constructor), released when this function returns.
-  const std::shared_ptr<const TimingSnapshot> view = timer.snapshot();
-  const PathEnumerator enumerator(view, 4);
-  const PathEvaluator evaluator(view, table);
+  // A throwaway engine enumerates; the evaluator shares its pinned view.
+  PathEngine engine(timer, 4);
+  engine.sync();
+  const PathEvaluator evaluator(engine.view(), table);
   double worst_arrival = 0.0;
   double worst_margin = 0.0;
   for (const NodeId endpoint : timer.graph().endpoints()) {
-    for (const TimingPath& path : enumerator.paths_to(endpoint)) {
+    for (const TimingPath& path : engine.paths_to(endpoint)) {
       const PathTiming pt = evaluator.evaluate(path);
       if (pt.pba_arrival_ps > worst_arrival) {
         worst_arrival = pt.pba_arrival_ps;

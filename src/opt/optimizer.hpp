@@ -100,12 +100,14 @@ struct OptimizerReport {
 class TimingCloser {
  public:
   /// \p design and \p timer must reference the same design object and
-  /// outlive the closer. \p table is used to refresh AOCV derates after
-  /// structural edits and to drive the embedded mGBA fit.
+  /// outlive the closer. The closer starts on one identity corner with
+  /// \p table (default_corner_setups), which refreshes AOCV derates after
+  /// structural edits and drives the embedded mGBA fit, until
+  /// set_corner_setups replaces it.
   TimingCloser(Design& design, Timer& timer, const DerateTable& table,
                OptimizerOptions options);
 
-  /// Multi-corner closure: each corner refreshes derates from its own
+  /// Closes against \p setups: each corner refreshes derates from its own
   /// table and gets its own embedded mGBA fit; accept/reject decisions use
   /// the merged view. The setups must match the timer's corner set
   /// (apply_corner_setups) and are copied.
@@ -154,16 +156,16 @@ class TimingCloser {
 
   Design* design_;
   Timer* timer_;
-  const DerateTable* table_;
   OptimizerOptions options_;
-  /// Empty = single-corner legacy mode (derates and mGBA from *table_).
+  /// One setup per timer corner: derates and mGBA fits of corner c come
+  /// from corner_setups_[c].table.
   std::vector<CornerSetup> corner_setups_;
   TransformListener* listener_ = nullptr;
   /// Embedded-mGBA refit sessions, created lazily on the first refresh of
   /// run() and kept across passes (and across run() invocations — each
   /// falls back cold automatically whenever the timer's ECO poison was
-  /// stamped since its last fit). One session in single-corner mode, one
-  /// per corner in MCMM, each reading the record against its own mark.
+  /// stamped since its last fit). One session per corner, each reading
+  /// the record against its own mark.
   std::vector<MgbaRefitSession> mgba_sessions_;
   /// Persistent k-best candidate state shared by every fit this closer
   /// runs (cold and refit-fallback alike); keyed per (k, mode, corner).

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "pba/path_engine.hpp"
-#include "pba/path_enum.hpp"
 #include "pba/path_eval.hpp"
 #include "util/strings.hpp"
 
@@ -63,19 +62,17 @@ std::vector<QorMetrics> measure_qor_per_corner(const Timer& timer) {
   return per_corner;
 }
 
-namespace {
-
-/// Shared body of the two golden-QoR overloads: worst PBA slack per
-/// endpoint over its enumerated GBA-worst paths, whichever enumeration
-/// backend produced them.
-template <typename PathsTo>
-QorMetrics golden_qor_body(const Timer& timer, const PathEvaluator& evaluator,
-                           const PathsTo& paths_to) {
+QorMetrics measure_golden_qor(Timer& timer, const DerateTable& table,
+                              PathEngineHub& path_hub,
+                              std::size_t paths_per_endpoint) {
+  PathEngine& engine = path_hub.engine(paths_per_endpoint);
+  engine.sync();
+  const PathEvaluator evaluator(engine.view(), table);
   QorMetrics qor;
   fill_design_metrics(timer, qor);
   for (const NodeId endpoint : timer.graph().endpoints()) {
     double slack = kInfPs;
-    for (const TimingPath& path : paths_to(endpoint)) {
+    for (const TimingPath& path : engine.paths_to(endpoint)) {
       slack = std::min(slack, evaluator.evaluate(path).pba_slack_ps);
     }
     if (slack == kInfPs) continue;  // unreachable endpoint
@@ -86,33 +83,6 @@ QorMetrics golden_qor_body(const Timer& timer, const PathEvaluator& evaluator,
     }
   }
   return qor;
-}
-
-}  // namespace
-
-QorMetrics measure_golden_qor(Timer& timer, const DerateTable& table,
-                              std::size_t paths_per_endpoint) {
-  timer.update_timing();
-  // One pinned view serves enumeration and evaluation and dies with this
-  // scope (previously each constructor forked its own snapshot, churning
-  // cow_retained_bytes once per measurement round).
-  const std::shared_ptr<const TimingSnapshot> view = timer.snapshot();
-  const PathEnumerator enumerator(view, paths_per_endpoint);
-  const PathEvaluator evaluator(view, table);
-  return golden_qor_body(
-      timer, evaluator,
-      [&](NodeId endpoint) { return enumerator.paths_to(endpoint); });
-}
-
-QorMetrics measure_golden_qor(Timer& timer, const DerateTable& table,
-                              PathEngineHub& path_hub,
-                              std::size_t paths_per_endpoint) {
-  PathEngine& engine = path_hub.engine(paths_per_endpoint);
-  engine.sync();
-  const PathEvaluator evaluator(engine.view(), table);
-  return golden_qor_body(
-      timer, evaluator,
-      [&](NodeId endpoint) { return engine.paths_to(endpoint); });
 }
 
 }  // namespace mgba

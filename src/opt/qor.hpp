@@ -42,17 +42,15 @@ QorMetrics measure_qor(const Timer& timer, CornerId corner);
 std::vector<QorMetrics> measure_qor_per_corner(const Timer& timer);
 
 /// Sign-off QoR: WNS/TNS measured with golden PBA slacks (the worst PBA
-/// slack per endpoint over its \p paths_per_endpoint GBA-worst paths).
-/// Weights currently applied to the timer are ignored for the golden
-/// numbers (PBA re-derates from base delays), making the figure comparable
-/// across GBA- and mGBA-driven flows.
-QorMetrics measure_golden_qor(Timer& timer, const DerateTable& table,
-                              std::size_t paths_per_endpoint = 8);
-
-/// Same metric served from \p path_hub's persistent PathEngine: the
-/// enumeration is warm across measurement rounds and the evaluator shares
-/// the engine's pinned view, so a round forks no snapshot at all
-/// (bit-identical to the cold overload).
+/// slack per endpoint over its \p paths_per_endpoint GBA-worst paths),
+/// served from \p path_hub's persistent PathEngine: the enumeration is
+/// warm across measurement rounds and the evaluator shares the engine's
+/// pinned view, so a round forks no snapshot. PBA re-derates from base
+/// delays, so each path's golden slack ignores the installed mGBA weights.
+/// Which paths are measured does not: the engine ranks each endpoint's k
+/// paths by the timer's arc delays, which carry the weights, so an
+/// installed fit decides which paths golden PBA sees (ROADMAP.md, "Sign-off
+/// that does not depend on the fit").
 QorMetrics measure_golden_qor(Timer& timer, const DerateTable& table,
                               PathEngineHub& path_hub,
                               std::size_t paths_per_endpoint = 8);

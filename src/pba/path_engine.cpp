@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "sta/kernels.hpp"
 #include "util/check.hpp"
 #include "util/float_bits.hpp"
 #include "util/strings.hpp"
@@ -19,9 +18,10 @@ namespace {
 constexpr double kUnusedArrival = -kInfPs;
 
 /// Warm sweeps escalate to a cold rebuild once this fraction of the nodes
-/// is seeded: the dense per-level kernels beat a sparse sweep long before
-/// the cone covers the graph (a full weight re-application seeds almost
-/// every data arc).
+/// is seeded. A seed set that broad drags most of the graph into its cone
+/// (a full weight re-application seeds almost every data arc), and the
+/// cold build runs the same per-node merge over every level without the
+/// frontier's flags, pending lists and fanout pushes.
 constexpr std::size_t kEscalateDivisor = 4;
 
 }  // namespace
@@ -107,58 +107,23 @@ void PathEngine::cold_build(std::shared_ptr<const TimingSnapshot> head) {
   via_rank_.assign(k_ * num_nodes_, 0);
   cand_count_.assign(num_nodes_, 0);
 
-  // Launch nodes seed one candidate each, exactly as the cold enumerator:
-  // the timer's arrival folds clock insertion + CK->Q (flops) or the
-  // input delay (ports).
-  for (const NodeId launch : graph.launch_nodes()) {
-    arr_[launch] = view_->arrival(launch, mode_, corner_);
-    cand_count_[launch] = 1;
-  }
+  // Launch nodes seed one candidate each, exactly as the reference
+  // enumerator: the timer's arrival folds clock insertion + CK->Q (flops)
+  // or the input delay (ports).
+  for (const NodeId launch : graph.launch_nodes()) write_launch_seed(launch);
 
-  build_levels();
-}
-
-void PathEngine::build_levels() {
-  const TimingGraph& graph = this->graph();
-  const TimingData& data = view_->data();
-  const std::size_t lane_base =
-      TimingData::lane(corner_, static_cast<int>(mode_)) * data.num_arcs;
-  // Per level: one contiguous delay-lane copy, then one gather+axpy pass
-  // per rank producing every fanin candidate arrival of the level. axpy
-  // with alpha = 1.0 is an exact multiply, so gath[j] is bitwise
-  // arr[from] + delay — the per-node merge value merge_node computes.
-  // Ranks past a fanin's cand_count read the -inf sentinel and are never
-  // selected below.
+  // Every other data node merges its fanin through the warm sweep's own
+  // merge_node + select_into. A merge reads only records of strictly lower
+  // levels and writes only its own node's, so the nodes of one level
+  // merge in parallel, bit-identical at any thread count.
   for (std::size_t l = 0; l < graph.num_levels(); ++l) {
     const auto [n0, n1] = graph.level_range(l);
-    if (n0 == n1) continue;
-    const auto [a0, a1] = graph.level_arc_range(l);
-    const std::size_t na = a1 - a0;
-    if (na > 0) {
-      if (dly_.size() < na) dly_.resize(na);
-      if (gath_.size() < k_ * na) gath_.resize(k_ * na);
-      data.arc_delay.read_range(lane_base + a0, dly_.data(), na);
-      for (std::size_t r = 0; r < k_; ++r) {
-        kernels::gather(arr_.data() + r * num_nodes_, arc_from_.data() + a0,
-                        gath_.data() + r * na, na);
-        kernels::axpy(1.0, dly_.data(), gath_.data() + r * na, na);
-      }
-    }
     parallel_for(n1 - n0, 16, [&](std::size_t b, std::size_t e) {
       std::vector<Cand> merged;  // per-chunk scratch
       for (std::size_t i = b; i < e; ++i) {
         const NodeId u = static_cast<NodeId>(n0 + i);
         if (graph.node(u).is_clock_network || is_launch_[u]) continue;
-        merged.clear();
-        for (const ArcId a : graph.fanin(u)) {
-          const NodeId from = arc_from_[a];
-          if (graph.node(from).is_clock_network) continue;  // CK->Q handled
-          const std::size_t j = a - a0;
-          const std::uint32_t count = cand_count_[from];
-          for (std::uint32_t r = 0; r < count; ++r) {
-            merged.push_back({gath_[r * na + j], a, r});
-          }
-        }
+        merge_node(u, merged);
         select_into(u, merged);
       }
     });
@@ -172,9 +137,10 @@ void PathEngine::merge_node(NodeId u, std::vector<Cand>& merged) const {
     const NodeId from = arc_from_[a];
     if (graph.node(from).is_clock_network) continue;  // CK->Q handled
     const double delay = view_->arc_delay(a, mode_, corner_);
+    const std::size_t first = slot(from, 0);
     const std::uint32_t count = cand_count_[from];
     for (std::uint32_t r = 0; r < count; ++r) {
-      merged.push_back({arr_[r * num_nodes_ + from] + delay, a, r});
+      merged.push_back({arr_[first + r] + delay, a, r});
     }
   }
 }
@@ -182,7 +148,7 @@ void PathEngine::merge_node(NodeId u, std::vector<Cand>& merged) const {
 bool PathEngine::select_into(NodeId u, std::vector<Cand>& merged) {
   const std::size_t keep = std::min(k_, merged.size());
   if (keep > 0) {
-    // Identical input sequence + identical comparator as the cold
+    // Identical input sequence + identical comparator as the reference
     // enumerator's merge, so the (unstable) partial_sort picks the same
     // winners bit for bit.
     const bool late = mode_ == Mode::Late;
@@ -194,20 +160,21 @@ bool PathEngine::select_into(NodeId u, std::vector<Cand>& merged) {
                       });
   }
   bool changed = cand_count_[u] != keep;
+  const std::size_t first = slot(u, 0);
   for (std::size_t r = 0; r < keep; ++r) {
-    const std::size_t slot = r * num_nodes_ + u;
+    const std::size_t s = first + r;
     const Cand& c = merged[r];
-    changed = changed || float_bits(arr_[slot]) != float_bits(c.arrival) ||
-              via_arc_[slot] != c.via_arc || via_rank_[slot] != c.via_rank;
-    arr_[slot] = c.arrival;
-    via_arc_[slot] = c.via_arc;
-    via_rank_[slot] = c.via_rank;
+    changed = changed || float_bits(arr_[s]) != float_bits(c.arrival) ||
+              via_arc_[s] != c.via_arc || via_rank_[s] != c.via_rank;
+    arr_[s] = c.arrival;
+    via_arc_[s] = c.via_arc;
+    via_rank_[s] = c.via_rank;
   }
   for (std::size_t r = keep; r < k_; ++r) {
-    const std::size_t slot = r * num_nodes_ + u;
-    arr_[slot] = kUnusedArrival;
-    via_arc_[slot] = kInvalidArc;
-    via_rank_[slot] = 0;
+    const std::size_t s = first + r;
+    arr_[s] = kUnusedArrival;
+    via_arc_[s] = kInvalidArc;
+    via_rank_[s] = 0;
   }
   cand_count_[u] = static_cast<std::uint32_t>(keep);
   return changed;
@@ -215,12 +182,13 @@ bool PathEngine::select_into(NodeId u, std::vector<Cand>& merged) {
 
 bool PathEngine::write_launch_seed(NodeId u) {
   const double arrival = view_->arrival(u, mode_, corner_);
+  const std::size_t s = slot(u, 0);
   bool changed = cand_count_[u] != 1 ||
-                 float_bits(arr_[u]) != float_bits(arrival) ||
-                 via_arc_[u] != kInvalidArc || via_rank_[u] != 0;
-  arr_[u] = arrival;
-  via_arc_[u] = kInvalidArc;
-  via_rank_[u] = 0;
+                 float_bits(arr_[s]) != float_bits(arrival) ||
+                 via_arc_[s] != kInvalidArc || via_rank_[s] != 0;
+  arr_[s] = arrival;
+  via_arc_[s] = kInvalidArc;
+  via_rank_[s] = 0;
   cand_count_[u] = 1;
   return changed;
 }
@@ -353,17 +321,17 @@ void PathEngine::warm_sweep() {
 TimingPath PathEngine::backtrack(NodeId endpoint, std::size_t rank) const {
   const TimingGraph& graph = this->graph();
   TimingPath path;
-  path.gba_arrival_ps = arr_[rank * num_nodes_ + endpoint];
+  path.gba_arrival_ps = arr_[slot(endpoint, rank)];
 
   NodeId node = endpoint;
   std::size_t r = rank;
   while (true) {
     path.nodes.push_back(node);
-    const std::size_t slot = r * num_nodes_ + node;
-    const ArcId via = via_arc_[slot];
+    const std::size_t s = slot(node, r);
+    const ArcId via = via_arc_[s];
     if (via == kInvalidArc) break;
     path.arcs.push_back(via);
-    r = via_rank_[slot];
+    r = via_rank_[s];
     node = arc_from_[via];
   }
   std::reverse(path.nodes.begin(), path.nodes.end());
@@ -429,7 +397,8 @@ std::vector<TimingPath> PathEngine::worst_paths(std::size_t n) const {
   for (const NodeId e : graph.endpoints()) {
     if (cand_count_[e] == 0) continue;
     const double required = view_->required(e, mode_, corner_);
-    const double bound = late ? required - arr_[e] : arr_[e] - required;
+    const double rank0 = arr_[slot(e, 0)];
+    const double bound = late ? required - rank0 : rank0 - required;
     order.emplace_back(bound, e);
   }
   std::sort(order.begin(), order.end());
@@ -443,7 +412,7 @@ std::vector<TimingPath> PathEngine::worst_paths(std::size_t n) const {
   sel.reserve(n);
   std::size_t scanned = 0;
   for (const auto& [bound, e] : order) {
-    if (pruning_enabled_ && sel.size() == n && bound > sel.front().slack) {
+    if (sel.size() == n && bound > sel.front().slack) {
       stats_.endpoints_pruned += order.size() - scanned;
       break;
     }
@@ -452,17 +421,15 @@ std::vector<TimingPath> PathEngine::worst_paths(std::size_t n) const {
     const double required = view_->required(e, mode_, corner_);
     const std::uint32_t count = cand_count_[e];
     for (std::uint32_t r = 0; r < count; ++r) {
-      const double arrival = arr_[r * num_nodes_ + e];
+      const double arrival = arr_[slot(e, r)];
       const double slack = late ? required - arrival : arrival - required;
       if (sel.size() < n) {
         sel.push_back({slack, e, r});
         std::push_heap(sel.begin(), sel.end(), key_less);
         continue;
       }
-      if (slack > sel.front().slack) {
-        if (pruning_enabled_) break;  // ranks above only ascend in slack
-        continue;
-      }
+      // Ranks above only ascend in slack.
+      if (slack > sel.front().slack) break;
       const Key cand{slack, e, r};
       if (!key_less(cand, sel.front())) continue;
       std::pop_heap(sel.begin(), sel.end(), key_less);

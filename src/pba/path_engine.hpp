@@ -1,14 +1,17 @@
 #pragma once
 
 /// \file path_engine.hpp
-/// Persistent k-best path enumeration (DESIGN.md §17). A PathEngine owns
-/// the per-node candidate state of the PathEnumerator DP across ECOs: the
-/// first sync() runs the cold k-best DP (dense per-level sweeps through
-/// sta/kernels.hpp), and every later sync() bit-diffs the new timing
-/// version against the one the arena was built from and re-runs the DP
-/// push-style over the forward cone of the moved values only. The
-/// enumerated path sets are bit-identical to a cold PathEnumerator on the
-/// same version, at every thread count.
+/// Persistent k-best path enumeration (DESIGN.md §17), the one k-best
+/// enumerator of the flows: the mGBA fit, golden QoR, the clock-period
+/// pick and the reports all draw their per-endpoint worst paths from a
+/// PathEngine. It keeps per-node candidate tables across ECOs. The first
+/// sync() fills them with the k-best DP, one merge per node, level by
+/// level; every later sync() bit-diffs the new timing version against the
+/// one the tables were built from and re-runs the same per-node merge over
+/// the forward cone of the moved values only. The enumerated path sets are
+/// bit-identical to PathEnumerator's (the reference the tests and
+/// bench_pba_fastpath compare against) on the same version, at every
+/// thread count.
 ///
 /// Queries additionally get a pruned global-worst extraction
 /// (worst_paths): endpoints are admitted to backtracking worst-bound
@@ -55,13 +58,9 @@ class PathEngine {
 
   /// The globally worst \p n paths (by GBA slack at the synced version,
   /// ties broken by endpoint id then rank) drawn from the per-endpoint
-  /// k-best sets, worst-first. With pruning enabled, endpoints that
-  /// provably cannot contribute skip backtracking; the returned set is
-  /// identical either way.
+  /// k-best sets, worst-first. Endpoints that provably cannot contribute
+  /// skip backtracking; the set is the brute-force top n all the same.
   [[nodiscard]] std::vector<TimingPath> worst_paths(std::size_t n) const;
-
-  void set_pruning_enabled(bool enabled) { pruning_enabled_ = enabled; }
-  [[nodiscard]] bool pruning_enabled() const { return pruning_enabled_; }
 
   struct Stats {
     std::size_t cold_builds = 0;    ///< first builds + too-broad escalations
@@ -94,29 +93,34 @@ class PathEngine {
     std::uint32_t via_rank = 0;
   };
 
+  /// Adopts \p head and fills every node's records from scratch: launch
+  /// seeds, then merge_node + select_into level by level.
   void cold_build(std::shared_ptr<const TimingSnapshot> head);
   void rebind_graph();
-  void build_levels();
   /// Flags the forward frontier of values that moved between view_ and
   /// \p head. Returns false when the seed set is too large for a warm
-  /// sweep to beat the dense cold rebuild.
+  /// sweep to beat a cold rebuild.
   bool collect_seeds(const TimingSnapshot& head);
   void clear_seeds();
   void warm_sweep();
-  /// Collects node \p u's fanin candidates into \p merged (warm sweep).
+  /// Collects node \p u's fanin candidates into \p merged, in the
+  /// reference enumerator's fanin-then-rank order.
   void merge_node(NodeId u, std::vector<Cand>& merged) const;
   /// Sorts \p merged (k-best prefix) and writes node \p u's records,
   /// returning whether any record (or the count) changed bitwise.
   bool select_into(NodeId u, std::vector<Cand>& merged);
   bool write_launch_seed(NodeId u);
   TimingPath backtrack(NodeId endpoint, std::size_t rank) const;
+  /// Lane index of record \p r of node \p u.
+  [[nodiscard]] std::size_t slot(NodeId u, std::size_t r) const {
+    return std::size_t{u} * k_ + r;
+  }
   [[nodiscard]] const TimingGraph& graph() const { return *graph_ref_; }
 
   Timer* timer_;
   std::size_t k_;
   Mode mode_;
   CornerId corner_;
-  bool pruning_enabled_ = true;
   /// worst_paths() is logically const but counts pruning decisions.
   mutable Stats stats_;
 
@@ -128,10 +132,11 @@ class PathEngine {
   std::vector<std::int32_t> check_of_instance_;
   std::vector<std::uint8_t> is_launch_;
 
-  /// Candidate arena, rank-major SoA over node ids: record r of node u
-  /// lives at [r * num_nodes_ + u] in each lane. Slots at rank >=
-  /// cand_count_[u] always hold the sentinel record (-inf, kInvalidArc,
-  /// 0) so whole-record bit compares are well defined.
+  /// Candidate tables, node-major SoA: record r of node u lives at
+  /// slot(u, r) = u * k + r in each lane, so a node's k records are
+  /// contiguous and the tables of a node range move as one block. Slots at
+  /// rank >= cand_count_[u] always hold the sentinel record (-inf,
+  /// kInvalidArc, 0) so whole-record bit compares are well defined.
   std::vector<double> arr_;
   std::vector<ArcId> via_arc_;
   std::vector<std::uint32_t> via_rank_;
@@ -145,11 +150,8 @@ class PathEngine {
   std::vector<std::vector<NodeId>> level_pending_;
   std::vector<NodeId> seed_nodes_;
 
-  /// Dense cold-build scratch (per-level delay copy + per-rank gather
-  /// lanes) and diff scratch (CowVec reads are chunked; compare via
-  /// copies so the reader never aliases a chunk being privatized).
-  std::vector<double> dly_;
-  std::vector<double> gath_;
+  /// Diff scratch: CowVec reads are chunked; compare via copies so the
+  /// reader never aliases a chunk being privatized.
   std::vector<double> diff_now_;
   std::vector<double> diff_then_;
 };

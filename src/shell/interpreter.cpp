@@ -542,15 +542,10 @@ CommandResult ShellInterpreter::cmd_report_paths(const ParsedCommand& p) {
     corner = *c;
   }
   // Served from the session's persistent engine: the first call cold-builds,
-  // repeated calls after ECOs re-enumerate only the touched cone. Pruning
-  // on/off returns byte-identical paths (see DESIGN.md §17); the flag exists
-  // for the ablation tests.
+  // repeated calls after ECOs re-enumerate only the touched cone.
   PathEngine& engine = session_.path_hub()->engine(k, mode, corner);
-  const bool saved_pruning = engine.pruning_enabled();
-  engine.set_pruning_enabled(!p.has_flag("no_prune"));
   engine.sync();
   const std::vector<TimingPath> paths = engine.worst_paths(count);
-  engine.set_pruning_enabled(saved_pruning);
   const TimingSnapshot& snap = *engine.view();
   const TimingGraph& graph = session_.timer().graph();
   std::ostringstream os;
@@ -836,10 +831,10 @@ void ShellInterpreter::register_commands() {
                    }));
   add("report_paths",
       mutating_cmd(
-          "report_paths [count] [-k N] [-corner C] [-early] [-no_prune]",
+          "report_paths [count] [-k N] [-corner C] [-early]",
           "globally worst GBA paths from the persistent path engine "
           "(warm across ECOs)",
-          0, 1, {"k", "corner"}, {"early", "no_prune"},
+          0, 1, {"k", "corner"}, {"early"},
           [this](const ParsedCommand& p) { return cmd_report_paths(p); }));
   add("stats",
       mutating_cmd("stats",

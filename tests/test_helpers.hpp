@@ -6,12 +6,14 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <cstdint>
 #include <map>
 #include <memory>
 #include <optional>
 #include <set>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "aocv/aocv_model.hpp"
 #include "aocv/derate_table.hpp"
@@ -263,6 +265,37 @@ inline std::optional<std::pair<NetId, Terminal>> pick_extreme_site(
   }
   return std::nullopt;
 }
+/// A same-footprint sibling cell the instance can be resized to, or
+/// nullopt (flip-flops are excluded; footprint families never mix kinds).
+inline std::optional<std::size_t> sizable_sibling(const Library& library,
+                                                  const Design& design,
+                                                  InstanceId inst) {
+  const LibCell& cell = design.cell_of(inst);
+  if (cell.kind == CellKind::FlipFlop) return std::nullopt;
+  for (std::size_t j = 0; j < library.num_cells(); ++j) {
+    const LibCell& c = library.cell(j);
+    if (c.footprint == cell.footprint && c.name != cell.name) return j;
+  }
+  return std::nullopt;
+}
+
+/// A deterministic sequence of sizable (instance, sibling cell) pairs.
+inline std::vector<std::pair<InstanceId, std::size_t>> resize_plan(
+    const Library& library, const Design& design, std::size_t count,
+    std::uint64_t seed) {
+  std::vector<std::pair<InstanceId, std::size_t>> plan;
+  Rng rng(seed);
+  while (plan.size() < count) {
+    const auto inst =
+        static_cast<InstanceId>(rng.uniform_index(design.num_instances()));
+    const auto sibling = sizable_sibling(library, design, inst);
+    if (!sibling.has_value()) continue;
+    if (design.instance(inst).cell == *sibling) continue;
+    plan.emplace_back(inst, *sibling);
+  }
+  return plan;
+}
+
 
 inline GeneratorOptions small_options(std::uint64_t seed = 42) {
   GeneratorOptions opt;

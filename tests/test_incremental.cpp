@@ -41,6 +41,8 @@ using shell::LoadRequest;
 using shell::ShellSession;
 using testing_helpers::BufferSinkKind;
 using testing_helpers::GeneratedStack;
+using testing_helpers::sizable_sibling;
+using testing_helpers::resize_plan;
 using testing_helpers::pick_buffer_site;
 using testing_helpers::MovedRangeExtreme;
 using testing_helpers::pick_extreme_site;
@@ -71,20 +73,6 @@ std::map<std::string, double> slacks_by_name(const Timer& timer) {
   return slacks;
 }
 
-/// A same-footprint sibling cell the instance can be resized to, or
-/// nullopt (flip-flops are excluded; footprint families never mix kinds).
-std::optional<std::size_t> sizable_sibling(const Library& library,
-                                           const Design& design,
-                                           InstanceId inst) {
-  const LibCell& cell = design.cell_of(inst);
-  if (cell.kind == CellKind::FlipFlop) return std::nullopt;
-  for (std::size_t j = 0; j < library.num_cells(); ++j) {
-    const LibCell& c = library.cell(j);
-    if (c.footprint == cell.footprint && c.name != cell.name) return j;
-  }
-  return std::nullopt;
-}
-
 /// Applies the same resize to two independently-updated stacks and brings
 /// both timers up to date.
 void resize_both(GeneratedStack& a, GeneratedStack& b, InstanceId inst,
@@ -95,23 +83,6 @@ void resize_both(GeneratedStack& a, GeneratedStack& b, InstanceId inst,
   b.design().resize_instance(inst, cell);
   b.timer->invalidate_instance(inst);
   b.timer->update_timing();
-}
-
-/// A deterministic sequence of sizable (instance, sibling cell) pairs.
-std::vector<std::pair<InstanceId, std::size_t>> resize_plan(
-    const Library& library, const Design& design, std::size_t count,
-    std::uint64_t seed) {
-  std::vector<std::pair<InstanceId, std::size_t>> plan;
-  Rng rng(seed);
-  while (plan.size() < count) {
-    const auto inst =
-        static_cast<InstanceId>(rng.uniform_index(design.num_instances()));
-    const auto sibling = sizable_sibling(library, design, inst);
-    if (!sibling.has_value()) continue;
-    if (design.instance(inst).cell == *sibling) continue;
-    plan.emplace_back(inst, *sibling);
-  }
-  return plan;
 }
 
 // --- fast path vs. full re-propagation -------------------------------------

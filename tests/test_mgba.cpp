@@ -4,6 +4,7 @@
 #include <cmath>
 #include <map>
 #include <memory>
+#include <string>
 
 #include "util/rng.hpp"
 
@@ -12,8 +13,10 @@
 #include "mgba/path_selection.hpp"
 #include "mgba/problem.hpp"
 #include "mgba/solvers.hpp"
+#include "pba/path_engine.hpp"
 #include "pba/path_enum.hpp"
 #include "test_helpers.hpp"
+#include "util/float_bits.hpp"
 
 namespace mgba {
 namespace {
@@ -323,6 +326,52 @@ TEST(MgbaFramework, MgbaPathSlacksBoundedByPba) {
     ++checked;
   }
   EXPECT_GT(checked, 100u);
+}
+
+TEST(MgbaFramework, ThrowawayEngineFitMatchesHubFit) {
+  // A fit without a hub cold-builds a throwaway PathEngine; one with a hub
+  // syncs the hub's persistent engine, which the second round finds holding
+  // the first round's tables. Twin stacks under the same resizes must fit
+  // bit for bit alike.
+  for (const CheckKind check : {CheckKind::Setup, CheckKind::Hold}) {
+    GeneratedStack plain(small_options(76), 1800.0);
+    GeneratedStack served(small_options(76), 1800.0);
+    PathEngineHub hub(*served.timer);
+    MgbaFlowOptions options;
+    options.check_kind = check;
+    const auto plan = testing_helpers::resize_plan(
+        plain.library, plain.design(), 4, 7601);
+    for (int round = 0; round < 2; ++round) {
+      const std::string what = std::string(check == CheckKind::Hold
+                                               ? "hold"
+                                               : "setup") +
+                               " round " + std::to_string(round);
+      if (round == 1) {
+        for (const auto& [inst, cell] : plan) {
+          for (GeneratedStack* stack : {&plain, &served}) {
+            stack->design().resize_instance(inst, cell);
+            stack->timer->invalidate_instance(inst);
+          }
+        }
+      }
+      const MgbaFlowResult a =
+          run_mgba_flow(*plain.timer, plain.table, options);
+      const MgbaFlowResult b =
+          run_mgba_flow(*served.timer, served.table, options, &hub);
+      EXPECT_GT(a.fitted_paths, 0u) << what;
+      EXPECT_EQ(a.candidate_paths, b.candidate_paths) << what;
+      EXPECT_EQ(a.violated_paths, b.violated_paths) << what;
+      EXPECT_EQ(a.fitted_paths, b.fitted_paths) << what;
+      EXPECT_EQ(a.solver_iterations, b.solver_iterations) << what;
+      ASSERT_EQ(a.instance_weights.size(), b.instance_weights.size()) << what;
+      for (std::size_t i = 0; i < a.instance_weights.size(); ++i) {
+        ASSERT_EQ(float_bits(a.instance_weights[i]),
+                  float_bits(b.instance_weights[i]))
+            << what << " instance " << i;
+      }
+    }
+    EXPECT_EQ(hub.num_engines(), 1u);
+  }
 }
 
 TEST(MgbaFramework, SolverKindsAllRun) {

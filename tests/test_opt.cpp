@@ -1,9 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <cstring>
 #include <map>
+#include <memory>
 #include <set>
 #include <string>
 #include <vector>
@@ -11,6 +13,9 @@
 #include "aocv/corner_io.hpp"
 #include "opt/optimizer.hpp"
 #include "opt/qor.hpp"
+#include "pba/path_engine.hpp"
+#include "pba/path_enum.hpp"
+#include "pba/path_eval.hpp"
 #include "sta/state_signature.hpp"
 #include "test_helpers.hpp"
 #include "util/thread_pool.hpp"
@@ -34,10 +39,91 @@ TEST(Qor, MeasureMatchesTimer) {
 TEST(Qor, GoldenQorLessPessimisticThanGba) {
   GeneratedStack stack(small_options(82), 1500.0);
   const QorMetrics gba = measure_qor(*stack.timer);
-  const QorMetrics golden = measure_golden_qor(*stack.timer, stack.table);
+  PathEngineHub hub(*stack.timer);
+  const QorMetrics golden = measure_golden_qor(*stack.timer, stack.table, hub);
   EXPECT_GE(golden.wns_ps, gba.wns_ps - 1e-6);
   EXPECT_GE(golden.tns_ps, gba.tns_ps - 1e-6);
   EXPECT_LE(golden.violations, gba.violations);
+}
+
+TEST(Qor, EngineServedMatchesEnumeratorReference) {
+  // Golden QoR (hub-served, warm after the first round) and the clock
+  // period pick (a throwaway engine) against inline PathEnumerator +
+  // PathEvaluator references, before and after resizes.
+  GeneratedStack stack(small_options(85), 1500.0);
+  Timer& timer = *stack.timer;
+  PathEngineHub hub(timer);
+  const auto reference_golden = [&] {
+    timer.update_timing();
+    const std::shared_ptr<const TimingSnapshot> view = timer.snapshot();
+    const PathEnumerator enumerator(view, 8);
+    const PathEvaluator evaluator(view, stack.table);
+    QorMetrics qor;
+    for (const NodeId endpoint : timer.graph().endpoints()) {
+      double slack = kInfPs;
+      for (const TimingPath& path : enumerator.paths_to(endpoint)) {
+        slack = std::min(slack, evaluator.evaluate(path).pba_slack_ps);
+      }
+      if (slack == kInfPs) continue;
+      qor.wns_ps = std::min(qor.wns_ps, slack);
+      if (slack < 0.0) {
+        qor.tns_ps += slack;
+        ++qor.violations;
+      }
+    }
+    return qor;
+  };
+  const auto reference_period = [&](double utilization) {
+    timer.update_timing();
+    const std::shared_ptr<const TimingSnapshot> view = timer.snapshot();
+    const PathEnumerator enumerator(view, 4);
+    const PathEvaluator evaluator(view, stack.table);
+    double worst_arrival = 0.0;
+    double worst_margin = 0.0;
+    for (const NodeId endpoint : timer.graph().endpoints()) {
+      for (const TimingPath& path : enumerator.paths_to(endpoint)) {
+        const PathTiming pt = evaluator.evaluate(path);
+        if (pt.pba_arrival_ps <= worst_arrival) continue;
+        worst_arrival = pt.pba_arrival_ps;
+        const auto check = timer.graph().check_at(endpoint);
+        if (check.has_value()) {
+          const TimingCheck& tc = timer.graph().checks()[*check];
+          worst_margin = timer.check_timing(*check).setup_ps -
+                         timer.arrival(tc.clock_node, Mode::Early);
+        } else {
+          worst_margin = timer.constraints().output_delay_ps;
+        }
+      }
+    }
+    return (worst_arrival + worst_margin) / utilization;
+  };
+
+  const auto plan =
+      testing_helpers::resize_plan(stack.library, stack.design(), 6, 8501);
+  for (std::size_t round = 0; round <= plan.size(); round += 2) {
+    if (round > 0) {
+      for (std::size_t i = round - 2; i < round; ++i) {
+        stack.design().resize_instance(plan[i].first, plan[i].second);
+        timer.invalidate_instance(plan[i].first);
+      }
+    }
+    const std::string what = "after " + std::to_string(round) + " resizes";
+    const QorMetrics golden = measure_golden_qor(timer, stack.table, hub);
+    const QorMetrics want = reference_golden();
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(golden.wns_ps),
+              std::bit_cast<std::uint64_t>(want.wns_ps))
+        << what;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(golden.tns_ps),
+              std::bit_cast<std::uint64_t>(want.tns_ps))
+        << what;
+    EXPECT_EQ(golden.violations, want.violations) << what;
+    EXPECT_LT(golden.wns_ps, 0.0) << what;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(choose_clock_period(
+                  timer, stack.table, 1.05)),
+              std::bit_cast<std::uint64_t>(reference_period(1.05)))
+        << what;
+  }
+  EXPECT_GT(hub.engine(8).stats().warm_syncs, 0u);
 }
 
 TEST(Optimizer, ImprovesTnsOnViolatedDesign) {

@@ -1,16 +1,19 @@
-/// PathEngine tests: the persistent k-best candidate arena must enumerate
-/// path sets bitwise identical to a cold PathEnumerator on the same timing
-/// version — after cold builds, after randomized warm ECO sequences, in
-/// hold (early) mode, across MCMM corners, and at 1 and 4 threads. Pruned
-/// worst-path extraction must return exactly the unpruned set, and
+/// PathEngine tests: the persistent k-best candidate tables must enumerate
+/// path sets bitwise identical to the reference PathEnumerator on the same
+/// timing version — after cold builds at k = 1 up to a k above every
+/// node's candidate count, after randomized warm ECO sequences, in hold
+/// (early) mode, across MCMM corners, and at 1 and 4 threads. Pruned
+/// worst-path extraction must return exactly the brute-force top n, and
 /// structural drift (a graph rebuild, which also poisons the refit ECO log)
 /// must fall back to a counted cold rebuild. The tier-1 script re-runs the
 /// PathEngine* suites under ASan+UBSan and TSan.
 
+#include <algorithm>
 #include <cstddef>
 #include <optional>
 #include <sstream>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -25,13 +28,13 @@
 #include "sta/timer.hpp"
 #include "test_helpers.hpp"
 #include "util/float_bits.hpp"
-#include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
 namespace mgba {
 namespace {
 
 using testing_helpers::GeneratedStack;
+using testing_helpers::resize_plan;
 using testing_helpers::small_options;
 
 /// Restores the ambient thread count on scope exit so test order doesn't
@@ -56,37 +59,6 @@ void expect_paths_equal(const std::vector<TimingPath>& got,
               float_bits(want[i].gba_arrival_ps))
         << what << " path " << i;
   }
-}
-
-/// A same-footprint sibling cell the instance can be resized to, or
-/// nullopt (flip-flops are excluded; footprint families never mix kinds).
-std::optional<std::size_t> sizable_sibling(const Library& library,
-                                           const Design& design,
-                                           InstanceId inst) {
-  const LibCell& cell = design.cell_of(inst);
-  if (cell.kind == CellKind::FlipFlop) return std::nullopt;
-  for (std::size_t j = 0; j < library.num_cells(); ++j) {
-    const LibCell& c = library.cell(j);
-    if (c.footprint == cell.footprint && c.name != cell.name) return j;
-  }
-  return std::nullopt;
-}
-
-/// A deterministic sequence of sizable (instance, sibling cell) pairs.
-std::vector<std::pair<InstanceId, std::size_t>> resize_plan(
-    const Library& library, const Design& design, std::size_t count,
-    std::uint64_t seed) {
-  std::vector<std::pair<InstanceId, std::size_t>> plan;
-  Rng rng(seed);
-  while (plan.size() < count) {
-    const auto inst =
-        static_cast<InstanceId>(rng.uniform_index(design.num_instances()));
-    const auto sibling = sizable_sibling(library, design, inst);
-    if (!sibling.has_value()) continue;
-    if (design.instance(inst).cell == *sibling) continue;
-    plan.emplace_back(inst, *sibling);
-  }
-  return plan;
 }
 
 /// Applies a randomized resize sequence, syncing \p engine after every ECO
@@ -116,16 +88,44 @@ void run_eco_sequence(GeneratedStack& stack, PathEngine& engine,
 // --- cold build ------------------------------------------------------------
 
 TEST(PathEngineCold, MatchesEnumeratorPerEndpointAndAllPaths) {
+  ThreadGuard guard;
   GeneratedStack stack(small_options(901));
-  PathEngine engine(*stack.timer, 8);
-  engine.sync();
-  const PathEnumerator cold(*stack.timer, 8);
-  for (const NodeId e : stack.timer->graph().endpoints()) {
-    expect_paths_equal(engine.paths_to(e), cold.paths_to(e), "endpoint");
+  // k = 1 holds one record per node. At k = 64 some endpoints fill their
+  // block and others stop short; k = 1024 is above every node's candidate
+  // count, so every block ends in sentinel slots.
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    set_num_threads(threads);
+    for (const std::size_t k : {std::size_t{1}, std::size_t{8},
+                                std::size_t{64}, std::size_t{1024}}) {
+      for (const Mode mode : {Mode::Late, Mode::Early}) {
+        const std::string what =
+            "k=" + std::to_string(k) +
+            (mode == Mode::Late ? " late" : " early") +
+            " threads=" + std::to_string(threads);
+        PathEngine engine(*stack.timer, k, mode);
+        engine.sync();
+        const PathEnumerator cold(*stack.timer, k, mode);
+        std::size_t most = 0;
+        std::size_t short_of_k = 0;
+        for (const NodeId e : stack.timer->graph().endpoints()) {
+          const std::vector<TimingPath> paths = engine.paths_to(e);
+          most = std::max(most, paths.size());
+          if (paths.size() < k) ++short_of_k;
+          expect_paths_equal(paths, cold.paths_to(e), what + " endpoint");
+        }
+        if (k == 1024) {
+          EXPECT_LT(most, k) << what;
+        } else {
+          EXPECT_EQ(most, k) << what;
+        }
+        if (k >= 64) EXPECT_GT(short_of_k, 0u) << what;
+        expect_paths_equal(engine.all_paths(), cold.all_paths(),
+                           what + " all_paths");
+        EXPECT_EQ(engine.stats().cold_builds, 1u) << what;
+        EXPECT_EQ(engine.stats().warm_syncs, 0u) << what;
+      }
+    }
   }
-  expect_paths_equal(engine.all_paths(), cold.all_paths(), "all_paths");
-  EXPECT_EQ(engine.stats().cold_builds, 1u);
-  EXPECT_EQ(engine.stats().warm_syncs, 0u);
 }
 
 TEST(PathEngineCold, RepeatSyncIsNoop) {
@@ -261,28 +261,42 @@ TEST(PathEnginePruning, OnOffEqualityAndCounters) {
   GeneratedStack stack(small_options(931));
   PathEngine engine(*stack.timer, 8);
   engine.sync();
+
+  // Brute force: every enumerated path, keyed by (slack, endpoint, rank)
+  // and sorted. all_paths() lists each endpoint's paths rank by rank.
+  struct Keyed {
+    double slack;
+    NodeId endpoint;
+    std::size_t rank;
+    const TimingPath* path;
+  };
+  const TimingSnapshot& snap = *engine.view();
+  const std::vector<TimingPath> all = engine.all_paths();
+  std::vector<Keyed> keyed;
+  for (const TimingPath& path : all) {
+    const NodeId e = path.endpoint();
+    const std::size_t rank =
+        !keyed.empty() && keyed.back().endpoint == e ? keyed.back().rank + 1
+                                                     : 0;
+    keyed.push_back({snap.required(e, Mode::Late, 0) - path.gba_arrival_ps,
+                     e, rank, &path});
+  }
+  std::sort(keyed.begin(), keyed.end(), [](const Keyed& x, const Keyed& y) {
+    return std::tie(x.slack, x.endpoint, x.rank) <
+           std::tie(y.slack, y.endpoint, y.rank);
+  });
+
   for (const std::size_t n : {std::size_t{1}, std::size_t{3}, std::size_t{16},
                               std::size_t{100000}}) {
-    engine.set_pruning_enabled(true);
-    const std::vector<TimingPath> pruned = engine.worst_paths(n);
-    engine.set_pruning_enabled(false);
-    const std::vector<TimingPath> full = engine.worst_paths(n);
-    expect_paths_equal(pruned, full, "worst_paths n=" + std::to_string(n));
+    std::vector<TimingPath> want;
+    for (std::size_t i = 0; i < std::min(n, keyed.size()); ++i) {
+      want.push_back(*keyed[i].path);
+    }
+    expect_paths_equal(engine.worst_paths(n), want,
+                       "worst_paths n=" + std::to_string(n));
   }
   EXPECT_GT(engine.stats().endpoints_pruned, 0u);
   EXPECT_GT(engine.stats().endpoints_backtracked, 0u);
-  // Worst-first: slacks are non-decreasing down the list.
-  engine.set_pruning_enabled(true);
-  const std::vector<TimingPath> worst = engine.worst_paths(5);
-  ASSERT_FALSE(worst.empty());
-  const TimingSnapshot& snap = *engine.view();
-  double prev = -kInfPs;
-  for (const TimingPath& path : worst) {
-    const double slack =
-        snap.required(path.endpoint(), Mode::Late, 0) - path.gba_arrival_ps;
-    EXPECT_GE(slack, prev);
-    prev = slack;
-  }
 }
 
 // --- shell surface ----------------------------------------------------------
@@ -308,9 +322,6 @@ TEST(PathEngineShell, ReportPathsAndStatsSurfaced) {
             std::string::npos)
       << r.output;
   EXPECT_NE(r.output.find("noop=1"), std::string::npos) << r.output;
-
-  // An ECO through the session keeps report_paths warm and consistent.
-  ASSERT_TRUE(interp.execute_line("report_paths 3 -no_prune").ok());
 }
 
 }  // namespace

@@ -30,6 +30,7 @@ namespace {
 using shell::LoadRequest;
 using shell::ShellSession;
 using testing_helpers::GeneratedStack;
+using testing_helpers::resize_plan;
 using testing_helpers::small_options;
 
 /// Restores the ambient thread count on scope exit so test order doesn't
@@ -38,37 +39,6 @@ struct ThreadGuard {
   std::size_t saved = num_threads();
   ~ThreadGuard() { set_num_threads(saved); }
 };
-
-/// A same-footprint sibling cell the instance can be resized to, or
-/// nullopt (flip-flops are excluded; footprint families never mix kinds).
-std::optional<std::size_t> sizable_sibling(const Library& library,
-                                           const Design& design,
-                                           InstanceId inst) {
-  const LibCell& cell = design.cell_of(inst);
-  if (cell.kind == CellKind::FlipFlop) return std::nullopt;
-  for (std::size_t j = 0; j < library.num_cells(); ++j) {
-    const LibCell& c = library.cell(j);
-    if (c.footprint == cell.footprint && c.name != cell.name) return j;
-  }
-  return std::nullopt;
-}
-
-/// A deterministic sequence of sizable (instance, sibling cell) pairs.
-std::vector<std::pair<InstanceId, std::size_t>> resize_plan(
-    const Library& library, const Design& design, std::size_t count,
-    std::uint64_t seed) {
-  std::vector<std::pair<InstanceId, std::size_t>> plan;
-  Rng rng(seed);
-  while (plan.size() < count) {
-    const auto inst =
-        static_cast<InstanceId>(rng.uniform_index(design.num_instances()));
-    const auto sibling = sizable_sibling(library, design, inst);
-    if (!sibling.has_value()) continue;
-    if (design.instance(inst).cell == *sibling) continue;
-    plan.emplace_back(inst, *sibling);
-  }
-  return plan;
-}
 
 /// Applies one resize to the stack and brings the timer up to date.
 void apply_resize(GeneratedStack& stack, InstanceId inst, std::size_t cell) {

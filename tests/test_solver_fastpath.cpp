@@ -24,26 +24,13 @@ namespace mgba {
 namespace {
 
 using testing_helpers::GeneratedStack;
+using testing_helpers::sizable_sibling;
 using testing_helpers::small_options;
 
 struct ThreadGuard {
   std::size_t saved = num_threads();
   ~ThreadGuard() { set_num_threads(saved); }
 };
-
-/// A same-footprint sibling cell the instance can be resized to, or
-/// nullopt (flip-flops are excluded; footprint families never mix kinds).
-std::optional<std::size_t> sizable_sibling(const Library& library,
-                                           const Design& design,
-                                           InstanceId inst) {
-  const LibCell& cell = design.cell_of(inst);
-  if (cell.kind == CellKind::FlipFlop) return std::nullopt;
-  for (std::size_t j = 0; j < library.num_cells(); ++j) {
-    const LibCell& c = library.cell(j);
-    if (c.footprint == cell.footprint && c.name != cell.name) return j;
-  }
-  return std::nullopt;
-}
 
 /// The sibling an ECO may resize \p inst to, or nullopt. Clock-tree
 /// buffers are skipped: resizing one escalates to a clock-network

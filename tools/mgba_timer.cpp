@@ -39,7 +39,7 @@
 #include "netlist/stats.hpp"
 #include "netlist/verilog_io.hpp"
 #include "opt/optimizer.hpp"
-#include "pba/path_enum.hpp"
+#include "pba/path_engine.hpp"
 #include "pba/path_report.hpp"
 #include "sta/drc.hpp"
 #include "sta/report.hpp"
@@ -129,12 +129,14 @@ struct Session {
   DerateTable table;
   TimingConstraints constraints;
   std::unique_ptr<Timer> timer;
-  /// The corner set (one identity entry without --corners).
+  /// The corner set (one identity entry without --corners). Fits, the
+  /// closer and path comparisons always run on it.
   std::vector<CornerSetup> setups;
 
   explicit Session(const Args& args)
       : library(load_library(args)), table(default_aocv_table()) {}
 
+  /// Whether reports add the merged worst-corner view.
   [[nodiscard]] bool multi_corner() const { return setups.size() > 1; }
 };
 
@@ -304,12 +306,13 @@ int cmd_report(const Args& args) {
     }
   }
   if (args.has("compare-path") && worst != kInvalidNode) {
-    const PathEnumerator enumerator(timer, 1);
-    const auto paths = enumerator.paths_to(worst);
+    PathEngine engine(timer, 1);
+    engine.sync();
+    const auto paths = engine.paths_to(worst);
     if (!paths.empty()) {
-      std::printf("\n%s", report_path_comparison(timer, session->table,
-                                                 paths[0])
-                              .c_str());
+      std::printf("\n%s", report_path_comparison(
+                               timer, session->setups[0].table, paths[0])
+                               .c_str());
     }
   }
   if (args.has("drc")) {
@@ -333,10 +336,7 @@ int cmd_fit(const Args& args) {
 
   Timer& timer = *session->timer;
   const std::vector<MgbaFlowResult> fits =
-      session->multi_corner()
-          ? run_mgba_flow_all_corners(timer, session->setups, options)
-          : std::vector<MgbaFlowResult>{
-                run_mgba_flow(timer, session->table, options)};
+      run_mgba_flow_all_corners(timer, session->setups, options);
   for (const MgbaFlowResult& fit : fits) {
     std::printf(
         "fit (%s, %s): %zu candidates, %zu violated, %zu rows x %zu vars\n",
@@ -367,7 +367,7 @@ int cmd_optimize(const Args& args) {
       static_cast<std::size_t>(args.get_int("passes", 25));
   TimingCloser closer(*session->design, *session->timer, session->table,
                       options);
-  if (session->multi_corner()) closer.set_corner_setups(session->setups);
+  closer.set_corner_setups(session->setups);
   const OptimizerReport report = closer.run();
   std::printf("flow done in %.2fs (%zu passes, fit %.2fs)\n", report.seconds,
               report.passes, report.mgba_seconds);
