@@ -46,16 +46,8 @@ struct BenchStack {
 
 /// Builds design Dd (1..10). \p utilization controls how tight the clock
 /// is relative to the golden critical path (>1: some true violations).
-/// \p scale shrinks the preset gate/flop counts for faster sweeps.
-inline std::unique_ptr<BenchStack> make_stack(int d, double utilization,
-                                              double scale = 1.0) {
-  GeneratorOptions gen = benchmark_design_options(d);
-  if (scale != 1.0) {
-    gen.num_gates = static_cast<std::size_t>(gen.num_gates * scale);
-    gen.num_flops =
-        std::max<std::size_t>(8, static_cast<std::size_t>(gen.num_flops * scale));
-  }
-  auto stack = std::make_unique<BenchStack>(gen);
+inline std::unique_ptr<BenchStack> make_stack(int d, double utilization) {
+  auto stack = std::make_unique<BenchStack>(benchmark_design_options(d));
 
   stack->constraints.clock_port = stack->generated.clock_port;
   stack->constraints.clock_period_ps = 1e9;

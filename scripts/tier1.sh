@@ -1,7 +1,10 @@
 #!/usr/bin/env bash
 # Tier-1 verification (see ROADMAP.md), one line per pass:
-#   1. standard build + the full ctest suite (with it the CLI smokes, among them the
-#      one-corner --corners regression of mgba_timer fit/optimize/report);
+#   1. standard build + the full ctest suite (with it the CLI smokes at 1 and 4
+#      threads: the one-corner --corners regression of mgba_timer fit/optimize/report,
+#      and the CLI-session checks that the subcommands read an SDC, derates and
+#      corners as the shell does and exit 3 on an unwritable --out, 2 on an unknown
+#      --solver);
 #   2. TSan, 4 threads: the suites whose pool workers or reader threads share state,
 #      the MCMM suites, whose sweeps run corners x nodes on the pool, and the
 #      optimizer, whose rejected upsizes re-propagate on the parallel frontier;

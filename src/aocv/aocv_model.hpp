@@ -39,11 +39,4 @@ std::vector<DeratePair> gba_derates(const DepthAnalysis& analysis,
 DeratePair gba_derate(const InstanceAocvInfo& info, const DerateTable& table,
                       const AocvOptions& options = {});
 
-/// Per-path PBA derate: factor for a data cell on a path whose exact cell
-/// depth is \p path_depth and whose endpoints are \p path_distance_um apart.
-inline double pba_late_derate(const DerateTable& table, std::size_t path_depth,
-                              double path_distance_um) {
-  return table.late(static_cast<double>(path_depth), path_distance_um);
-}
-
 }  // namespace mgba

@@ -140,7 +140,6 @@ class CsrRowSubsetView {
 
   [[nodiscard]] std::size_t num_rows() const { return rows_.size(); }
   [[nodiscard]] std::size_t num_cols() const { return base_->num_cols(); }
-  [[nodiscard]] std::size_t base_row(std::size_t k) const { return rows_[k]; }
   [[nodiscard]] SparseRowView row(std::size_t k) const {
     return base_->row(rows_[k]);
   }

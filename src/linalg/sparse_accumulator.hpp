@@ -36,15 +36,6 @@ class SparseAccumulator {
 
   [[nodiscard]] std::size_t size() const { return values_.size(); }
 
-  /// Number of touched entries (popcount over the bitmap).
-  [[nodiscard]] std::size_t touched_count() const {
-    std::size_t count = 0;
-    for (const std::uint64_t w : words_) {
-      count += static_cast<std::size_t>(std::popcount(w));
-    }
-    return count;
-  }
-
   /// Re-zeroes touched entries and the bitmap. O(touched words).
   void clear() {
     for (std::size_t w = 0; w < words_.size(); ++w) {
@@ -69,7 +60,6 @@ class SparseAccumulator {
   /// Dense view of the backing array (entries outside the touched set are
   /// exact zeros).
   [[nodiscard]] std::span<const double> values() const { return values_; }
-  [[nodiscard]] std::span<double> mutable_values() { return values_; }
 
   void touch(std::size_t j) { words_[j >> 6] |= std::uint64_t{1} << (j & 63); }
 

@@ -6,6 +6,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <istream>
+#include <optional>
 #include <ostream>
 #include <sstream>
 
@@ -54,6 +55,16 @@ std::string read_double_option(const ParsedCommand& p, const std::string& name,
     return "option -" + name + ": not a number: " + *v;
   }
   return "";
+}
+
+/// As above, for an option whose absence leaves \p out unset.
+std::string read_double_option(const ParsedCommand& p, const std::string& name,
+                               std::optional<double>& out) {
+  if (p.value(name) == nullptr) return "";
+  double value = 0.0;
+  std::string err = read_double_option(p, name, value);
+  if (err.empty()) out = value;
+  return err;
 }
 
 CommandResult ok_result(std::string text = {}) {
@@ -333,12 +344,9 @@ CommandResult ShellInterpreter::cmd_read_netlist(const ParsedCommand& p) {
   if ((err = read_size_option(p, "depth", request.depth)), !err.empty()) {
     return args_fail(std::move(err));
   }
-  if (p.value("period") != nullptr) {
-    double period = 0.0;
-    if ((err = read_double_option(p, "period", period)), !err.empty()) {
-      return args_fail(std::move(err));
-    }
-    request.period_ps = period;
+  if ((err = read_double_option(p, "period", request.period_ps)),
+      !err.empty()) {
+    return args_fail(std::move(err));
   }
   if ((err = read_double_option(p, "utilization", request.utilization)),
       !err.empty()) {

@@ -11,17 +11,13 @@
 #include "netlist/generator.hpp"
 #include "netlist/netlist_io.hpp"
 #include "netlist/verilog_io.hpp"
+#include "sta/sdc.hpp"
 #include "util/check.hpp"
 #include "util/strings.hpp"
 
 namespace mgba::shell {
 
 namespace {
-
-bool ends_with(const std::string& text, const std::string& suffix) {
-  return text.size() >= suffix.size() &&
-         text.compare(text.size() - suffix.size(), suffix.size(), suffix) == 0;
-}
 
 /// Tracks the largest "optbuf_<k>" suffix seen in a replayed journal so
 /// buffers created afterwards keep unique names.
@@ -83,13 +79,14 @@ std::string ShellSession::load(const LoadRequest& request) {
   if (journal_.in_transaction()) {
     return "read_netlist: close the open ECO transaction first";
   }
+  if (!(request.utilization > 0.0)) return "utilization must be > 0";
 
   std::string clock_port = "CLK";
   std::unique_ptr<Design> design;
   if (!request.netlist_path.empty()) {
     std::ifstream in(request.netlist_path);
     if (!in) return "cannot open netlist " + request.netlist_path;
-    if (ends_with(request.netlist_path, ".v")) {
+    if (request.netlist_path.ends_with(".v")) {
       design = std::make_unique<Design>(read_verilog(library_, in));
       // Verilog carries no placement; synthesize one so wire delays exist.
       scatter_placement(*design, request.seed);
@@ -115,6 +112,20 @@ std::string ShellSession::load(const LoadRequest& request) {
     return "read_netlist: give a file, -design N, or -gates N";
   }
 
+  // The constraints are read before the old session is torn down, so a bad
+  // SDC path leaves it as it was.
+  TimingConstraints constraints;
+  constraints.clock_port = clock_port;
+  if (!request.sdc_path.empty()) {
+    std::ifstream in(request.sdc_path);
+    if (!in) return "cannot open SDC " + request.sdc_path;
+    constraints = read_sdc(in, constraints);
+  }
+  if (!request.clock_port.empty()) constraints.clock_port = request.clock_port;
+  if (request.uncertainty_ps.has_value()) {
+    constraints.clock_uncertainty_ps = *request.uncertainty_ps;
+  }
+
   // Tear down the old session before the new design replaces it. Any
   // pinned snapshots reference the old timer and must go first.
   eco_view_.reset();
@@ -127,15 +138,12 @@ std::string ShellSession::load(const LoadRequest& request) {
   buffers_named_ = 0;
   setups_ = default_corner_setups(table_);
 
-  constraints_ = TimingConstraints{};
-  constraints_.clock_port =
-      request.clock_port.empty() ? clock_port : request.clock_port;
-  constraints_.clock_uncertainty_ps = request.uncertainty_ps;
+  constraints_ = std::move(constraints);
   if (request.period_ps.has_value()) {
     constraints_.clock_period_ps = *request.period_ps;
-  } else {
+  } else if (request.sdc_path.empty()) {
     // Derive the period from the golden critical path at the requested
-    // utilization, as the mgba_timer tool does.
+    // utilization. With an SDC, its create_clock period stands.
     constraints_.clock_period_ps = 1e9;
     Timer probe(*design_, constraints_);
     probe.set_instance_derates(compute_gba_derates(probe.graph(), table_));

@@ -41,8 +41,9 @@
 
 namespace mgba::shell {
 
-/// How `read_netlist` obtains its design: a netlist/Verilog file, a fixed
-/// benchmark design (D1..D10), or a custom generator configuration.
+/// How `read_netlist` (and every mgba_timer subcommand) obtains its design:
+/// a netlist/Verilog file, a fixed benchmark design (D1..D10), or a custom
+/// generator configuration, plus its constraints.
 struct LoadRequest {
   std::string netlist_path;  ///< file path; empty when generating
   int design = 0;            ///< benchmark design 1..10 when > 0
@@ -51,12 +52,18 @@ struct LoadRequest {
   std::uint64_t seed = 1;
   std::size_t depth = 0;     ///< custom generator depth (0 = default)
 
-  /// Clock period: fixed when period_ps is set, otherwise derived from the
+  /// SDC read before the overrides below; empty = none.
+  std::string sdc_path;
+  /// Clock period: fixed when period_ps is set, else the SDC's
+  /// create_clock period when an SDC is given, otherwise derived from the
   /// golden critical path at the given utilization (choose_clock_period).
   std::optional<double> period_ps;
   double utilization = 1.0;
-  double uncertainty_ps = 0.0;
-  std::string clock_port;  ///< override; empty = "CLK" / generated name
+  /// Overrides the SDC's set_clock_uncertainty when set (default 0).
+  std::optional<double> uncertainty_ps;
+  /// Overrides the SDC's clock port; empty = the SDC's, else "CLK" /
+  /// the generated name.
+  std::string clock_port;
 };
 
 class ShellSession : public TransformListener {
@@ -110,7 +117,9 @@ class ShellSession : public TransformListener {
   /// design loaded, refreshes the (single-corner) derates in place.
   std::string load_derates(const std::string& path);
   /// Loads or generates a design and builds a fresh single-corner Timer.
-  /// Discards any previous design, journal, and corners.
+  /// Discards any previous design, journal, and corners; a request it
+  /// rejects (an unopenable netlist or SDC, utilization <= 0) leaves them
+  /// as they were.
   std::string load(const LoadRequest& request);
   /// Installs an MCMM corner set from a corner spec file.
   std::string load_corners(const std::string& path);

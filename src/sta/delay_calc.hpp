@@ -135,8 +135,6 @@ class DelayCalculator {
  public:
   DelayCalculator(const Design& design, WireModel wire);
 
-  [[nodiscard]] const WireModel& wire_model() const { return wire_; }
-
   /// Base (underated) timing of \p arc for input transition \p input_slew,
   /// under a corner's library scaling (identity = the unscaled library,
   /// bit-for-bit). Cell arcs read the NLDM tables at the driver's current

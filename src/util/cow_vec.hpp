@@ -188,15 +188,6 @@ class CowVec {
     privatize_chunk(i >> kShift);
   }
 
-  // Privatize every chunk overlapping [begin, end).
-  void privatize_range(std::size_t begin, std::size_t end) {
-    if (begin >= end) return;
-    ensure_unique_table();
-    const std::size_t last = (end - 1) >> kShift;
-    for (std::size_t ci = begin >> kShift; ci <= last; ++ci)
-      privatize_chunk(ci);
-  }
-
   void privatize_all() {
     if (!table_) return;
     ensure_unique_table();

@@ -263,6 +263,77 @@ std::string write_corner_spec(const std::string& name) {
   return path;
 }
 
+// --- LoadRequest::sdc_path -------------------------------------------------
+
+std::string write_clock_sdc(const std::string& name) {
+  const std::string path = temp_path(name);
+  std::ofstream out(path);
+  out << "create_clock -period 1500 [get_ports CLK]\n"
+      << "set_clock_uncertainty 50\n";
+  return path;
+}
+
+TEST(ShellLoad, SdcPeriodStandsUnlessAPeriodIsGiven) {
+  LoadRequest request = small_request();
+  request.sdc_path = write_clock_sdc("shell_sdc_period.sdc");
+  ShellSession session;
+  ASSERT_EQ(session.load(request), "");
+  EXPECT_EQ(session.clock_period_ps(), 1500.0);
+
+  request.period_ps = 1700.0;
+  ASSERT_EQ(session.load(request), "");
+  EXPECT_EQ(session.clock_period_ps(), 1700.0);
+}
+
+TEST(ShellLoad, SdcUncertaintyStandsUnlessOneIsGiven) {
+  LoadRequest request = small_request();
+  request.sdc_path = write_clock_sdc("shell_sdc_uncertainty.sdc");
+  ShellSession from_sdc;
+  ASSERT_EQ(from_sdc.load(request), "");
+  EXPECT_EQ(from_sdc.timer().constraints().clock_uncertainty_ps, 50.0);
+
+  // The same clock given as options times the design bit for bit.
+  LoadRequest by_options = small_request();
+  by_options.period_ps = 1500.0;
+  by_options.uncertainty_ps = 50.0;
+  ShellSession from_options;
+  ASSERT_EQ(from_options.load(by_options), "");
+  EXPECT_EQ(slacks_by_name(from_sdc.timer()),
+            slacks_by_name(from_options.timer()));
+
+  request.uncertainty_ps = 20.0;
+  ASSERT_EQ(from_sdc.load(request), "");
+  EXPECT_EQ(from_sdc.timer().constraints().clock_uncertainty_ps, 20.0);
+  EXPECT_EQ(from_sdc.clock_period_ps(), 1500.0);
+}
+
+TEST(ShellLoad, RejectedRequestLeavesTheLoadedDesign) {
+  InterpreterFixture f;
+  ShellSession& session = f.interp.session();
+  ASSERT_EQ(session.load(small_request()), "");
+  const std::string query =
+      "get_slack " + session.timer().graph().node_name(
+                         session.timer().graph().endpoints()[0]);
+  const std::string before = f.run(query) + f.run(query + " -early");
+  ASSERT_NE(before.find("slack("), std::string::npos);
+  const auto slacks = slacks_by_name(session.timer());
+
+  LoadRequest missing_sdc = small_request();
+  missing_sdc.seed = 12;  // a different design, never installed
+  missing_sdc.sdc_path = temp_path("shell_no_such.sdc");
+  EXPECT_NE(session.load(missing_sdc).find("cannot open SDC"),
+            std::string::npos);
+  // Utilization 0 used to abort in choose_clock_period.
+  LoadRequest zero_utilization = small_request();
+  zero_utilization.utilization = 0.0;
+  EXPECT_NE(session.load(zero_utilization).find("utilization"),
+            std::string::npos);
+
+  ASSERT_TRUE(session.loaded());
+  EXPECT_EQ(f.run(query) + f.run(query + " -early"), before);
+  EXPECT_EQ(slacks_by_name(session.timer()), slacks);
+}
+
 TEST(ShellEco, UndoRestoresBitIdenticalSlacks) {
   ShellSession session;
   ASSERT_EQ(session.load(small_request()), "");

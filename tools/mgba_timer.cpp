@@ -9,13 +9,14 @@
 ///   mgba_timer fit      --netlist d3.net --utilization 1.1 [--hold]
 ///   mgba_timer optimize --netlist d3.net --utilization 1.1 [--mgba]
 ///
-/// All subcommands accept --derates <file> to replace the built-in AOCV
-/// table (format: see src/aocv/derate_io.hpp) and --period <ps> to fix the
-/// clock instead of deriving it from --utilization. Multi-corner analysis:
-/// --corners <file> loads an MCMM corner spec (format: see
-/// src/aocv/corner_io.hpp); report/fit/optimize then print per-corner
-/// results plus the merged worst-corner view, and the optimizer closes
-/// timing against the merge.
+/// The subcommands are a front end over shell::ShellSession, the session
+/// behind the timing shell (--script, --shell) and the daemon (--serve):
+/// the common options map onto its library, derate, netlist (with SDC and
+/// clock overrides) and corner loaders, and fit and optimize run its fit
+/// and closure drivers. --corners <file> loads an MCMM corner spec
+/// (format: see src/aocv/corner_io.hpp); report/fit/optimize then print
+/// per-corner results plus the merged worst-corner view, and the optimizer
+/// closes timing against the merge.
 
 #include <unistd.h>
 
@@ -27,11 +28,7 @@
 #include <memory>
 #include <string>
 
-#include "aocv/aocv_model.hpp"
-#include "aocv/corner_io.hpp"
-#include "aocv/derate_io.hpp"
 #include "arg_parse.hpp"
-#include "liberty/default_library.hpp"
 #include "liberty/liberty_io.hpp"
 #include "mgba/framework.hpp"
 #include "netlist/generator.hpp"
@@ -43,11 +40,11 @@
 #include "pba/path_report.hpp"
 #include "sta/drc.hpp"
 #include "sta/report.hpp"
-#include "sta/sdc.hpp"
 #include "sta/timer.hpp"
 #include "server/protocol.hpp"
 #include "server/server.hpp"
 #include "shell/interpreter.hpp"
+#include "shell/session.hpp"
 #include "util/thread_pool.hpp"
 
 namespace {
@@ -87,122 +84,80 @@ int usage() {
                "  common: --library FILE (liberty-lite cell library)\n"
                "          --threads N (parallel STA/PBA/solver threads;\n"
                "                       default MGBA_THREADS env or all cores)\n"
-               "          --verbose (timing-update statistics: update\n"
-               "                     counts, frontier sizes, delay-cache\n"
-               "                     hit rate, buffer-trial rollbacks,\n"
-               "                     memory footprint)\n"
+               "  design (stats, report, fit, optimize):\n"
+               "          --netlist FILE (.net, or .v placed by --seed S)\n"
+               "          --derates FILE (AOCV derate table)\n"
+               "          --sdc FILE (clock period, uncertainty and port,\n"
+               "                      I/O delays, exceptions)\n"
+               "          --period PS | --utilization U (clock period; else\n"
+               "                      the SDC's, else derived at U = 1.0)\n"
+               "          --uncertainty PS  --clock PORT (override the SDC)\n"
                "          --corners FILE (MCMM corner spec; per-corner +\n"
                "                          merged worst-corner analysis)\n"
                "  generate --design 1..10 | --instances N (scaled preset) |\n"
                "           --gates N --flops N [--seed S]\n"
                "           [--depth D] [--blocks B] --out FILE\n"
-               "  stats    --netlist FILE\n"
-               "  report   --netlist FILE [--utilization U | --period PS]\n"
-               "           [--derates FILE] [--top N]\n"
-               "  fit      --netlist FILE [--utilization U | --period PS]\n"
-               "           [--derates FILE] [--hold] [--solver gd|scg|rs]\n"
-               "  optimize --netlist FILE [--utilization U | --period PS]\n"
-               "           [--derates FILE] [--mgba]\n");
+               "  stats\n"
+               "  report   [--top N] [--histogram] [--compare-path]\n"
+               "           [--drc [--max-slew PS]] [--verbose]\n"
+               "  fit      [--hold] [--solver gd|scg|rs] [--all-paths]\n"
+               "  optimize [--mgba] [--passes N] [--out FILE] [--verbose]\n"
+               "  dump-library [--out FILE]\n"
+               "  --verbose prints timing-update statistics: update counts,\n"
+               "  frontier sizes, delay-cache hit rate, buffer-trial\n"
+               "  rollbacks, memory footprint\n");
   return 2;
 }
 
-DerateTable load_table(const Args& args) {
-  const std::string path = args.get("derates");
-  if (path.empty()) return default_aocv_table();
-  std::ifstream in(path);
-  if (!in) fail(kExitBadFile, "cannot open derate table %s", path.c_str());
-  return read_derate_table(in);
+/// Turns a session error (an input it could not read) into exit 3.
+void check_session(const std::string& error) {
+  if (!error.empty()) fail(kExitBadFile, "%s", error.c_str());
 }
 
-Library load_library(const Args& args) {
-  const std::string path = args.get("library");
-  if (path.empty()) return make_default_library();
-  std::ifstream in(path);
-  if (!in) fail(kExitBadFile, "cannot open library %s", path.c_str());
-  return read_library(in);
+/// Writes \p path through \p write; a path that cannot be written exits 3.
+template <typename Write>
+void write_file(const std::string& path, Write write) {
+  std::ofstream out(path);
+  if (out) write(out);
+  out.close();
+  if (!out) fail(kExitBadFile, "cannot write %s", path.c_str());
 }
 
-/// Loaded netlist plus the timer configured from the common options.
-struct Session {
-  Library library;
-  std::unique_ptr<Design> design;
-  DerateTable table;
-  TimingConstraints constraints;
-  std::unique_ptr<Timer> timer;
-  /// The corner set (one identity entry without --corners). Fits, the
-  /// closer and path comparisons always run on it.
-  std::vector<CornerSetup> setups;
-
-  explicit Session(const Args& args)
-      : library(load_library(args)), table(default_aocv_table()) {}
-
-  /// Whether reports add the merged worst-corner view.
-  [[nodiscard]] bool multi_corner() const { return setups.size() > 1; }
-};
-
-std::unique_ptr<Session> open_session(const Args& args) {
-  const std::string path = args.get("netlist");
-  if (path.empty()) fail(kExitBadArgs, "--netlist is required");
-  auto session = std::make_unique<Session>(args);
-  session->table = load_table(args);
-
-  std::ifstream in(path);
-  if (!in) fail(kExitBadFile, "cannot open netlist %s", path.c_str());
-  const bool is_verilog =
-      path.size() > 2 && path.substr(path.size() - 2) == ".v";
-  if (is_verilog) {
-    session->design =
-        std::make_unique<Design>(read_verilog(session->library, in));
-    // Verilog carries no placement; synthesize one so wire delays exist.
-    scatter_placement(*session->design,
-                      static_cast<std::uint64_t>(args.get_int("seed", 1)));
-  } else {
-    session->design =
-        std::make_unique<Design>(read_netlist(session->library, in));
+/// A timing session holding the --library cell library (the built-in one
+/// without it).
+std::unique_ptr<shell::ShellSession> library_session(const Args& args) {
+  auto session = std::make_unique<shell::ShellSession>();
+  if (args.has("library")) {
+    check_session(session->load_library(args.get("library")));
   }
+  return session;
+}
 
-  if (args.has("sdc")) {
-    std::ifstream sdc_in(args.get("sdc"));
-    if (!sdc_in) {
-      fail(kExitBadFile, "cannot open SDC %s", args.get("sdc").c_str());
-    }
-    session->constraints = read_sdc(sdc_in, session->constraints);
+/// The design the common options describe, loaded through the session the
+/// timing shell and the daemon use: library, derates, netlist with its
+/// constraints, then the corner set.
+std::unique_ptr<shell::ShellSession> open_session(const Args& args) {
+  shell::LoadRequest request;
+  request.netlist_path = args.get("netlist");
+  if (request.netlist_path.empty()) {
+    fail(kExitBadArgs, "--netlist is required");
   }
-  session->constraints.clock_port =
-      args.get("clock", session->constraints.clock_port);
-  if (args.has("period")) {
-    session->constraints.clock_period_ps = args.get_double("period", 1000.0);
-  } else if (args.has("sdc")) {
-    // Period came from the SDC's create_clock.
-  } else {
-    // Derive the period from the golden critical path.
-    session->constraints.clock_period_ps = 1e9;
-    Timer probe(*session->design, session->constraints);
-    probe.set_instance_derates(
-        compute_gba_derates(probe.graph(), session->table));
-    probe.update_timing();
-    session->constraints.clock_period_ps = choose_clock_period(
-        probe, session->table, args.get_double("utilization", 1.0));
+  auto session = library_session(args);
+  if (args.has("derates")) {
+    check_session(session->load_derates(args.get("derates")));
   }
-  session->constraints.clock_uncertainty_ps =
-      args.get_double("uncertainty", 0.0);
-
-  session->timer =
-      std::make_unique<Timer>(*session->design, session->constraints);
+  request.seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
+  request.sdc_path = args.get("sdc");
+  if (args.has("period")) request.period_ps = args.get_double("period", 0.0);
+  request.utilization = args.get_double("utilization", 1.0);
+  if (args.has("uncertainty")) {
+    request.uncertainty_ps = args.get_double("uncertainty", 0.0);
+  }
+  request.clock_port = args.get("clock");
+  check_session(session->load(request));
   if (args.has("corners")) {
-    std::ifstream corners_in(args.get("corners"));
-    if (!corners_in) {
-      fail(kExitBadFile, "cannot open corner spec %s",
-           args.get("corners").c_str());
-    }
-    session->setups = read_corners(corners_in, session->table);
-    apply_corner_setups(*session->timer, session->setups);
-  } else {
-    session->setups = default_corner_setups(session->table);
-    session->timer->set_instance_derates(
-        compute_gba_derates(session->timer->graph(), session->table));
+    check_session(session->load_corners(args.get("corners")));
   }
-  session->timer->update_timing();
   return session;
 }
 
@@ -239,25 +194,26 @@ int cmd_generate(const Args& args) {
   const std::string out_path = args.get("out");
   if (out_path.empty()) fail(kExitBadArgs, "--out is required");
 
-  const Library library = load_library(args);
-  const GeneratedDesign generated = generate_design(library, options);
-  std::ofstream out(out_path);
-  if (!out) fail(kExitBadFile, "cannot write %s", out_path.c_str());
-  if (out_path.size() > 2 && out_path.substr(out_path.size() - 2) == ".v") {
-    write_verilog(generated.design, out);
-  } else {
-    write_netlist(generated.design, out);
-  }
+  const auto session = library_session(args);
+  const GeneratedDesign generated =
+      generate_design(session->library(), options);
+  write_file(out_path, [&](std::ostream& out) {
+    if (out_path.ends_with(".v")) {
+      write_verilog(generated.design, out);
+    } else {
+      write_netlist(generated.design, out);
+    }
+  });
   std::printf("wrote %s: %s", out_path.c_str(),
               compute_design_stats(generated.design).to_string().c_str());
   return 0;
 }
 
 int cmd_stats(const Args& args) {
-  auto session = open_session(args);
-  std::printf("%s", compute_design_stats(*session->design).to_string().c_str());
-  std::printf("clock period: %.0f ps\n",
-              session->constraints.clock_period_ps);
+  const auto session = open_session(args);
+  std::printf("%s",
+              compute_design_stats(session->design()).to_string().c_str());
+  std::printf("clock period: %.0f ps\n", session->clock_period_ps());
   return 0;
 }
 
@@ -268,9 +224,9 @@ void print_update_stats(const Args& args, const Timer& timer) {
 }
 
 int cmd_report(const Args& args) {
-  auto session = open_session(args);
-  Timer& timer = *session->timer;
-  std::printf("clock period: %.0f ps\n", session->constraints.clock_period_ps);
+  const auto session = open_session(args);
+  Timer& timer = session->timer();
+  std::printf("clock period: %.0f ps\n", session->clock_period_ps());
   for (CornerId c = 0; c < timer.num_corners(); ++c) {
     std::printf("%s\n", report_summary(timer, Mode::Late, c).c_str());
     std::printf("%s\n", report_summary(timer, Mode::Early, c).c_str());
@@ -283,14 +239,7 @@ int cmd_report(const Args& args) {
   std::printf("%s", report_endpoints(timer, top).c_str());
   // Worst path trace: the merged-worst endpoint, traced at the corner that
   // realizes it.
-  NodeId worst = kInvalidNode;
-  double worst_slack = kInfPs;
-  for (const NodeId e : timer.graph().endpoints()) {
-    if (timer.slack_merged(e, Mode::Late) < worst_slack) {
-      worst_slack = timer.slack_merged(e, Mode::Late);
-      worst = e;
-    }
-  }
+  const NodeId worst = timer.worst_endpoint_merged(Mode::Late);
   if (worst != kInvalidNode) {
     std::printf("\n%s",
                 report_worst_path(timer, worst,
@@ -311,43 +260,43 @@ int cmd_report(const Args& args) {
     const auto paths = engine.paths_to(worst);
     if (!paths.empty()) {
       std::printf("\n%s", report_path_comparison(
-                               timer, session->setups[0].table, paths[0])
+                               timer, session->setups()[0].table, paths[0])
                                .c_str());
     }
   }
   if (args.has("drc")) {
     const DrcReport drc = check_electrical_rules(
         timer, args.get_double("max-slew", 0.0));
-    std::printf("\n%s", drc.to_string(*session->design).c_str());
+    std::printf("\n%s", drc.to_string(session->design()).c_str());
   }
   print_update_stats(args, timer);
   return 0;
 }
 
 int cmd_fit(const Args& args) {
-  auto session = open_session(args);
   MgbaFlowOptions options;
   options.only_violated = !args.has("all-paths");
   if (args.has("hold")) options.check_kind = CheckKind::Hold;
   const std::string solver = args.get("solver", "rs");
-  options.solver = solver == "gd"   ? MgbaSolverKind::GradientDescent
-                   : solver == "scg" ? MgbaSolverKind::Scg
-                                     : MgbaSolverKind::ScgWithRowSampling;
+  if (solver == "gd") {
+    options.solver = MgbaSolverKind::GradientDescent;
+  } else if (solver == "scg") {
+    options.solver = MgbaSolverKind::Scg;
+  } else if (solver == "rs") {
+    options.solver = MgbaSolverKind::ScgWithRowSampling;
+  } else {
+    fail(kExitBadArgs, "--solver expects gd, scg or rs, not '%s'",
+         solver.c_str());
+  }
 
-  Timer& timer = *session->timer;
-  const std::vector<MgbaFlowResult> fits =
-      run_mgba_flow_all_corners(timer, session->setups, options);
+  const auto session = open_session(args);
+  std::vector<MgbaFlowResult> fits;
+  check_session(session->fit(options, /*all_corners=*/true, fits));
+  const Timer& timer = session->timer();
   for (const MgbaFlowResult& fit : fits) {
-    std::printf(
-        "fit (%s, %s): %zu candidates, %zu violated, %zu rows x %zu vars\n",
-        args.has("hold") ? "hold" : "setup",
-        corner_label(timer, fit.corner).c_str(), fit.candidate_paths,
-        fit.violated_paths, fit.fitted_paths, fit.variables);
-    std::printf("  mse        %.6g -> %.6g\n", fit.mse_before, fit.mse_after);
-    std::printf("  pass ratio %.2f%% -> %.2f%%\n",
-                100.0 * fit.pass_ratio_before, 100.0 * fit.pass_ratio_after);
-    std::printf("  solve %.3fs (%zu iterations)\n", fit.solve_seconds,
-                fit.solver_iterations);
+    std::printf("%s",
+                fit_result_summary(timer, fit, options.check_kind).c_str());
+    std::printf("  solve %.3fs\n", fit.solve_seconds);
   }
   const Mode mode = args.has("hold") ? Mode::Early : Mode::Late;
   for (CornerId c = 0; c < timer.num_corners(); ++c) {
@@ -360,15 +309,13 @@ int cmd_fit(const Args& args) {
 }
 
 int cmd_optimize(const Args& args) {
-  auto session = open_session(args);
+  const auto session = open_session(args);
   OptimizerOptions options;
   options.use_mgba = args.has("mgba");
   options.max_passes =
       static_cast<std::size_t>(args.get_int("passes", 25));
-  TimingCloser closer(*session->design, *session->timer, session->table,
-                      options);
-  closer.set_corner_setups(session->setups);
-  const OptimizerReport report = closer.run();
+  OptimizerReport report;
+  check_session(session->optimize(options, report));
   std::printf("flow done in %.2fs (%zu passes, fit %.2fs)\n", report.seconds,
               report.passes, report.mgba_seconds);
   std::printf("  transforms: %zu upsizes, %zu buffers (+%zu reverted), "
@@ -380,36 +327,35 @@ int cmd_optimize(const Args& args) {
   if (session->multi_corner()) {
     for (CornerId c = 0; c < report.final_per_corner.size(); ++c) {
       std::printf("  final   [%s] %s\n",
-                  corner_label(*session->timer, c).c_str(),
+                  corner_label(session->timer(), c).c_str(),
                   report.final_per_corner[c].to_string().c_str());
     }
   }
   if (args.has("out")) {
-    std::ofstream out(args.get("out"));
-    write_netlist(*session->design, out);
-    std::printf("wrote optimized netlist to %s\n", args.get("out").c_str());
+    const std::string out_path = args.get("out");
+    write_file(out_path, [&](std::ostream& out) {
+      write_netlist(session->design(), out);
+    });
+    std::printf("wrote optimized netlist to %s\n", out_path.c_str());
   }
-  print_update_stats(args, *session->timer);
+  print_update_stats(args, session->timer());
   return 0;
 }
 
-}  // namespace
-
 int cmd_dump_library(const Args& args) {
   const std::string out_path = args.get("out");
-  const Library library = load_library(args);
+  const auto session = library_session(args);
+  const Library& library = session->library();
   if (out_path.empty()) {
     write_library(library, std::cout);
   } else {
-    std::ofstream out(out_path);
-    write_library(library, out);
+    write_file(out_path,
+               [&](std::ostream& out) { write_library(library, out); });
     std::printf("wrote %zu cells to %s\n", library.num_cells(),
                 out_path.c_str());
   }
   return 0;
 }
-
-namespace {
 
 void apply_threads(const Args& args) {
   if (!args.has("threads")) return;
