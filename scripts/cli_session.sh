@@ -6,8 +6,16 @@
 #   2. under --derates + --corners, report's per-corner setup and hold WNS
 #      equal the shell's `report_wns -corner C [-early]` after read_derates,
 #      read_netlist and read_corners, compared as numbers;
-#   3. `optimize --out` to an unwritable path exits 3;
-#   4. `fit --solver` with an unknown solver name exits 2.
+#   3. `optimize --out` to an unwritable path exits 3 before it prints a
+#      QoR line; `--out` may name the input netlist; a run that fails
+#      leaves an existing `--out` file as it was;
+#   4. `fit --solver` with an unknown solver name exits 2;
+#   5. `fit --sdc` with a false path prints a finite MSE: the endpoint has
+#      no requirement in GBA or golden PBA, so it makes no row;
+#   6. an SDC without create_clock leaves the period to --utilization, as
+#      no SDC does;
+#   7. a numeric option that is not a finite number (`--period 15OO`,
+#      `--period nan`) exits 2.
 #
 # Usage: cli_session.sh <mgba_timer> [threads]
 set -euo pipefail
@@ -73,12 +81,39 @@ for corner in slow fast; do
   done
 done
 
-# 3. An unwritable --out is an unwritable file.
+# 3. An unwritable --out is an unwritable file, found before the closure.
 status=0
-run optimize --netlist d1.net --period 1500 --passes 0 \
-  --out missing_dir/out.net > /dev/null 2>&1 || status=$?
+out=$(run optimize --netlist d1.net --period 1500 --passes 0 \
+  --out missing_dir/out.net 2> /dev/null) || status=$?
 if [[ $status != 3 ]]; then
   echo "optimize --out to an unwritable path exits $status, not 3" >&2
+  exit 1
+fi
+if [[ -n $out ]]; then
+  echo "optimize --out to an unwritable path printed before failing:" >&2
+  echo "$out" >&2
+  exit 1
+fi
+#    The probe truncates nothing: optimizing in place reads the netlist
+#    and writes what a run to another file writes...
+run optimize --netlist d1.net --out fresh.net --period 1500 --passes 0 \
+  > /dev/null
+cp d1.net inplace.net
+status=0
+run optimize --netlist inplace.net --out inplace.net --period 1500 \
+  --passes 0 > /dev/null 2>&1 || status=$?
+if [[ $status != 0 ]] || ! cmp -s fresh.net inplace.net; then
+  echo "optimize --out <its own netlist> exits $status or writes other" \
+    "bytes than a run to a new file" >&2
+  exit 1
+fi
+#    ...and a run that fails after the probe leaves --out as it was.
+printf 'keep me\n' > kept.net
+status=0
+run optimize --netlist d1.net --period 15OO --out kept.net \
+  > /dev/null 2>&1 || status=$?
+if [[ $status != 2 || $(cat kept.net) != 'keep me' ]]; then
+  echo "a failed optimize (exit $status) touched its --out file" >&2
   exit 1
 fi
 
@@ -90,4 +125,34 @@ if [[ $status != 2 ]]; then
   echo "fit --solver nonsense exits $status, not 2" >&2
   exit 1
 fi
+
+# 5. A false-path endpoint makes no row: the fit's MSE stays finite.
+printf 'create_clock -period 20000 [get_ports CLK]\n' > fp.sdc
+printf 'set_false_path -to [get_pins ff_5/D]\n' >> fp.sdc
+mse=$(run fit --netlist d1.net --sdc fp.sdc | grep '^  mse')
+if grep -qi 'nan\|inf' <<<"$mse"; then
+  echo "fit --sdc with a false path prints '$mse'" >&2
+  exit 1
+fi
+
+# 6. Only create_clock sets the period: an SDC of uncertainty alone keeps
+#    the one --utilization derives.
+printf 'set_clock_uncertainty 50\n' > unc.sdc
+if ! diff <(run stats --netlist d1.net --utilization 1.05 | grep period) \
+    <(run stats --netlist d1.net --sdc unc.sdc --utilization 1.05 \
+      | grep period); then
+  echo "an SDC without create_clock changes the derived period" >&2
+  exit 1
+fi
+
+# 7. A number with trailing text, or no finite number, is a usage mistake.
+for period in 15OO nan; do
+  status=0
+  run report --netlist d1.net --period "$period" > /dev/null 2>&1 ||
+    status=$?
+  if [[ $status != 2 ]]; then
+    echo "report --period $period exits $status, not 2" >&2
+    exit 1
+  fi
+done
 echo "CLI session OK (threads=$threads)"

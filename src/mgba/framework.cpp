@@ -122,9 +122,10 @@ MgbaFlowResult MgbaRefitSession::fit() {
     }
     if (endpoints.empty()) endpoints = timer.graph().endpoints();
     for (const NodeId e : endpoints) {
-      // Hold checks exist only at flip-flop data pins; keep the path list
-      // aligned 1:1 with the problem rows by filtering here.
-      if (hold && !timer.graph().check_at(e).has_value()) continue;
+      // An endpoint without a requirement (a false path; an output port's
+      // hold) reads +inf slack and makes no problem row: filtering it here
+      // keeps the path list aligned 1:1 with the rows.
+      if (timer.slack(e, mode, corner) == kInfPs) continue;
       for (TimingPath& p : engine.paths_to(e)) paths_.push_back(std::move(p));
     }
   }
@@ -142,6 +143,10 @@ MgbaFlowResult MgbaRefitSession::fit() {
                                              options_.epsilon,
                                              options_.check_kind);
   }
+  // The filter above drops endpoints whose GBA slack is +inf and the problem
+  // drops paths whose golden slack is; should the two disagree, rows and
+  // paths_ would misalign, so fail instead of misfitting.
+  MGBA_CHECK(problem_->num_rows() == paths_.size());
   result.variables = problem_->num_cols();
   if (problem_->num_rows() == 0 || problem_->num_cols() == 0) return result;
 
@@ -284,8 +289,7 @@ MgbaFlowResult MgbaRefitSession::refit() {
         // Refresh the recorded enumeration arrival first so evaluate()'s
         // GBA fields read the post-ECO plain-GBA value.
         path.gba_arrival_ps = evaluator.plain_gba_arrival(path, mode);
-        fresh_timings_[k] =
-            hold ? evaluator.evaluate_hold(path) : evaluator.evaluate(path);
+        fresh_timings_[k] = evaluator.evaluate(path, mode);
       }
     };
     // Rows own disjoint paths (1:1), so the parallel evaluation has no

@@ -65,24 +65,29 @@ void for_each_fixed_block(std::size_t m, std::size_t blocks, Fn&& fn) {
   });
 }
 
+/// The timing mode a check kind reads: late for setup, early for hold.
+Mode check_mode(CheckKind kind) {
+  return kind == CheckKind::Hold ? Mode::Early : Mode::Late;
+}
+
 /// Assembles the (cols, values) arrays of one path's matrix row:
 /// a_ij = base delay * GBA derate of weighted gate j on the path, in the
 /// mode the check cares about. Shared by the builder and refresh_row so a
 /// refreshed row is computed by the letter-identical code path.
 void assemble_row(const Timer& timer, const TimingGraph& graph,
-                  const TimingPath& path, bool hold, CornerId corner,
+                  const TimingPath& path, Mode mode, CornerId corner,
                   std::span<const std::int32_t> instance_column,
                   std::vector<std::pair<std::size_t, double>>& entries,
                   std::vector<std::size_t>& cols,
                   std::vector<double>& values) {
-  const Mode mode = hold ? Mode::Early : Mode::Late;
   entries.clear();
   for (const ArcId a : path.arcs) {
     if (!timer.is_weighted(a)) continue;
     const InstanceId inst = graph.arc(a).inst;
     const DeratePair derate = timer.instance_derate(inst, corner);
-    const double contribution = timer.arc_delay_base(a, mode, corner) *
-                                (hold ? derate.early : derate.late);
+    const double contribution =
+        timer.arc_delay_base(a, mode, corner) *
+        (mode == Mode::Early ? derate.early : derate.late);
     entries.emplace_back(static_cast<std::size_t>(instance_column[inst]),
                          contribution);
   }
@@ -108,7 +113,7 @@ MgbaProblem::MgbaProblem(const Timer& timer, const PathEvaluator& evaluator,
                          CheckKind kind)
     : kind_(kind), epsilon_(epsilon), corner_(evaluator.corner()) {
   const TimingGraph& graph = timer.graph();
-  const bool hold = kind_ == CheckKind::Hold;
+  const Mode mode = check_mode(kind_);
   design_instances_ = graph.design().num_instances();
   instance_column_.assign(design_instances_, -1);
 
@@ -130,11 +135,6 @@ MgbaProblem::MgbaProblem(const Timer& timer, const PathEvaluator& evaluator,
   std::size_t nnz_estimate = 0;
   for (const TimingPath& path : paths) nnz_estimate += path.arcs.size();
   matrix_.reserve(paths.size(), nnz_estimate);
-
-  b_.reserve(paths.size());
-  bound_.reserve(paths.size());
-  s_pba_.reserve(paths.size());
-  s_gba0_.reserve(paths.size());
   row_path_.reserve(paths.size());
 
   // Golden PBA re-evaluation is the expensive part of the build (per-path
@@ -144,8 +144,7 @@ MgbaProblem::MgbaProblem(const Timer& timer, const PathEvaluator& evaluator,
   std::vector<PathTiming> timings(paths.size());
   parallel_for(paths.size(), 16, [&](std::size_t b, std::size_t e) {
     for (std::size_t i = b; i < e; ++i) {
-      timings[i] = hold ? evaluator.evaluate_hold(paths[i])
-                        : evaluator.evaluate(paths[i]);
+      timings[i] = evaluator.evaluate(paths[i], mode);
     }
   });
 
@@ -153,31 +152,38 @@ MgbaProblem::MgbaProblem(const Timer& timer, const PathEvaluator& evaluator,
   std::vector<std::size_t> cols;
   std::vector<double> values;
   for (std::size_t p = 0; p < paths.size(); ++p) {
-    const TimingPath& path = paths[p];
-    const PathTiming& pt = timings[p];
-    if (pt.pba_slack_ps == kInfPs) continue;  // unconstrained hold endpoint
-
-    assemble_row(timer, graph, path, hold, corner_, instance_column_, entries,
-                 cols, values);
+    // An endpoint without a requirement (a false path; an output port's
+    // hold) has nothing to fit.
+    if (timings[p].pba_slack_ps == kInfPs) continue;
+    assemble_row(timer, graph, paths[p], mode, corner_, instance_column_,
+                 entries, cols, values);
     matrix_.append_row(cols, values);
     row_path_.push_back(p);
-
-    s_gba0_.push_back(pt.gba_slack_ps);
-    s_pba_.push_back(pt.pba_slack_ps);
-    const double tol = epsilon * std::abs(pt.pba_slack_ps);
-    if (hold) {
-      const double b = pt.pba_slack_ps - pt.gba_slack_ps;
-      b_.push_back(b);
-      bound_.push_back(b + tol);  // a.y must stay <= bound
-    } else {
-      const double b = pt.gba_slack_ps - pt.pba_slack_ps;
-      b_.push_back(b);
-      bound_.push_back(b - tol);  // a.x must stay >= bound
-    }
   }
 
-  all_rows_.resize(matrix_.num_rows());
-  for (std::size_t i = 0; i < all_rows_.size(); ++i) all_rows_[i] = i;
+  const std::size_t rows = matrix_.num_rows();
+  b_.resize(rows);
+  bound_.resize(rows);
+  s_pba_.resize(rows);
+  s_gba0_.resize(rows);
+  all_rows_.resize(rows);
+  for (std::size_t i = 0; i < rows; ++i) {
+    set_row_targets(i, timings[row_path_[i]]);
+    all_rows_[i] = i;
+  }
+}
+
+void MgbaProblem::set_row_targets(std::size_t row, const PathTiming& timing) {
+  s_gba0_[row] = timing.gba_slack_ps;
+  s_pba_[row] = timing.pba_slack_ps;
+  const double tol = epsilon_ * std::abs(timing.pba_slack_ps);
+  if (kind_ == CheckKind::Hold) {
+    b_[row] = timing.pba_slack_ps - timing.gba_slack_ps;
+    bound_[row] = b_[row] + tol;  // a.y must stay <= bound
+  } else {
+    b_[row] = timing.gba_slack_ps - timing.pba_slack_ps;
+    bound_[row] = b_[row] - tol;  // a.x must stay >= bound
+  }
 }
 
 void MgbaProblem::refresh_row(std::size_t row, const Timer& timer,
@@ -187,27 +193,14 @@ void MgbaProblem::refresh_row(std::size_t row, const Timer& timer,
   // A constrained row cannot become unconstrained without a graph rebuild,
   // which poisons the refit session before reaching here.
   MGBA_CHECK(timing.pba_slack_ps != kInfPs);
-  const bool hold = kind_ == CheckKind::Hold;
 
   std::vector<std::pair<std::size_t, double>> entries;
   std::vector<std::size_t> cols;
   std::vector<double> values;
-  assemble_row(timer, timer.graph(), path, hold, corner_, instance_column_,
-               entries, cols, values);
+  assemble_row(timer, timer.graph(), path, check_mode(kind_), corner_,
+               instance_column_, entries, cols, values);
   matrix_.set_row_values(row, values);  // checks the pattern size is intact
-
-  s_gba0_[row] = timing.gba_slack_ps;
-  s_pba_[row] = timing.pba_slack_ps;
-  const double tol = epsilon_ * std::abs(timing.pba_slack_ps);
-  if (hold) {
-    const double b = timing.pba_slack_ps - timing.gba_slack_ps;
-    b_[row] = b;
-    bound_[row] = b + tol;
-  } else {
-    const double b = timing.gba_slack_ps - timing.pba_slack_ps;
-    b_[row] = b;
-    bound_[row] = b - tol;
-  }
+  set_row_targets(row, timing);
 }
 
 std::vector<double> MgbaProblem::to_instance_weights(

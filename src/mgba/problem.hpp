@@ -57,7 +57,8 @@ class MgbaProblem {
   /// golden slacks all read that corner); multi-corner flows build one
   /// problem per corner.
   /// For CheckKind::Hold, \p paths must have been enumerated in
-  /// Mode::Early; paths without a hold check (port endpoints) are skipped.
+  /// Mode::Early. Paths to an endpoint without a requirement (a false
+  /// path; an output port's hold check) make no row.
   MgbaProblem(const Timer& timer, const PathEvaluator& evaluator,
               const std::vector<TimingPath>& paths, double epsilon,
               CheckKind kind = CheckKind::Setup);
@@ -156,6 +157,9 @@ class MgbaProblem {
  private:
   /// True if row i violates the no-optimism bound at value ax = a_i.x.
   [[nodiscard]] bool violates(std::size_t row, double ax) const;
+  /// Row \p row's cached slacks, target b and penalty bound from \p timing
+  /// (the constructor and refresh_row share it).
+  void set_row_targets(std::size_t row, const PathTiming& timing);
 
   CheckKind kind_ = CheckKind::Setup;
   double epsilon_ = 0.0;

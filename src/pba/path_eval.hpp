@@ -8,11 +8,16 @@
 ///   1. AOCV re-derating with the path's exact cell depth and exact
 ///      endpoint distance (vs. GBA's worst depth / worst distance),
 ///   2. path-specific slew propagation (vs. GBA's worst-slew merge), which
-///      also sharpens the endpoint setup requirement,
+///      also sharpens the endpoint setup or hold requirement,
 ///   3. exact launch/capture CRPR credit (vs. GBA's conservative minimum
 ///      over all possible launches).
+///
+/// Nothing else differs: a check's requirement comes from check_required,
+/// the rule GBA's backward sweeps apply, so clock uncertainty, multicycle
+/// and false paths move GBA and PBA alike.
 
 #include <memory>
+#include <vector>
 
 #include "aocv/derate_table.hpp"
 #include "pba/path.hpp"
@@ -59,23 +64,21 @@ class PathEvaluator {
 
   [[nodiscard]] CornerId corner() const { return corner_; }
 
-  /// Full GBA + PBA timing of one path.
-  [[nodiscard]] PathTiming evaluate(const TimingPath& path) const;
+  /// Full GBA + PBA timing of one path enumerated in \p mode: setup for
+  /// Mode::Late, hold for Mode::Early (GBA hold pessimism mirrors setup:
+  /// small early derates, min-merged slews, worst-launch CRPR). An endpoint
+  /// without a requirement (a false path; an output port's hold) reads
+  /// +inf slack. \p stage_delays, when given, receives each arc's PBA
+  /// delay in path order.
+  [[nodiscard]] PathTiming evaluate(
+      const TimingPath& path, Mode mode = Mode::Late,
+      std::vector<double>* stage_delays = nullptr) const;
 
-  /// Slack of the path under the timer's current effective delays (fast:
-  /// required(endpoint) - recorded path arrival). With mGBA weights active
-  /// this is the modified-GBA path slack s_gba'(x).
-  [[nodiscard]] double gba_path_slack(const TimingPath& path) const;
-
-  /// Hold-side timing of one path. The path must have been enumerated in
-  /// Mode::Early (gba_arrival_ps is the early arrival); the slack fields
-  /// of the result are hold slacks. GBA hold pessimism mirrors setup:
-  /// early derates are conservatively small, slews are min-merged, and
-  /// CRPR is the worst-launch credit — PBA undoes all three exactly.
-  [[nodiscard]] PathTiming evaluate_hold(const TimingPath& path) const;
-
-  /// Hold slack of the path under current effective early delays.
-  [[nodiscard]] double gba_path_hold_slack(const TimingPath& path) const;
+  /// Slack of the path in \p mode under the timer's current effective
+  /// delays (fast: required(endpoint) against the recorded path arrival).
+  /// With mGBA weights active this is the modified-GBA path slack s_gba'(x).
+  [[nodiscard]] double gba_path_slack(const TimingPath& path,
+                                      Mode mode = Mode::Late) const;
 
   /// Plain-GBA (weight-free) arrival of the path in \p mode under the
   /// timer's CURRENT base delays and derates: arrival(front) plus

@@ -1,8 +1,7 @@
 #include "pba/path_report.hpp"
 
-#include <cmath>
+#include <vector>
 
-#include "aocv/depth_analysis.hpp"
 #include "pba/path_eval.hpp"
 #include "util/strings.hpp"
 
@@ -12,8 +11,10 @@ std::string report_path_comparison(const Timer& timer,
                                    const DerateTable& table,
                                    const TimingPath& path) {
   const TimingGraph& graph = timer.graph();
+  // The PBA column is the evaluator's own walk, at corner 0's scaling.
   const PathEvaluator evaluator(timer, table);
-  const PathTiming pt = evaluator.evaluate(path);
+  std::vector<double> pba_delays;
+  const PathTiming pt = evaluator.evaluate(path, Mode::Late, &pba_delays);
 
   std::string out = str_format(
       "path %s -> %s: depth=%zu distance=%.1fum pba_derate=%.4f\n",
@@ -25,30 +26,19 @@ std::string report_path_comparison(const Timer& timer,
 
   double gba_arrival = timer.arrival(path.nodes.front(), Mode::Late);
   double pba_arrival = gba_arrival;
-  double slew = timer.slew(path.nodes.front(), Mode::Late);
   out += str_format("%-28s %9s %9s %9s %11.2f %11.2f\n",
                     graph.node_name(path.launch()).c_str(), "-", "-", "-",
                     gba_arrival, pba_arrival);
 
-  for (const ArcId a : path.arcs) {
-    const TimingArc& arc = graph.arc(a);
+  for (std::size_t i = 0; i < path.arcs.size(); ++i) {
+    const ArcId a = path.arcs[i];
     const double gba_delay = timer.arc_delay(a, Mode::Late);
-    // PBA: recompute along the path (same procedure as PathEvaluator).
-    const ArcTiming t = timer.delay_calc().evaluate(graph, a, slew);
-    double pba_factor = 1.0;
-    if (arc.kind == TimingArc::Kind::Cell) {
-      pba_factor = timer.is_weighted(a)
-                       ? pt.derate_pba
-                       : timer.instance_derate(arc.inst).late;
-    }
-    const double pba_delay = t.delay_ps * pba_factor;
-    slew = t.slew_ps;
     gba_arrival += gba_delay;
-    pba_arrival += pba_delay;
+    pba_arrival += pba_delays[i];
     out += str_format("%-28s %9.2f %9.2f %9.2f %11.2f %11.2f\n",
-                      graph.node_name(arc.to).c_str(),
+                      graph.node_name(graph.arc(a).to).c_str(),
                       timer.arc_delay_base(a, Mode::Late), gba_delay,
-                      pba_delay, gba_arrival, pba_arrival);
+                      pba_delays[i], gba_arrival, pba_arrival);
   }
 
   out += str_format(

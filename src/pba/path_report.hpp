@@ -17,7 +17,9 @@ namespace mgba {
 /// Renders the path with, per cell stage: base delay, the GBA factor
 /// (derate x weight) and resulting delay, the PBA path derate and delay,
 /// and the running arrivals; followed by the endpoint summary (required
-/// times, CRPR credits, slacks).
+/// times, CRPR credits, slacks). Both columns are the default corner's:
+/// the PBA delays are PathEvaluator's own walk, so the last PBA arrival is
+/// evaluate(path).pba_arrival_ps, library scaling included.
 std::string report_path_comparison(const Timer& timer,
                                    const DerateTable& table,
                                    const TimingPath& path);

@@ -116,10 +116,11 @@ std::string ShellSession::load(const LoadRequest& request) {
   // SDC path leaves it as it was.
   TimingConstraints constraints;
   constraints.clock_port = clock_port;
+  bool sdc_period = false;
   if (!request.sdc_path.empty()) {
     std::ifstream in(request.sdc_path);
     if (!in) return "cannot open SDC " + request.sdc_path;
-    constraints = read_sdc(in, constraints);
+    constraints = read_sdc(in, constraints, &sdc_period);
   }
   if (!request.clock_port.empty()) constraints.clock_port = request.clock_port;
   if (request.uncertainty_ps.has_value()) {
@@ -141,9 +142,9 @@ std::string ShellSession::load(const LoadRequest& request) {
   constraints_ = std::move(constraints);
   if (request.period_ps.has_value()) {
     constraints_.clock_period_ps = *request.period_ps;
-  } else if (request.sdc_path.empty()) {
+  } else if (!sdc_period) {
     // Derive the period from the golden critical path at the requested
-    // utilization. With an SDC, its create_clock period stands.
+    // utilization. An SDC's create_clock period stands.
     constraints_.clock_period_ps = 1e9;
     Timer probe(*design_, constraints_);
     probe.set_instance_derates(compute_gba_derates(probe.graph(), table_));

@@ -55,7 +55,7 @@ struct LoadRequest {
   /// SDC read before the overrides below; empty = none.
   std::string sdc_path;
   /// Clock period: fixed when period_ps is set, else the SDC's
-  /// create_clock period when an SDC is given, otherwise derived from the
+  /// create_clock period when the SDC sets one, otherwise derived from the
   /// golden critical path at the given utilization (choose_clock_period).
   std::optional<double> period_ps;
   double utilization = 1.0;

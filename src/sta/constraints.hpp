@@ -3,11 +3,16 @@
 /// \file constraints.hpp
 /// Timing constraint specification for the single-clock analysis the paper
 /// targets: a clock period, boundary conditions at ports, and analysis
-/// feature toggles (CRPR, clock-network derating).
+/// feature toggles (CRPR, clock-network derating); and the one rule that
+/// turns them into an endpoint's required time, which GBA's backward
+/// sweeps and golden PBA both apply.
 
 #include <map>
 #include <set>
 #include <string>
+#include <vector>
+
+#include "sta/timing_types.hpp"
 
 namespace mgba {
 
@@ -44,5 +49,49 @@ struct TimingConstraints {
   /// Clock reconvergence pessimism removal on/off.
   bool enable_crpr = true;
 };
+
+/// The exceptions of one endpoint, resolved by name at Timer rebuild.
+struct EndpointException {
+  bool false_path = false;
+  int multicycle = 1;
+};
+
+/// Per check (index into TimingGraph::checks()) and per port (PortId).
+struct EndpointExceptions {
+  std::vector<EndpointException> check;
+  std::vector<EndpointException> port;
+};
+
+/// Required time a check puts on its data pin in \p mode, from the capture
+/// clock's arrival (early for setup, late for hold), the setup or hold
+/// time and the CRPR credit. Setup captures period x multicycle out and
+/// subtracts the uncertainty; hold stays at the launch edge and adds it. A
+/// false path has no requirement: +inf for setup, -inf for hold.
+inline double check_required(Mode mode, const TimingConstraints& constraints,
+                             const EndpointException& exception,
+                             double capture_clock_arrival, double check_ps,
+                             double credit_ps) {
+  if (mode == Mode::Late) {
+    if (exception.false_path) return kInfPs;
+    return constraints.clock_period_ps *
+               static_cast<double>(exception.multicycle) +
+           capture_clock_arrival - check_ps + credit_ps -
+           constraints.clock_uncertainty_ps;
+  }
+  if (exception.false_path) return -kInfPs;
+  return capture_clock_arrival + check_ps - credit_ps +
+         constraints.clock_uncertainty_ps;
+}
+
+/// Setup required time at an output port with external delay
+/// \p output_delay_ps. Output ports carry no hold requirement (-inf).
+inline double output_required(const TimingConstraints& constraints,
+                              const EndpointException& exception,
+                              double output_delay_ps) {
+  if (exception.false_path) return kInfPs;
+  return constraints.clock_period_ps *
+             static_cast<double>(exception.multicycle) -
+         output_delay_ps;
+}
 
 }  // namespace mgba

@@ -15,6 +15,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
+#include <optional>
 #include <vector>
 
 #include "sta/corner.hpp"
@@ -89,6 +90,23 @@ inline const CheckTiming& check_timing(const TimingData& d, std::size_t i,
                                        CornerId corner) {
   MGBA_CHECK(i < d.num_checks && corner < d.num_corners);
   return d.check[d.check_index(corner, i)];
+}
+
+/// AOCV derate factors of an instance in one corner's installed vector
+/// (instances past its end are at identity).
+inline DeratePair instance_derate(const std::vector<DeratePair>& derates,
+                                  InstanceId inst) {
+  if (inst >= derates.size()) return {};
+  return derates[inst];
+}
+
+/// True if the arc is a data-path combinational cell arc: one that
+/// receives an mGBA weighting factor and contributes a column to the
+/// system matrix A (Eq. 9). Clock cells and flip-flops are never weighted.
+inline bool is_weighted(const TimingGraph& g, const TimingArc& arc) {
+  if (arc.kind != TimingArc::Kind::Cell) return false;
+  if (g.node(arc.to).is_clock_network) return false;
+  return g.design().cell_of(arc.inst).kind != CellKind::FlipFlop;
 }
 
 /// Per-endpoint slacks of one (mode, corner) view, densely packed in
@@ -226,6 +244,18 @@ inline double common_path_credit(
     }
   }
   return credit;
+}
+
+/// Exact CRPR credit of one launch/capture check pair (common_path_credit
+/// with CRPR on). A launch from a primary input has no clock path:
+/// std::nullopt -> 0 credit.
+inline double crpr_credit_exact(const TimingData& d, const TimingGraph& g,
+                                const GraphStatics& statics, bool enable_crpr,
+                                std::optional<std::size_t> launch_check,
+                                std::size_t capture_check, CornerId corner) {
+  if (!enable_crpr || !launch_check.has_value()) return 0.0;
+  return common_path_credit(d, g, statics, *launch_check, capture_check,
+                            corner);
 }
 
 }  // namespace mgba::query

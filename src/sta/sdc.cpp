@@ -51,8 +51,10 @@ bool has_object_group(std::string_view line) {
 
 }  // namespace
 
-TimingConstraints read_sdc(std::istream& in, TimingConstraints base) {
+TimingConstraints read_sdc(std::istream& in, TimingConstraints base,
+                           bool* sets_period) {
   TimingConstraints constraints = std::move(base);
+  if (sets_period != nullptr) *sets_period = false;
   std::string line, pending;
   while (std::getline(in, line)) {
     // Line continuation.
@@ -75,6 +77,7 @@ TimingConstraints read_sdc(std::istream& in, TimingConstraints base) {
         if (tokens[i] == "-period") {
           MGBA_CHECK(i + 1 < tokens.size());
           constraints.clock_period_ps = std::stod(std::string(tokens[++i]));
+          if (sets_period != nullptr) *sets_period = true;
         } else if (tokens[i] == "-name") {
           MGBA_CHECK(i + 1 < tokens.size());
           ++i;  // clock name is informational in a single-clock timer

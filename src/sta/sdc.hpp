@@ -23,7 +23,10 @@ namespace mgba {
 
 /// Parses SDC text into a TimingConstraints, starting from \p base (so
 /// programmatic defaults survive for anything the file does not set).
-TimingConstraints read_sdc(std::istream& in, TimingConstraints base = {});
+/// \p sets_period, when given, receives whether a create_clock -period
+/// set the clock period.
+TimingConstraints read_sdc(std::istream& in, TimingConstraints base = {},
+                           bool* sets_period = nullptr);
 TimingConstraints sdc_from_string(const std::string& text,
                                   TimingConstraints base = {});
 

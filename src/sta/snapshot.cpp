@@ -8,6 +8,7 @@ TimingSnapshot::TimingSnapshot(const Timer& timer)
       statics_(timer.statics_),
       corners_(timer.corners_),
       derates_(timer.derates_),
+      exceptions_(timer.exceptions_),
       delay_(&timer.delay_),
       constraints_(&timer.constraints_),
       version_(timer.state_version_) {}

@@ -4,10 +4,10 @@
 /// Immutable, refcounted view of one version of the timing state
 /// (DESIGN.md §14). Created by Timer::snapshot(): the constructor forks
 /// the corner-major arena copy-on-write (O(1) per array) and retains the
-/// graph, derived statics, corner set, and derate tables by refcount, so
-/// the view keeps answering with the forked version's bits while the
-/// Timer mutates its head — readers never block an in-flight ECO, and an
-/// ECO never blocks readers.
+/// graph, derived statics, corner set, derate tables and endpoint
+/// exceptions by refcount, so the view keeps answering with the forked
+/// version's bits while the Timer mutates its head — readers never block
+/// an in-flight ECO, and an ECO never blocks readers.
 ///
 /// Thread contract: every const method here is safe from any number of
 /// threads concurrently with writer-side Timer mutation. The snapshot
@@ -113,22 +113,23 @@ class TimingSnapshot {
   }
   [[nodiscard]] DeratePair instance_derate(
       InstanceId inst, CornerId corner = kDefaultCorner) const {
-    const auto& derates = *derates_[corner];
-    if (inst >= derates.size()) return {};
-    return derates[inst];
+    return query::instance_derate(*derates_[corner], inst);
   }
   [[nodiscard]] bool is_weighted(ArcId arc) const {
-    const TimingArc& a = graph_->arc(arc);
-    if (a.kind != TimingArc::Kind::Cell) return false;
-    if (graph_->node(a.to).is_clock_network) return false;
-    return graph_->design().cell_of(a.inst).kind != CellKind::FlipFlop;
+    return query::is_weighted(*graph_, graph_->arc(arc));
   }
   [[nodiscard]] double crpr_credit_exact(
       std::optional<std::size_t> launch_check, std::size_t capture_check,
       CornerId corner = kDefaultCorner) const {
-    if (!constraints_->enable_crpr || !launch_check.has_value()) return 0.0;
-    return query::common_path_credit(data_, *graph_, *statics_,
-                                     *launch_check, capture_check, corner);
+    return query::crpr_credit_exact(data_, *graph_, *statics_,
+                                    constraints_->enable_crpr, launch_check,
+                                    capture_check, corner);
+  }
+  /// The timing exceptions of check \p idx, as resolved at this version's
+  /// rebuild (the input check_required takes besides the constraints).
+  [[nodiscard]] const EndpointException& check_exception(
+      std::size_t idx) const {
+    return exceptions_->check[idx];
   }
 
   [[nodiscard]] double wns(Mode mode, CornerId corner = kDefaultCorner) const {
@@ -173,6 +174,7 @@ class TimingSnapshot {
   std::shared_ptr<const GraphStatics> statics_;
   std::vector<AnalysisCorner> corners_;
   std::vector<std::shared_ptr<const std::vector<DeratePair>>> derates_;
+  std::shared_ptr<const EndpointExceptions> exceptions_;
   const DelayCalculator* delay_;
   const TimingConstraints* constraints_;
   std::uint64_t version_ = 0;

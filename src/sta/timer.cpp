@@ -55,10 +55,11 @@ constexpr std::size_t kIncrementalGrain = 32;
 /// (begin is O(1), and head writes privatize only the chunks they touch —
 /// the same machinery snapshots use), plus the graph and every derived
 /// table a buffer patch or rebuild_graph replaces; the graph, statics,
-/// derates and launch sets are refcounted, the per-port and per-endpoint
-/// tables are plain copies. Weights and the corner set are not part of it:
-/// installing either while a trial is open is an internal-invariant
-/// violation (MGBA_CHECK), so a rollback always restores exactly.
+/// derates, launch sets and endpoint exceptions are refcounted, the
+/// per-port delays are plain copies. Weights and the corner set are not
+/// part of it: installing either while a trial is open is an
+/// internal-invariant violation (MGBA_CHECK), so a rollback always
+/// restores exactly.
 struct Timer::TrialState {
   std::vector<InstanceId> dirty_at_begin;
   std::vector<NodeId> seed_forward_at_begin;
@@ -72,8 +73,7 @@ struct Timer::TrialState {
   std::size_t launch_words = 0;
   std::vector<double> port_input_delay;
   std::vector<double> port_output_delay;
-  std::vector<EndpointException> check_exception;
-  std::vector<EndpointException> port_exception;
+  std::shared_ptr<const EndpointExceptions> exceptions;
 };
 
 Timer::Timer(const Design& design, TimingConstraints constraints,
@@ -309,8 +309,9 @@ void Timer::rebuild_graph() {
   // Resolve endpoint-scoped timing exceptions by name, per check and per
   // output port.
   const auto& checks = graph_->checks();
-  check_exception_.assign(checks.size(), {});
-  port_exception_.assign(design_->num_ports(), {});
+  auto exceptions = std::make_shared<EndpointExceptions>();
+  exceptions->check.assign(checks.size(), {});
+  exceptions->port.assign(design_->num_ports(), {});
   if (!constraints_.false_path_endpoints.empty() ||
       !constraints_.multicycle_endpoints.empty()) {
     const auto resolve = [&](NodeId endpoint, EndpointException& out) {
@@ -323,17 +324,18 @@ void Timer::rebuild_graph() {
       }
     };
     for (std::size_t c = 0; c < checks.size(); ++c) {
-      resolve(checks[c].data_node, check_exception_[c]);
+      resolve(checks[c].data_node, exceptions->check[c]);
     }
     for (std::size_t p = 0; p < design_->num_ports(); ++p) {
       const auto port = static_cast<PortId>(p);
       const NodeId node = graph_->node_of_port(port);
       if (node != kInvalidNode &&
           design_->port(port).direction == PortDirection::Output) {
-        resolve(node, port_exception_[p]);
+        resolve(node, exceptions->port[p]);
       }
     }
   }
+  exceptions_ = std::move(exceptions);
 
   dirty_full_ = true;
   clear_pending();
@@ -724,18 +726,10 @@ void Timer::compute_launch_sets() {
   launch_sets_ = std::move(sets);
 }
 
-bool Timer::is_weighted_arc(const TimingArc& arc) const {
-  if (arc.kind != TimingArc::Kind::Cell) return false;
-  if (graph_->node(arc.to).is_clock_network) return false;
-  return design_->cell_of(arc.inst).kind != CellKind::FlipFlop;
-}
-
 double Timer::derate_for(const TimingArc& arc, Mode mode,
                          CornerId corner) const {
   if (arc.kind != TimingArc::Kind::Cell) return 1.0;
-  const auto& derates = *derates_[corner];
-  if (arc.inst >= derates.size()) return 1.0;
-  const DeratePair& d = derates[arc.inst];
+  const DeratePair d = instance_derate(arc.inst, corner);
   return mode == Mode::Late ? d.late : d.early;
 }
 
@@ -777,9 +771,10 @@ bool Timer::recompute_node(NodeId node, CornerId corner, CacheTally& tally) {
       const ArcTiming timing =
           arc_timing(a, arc, data_.slew[node_base + arc.from], corner, m, tally);
       double eff = timing.delay_ps * derate_for(arc, mode, corner);
-      if (late && is_weighted_arc(arc) && arc.inst < weights.size()) {
+      if (late && query::is_weighted(*graph_, arc) &&
+          arc.inst < weights.size()) {
         eff *= std::max(kMinWeightFactor, 1.0 + weights[arc.inst]);
-      } else if (!late && is_weighted_arc(arc) &&
+      } else if (!late && query::is_weighted(*graph_, arc) &&
                  arc.inst < weights_early.size()) {
         eff *= std::max(kMinWeightFactor, 1.0 + weights_early[arc.inst]);
       }
@@ -883,7 +878,8 @@ void Timer::refresh_arc_statics() {
         arc.kind == TimingArc::Kind::Cell
             ? static_cast<std::uint32_t>(design_->instance(arc.inst).cell)
             : DelayCache::kNetArcKey;
-    const std::uint32_t widx = is_weighted_arc(arc) ? arc.inst : sentinel;
+    const std::uint32_t widx =
+        query::is_weighted(*graph_, arc) ? arc.inst : sentinel;
     if (arc_widx_[a] != widx) {
       arc_widx_[a] = widx;
       widx_moved = true;
@@ -1249,8 +1245,6 @@ void Timer::incremental_backward_corner(CornerId c) {
   const std::size_t early_lane = TimingData::lane(c, early);
   const std::size_t late_node = late_lane * data_.num_nodes;
   const std::size_t early_node = early_lane * data_.num_nodes;
-  const LibraryScaling& scaling = corners_[c].scaling;
-  const double period = constraints_.clock_period_ps;
   const auto& checks = graph_->checks();
   const bool guard = cow_writes_guarded();
   const std::size_t num_levels = frontier_.size();
@@ -1282,25 +1276,8 @@ void Timer::incremental_backward_corner(CornerId c) {
       data_.required.privatize(early_node + check.data_node);
     }
     CheckTiming& ct = data_.check.mut(data_.check_index(c, ci));
-    const double data_slew_late = data_.slew[late_node + check.data_node];
-    ct.setup_ps = delay_.setup_time(
-        check, data_.slew[early_node + check.clock_node], data_slew_late,
-        scaling);
-    ct.hold_ps = delay_.hold_time(
-        check, data_.slew[late_node + check.clock_node], data_slew_late,
-        scaling);
+    const auto [req_late, req_early] = check_boundary(ci, c, ct);
     ++stat_backward_nodes_;
-    const EndpointException& exception = check_exception_[ci];
-    if (exception.false_path) continue;  // set_false_path
-    const double capture_edge =
-        period * static_cast<double>(exception.multicycle);
-    const double req_late = capture_edge +
-                            data_.arrival[early_node + check.clock_node] -
-                            ct.setup_ps + ct.crpr_credit_ps -
-                            constraints_.clock_uncertainty_ps;
-    const double req_early = data_.arrival[late_node + check.clock_node] +
-                             ct.hold_ps - ct.crpr_credit_ps +
-                             constraints_.clock_uncertainty_ps;
     if (data_.required[late_node + check.data_node] != req_late ||
         data_.required[early_node + check.data_node] != req_early) {
       data_.required.mut(late_node + check.data_node) = req_late;
@@ -1397,8 +1374,9 @@ void Timer::compute_crpr_credits() {
             const int b = std::countr_zero(bits);
             bits &= bits - 1;
             const std::size_t launch = w * 64 + static_cast<std::size_t>(b);
-            credit = std::min(credit,
-                              common_path_credit(launch, c, corner));
+            credit = std::min(
+                credit, query::common_path_credit(data_, *graph_, *statics_,
+                                                  launch, c, corner));
           }
         }
         if (credit == kInfPs) credit = 0.0;  // endpoint unreachable from FFs
@@ -1409,17 +1387,26 @@ void Timer::compute_crpr_credits() {
   });
 }
 
-double Timer::common_path_credit(std::size_t check_a, std::size_t check_b,
-                                 CornerId corner) const {
-  return query::common_path_credit(data_, *graph_, *statics_,
-                                   check_a, check_b, corner);
-}
-
-double Timer::crpr_credit_exact(std::optional<std::size_t> launch_check,
-                                std::size_t capture_check,
-                                CornerId corner) const {
-  if (!constraints_.enable_crpr || !launch_check.has_value()) return 0.0;
-  return common_path_credit(*launch_check, capture_check, corner);
+std::pair<double, double> Timer::check_boundary(std::size_t ci,
+                                                CornerId corner,
+                                                CheckTiming& ct) const {
+  const TimingCheck& check = graph_->checks()[ci];
+  const LibraryScaling& scaling = corners_[corner].scaling;
+  // Check values use the conservative slew pairing: both setup and hold
+  // margins grow with slew, so the worst (max = late) data slew bounds
+  // them; PBA's per-path slew can then only shrink the requirement.
+  const double data_slew = slew(check.data_node, Mode::Late, corner);
+  ct.setup_ps = delay_.setup_time(
+      check, slew(check.clock_node, Mode::Early, corner), data_slew, scaling);
+  ct.hold_ps = delay_.hold_time(
+      check, slew(check.clock_node, Mode::Late, corner), data_slew, scaling);
+  const EndpointException& exception = exceptions_->check[ci];
+  return {check_required(Mode::Late, constraints_, exception,
+                         arrival(check.clock_node, Mode::Early, corner),
+                         ct.setup_ps, ct.crpr_credit_ps),
+          check_required(Mode::Early, constraints_, exception,
+                         arrival(check.clock_node, Mode::Late, corner),
+                         ct.hold_ps, ct.crpr_credit_ps)};
 }
 
 void Timer::backward_required() {
@@ -1436,7 +1423,6 @@ void Timer::backward_required() {
   const int early = idx(Mode::Early);
   const std::size_t n = graph_->num_nodes();
   const std::size_t num_arcs = graph_->num_arcs();
-  const double period = constraints_.clock_period_ps;
   const auto& checks = graph_->checks();
   const std::size_t num_levels = graph_->num_levels();
   const ArcId* pool = graph_->fanout_pool().data();
@@ -1447,56 +1433,25 @@ void Timer::backward_required() {
   dly_early_.resize(num_arcs);
 
   for (CornerId corner = 0; corner < num_corners; ++corner) {
-    const LibraryScaling& scaling = corners_[corner].scaling;
-    const std::size_t late_base = data_.node_index(corner, late, 0);
-    const std::size_t early_base = data_.node_index(corner, early, 0);
     std::fill(shadow_a_.begin(), shadow_a_.end(), kInfPs);
     std::fill(shadow_b_.begin(), shadow_b_.end(), -kInfPs);
 
     // Endpoint boundary conditions.
     for (std::size_t c = 0; c < checks.size(); ++c) {
-      const TimingCheck& check = checks[c];
       CheckTiming& ct = data_.check.mut(data_.check_index(corner, c));
-      // Check values use the conservative slew pairing: both setup and hold
-      // margins grow with slew, so the worst (max = late) data slew bounds
-      // them; PBA's per-path slew can then only shrink the requirement.
-      const double data_slew_late = data_.slew[late_base + check.data_node];
-      ct.setup_ps = delay_.setup_time(
-          check, data_.slew[early_base + check.clock_node], data_slew_late,
-          scaling);
-      ct.hold_ps = delay_.hold_time(
-          check, data_.slew[late_base + check.clock_node], data_slew_late,
-          scaling);
-
-      const EndpointException& exception = check_exception_[c];
-      if (exception.false_path) continue;  // set_false_path
-      // set_multicycle_path moves the setup capture edge out by N periods;
-      // hold stays at the launch edge (the -setup multicycle default).
-      const double capture_edge =
-          period * static_cast<double>(exception.multicycle);
-      const double req_late = capture_edge +
-                              data_.arrival[early_base + check.clock_node] -
-                              ct.setup_ps + ct.crpr_credit_ps -
-                              constraints_.clock_uncertainty_ps;
-      const double req_early = data_.arrival[late_base + check.clock_node] +
-                               ct.hold_ps - ct.crpr_credit_ps +
-                               constraints_.clock_uncertainty_ps;
-      shadow_a_[check.data_node] =
-          std::min(shadow_a_[check.data_node], req_late);
-      shadow_b_[check.data_node] =
-          std::max(shadow_b_[check.data_node], req_early);
+      const auto [req_late, req_early] = check_boundary(c, corner, ct);
+      const NodeId d = checks[c].data_node;
+      shadow_a_[d] = std::min(shadow_a_[d], req_late);
+      shadow_b_[d] = std::max(shadow_b_[d], req_early);
     }
     for (std::size_t p = 0; p < design_->num_ports(); ++p) {
       const Port& port = design_->port(static_cast<PortId>(p));
       if (port.direction != PortDirection::Output) continue;
       const NodeId node = graph_->node_of_port(static_cast<PortId>(p));
       if (node == kInvalidNode) continue;
-      const EndpointException& exception = port_exception_[p];
-      if (exception.false_path) continue;
-      const double capture_edge =
-          period * static_cast<double>(exception.multicycle);
-      shadow_a_[node] =
-          std::min(shadow_a_[node], capture_edge - port_output_delay_[p]);
+      shadow_a_[node] = std::min(
+          shadow_a_[node], output_required(constraints_, exceptions_->port[p],
+                                           port_output_delay_[p]));
     }
 
     // Flat mirrors of this corner's arc-delay lanes (gather sources).
@@ -1546,8 +1501,10 @@ void Timer::backward_required() {
         }
       });
     }
-    data_.required.write_range(late_base, shadow_a_.data(), n);
-    data_.required.write_range(early_base, shadow_b_.data(), n);
+    data_.required.write_range(data_.node_index(corner, late, 0),
+                               shadow_a_.data(), n);
+    data_.required.write_range(data_.node_index(corner, early, 0),
+                               shadow_b_.data(), n);
   }
 
   // Cache endpoint slacks on the check records.
@@ -1633,12 +1590,6 @@ const CheckTiming& Timer::check_timing(std::size_t i, CornerId corner) const {
   return query::check_timing(data_, i, corner);
 }
 
-DeratePair Timer::instance_derate(InstanceId inst, CornerId corner) const {
-  const auto& derates = *derates_[corner];
-  if (inst >= derates.size()) return {};
-  return derates[inst];
-}
-
 double Timer::wns(Mode mode, CornerId corner) const {
   return query::wns(data_, *graph_, mode, corner);
 }
@@ -1720,8 +1671,7 @@ void Timer::begin_trial() {
   trial_->launch_words = launch_words_;
   trial_->port_input_delay = port_input_delay_;
   trial_->port_output_delay = port_output_delay_;
-  trial_->check_exception = check_exception_;
-  trial_->port_exception = port_exception_;
+  trial_->exceptions = exceptions_;
 }
 
 void Timer::commit_trial() { trial_.reset(); }
@@ -1737,8 +1687,7 @@ void Timer::rollback_trial() {
   launch_words_ = trial_->launch_words;
   port_input_delay_ = std::move(trial_->port_input_delay);
   port_output_delay_ = std::move(trial_->port_output_delay);
-  check_exception_ = std::move(trial_->check_exception);
-  port_exception_ = std::move(trial_->port_exception);
+  exceptions_ = std::move(trial_->exceptions);
   // A reverted buffer survives in the design as a disconnected tombstone
   // instance; extend instance-indexed lookups over it so queries stay in
   // bounds (its pins resolve to kInvalidNode). The restored graph/statics

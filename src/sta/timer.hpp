@@ -38,12 +38,14 @@
 #include <span>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "netlist/design.hpp"
 #include "sta/constraints.hpp"
 #include "sta/corner.hpp"
 #include "sta/delay_calc.hpp"
+#include "sta/query_ops.hpp"
 #include "sta/timing_data.hpp"
 #include "sta/timing_graph.hpp"
 #include "sta/timing_types.hpp"
@@ -391,7 +393,9 @@ class Timer {
 
   /// AOCV derate factors currently applied to an instance at a corner.
   [[nodiscard]] DeratePair instance_derate(
-      InstanceId inst, CornerId corner = kDefaultCorner) const;
+      InstanceId inst, CornerId corner = kDefaultCorner) const {
+    return query::instance_derate(*derates_[corner], inst);
+  }
   /// The installed per-instance derate vector of a corner (index =
   /// InstanceId; instances past its end are at identity).
   [[nodiscard]] const std::vector<DeratePair>& instance_derates(
@@ -399,11 +403,9 @@ class Timer {
     return *derates_[corner];
   }
 
-  /// True if the arc is a data-path combinational cell arc, i.e. one that
-  /// receives an mGBA weighting factor and contributes a column to the
-  /// system matrix A (Eq. 9).
+  /// True if the arc receives an mGBA weighting factor (query::is_weighted).
   [[nodiscard]] bool is_weighted(ArcId arc) const {
-    return is_weighted_arc(graph_->arc(arc));
+    return query::is_weighted(*graph_, graph_->arc(arc));
   }
 
   /// Exact CRPR credit for a specific launch/capture check pair, from the
@@ -411,7 +413,11 @@ class Timer {
   /// from a primary input has no clock path: pass std::nullopt -> 0 credit.
   [[nodiscard]] double crpr_credit_exact(
       std::optional<std::size_t> launch_check, std::size_t capture_check,
-      CornerId corner = kDefaultCorner) const;
+      CornerId corner = kDefaultCorner) const {
+    return query::crpr_credit_exact(data_, *graph_, *statics_,
+                                    constraints_.enable_crpr, launch_check,
+                                    capture_check, corner);
+  }
 
   /// Worst negative slack over all endpoints (0 when none negative).
   [[nodiscard]] double wns(Mode mode, CornerId corner = kDefaultCorner) const;
@@ -484,7 +490,6 @@ class Timer {
   /// the moved arc ids remapped and the buffer's arcs appended.
   void patch_instance_arcs(const BufferPatch& patch);
   void compute_launch_sets();
-  bool is_weighted_arc(const TimingArc& arc) const;
   double derate_for(const TimingArc& arc, Mode mode, CornerId corner) const;
 
   /// Thread-local tally of delay-cache lookups, folded into the shared
@@ -518,6 +523,12 @@ class Timer {
   void incremental_forward_corner(CornerId corner);
   void incremental_backward_corner(CornerId corner);
   void compute_crpr_credits();
+  /// The boundary condition check \p ci puts on its data pin at \p corner,
+  /// for both backward sweeps: refreshes \p ct's setup and hold times from
+  /// the current slews and returns the late and early required times
+  /// (check_required).
+  std::pair<double, double> check_boundary(std::size_t ci, CornerId corner,
+                                           CheckTiming& ct) const;
   /// Full backward propagation, the level-descending mirror of
   /// full_forward (bit-identical to recompute_required per node).
   void backward_required();
@@ -584,11 +595,6 @@ class Timer {
   void commit_trial();
   void rollback_trial();
 
-  /// Clock-cell delay difference (late - early) summed over the common
-  /// clock-path prefix of two checks, at one corner.
-  double common_path_credit(std::size_t check_a, std::size_t check_b,
-                            CornerId corner) const;
-
   const Design* design_;
   TimingConstraints constraints_;
   DelayCalculator delay_;
@@ -613,15 +619,11 @@ class Timer {
   std::vector<double> port_input_delay_;
   std::vector<double> port_output_delay_;
   /// Timing exceptions resolved at rebuild time, per check (index into
-  /// graph().checks()) and per output port (index = PortId). A buffer
-  /// patch keeps both the check order and the port ids, so they carry over
-  /// as they are.
-  struct EndpointException {
-    bool false_path = false;
-    int multicycle = 1;
-  };
-  std::vector<EndpointException> check_exception_;
-  std::vector<EndpointException> port_exception_;
+  /// graph().checks()) and per output port (index = PortId). Immutable once
+  /// published, so snapshots and trial checkpoints share the table by
+  /// refcount. A buffer patch keeps both the check order and the port ids,
+  /// so it carries over as it is.
+  std::shared_ptr<const EndpointExceptions> exceptions_;
 
   /// Corner-major SoA arena holding every per-node/per-arc/per-check
   /// timing quantity for all corners.

@@ -135,12 +135,13 @@ struct GeneratedStack {
   DerateTable table;
   std::unique_ptr<Timer> timer;
 
+  /// \p constraints supplies everything but the clock port and period.
   explicit GeneratedStack(GeneratorOptions options,
-                          double clock_period_ps = 4000.0)
+                          double clock_period_ps = 4000.0,
+                          TimingConstraints constraints = {})
       : library(make_default_library()),
         generated(generate_design(library, options)),
         table(default_aocv_table()) {
-    TimingConstraints constraints;
     constraints.clock_port = generated.clock_port;
     constraints.clock_period_ps = clock_period_ps;
     timer = std::make_unique<Timer>(generated.design, constraints);

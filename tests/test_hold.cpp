@@ -184,7 +184,7 @@ TEST(HoldPaths, PbaHoldNeverMorePessimistic) {
   const PathEvaluator evaluator(timer, stack.table);
   std::size_t checked = 0;
   for (const TimingPath& path : enumerator.all_paths()) {
-    const PathTiming pt = evaluator.evaluate_hold(path);
+    const PathTiming pt = evaluator.evaluate(path, Mode::Early);
     if (pt.pba_slack_ps == kInfPs) continue;  // port endpoint
     // PBA early arrival >= GBA early arrival (early derate closer to 1,
     // path slews less pessimistic), hence hold slack at least as large.

@@ -302,6 +302,44 @@ TEST(MgbaFramework, EndToEndImprovesAccuracy) {
             stack.design().num_instances());
 }
 
+TEST(MgbaFramework, FalsePathMakesNoRowAndFitStaysFinite) {
+  // A false-path endpoint has no requirement in GBA or golden PBA, so its
+  // paths make no row, and an all-paths fit keeps finite targets, MSE and
+  // weights in both checks.
+  TimingConstraints constraints;
+  constraints.false_path_endpoints.insert("ff_2/D");
+  for (const CheckKind kind : {CheckKind::Setup, CheckKind::Hold}) {
+    SCOPED_TRACE(kind == CheckKind::Hold ? "hold" : "setup");
+    GeneratedStack stack(small_options(76), 1800.0, constraints);
+    const TimingGraph& graph = stack.timer->graph();
+    const auto waived = [&](const TimingPath& path) {
+      return graph.node_name(path.endpoint()) == "ff_2/D";
+    };
+    const Mode mode = kind == CheckKind::Hold ? Mode::Early : Mode::Late;
+    const std::vector<TimingPath> paths =
+        PathEnumerator(*stack.timer, 4, mode).all_paths();
+    ASSERT_TRUE(std::any_of(paths.begin(), paths.end(), waived));
+    {
+      const PathEvaluator evaluator(*stack.timer, stack.table);
+      const MgbaProblem problem(*stack.timer, evaluator, paths, 0.02, kind);
+      ASSERT_GT(problem.num_rows(), 0u);
+      for (std::size_t r = 0; r < problem.num_rows(); ++r) {
+        EXPECT_FALSE(waived(paths[problem.row_path(r)]));
+        EXPECT_TRUE(std::isfinite(problem.rhs()[r]));
+      }
+    }
+    MgbaFlowOptions options;
+    options.check_kind = kind;
+    options.only_violated = false;
+    const MgbaFlowResult fit =
+        run_mgba_flow(*stack.timer, stack.table, options);
+    EXPECT_GT(fit.fitted_paths, 0u);
+    EXPECT_TRUE(std::isfinite(fit.mse_before));
+    EXPECT_TRUE(std::isfinite(fit.mse_after));
+    for (const double w : fit.instance_weights) ASSERT_TRUE(std::isfinite(w));
+  }
+}
+
 TEST(MgbaFramework, MgbaPathSlacksBoundedByPba) {
   // The Eq. (5) no-optimism property, checked per path: after a fit over
   // all candidate paths with a strong penalty, the mGBA slack of every

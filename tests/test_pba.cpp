@@ -194,6 +194,55 @@ TEST(PathEval, GbaPathSlackConsistentWithTimer) {
   }
 }
 
+TEST(PathEval, UncertaintyMovesGbaAndPbaAlike) {
+  // Clock uncertainty tightens GBA's and golden PBA's setup requirement by
+  // the same amount, so no path's PBA-GBA gap moves.
+  TimingConstraints uncertain;
+  uncertain.clock_uncertainty_ps = 50.0;
+  GeneratedStack plain(small_options(63), 2500.0);
+  GeneratedStack tight(small_options(63), 2500.0, uncertain);
+  const PathEvaluator eval_plain(*plain.timer, plain.table);
+  const PathEvaluator eval_tight(*tight.timer, tight.table);
+  const auto paths_plain = PathEnumerator(*plain.timer, 4).all_paths();
+  const auto paths_tight = PathEnumerator(*tight.timer, 4).all_paths();
+  ASSERT_EQ(paths_plain.size(), paths_tight.size());
+  std::size_t checked = 0;
+  for (std::size_t i = 0; i < paths_plain.size(); ++i) {
+    ASSERT_EQ(paths_plain[i].nodes, paths_tight[i].nodes);
+    const PathTiming a = eval_plain.evaluate(paths_plain[i]);
+    const PathTiming b = eval_tight.evaluate(paths_tight[i]);
+    EXPECT_NEAR(b.pba_slack_ps - b.gba_slack_ps,
+                a.pba_slack_ps - a.gba_slack_ps, 1e-6);
+    if (plain.timer->graph().check_at(paths_plain[i].endpoint())) {
+      EXPECT_NEAR(b.pba_slack_ps, a.pba_slack_ps - 50.0, 1e-6);
+      ++checked;
+    }
+  }
+  EXPECT_GT(checked, 20u);
+}
+
+TEST(PathEval, FalsePathReadsInfiniteSlackInBothModes) {
+  TimingConstraints constraints;
+  constraints.false_path_endpoints.insert("ff_2/D");
+  GeneratedStack stack(small_options(64), 2500.0, constraints);
+  const Timer& timer = *stack.timer;
+  NodeId endpoint = kInvalidNode;
+  for (const NodeId e : timer.graph().endpoints()) {
+    if (timer.graph().node_name(e) == "ff_2/D") endpoint = e;
+  }
+  ASSERT_NE(endpoint, kInvalidNode);
+  const PathEvaluator evaluator(timer, stack.table);
+  for (const Mode mode : {Mode::Late, Mode::Early}) {
+    const auto paths = PathEnumerator(timer, 3, mode).paths_to(endpoint);
+    ASSERT_FALSE(paths.empty());
+    for (const TimingPath& path : paths) {
+      const PathTiming pt = evaluator.evaluate(path, mode);
+      EXPECT_EQ(pt.gba_slack_ps, kInfPs);
+      EXPECT_EQ(pt.pba_slack_ps, kInfPs);
+    }
+  }
+}
+
 TEST(PathReport, ComparisonRendersAndIsConsistent) {
   GeneratedStack stack(small_options(62), 2000.0);
   const Timer& timer = *stack.timer;
@@ -215,6 +264,32 @@ TEST(PathReport, ComparisonRendersAndIsConsistent) {
   const std::size_t lines =
       static_cast<std::size_t>(std::count(text.begin(), text.end(), '\n'));
   EXPECT_GE(lines, paths[0].nodes.size());
+}
+
+TEST(PathReport, PbaColumnIsTheEvaluatorsAtAScaledCorner) {
+  GeneratedStack stack(small_options(62), 2000.0);
+  Timer& timer = *stack.timer;
+  AnalysisCorner slow;
+  slow.name = "slow";
+  slow.scaling.delay = 1.15;
+  slow.scaling.slew = 1.08;
+  timer.set_corners({slow});
+  timer.update_timing();
+  const NodeId worst = timer.worst_endpoint_merged(Mode::Late);
+  const auto paths = PathEnumerator(timer, 1).paths_to(worst);
+  ASSERT_FALSE(paths.empty());
+  const std::string text =
+      report_path_comparison(timer, stack.table, paths[0]);
+  // The stage line just above the slack summary ends with the running PBA
+  // arrival at the endpoint.
+  const std::size_t summary = text.find("\nslack:");
+  ASSERT_NE(summary, std::string::npos);
+  const std::size_t last_column = text.rfind(' ', summary);
+  const double report_arrival =
+      std::stod(text.substr(last_column, summary - last_column));
+  const PathEvaluator evaluator(timer, stack.table);
+  EXPECT_NEAR(report_arrival, evaluator.evaluate(paths[0]).pba_arrival_ps,
+              0.005);
 }
 
 TEST(PathEval, DepthAndDistanceReported) {

@@ -19,7 +19,9 @@
 namespace mgba {
 namespace {
 
-/// One scaled benchmark stack per design index.
+/// One scaled benchmark stack per design index. With \p exceptions the
+/// constraints add clock uncertainty, a multicycle endpoint and a
+/// false-path endpoint, which GBA and golden PBA must honor alike.
 struct SweepStack {
   Library library;
   GeneratedDesign generated;
@@ -27,7 +29,7 @@ struct SweepStack {
   TimingConstraints constraints;
   std::unique_ptr<Timer> timer;
 
-  explicit SweepStack(int d)
+  explicit SweepStack(int d, bool exceptions = false)
       : library(make_default_library()),
         generated([&] {
           GeneratorOptions opt = benchmark_design_options(d);
@@ -38,6 +40,11 @@ struct SweepStack {
         table(default_aocv_table()) {
     constraints.clock_port = generated.clock_port;
     constraints.clock_period_ps = 2500.0;
+    if (exceptions) {
+      constraints.clock_uncertainty_ps = 40.0;
+      constraints.multicycle_endpoints["ff_3/D"] = 2;
+      constraints.false_path_endpoints.insert("ff_5/D");
+    }
     timer = std::make_unique<Timer>(generated.design, constraints);
     timer->set_instance_derates(compute_gba_derates(timer->graph(), table));
     timer->update_timing();
@@ -47,26 +54,34 @@ struct SweepStack {
 class DesignSweep : public ::testing::TestWithParam<int> {};
 
 TEST_P(DesignSweep, GbaNeverOptimisticOnAnyPath) {
-  SweepStack stack(GetParam());
-  const PathEnumerator enumerator(*stack.timer, 5);
-  const PathEvaluator evaluator(*stack.timer, stack.table);
-  std::size_t checked = 0;
-  for (const TimingPath& path : enumerator.all_paths()) {
-    const PathTiming pt = evaluator.evaluate(path);
-    ASSERT_LE(pt.gba_slack_ps, pt.pba_slack_ps + 1e-6);
-    ++checked;
+  for (const bool exceptions : {false, true}) {
+    SCOPED_TRACE(exceptions ? "uncertainty + exceptions" : "plain clock");
+    SweepStack stack(GetParam(), exceptions);
+    const PathEnumerator enumerator(*stack.timer, 5);
+    const PathEvaluator evaluator(*stack.timer, stack.table);
+    std::size_t checked = 0;
+    for (const TimingPath& path : enumerator.all_paths()) {
+      const PathTiming pt = evaluator.evaluate(path);
+      ASSERT_LE(pt.gba_slack_ps, pt.pba_slack_ps + 1e-6)
+          << stack.timer->graph().node_name(path.endpoint());
+      ++checked;
+    }
+    EXPECT_GT(checked, 100u);
   }
-  EXPECT_GT(checked, 100u);
 }
 
 TEST_P(DesignSweep, HoldGbaNeverOptimisticOnAnyPath) {
-  SweepStack stack(GetParam());
-  const PathEnumerator enumerator(*stack.timer, 4, Mode::Early);
-  const PathEvaluator evaluator(*stack.timer, stack.table);
-  for (const TimingPath& path : enumerator.all_paths()) {
-    const PathTiming pt = evaluator.evaluate_hold(path);
-    if (pt.pba_slack_ps == kInfPs) continue;
-    ASSERT_LE(pt.gba_slack_ps, pt.pba_slack_ps + 1e-6);
+  for (const bool exceptions : {false, true}) {
+    SCOPED_TRACE(exceptions ? "uncertainty + exceptions" : "plain clock");
+    SweepStack stack(GetParam(), exceptions);
+    const PathEnumerator enumerator(*stack.timer, 4, Mode::Early);
+    const PathEvaluator evaluator(*stack.timer, stack.table);
+    for (const TimingPath& path : enumerator.all_paths()) {
+      const PathTiming pt = evaluator.evaluate(path, Mode::Early);
+      if (pt.pba_slack_ps == kInfPs) continue;
+      ASSERT_LE(pt.gba_slack_ps, pt.pba_slack_ps + 1e-6)
+          << stack.timer->graph().node_name(path.endpoint());
+    }
   }
 }
 

@@ -23,6 +23,7 @@
 #include <csignal>
 #include <cstdarg>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <memory>
@@ -121,6 +122,18 @@ void write_file(const std::string& path, Write write) {
   if (out) write(out);
   out.close();
   if (!out) fail(kExitBadFile, "cannot write %s", path.c_str());
+}
+
+/// Exits 3 unless \p path can be written. The probe opens for append, so it
+/// never truncates the file (it may be the input netlist), and it removes a
+/// file it created, so a run that fails later leaves no empty file behind.
+void check_writable(const std::string& path) {
+  std::error_code ec;
+  const bool existed = std::filesystem::exists(path, ec);
+  if (!std::ofstream(path, std::ios::app)) {
+    fail(kExitBadFile, "cannot write %s", path.c_str());
+  }
+  if (!existed) std::filesystem::remove(path, ec);
 }
 
 /// A timing session holding the --library cell library (the built-in one
@@ -309,6 +322,9 @@ int cmd_fit(const Args& args) {
 }
 
 int cmd_optimize(const Args& args) {
+  // An unwritable --out fails before the read and the closure.
+  const std::string out_path = args.get("out");
+  if (args.has("out")) check_writable(out_path);
   const auto session = open_session(args);
   OptimizerOptions options;
   options.use_mgba = args.has("mgba");
@@ -332,7 +348,6 @@ int cmd_optimize(const Args& args) {
     }
   }
   if (args.has("out")) {
-    const std::string out_path = args.get("out");
     write_file(out_path, [&](std::ostream& out) {
       write_netlist(session->design(), out);
     });
