@@ -6,8 +6,6 @@
 /// update against the 1-corner one (N means linear in corners). Emits
 /// BENCH_mcmm.json.
 
-#include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -18,12 +16,6 @@
 
 namespace mgba::bench {
 namespace {
-
-double now_ms() {
-  return std::chrono::duration<double, std::milli>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
 
 /// Corner spec for the first \p n of the four bench corners.
 std::string spec_for(std::size_t n) {
@@ -61,16 +53,15 @@ int run() {
     const auto setups = corners_from_string(spec_for(n), stack->table);
     CornerRun r;
     r.corners = n;
-    r.full_update_ms = 1e30;
+    BestOf full_update;
     for (int rep = 0; rep < kReps; ++rep) {
       // apply_corner_setups re-installs corners + per-corner derates and
       // marks the timer fully dirty, so each rep times one complete
       // all-corners forward + CRPR + backward propagation.
       apply_corner_setups(*stack->timer, setups);
-      const double t0 = now_ms();
-      stack->timer->update_timing();
-      r.full_update_ms = std::min(r.full_update_ms, now_ms() - t0);
+      full_update.time([&] { stack->timer->update_timing(); });
     }
+    r.full_update_ms = full_update.ms();
     r.per_corner_ms = r.full_update_ms / static_cast<double>(n);
     r.storage_bytes = stack->timer->timing_storage_bytes();
     r.wns_merged_ps = stack->timer->wns_merged(Mode::Late);
@@ -91,36 +82,27 @@ int run() {
                 cost_ratio(r));
   }
 
-  std::FILE* out = std::fopen("BENCH_mcmm.json", "w");
-  if (out == nullptr) {
-    std::printf("ERROR: cannot open BENCH_mcmm.json\n");
-    return 1;
+  std::vector<JsonObject> results;
+  for (const CornerRun& r : runs) {
+    results.emplace_back()
+        .add("corners", r.corners)
+        .add("full_update_ms", r.full_update_ms, 3)
+        .add("per_corner_ms", r.per_corner_ms, 3)
+        .add("corner_cost_ratio", cost_ratio(r), 4)
+        .add("timing_storage_bytes", r.storage_bytes)
+        .add("wns_merged_ps", r.wns_merged_ps, 3)
+        .add("violations_merged", r.violations_merged);
   }
-  std::fprintf(out, "{\n");
-  std::fprintf(out,
-               "  \"design\": {\"name\": \"%s\", \"instances\": %zu, "
-               "\"graph_nodes\": %zu},\n",
-               stack->name.c_str(), instances, nodes);
-  std::fprintf(out, "  \"threads\": %zu,\n", num_threads());
-  std::fprintf(out,
-               "  \"corner_cost_ratio\": {\"2\": %.4f, \"4\": %.4f},\n",
-               cost_ratio(runs[1]), cost_ratio(runs[2]));
-  std::fprintf(out, "  \"results\": [\n");
-  for (std::size_t i = 0; i < runs.size(); ++i) {
-    const CornerRun& r = runs[i];
-    std::fprintf(out,
-                 "    {\"corners\": %zu, \"full_update_ms\": %.3f, "
-                 "\"per_corner_ms\": %.3f, \"corner_cost_ratio\": %.4f, "
-                 "\"timing_storage_bytes\": %zu, "
-                 "\"wns_merged_ps\": %.3f, \"violations_merged\": %zu}%s\n",
-                 r.corners, r.full_update_ms, r.per_corner_ms, cost_ratio(r),
-                 r.storage_bytes, r.wns_merged_ps, r.violations_merged,
-                 i + 1 < runs.size() ? "," : "");
-  }
-  std::fprintf(out, "  ]\n}\n");
-  std::fclose(out);
-  std::printf("wrote BENCH_mcmm.json\n");
-  return 0;
+  JsonObject design, ratio, doc;
+  design.add("name", stack->name)
+      .add("instances", instances)
+      .add("graph_nodes", nodes);
+  ratio.add("2", cost_ratio(runs[1]), 4).add("4", cost_ratio(runs[2]), 4);
+  doc.add("design", design)
+      .add("threads", num_threads())
+      .add("corner_cost_ratio", ratio)
+      .add("results", results);
+  return write_json("BENCH_mcmm.json", doc) ? 0 : 1;
 }
 
 }  // namespace

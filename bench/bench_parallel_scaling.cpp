@@ -8,8 +8,6 @@
 /// the delay memo before the thread loop, so no row pays the cold-start
 /// NLDM evaluations; each stage reports the best of kRepeats runs.
 
-#include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <thread>
 #include <vector>
@@ -23,12 +21,6 @@
 
 namespace mgba::bench {
 namespace {
-
-double now_ms() {
-  return std::chrono::duration<double, std::milli>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
 
 struct StageTimes {
   std::size_t threads = 1;
@@ -44,21 +36,12 @@ struct StageTimes {
 };
 
 int run() {
-  GeneratorOptions gen;
-  gen.name = "parallel_scaling";
-  gen.seed = 97;
-  gen.num_gates = 46'000;
-  gen.num_flops = 4'000;
-  gen.num_inputs = 64;
-  gen.num_outputs = 64;
-  gen.target_depth = 64;
-  gen.num_blocks = 8;
+  const GeneratorOptions gen = scaling_design_options("parallel_scaling");
 
-  BenchStack stack(gen);
-  stack.constraints.clock_port = stack.generated.clock_port;
-  stack.constraints.clock_period_ps = 3200.0;
-  stack.timer =
-      std::make_unique<Timer>(stack.generated.design, stack.constraints);
+  // Warm-up: make_stack's first propagation fills the delay memo, which
+  // every later full update reuses (derates do not move base delays).
+  const auto stack_owner = make_stack(gen, 3200.0);
+  BenchStack& stack = *stack_owner;
   const auto derates =
       compute_gba_derates(stack.timer->graph(), stack.table);
 
@@ -76,14 +59,9 @@ int run() {
   SolverOptions solver;
   solver.max_iterations = 800;
 
-  // Warm-up: the first propagation fills the delay memo, which every later
-  // full update reuses (derates do not move base delays).
-  stack.timer->set_instance_derates(derates);
-  stack.timer->update_timing();
-
   std::vector<StageTimes> results;
   std::vector<double> baseline_arrivals;
-  bool deterministic = true;
+  Gates gates;
 
   for (const std::size_t threads : {1u, 2u, 4u, 8u}) {
     set_num_threads(threads);
@@ -91,34 +69,36 @@ int run() {
     t.threads = threads;
     std::size_t rows = 0;
     double objective = 0.0;
-    const auto keep_min = [](double& best, double ms, int rep) {
-      best = rep == 0 ? ms : std::min(best, ms);
-    };
+    BestOf update, enumerate, build, solve;
     for (int rep = 0; rep < kRepeats; ++rep) {
       // set_instance_derates marks the timer dirty_full_, so this times one
       // complete forward + CRPR + backward propagation.
       stack.timer->set_instance_derates(derates);
-      double t0 = now_ms();
+      Stopwatch watch;
       stack.timer->update_timing();
-      keep_min(t.full_update_ms, now_ms() - t0, rep);
+      update.add(watch.millis());
 
-      t0 = now_ms();
+      watch.reset();
       const PathEnumerator enumerator(*stack.timer, kPathsPerEndpoint);
       const auto paths = enumerator.all_paths();
-      keep_min(t.enumerate_ms, now_ms() - t0, rep);
+      enumerate.add(watch.millis());
       t.paths = paths.size();
 
-      t0 = now_ms();
+      watch.reset();
       const PathEvaluator evaluator(*stack.timer, stack.table);
       const MgbaProblem problem(*stack.timer, evaluator, paths, 0.02);
-      keep_min(t.problem_build_ms, now_ms() - t0, rep);
+      build.add(watch.millis());
       rows = problem.num_rows();
 
-      t0 = now_ms();
+      watch.reset();
       const SolveResult solved = solve_scg(problem, {}, solver);
-      keep_min(t.scg_solve_ms, now_ms() - t0, rep);
+      solve.add(watch.millis());
       objective = solved.final_objective;
     }
+    t.full_update_ms = update.ms();
+    t.enumerate_ms = enumerate.ms();
+    t.problem_build_ms = build.ms();
+    t.scg_solve_ms = solve.ms();
 
     // Determinism cross-check against the 1-thread propagation.
     std::vector<double> arrivals;
@@ -128,10 +108,10 @@ int run() {
     }
     if (threads == 1) {
       baseline_arrivals = std::move(arrivals);
-    } else if (arrivals != baseline_arrivals) {
-      deterministic = false;
-      std::printf("ERROR: %zu-thread arrivals differ from 1-thread\n",
-                  threads);
+    } else {
+      gates.check(arrivals == baseline_arrivals,
+                  str_format("%zu-thread arrivals differ from 1-thread",
+                             threads));
     }
 
     std::printf(
@@ -142,38 +122,30 @@ int run() {
     results.push_back(t);
   }
 
-  std::FILE* out = std::fopen("BENCH_parallel_scaling.json", "w");
-  if (out == nullptr) {
-    std::printf("ERROR: cannot open BENCH_parallel_scaling.json\n");
-    return 1;
-  }
-  std::fprintf(out, "{\n");
-  std::fprintf(out,
-               "  \"design\": {\"name\": \"%s\", \"instances\": %zu, "
-               "\"graph_nodes\": %zu, \"paths\": %zu},\n",
-               gen.name.c_str(), instances, nodes, results.front().paths);
-  std::fprintf(out, "  \"host_hardware_concurrency\": %u,\n",
-               std::thread::hardware_concurrency());
-  std::fprintf(out, "  \"deterministic_across_threads\": %s,\n",
-               deterministic ? "true" : "false");
-  std::fprintf(out, "  \"reps_best_of\": %d,\n", kRepeats);
-  std::fprintf(out, "  \"results\": [\n");
   const double base = results.front().total_ms();
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    const StageTimes& t = results[i];
-    std::fprintf(out,
-                 "    {\"threads\": %zu, \"full_update_ms\": %.2f, "
-                 "\"enumerate_ms\": %.2f, \"problem_build_ms\": %.2f, "
-                 "\"scg_solve_ms\": %.2f, \"total_ms\": %.2f, "
-                 "\"speedup\": %.3f}%s\n",
-                 t.threads, t.full_update_ms, t.enumerate_ms,
-                 t.problem_build_ms, t.scg_solve_ms, t.total_ms(),
-                 base / t.total_ms(), i + 1 < results.size() ? "," : "");
+  std::vector<JsonObject> rows;
+  for (const StageTimes& t : results) {
+    rows.emplace_back()
+        .add("threads", t.threads)
+        .add("full_update_ms", t.full_update_ms, 2)
+        .add("enumerate_ms", t.enumerate_ms, 2)
+        .add("problem_build_ms", t.problem_build_ms, 2)
+        .add("scg_solve_ms", t.scg_solve_ms, 2)
+        .add("total_ms", t.total_ms(), 2)
+        .add("speedup", base / t.total_ms(), 3);
   }
-  std::fprintf(out, "  ]\n}\n");
-  std::fclose(out);
-  std::printf("wrote BENCH_parallel_scaling.json\n");
-  return deterministic ? 0 : 1;
+  JsonObject design, doc;
+  design.add("name", gen.name)
+      .add("instances", instances)
+      .add("graph_nodes", nodes)
+      .add("paths", results.front().paths);
+  doc.add("design", design)
+      .add("host_hardware_concurrency", std::thread::hardware_concurrency())
+      .add("deterministic_across_threads", gates.passed())
+      .add("reps_best_of", kRepeats)
+      .add("results", rows);
+  if (!write_json("BENCH_parallel_scaling.json", doc)) return 1;
+  return gates.exit_code();
 }
 
 }  // namespace

@@ -20,10 +20,7 @@
 /// runs a seconds-scale design with the same exit contract — wired into
 /// ctest as pba_fastpath_smoke.
 
-#include <algorithm>
-#include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
@@ -37,12 +34,6 @@
 namespace mgba::bench {
 namespace {
 
-double now_ms() {
-  return std::chrono::duration<double, std::milli>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
 /// First resizable non-clock combinational gate with a same-footprint
 /// sibling cell: the localized-ECO victim.
 struct EcoVictim {
@@ -52,23 +43,12 @@ struct EcoVictim {
   std::size_t alt_cell = 0;
 };
 
-EcoVictim find_victim(const Library& library, const Design& design,
-                      const Timer& timer) {
+EcoVictim find_victim(const BenchStack& stack) {
+  const Design& design = stack.generated.design;
   for (std::size_t i = 0; i < design.num_instances(); ++i) {
     const auto inst = static_cast<InstanceId>(i);
-    const LibCell& cell = design.cell_of(inst);
-    if (cell.kind == CellKind::FlipFlop) continue;
-    const NodeId out = timer.graph().node_of_pin(
-        inst, static_cast<std::uint32_t>(cell.output_pin()));
-    if (out == kInvalidNode || timer.graph().node(out).is_clock_network) {
-      continue;
-    }
-    for (std::size_t j = 0; j < library.num_cells(); ++j) {
-      const LibCell& c = library.cell(j);
-      if (c.footprint == cell.footprint && j != design.instance(inst).cell &&
-          c.kind != CellKind::FlipFlop) {
-        return {true, inst, design.instance(inst).cell, j};
-      }
+    if (const auto sibling = resize_sibling(stack, inst)) {
+      return {true, inst, design.instance(inst).cell, *sibling};
     }
   }
   return {};
@@ -140,16 +120,12 @@ DesignResult run_design(std::size_t target, int d, double period_ps,
   GeneratorOptions gen = scaled_design_options(target, d);
   gen.name = "pba_fastpath_" + std::to_string(target);
   BenchStack stack(gen);
-  stack.constraints.clock_port = stack.generated.clock_port;
   stack.constraints.clock_period_ps = period_ps;
   // CRPR off at scale: its credit recomputation is orthogonal scalar graph
   // walking.
   stack.constraints.enable_crpr = false;
-  stack.timer =
-      std::make_unique<Timer>(stack.generated.design, stack.constraints);
+  stack.build_timer();
   Timer& timer = *stack.timer;
-  timer.set_instance_derates(compute_gba_derates(timer.graph(), stack.table));
-  timer.update_timing();
 
   DesignResult res;
   res.name = gen.name;
@@ -157,7 +133,7 @@ DesignResult run_design(std::size_t target, int d, double period_ps,
   res.endpoints = timer.graph().endpoints().size();
   res.k = k;
 
-  const EcoVictim victim = find_victim(stack.library, stack.design(), timer);
+  const EcoVictim victim = find_victim(stack);
   if (!victim.found) {
     std::printf("ERROR: no resizable victim in %s\n", res.name.c_str());
     res.identical = false;
@@ -169,26 +145,25 @@ DesignResult run_design(std::size_t target, int d, double period_ps,
   // --- timings (single thread) -------------------------------------------
   PathEngine engine(timer, k);
   {
-    const double t0 = now_ms();
+    const Stopwatch watch;
     engine.sync();
-    res.cold_build_ms = now_ms() - t0;
+    res.cold_build_ms = watch.millis();
   }
 
-  res.cold_enum_ms = 1e300;
-  res.warm_sync_ms = 1e300;
+  BestOf warm_sync, cold_enum;
   for (int rep = 0; rep < reps; ++rep) {
     // Forward edge: timed warm sync on the post-ECO state.
     stack.design().resize_instance(victim.inst, victim.alt_cell);
     timer.invalidate_instance(victim.inst);
-    double t0 = now_ms();
+    Stopwatch watch;
     engine.sync();
-    res.warm_sync_ms = std::min(res.warm_sync_ms, now_ms() - t0);
+    warm_sync.add(watch.millis());
 
     // Cold reference on the identical state (timer already up to date, so
     // the constructor's DP is the whole measurement).
-    t0 = now_ms();
+    watch.reset();
     const PathEnumerator cold(timer, k);
-    res.cold_enum_ms = std::min(res.cold_enum_ms, now_ms() - t0);
+    cold_enum.add(watch.millis());
     if (rep == 0) {
       const bool match =
           full_compare
@@ -207,6 +182,8 @@ DesignResult run_design(std::size_t target, int d, double period_ps,
     timer.invalidate_instance(victim.inst);
     engine.sync();
   }
+  res.warm_sync_ms = warm_sync.ms();
+  res.cold_enum_ms = cold_enum.ms();
   res.engine_stats = engine.stats().to_string();
 
   // --- byte-identity sweep: threads --------------------------------------
@@ -280,45 +257,33 @@ int run(bool smoke) {
     return identical ? 0 : 1;
   }
 
-  std::FILE* out = std::fopen("BENCH_pba_fastpath.json", "w");
-  if (out == nullptr) {
-    std::printf("ERROR: cannot open BENCH_pba_fastpath.json\n");
-    return 1;
+  std::vector<JsonObject> rows;
+  for (const DesignResult& d : designs) {
+    rows.emplace_back()
+        .add("name", d.name)
+        .add("instances", d.instances)
+        .add("endpoints", d.endpoints)
+        .add("k", d.k)
+        .add("cold_build_ms", d.cold_build_ms, 3)
+        .add("cold_enum_ms", d.cold_enum_ms, 3)
+        .add("warm_sync_ms", d.warm_sync_ms, 4)
+        .add("warm_speedup", d.cold_enum_ms / d.warm_sync_ms, 3)
+        .add("engine_stats", d.engine_stats)
+        .add("bit_identical_t1", d.check.identical_t1)
+        .add("bit_identical_t4", d.check.identical_t4);
   }
-  std::fprintf(out, "{\n");
-  std::fprintf(out, "  \"reps_best_of\": %d,\n", reps);
-  std::fprintf(out, "  \"path_sets_byte_identical\": %s,\n",
-               identical ? "true" : "false");
-  std::fprintf(out,
-               "  \"acceptance\": {\"design\": \"%s\", \"metric\": "
-               "\"warm_sync_vs_cold_enumeration_single_thread\", "
-               "\"baseline\": \"cold\", \"required_speedup\": 3.0, "
-               "\"measured_speedup\": %.3f, \"pass\": %s},\n",
-               accept.name.c_str(), speedup,
-               speedup >= 3.0 ? "true" : "false");
-  std::fprintf(out, "  \"designs\": [\n");
-  for (std::size_t i = 0; i < designs.size(); ++i) {
-    const DesignResult& d = designs[i];
-    std::fprintf(out,
-                 "    {\"name\": \"%s\", \"instances\": %zu, "
-                 "\"endpoints\": %zu, \"k\": %zu,\n",
-                 d.name.c_str(), d.instances, d.endpoints, d.k);
-    std::fprintf(out,
-                 "     \"cold_build_ms\": %.3f, \"cold_enum_ms\": %.3f, "
-                 "\"warm_sync_ms\": %.4f, \"warm_speedup\": %.3f,\n",
-                 d.cold_build_ms, d.cold_enum_ms, d.warm_sync_ms,
-                 d.cold_enum_ms / d.warm_sync_ms);
-    std::fprintf(out, "     \"engine_stats\": \"%s\",\n",
-                 d.engine_stats.c_str());
-    std::fprintf(out,
-                 "     \"bit_identical_t1\": %s, \"bit_identical_t4\": %s}%s\n",
-                 d.check.identical_t1 ? "true" : "false",
-                 d.check.identical_t4 ? "true" : "false",
-                 i + 1 < designs.size() ? "," : "");
-  }
-  std::fprintf(out, "  ]\n}\n");
-  std::fclose(out);
-  std::printf("wrote BENCH_pba_fastpath.json\n");
+  JsonObject acceptance, doc;
+  acceptance.add("design", accept.name)
+      .add("metric", "warm_sync_vs_cold_enumeration_single_thread")
+      .add("baseline", "cold")
+      .add("required_speedup", 3.0, 1)
+      .add("measured_speedup", speedup, 3)
+      .add("pass", speedup >= 3.0);
+  doc.add("reps_best_of", reps)
+      .add("path_sets_byte_identical", identical)
+      .add("acceptance", acceptance)
+      .add("designs", rows);
+  if (!write_json("BENCH_pba_fastpath.json", doc)) return 1;
   return identical && speedup >= 3.0 ? 0 : 1;
 }
 
@@ -326,6 +291,5 @@ int run(bool smoke) {
 }  // namespace mgba::bench
 
 int main(int argc, char** argv) {
-  const bool smoke = argc > 1 && std::strcmp(argv[1], "--smoke") == 0;
-  return mgba::bench::run(smoke);
+  return mgba::bench::run(mgba::bench::smoke_flag(argc, argv));
 }

@@ -22,13 +22,13 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <utility>
 #include <vector>
 
+#include "bench_common.hpp"
 #include "server/client.hpp"
 #include "server/server.hpp"
 #include "shell/interpreter.hpp"
@@ -40,12 +40,6 @@ using server::Client;
 using server::ServerOptions;
 using server::TimingServer;
 using server::WireResult;
-
-double now_ms() {
-  return std::chrono::duration<double, std::milli>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
 
 double percentile(std::vector<double> values, double p) {
   if (values.empty()) return 0.0;
@@ -189,7 +183,7 @@ ConfigResult run_config(const std::string& socket_path, std::uint64_t session,
 
   std::vector<std::vector<double>> latencies(clients);
   std::atomic<int> failures{0};
-  const double t0 = now_ms();
+  const Stopwatch wall;
   std::vector<std::thread> threads;
   for (int c = 0; c < clients; ++c) {
     threads.emplace_back([&, c] {
@@ -200,19 +194,19 @@ ConfigResult run_config(const std::string& socket_path, std::uint64_t session,
       }
       latencies[c].reserve(batches_per_client);
       for (std::size_t b = 0; b < batches_per_client; ++b) {
-        const double start = now_ms();
+        const Stopwatch batch;
         std::vector<WireResult> results;
         if (!reader.run_batch(plan.queries, results).empty()) {
           failures.fetch_add(1);
           return;
         }
-        latencies[c].push_back(now_ms() - start);
+        latencies[c].push_back(batch.millis());
         if (transcript_of(results) != baseline) failures.fetch_add(1);
       }
     });
   }
   for (std::thread& t : threads) t.join();
-  const double wall_ms = now_ms() - t0;
+  const double wall_ms = wall.millis();
   if (eco_storm) {
     stop_storm.store(true);
     writer.join();
@@ -281,7 +275,7 @@ int run(bool smoke) {
               "batches", "qps", "p50_ms", "p99_ms", "writer_ecos");
 
   std::vector<ConfigResult> results;
-  bool consistent = true;
+  Gates consistency;
   for (const bool storm : {false, true}) {
     for (const int clients : {1, 2, 4}) {
       ConfigResult r =
@@ -290,13 +284,13 @@ int run(bool smoke) {
       std::printf("%8d %6s %10zu %10.0f %10.3f %10.3f %12zu\n", r.clients,
                   r.eco_storm ? "yes" : "no", r.batches, r.qps, r.p50_ms,
                   r.p99_ms, r.writer_resizes);
-      consistent = consistent && r.consistent;
+      consistency.check(r.consistent,
+                        "a reader failed or diverged from the baseline");
       // After a storm config the design must be pristine again.
       std::string check;
-      if (!run_ok(setup, plan.queries, &check) || check != baseline) {
-        std::printf("ERROR: post-config answers diverged from baseline\n");
-        consistent = false;
-      }
+      consistency.check(
+          run_ok(setup, plan.queries, &check) && check == baseline,
+          "post-config answers diverged from baseline");
       results.push_back(r);
     }
   }
@@ -304,48 +298,32 @@ int run(bool smoke) {
   server.request_stop();
   runner.join();
 
-  std::FILE* out = std::fopen("BENCH_server_throughput.json", "w");
-  if (out == nullptr) {
-    std::printf("ERROR: cannot open BENCH_server_throughput.json\n");
-    return 1;
+  std::vector<JsonObject> rows;
+  for (const ConfigResult& r : results) {
+    rows.emplace_back()
+        .add("clients", r.clients)
+        .add("eco_storm", r.eco_storm)
+        .add("batches", r.batches)
+        .add("queries", r.queries)
+        .add("qps", r.qps, 1)
+        .add("p50_ms", r.p50_ms, 4)
+        .add("p99_ms", r.p99_ms, 4)
+        .add("writer_resizes", r.writer_resizes);
   }
-  std::fprintf(out, "{\n");
-  std::fprintf(out, "  \"design\": {\"gates\": %zu, \"flops\": %zu},\n", gates,
-               flops);
-  std::fprintf(out, "  \"queries_per_batch\": %zu,\n", plan.queries.size());
-  std::fprintf(out, "  \"batches_per_client\": %zu,\n", batches_per_client);
-  std::fprintf(out, "  \"snapshot_isolated_and_consistent\": %s,\n",
-               consistent ? "true" : "false");
-  std::fprintf(out, "  \"throughput\": [\n");
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    const ConfigResult& r = results[i];
-    std::fprintf(out,
-                 "    {\"clients\": %d, \"eco_storm\": %s, \"batches\": %zu, "
-                 "\"queries\": %zu, \"qps\": %.1f, \"p50_ms\": %.4f, "
-                 "\"p99_ms\": %.4f, \"writer_resizes\": %zu}%s\n",
-                 r.clients, r.eco_storm ? "true" : "false", r.batches,
-                 r.queries, r.qps, r.p50_ms, r.p99_ms, r.writer_resizes,
-                 i + 1 < results.size() ? "," : "");
-  }
-  std::fprintf(out, "  ]\n}\n");
-  std::fclose(out);
-  std::printf("wrote BENCH_server_throughput.json\n");
-
-  if (!consistent) {
-    std::printf("ERROR: consistency gate failed — a reader saw a non-"
-                "baseline answer during the storm\n");
-    return 1;
-  }
-  return 0;
+  JsonObject design, doc;
+  design.add("gates", gates).add("flops", flops);
+  doc.add("design", design)
+      .add("queries_per_batch", plan.queries.size())
+      .add("batches_per_client", batches_per_client)
+      .add("snapshot_isolated_and_consistent", consistency.passed())
+      .add("throughput", rows);
+  if (!write_json("BENCH_server_throughput.json", doc)) return 1;
+  return consistency.exit_code();
 }
 
 }  // namespace
 }  // namespace mgba::bench
 
 int main(int argc, char** argv) {
-  bool smoke = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
-  }
-  return mgba::bench::run(smoke);
+  return mgba::bench::run(mgba::bench::smoke_flag(argc, argv));
 }

@@ -24,11 +24,9 @@
 ///
 /// Emits BENCH_snapshot_cow.json.
 
-#include <chrono>
+#include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -40,66 +38,24 @@
 namespace mgba::bench {
 namespace {
 
-double now_ms() {
-  return std::chrono::duration<double, std::milli>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
-std::optional<std::size_t> sizable_sibling(const Library& library,
-                                           const Design& design,
-                                           InstanceId inst) {
-  const LibCell& cell = design.cell_of(inst);
-  if (cell.kind == CellKind::FlipFlop) return std::nullopt;
-  for (std::size_t j = 0; j < library.num_cells(); ++j) {
-    const LibCell& c = library.cell(j);
-    if (c.footprint == cell.footprint && c.name != cell.name) return j;
-  }
-  return std::nullopt;
-}
-
 /// Deterministic non-clock resize storm against the pristine design; the
-/// plan depends only on (library, design, graph), identical across the
+/// plan depends only on the stack's design and graph, identical across the
 /// snapshot-count configurations, so every run replays the same ECOs.
 std::vector<std::pair<InstanceId, std::size_t>> plan_storm(
-    const Library& library, const Design& design, const Timer& timer,
-    std::size_t count, std::uint64_t seed) {
+    const BenchStack& stack, std::size_t count, std::uint64_t seed) {
+  const std::size_t instances = stack.generated.design.num_instances();
   std::vector<std::pair<InstanceId, std::size_t>> plan;
-  std::vector<std::uint8_t> used(design.num_instances(), 0);
+  std::vector<std::uint8_t> used(instances, 0);
   Rng rng(seed);
   while (plan.size() < count) {
-    const auto inst =
-        static_cast<InstanceId>(rng.uniform_index(design.num_instances()));
+    const auto inst = static_cast<InstanceId>(rng.uniform_index(instances));
     if (used[inst]) continue;
-    const auto sibling = sizable_sibling(library, design, inst);
+    const auto sibling = resize_sibling(stack, inst);
     if (!sibling.has_value()) continue;
-    if (design.instance(inst).cell == *sibling) continue;
-    const LibCell& cell = design.cell_of(inst);
-    const NodeId out = timer.graph().node_of_pin(
-        inst, static_cast<std::uint32_t>(cell.output_pin()));
-    if (out == kInvalidNode || timer.graph().node(out).is_clock_network) {
-      continue;
-    }
     used[inst] = 1;
     plan.emplace_back(inst, *sibling);
   }
   return plan;
-}
-
-std::unique_ptr<BenchStack> build_stack(std::size_t target_instances,
-                                        std::uint64_t seed,
-                                        double clock_ps) {
-  GeneratorOptions gen = scaled_design_options(target_instances, seed);
-  gen.name = "snapshot_cow";
-  auto stack = std::make_unique<BenchStack>(gen);
-  stack->constraints.clock_port = stack->generated.clock_port;
-  stack->constraints.clock_period_ps = clock_ps;
-  stack->timer =
-      std::make_unique<Timer>(stack->generated.design, stack->constraints);
-  stack->timer->set_instance_derates(
-      compute_gba_derates(stack->timer->graph(), stack->table));
-  stack->timer->update_timing();
-  return stack;
 }
 
 struct ForkResult {
@@ -114,31 +70,33 @@ struct ForkResult {
 /// bumps table refcounts; the copy walks every byte — the ratio is the
 /// O(chunks touched) vs O(arena) claim in one number.
 ForkResult run_fork(std::size_t target_instances, std::uint64_t seed) {
-  auto stack = build_stack(target_instances, seed, 4000.0);
+  auto stack =
+      make_stack(scaled_design_options(target_instances, seed), 4000.0);
   ForkResult r;
   r.instances = stack->design().num_instances();
   const Timer::MemoryStats m = stack->timer->memory_stats();
   r.arena_bytes = m.arena_bytes;
   r.chunks = m.cow_chunks;
 
-  const int reps = 16;
-  double best_fork = 1e30;
-  for (int i = 0; i < reps; ++i) {
-    const double t0 = now_ms();
-    const auto snap = stack->timer->snapshot();
-    best_fork = std::min(best_fork, (now_ms() - t0) * 1e3);
+  // Each timed window ends before its snapshot and copy are released.
+  BestOf fork;
+  for (int i = 0; i < 16; ++i) {
+    std::shared_ptr<const TimingSnapshot> snap;
+    fork.time([&] { snap = stack->timer->snapshot(); });
   }
-  r.fork_us = best_fork;
+  r.fork_us = 1e3 * fork.ms();
 
-  double best_copy = 1e30;
+  BestOf copy;
   for (int i = 0; i < 3; ++i) {
-    const double t0 = now_ms();
-    const auto snap = stack->timer->snapshot();
-    const std::vector<std::uint8_t> bytes = snap->data().dump_bytes();
-    best_copy = std::min(best_copy, (now_ms() - t0) * 1e3);
+    std::shared_ptr<const TimingSnapshot> snap;
+    std::vector<std::uint8_t> bytes;
+    copy.time([&] {
+      snap = stack->timer->snapshot();
+      bytes = snap->data().dump_bytes();
+    });
     if (bytes.size() != snap->data().bytes()) return r;  // keep bytes alive
   }
-  r.byte_copy_us = best_copy;
+  r.byte_copy_us = 1e3 * copy.ms();
 
   std::printf(
       "fork  %8zu insts  arena %7.1f MB  %6zu chunks  fork %8.1f us  "
@@ -164,9 +122,9 @@ struct StormResult {
 StormResult run_storm(std::size_t target_instances, std::uint64_t seed,
                       std::size_t live, std::size_t eco_size,
                       std::vector<double>& head_reference) {
-  auto stack = build_stack(target_instances, seed, 2500.0);
-  const auto plan = plan_storm(stack->library, stack->design(), *stack->timer,
-                               eco_size, 9001);
+  auto stack =
+      make_stack(scaled_design_options(target_instances, seed), 2500.0);
+  const auto plan = plan_storm(*stack, eco_size, 9001);
 
   std::vector<std::shared_ptr<const TimingSnapshot>> pinned;
   std::vector<std::vector<double>> pinned_sigs;
@@ -178,7 +136,7 @@ StormResult run_storm(std::size_t target_instances, std::uint64_t seed,
   StormResult r;
   r.live_snapshots = live;
   double checksum = 0.0;
-  const double t0 = now_ms();
+  const Stopwatch storm;
   for (const auto& [inst, cell] : plan) {
     stack->design().resize_instance(inst, cell);
     stack->timer->invalidate_instance(inst);
@@ -188,7 +146,7 @@ StormResult run_storm(std::size_t target_instances, std::uint64_t seed,
       checksum += stack->timer->tns(Mode::Late, c);
     }
   }
-  r.storm_ms = now_ms() - t0;
+  r.storm_ms = storm.millis();
   if (checksum == 1e300) return r;  // defeat dead-code elimination
 
   const Timer::MemoryStats m = stack->timer->memory_stats();
@@ -243,43 +201,32 @@ int run(bool smoke) {
     return identical ? 0 : 1;
   }
 
-  std::FILE* out = std::fopen("BENCH_snapshot_cow.json", "w");
-  if (out == nullptr) {
-    std::printf("ERROR: cannot open BENCH_snapshot_cow.json\n");
-    return 1;
+  std::vector<JsonObject> fork_rows, storm_rows;
+  for (const ForkResult& f : forks) {
+    fork_rows.emplace_back()
+        .add("instances", f.instances)
+        .add("arena_bytes", f.arena_bytes)
+        .add("chunks", f.chunks)
+        .add("fork_us", f.fork_us, 2)
+        .add("arena_byte_copy_us", f.byte_copy_us, 1)
+        .add("copy_over_fork", f.byte_copy_us / std::max(f.fork_us, 0.01), 1);
   }
-  std::fprintf(out, "{\n");
-  std::fprintf(out, "  \"bit_identical_all_configs\": %s,\n",
-               identical ? "true" : "false");
-  std::fprintf(out, "  \"fork_cost\": [\n");
-  for (std::size_t i = 0; i < forks.size(); ++i) {
-    const ForkResult& f = forks[i];
-    std::fprintf(out,
-                 "    {\"instances\": %zu, \"arena_bytes\": %zu, "
-                 "\"chunks\": %zu, \"fork_us\": %.2f, "
-                 "\"arena_byte_copy_us\": %.1f, \"copy_over_fork\": %.1f}%s\n",
-                 f.instances, f.arena_bytes, f.chunks, f.fork_us,
-                 f.byte_copy_us, f.byte_copy_us / std::max(f.fork_us, 0.01),
-                 i + 1 < forks.size() ? "," : "");
+  for (const StormResult& s : storms) {
+    storm_rows.emplace_back()
+        .add("live_snapshots", s.live_snapshots)
+        .add("storm_ms", s.storm_ms, 2)
+        .add("retained_bytes", s.retained_bytes)
+        .add("shared_chunks", s.shared_chunks)
+        .add("overhead_vs_none", s.storm_ms / storms[0].storm_ms, 3);
   }
-  std::fprintf(out, "  ],\n");
-  std::fprintf(out,
-               "  \"eco_storm\": {\"instances\": %zu, \"resizes\": %zu, "
-               "\"configs\": [\n",
-               storm_instances, eco_size);
-  for (std::size_t i = 0; i < storms.size(); ++i) {
-    const StormResult& s = storms[i];
-    std::fprintf(out,
-                 "    {\"live_snapshots\": %zu, \"storm_ms\": %.2f, "
-                 "\"retained_bytes\": %zu, \"shared_chunks\": %zu, "
-                 "\"overhead_vs_none\": %.3f}%s\n",
-                 s.live_snapshots, s.storm_ms, s.retained_bytes,
-                 s.shared_chunks, s.storm_ms / storms[0].storm_ms,
-                 i + 1 < storms.size() ? "," : "");
-  }
-  std::fprintf(out, "  ]}\n}\n");
-  std::fclose(out);
-  std::printf("wrote BENCH_snapshot_cow.json\n");
+  JsonObject storm, doc;
+  storm.add("instances", storm_instances)
+      .add("resizes", eco_size)
+      .add("configs", storm_rows);
+  doc.add("bit_identical_all_configs", identical)
+      .add("fork_cost", fork_rows)
+      .add("eco_storm", storm);
+  if (!write_json("BENCH_snapshot_cow.json", doc)) return 1;
   return identical ? 0 : 1;
 }
 
@@ -287,6 +234,5 @@ int run(bool smoke) {
 }  // namespace mgba::bench
 
 int main(int argc, char** argv) {
-  const bool smoke = argc > 1 && std::strcmp(argv[1], "--smoke") == 0;
-  return mgba::bench::run(smoke);
+  return mgba::bench::run(mgba::bench::smoke_flag(argc, argv));
 }

@@ -13,11 +13,7 @@
 /// version on a tiny design and exits nonzero if sparse and dense solves
 /// (or 1- vs 4-thread sparse solves) diverge — wired into ctest.
 
-#include <algorithm>
-#include <chrono>
 #include <cstdio>
-#include <cstring>
-#include <optional>
 #include <thread>
 #include <vector>
 
@@ -34,25 +30,6 @@
 namespace mgba::bench {
 namespace {
 
-double now_ms() {
-  return std::chrono::duration<double, std::milli>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
-/// A same-footprint sibling cell, or nullopt (flip-flops excluded).
-std::optional<std::size_t> sizable_sibling(const Library& library,
-                                           const Design& design,
-                                           InstanceId inst) {
-  const LibCell& cell = design.cell_of(inst);
-  if (cell.kind == CellKind::FlipFlop) return std::nullopt;
-  for (std::size_t j = 0; j < library.num_cells(); ++j) {
-    const LibCell& c = library.cell(j);
-    if (c.footprint == cell.footprint && c.name != cell.name) return j;
-  }
-  return std::nullopt;
-}
-
 /// Resizes \p count deterministic gates (value-only ECO; the timer's ECO
 /// log stays clean).
 void apply_small_eco(BenchStack& stack, std::size_t count,
@@ -62,36 +39,12 @@ void apply_small_eco(BenchStack& stack, std::size_t count,
   while (applied < count) {
     const auto inst = static_cast<InstanceId>(
         rng.uniform_index(stack.design().num_instances()));
-    const auto sibling = sizable_sibling(stack.library, stack.design(), inst);
+    const auto sibling = resize_sibling(stack, inst);
     if (!sibling.has_value()) continue;
-    if (stack.design().instance(inst).cell == *sibling) continue;
-    // Clock-tree buffers are out of scope for a value-only ECO: resizing
-    // one escalates to a clock-network invalidation and poisons the ECO
-    // log (forcing a cold rebuild), same exclusion the optimizer applies.
-    const LibCell& cell = stack.design().cell_of(inst);
-    const NodeId out = stack.timer->graph().node_of_pin(
-        inst, static_cast<std::uint32_t>(cell.output_pin()));
-    if (out == kInvalidNode ||
-        stack.timer->graph().node(out).is_clock_network) {
-      continue;
-    }
     stack.design().resize_instance(inst, *sibling);
     stack.timer->invalidate_instance(inst);
     ++applied;
   }
-}
-
-GeneratorOptions large_options() {
-  GeneratorOptions gen;
-  gen.name = "solver_fastpath";
-  gen.seed = 97;
-  gen.num_gates = 46'000;
-  gen.num_flops = 4'000;
-  gen.num_inputs = 64;
-  gen.num_outputs = 64;
-  gen.target_depth = 64;
-  gen.num_blocks = 8;
-  return gen;
 }
 
 GeneratorOptions smoke_options() {
@@ -107,19 +60,6 @@ GeneratorOptions smoke_options() {
   return gen;
 }
 
-std::unique_ptr<BenchStack> build_stack(const GeneratorOptions& gen,
-                                        double clock_period_ps) {
-  auto stack = std::make_unique<BenchStack>(gen);
-  stack->constraints.clock_port = stack->generated.clock_port;
-  stack->constraints.clock_period_ps = clock_period_ps;
-  stack->timer =
-      std::make_unique<Timer>(stack->generated.design, stack->constraints);
-  stack->timer->set_instance_derates(
-      compute_gba_derates(stack->timer->graph(), stack->table));
-  stack->timer->update_timing();
-  return stack;
-}
-
 struct KernelTimes {
   std::size_t threads = 1;
   double dense_ms = 0.0;
@@ -127,8 +67,9 @@ struct KernelTimes {
 };
 
 int run(bool smoke) {
-  const GeneratorOptions gen = smoke ? smoke_options() : large_options();
-  auto stack = build_stack(gen, smoke ? 1800.0 : 3200.0);
+  const GeneratorOptions gen =
+      smoke ? smoke_options() : scaling_design_options("solver_fastpath");
+  auto stack = make_stack(gen, smoke ? 1800.0 : 3200.0);
   const std::size_t instances = stack->design().num_instances();
   std::printf("design %s: %zu instances, clock %.0f ps\n", gen.name.c_str(),
               instances, stack->constraints.clock_period_ps);
@@ -165,15 +106,12 @@ int run(bool smoke) {
 
     double final_objective = 0.0;
     std::size_t iterations = 0;
+    BestOf dense_time, sparse_time;
     for (int rep = 0; rep < repeats; ++rep) {
-      double t0 = now_ms();
-      const SolveResult dense = solve_scg_dense_reference(problem, {}, solver);
-      const double dense_ms = now_ms() - t0;
-      t0 = now_ms();
-      const SolveResult sparse = solve_scg(problem, {}, solver);
-      const double sparse_ms = now_ms() - t0;
-      t.dense_ms = rep == 0 ? dense_ms : std::min(t.dense_ms, dense_ms);
-      t.sparse_ms = rep == 0 ? sparse_ms : std::min(t.sparse_ms, sparse_ms);
+      SolveResult dense, sparse;
+      dense_time.time(
+          [&] { dense = solve_scg_dense_reference(problem, {}, solver); });
+      sparse_time.time([&] { sparse = solve_scg(problem, {}, solver); });
       final_objective = sparse.final_objective;
       iterations = sparse.iterations;
 
@@ -185,6 +123,8 @@ int run(bool smoke) {
                     threads);
       }
     }
+    t.dense_ms = dense_time.ms();
+    t.sparse_ms = sparse_time.ms();
     std::printf(
         "threads=%zu  dense %8.1f ms  sparse %8.1f ms  speedup %5.2fx  "
         "(obj %.6e, %zu iters)\n",
@@ -203,7 +143,7 @@ int run(bool smoke) {
   GeneratorOptions refit_gen = gen;
   refit_gen.name += "_refit";
   if (!smoke) refit_gen.num_blocks = 64;
-  auto refit_stack = build_stack(refit_gen, smoke ? 1800.0 : 3200.0);
+  auto refit_stack = make_stack(refit_gen, smoke ? 1800.0 : 3200.0);
 
   MgbaFlowOptions flow;
   flow.paths_per_endpoint = 4;
@@ -212,22 +152,22 @@ int run(bool smoke) {
   flow.solver_options = solver;
 
   MgbaRefitSession session(*refit_stack->timer, refit_stack->table, flow);
-  double t0 = now_ms();
+  Stopwatch watch;
   session.fit();
-  const double cold_fit_ms = now_ms() - t0;
+  const double cold_fit_ms = watch.millis();
 
   // A small ECO on the fitted design (5 of ~50k instances ≈ 0.01%).
   const std::size_t eco_size = smoke ? 2 : 5;
   apply_small_eco(*refit_stack, eco_size, 1234);
-  t0 = now_ms();
+  watch.reset();
   session.refit();
-  const double warm_refit_ms = now_ms() - t0;
+  const double warm_refit_ms = watch.millis();
   const RefitStats stats = session.stats();
 
   // Reference: a from-scratch fit of the same post-ECO design state.
-  t0 = now_ms();
+  watch.reset();
   run_mgba_flow(*refit_stack->timer, refit_stack->table, flow);
-  const double cold_refit_ms = now_ms() - t0;
+  const double cold_refit_ms = watch.millis();
 
   std::printf(
       "refit: cold fit %.1f ms, warm refit %.1f ms (%.2fx vs cold rebuild "
@@ -246,46 +186,34 @@ int run(bool smoke) {
     return identical ? 0 : 1;
   }
 
-  std::FILE* out = std::fopen("BENCH_solver_fastpath.json", "w");
-  if (out == nullptr) {
-    std::printf("ERROR: cannot open BENCH_solver_fastpath.json\n");
-    return 1;
+  std::vector<JsonObject> rows;
+  for (const KernelTimes& t : kernel) {
+    rows.emplace_back()
+        .add("threads", t.threads)
+        .add("dense_scg_ms", t.dense_ms, 2)
+        .add("sparse_scg_ms", t.sparse_ms, 2)
+        .add("sparse_speedup", t.dense_ms / t.sparse_ms, 3);
   }
-  std::fprintf(out, "{\n");
-  std::fprintf(out,
-               "  \"design\": {\"name\": \"%s\", \"instances\": %zu, "
-               "\"rows\": %zu, \"cols\": %zu},\n",
-               gen.name.c_str(), instances, problem.num_rows(),
-               problem.num_cols());
-  std::fprintf(out, "  \"host_hardware_concurrency\": %u,\n",
-               std::thread::hardware_concurrency());
-  std::fprintf(out, "  \"bit_identical_dense_sparse_all_threads\": %s,\n",
-               identical ? "true" : "false");
-  std::fprintf(out, "  \"solver_kernels\": [\n");
-  for (std::size_t i = 0; i < kernel.size(); ++i) {
-    const KernelTimes& t = kernel[i];
-    std::fprintf(out,
-                 "    {\"threads\": %zu, \"dense_scg_ms\": %.2f, "
-                 "\"sparse_scg_ms\": %.2f, \"sparse_speedup\": %.3f}%s\n",
-                 t.threads, t.dense_ms, t.sparse_ms, t.dense_ms / t.sparse_ms,
-                 i + 1 < kernel.size() ? "," : "");
-  }
-  std::fprintf(out, "  ],\n");
-  std::fprintf(out, "  \"refit\": {\n");
-  std::fprintf(out, "    \"design_blocks\": %zu,\n", refit_gen.num_blocks);
-  std::fprintf(out, "    \"eco_instances\": %zu,\n", stats.eco_instances);
-  std::fprintf(out, "    \"cold_fit_ms\": %.2f,\n", cold_fit_ms);
-  std::fprintf(out, "    \"warm_refit_ms\": %.2f,\n", warm_refit_ms);
-  std::fprintf(out, "    \"cold_rebuild_ms\": %.2f,\n", cold_refit_ms);
-  std::fprintf(out, "    \"refit_speedup\": %.3f,\n",
-               cold_refit_ms / warm_refit_ms);
-  std::fprintf(out, "    \"rows_total\": %zu,\n", stats.rows_total);
-  std::fprintf(out, "    \"rows_reevaluated\": %zu,\n",
-               stats.rows_reevaluated);
-  std::fprintf(out, "    \"cone_nodes\": %zu\n", stats.cone_nodes);
-  std::fprintf(out, "  }\n}\n");
-  std::fclose(out);
-  std::printf("wrote BENCH_solver_fastpath.json\n");
+  JsonObject design, refit, doc;
+  design.add("name", gen.name)
+      .add("instances", instances)
+      .add("rows", problem.num_rows())
+      .add("cols", problem.num_cols());
+  refit.add("design_blocks", refit_gen.num_blocks)
+      .add("eco_instances", stats.eco_instances)
+      .add("cold_fit_ms", cold_fit_ms, 2)
+      .add("warm_refit_ms", warm_refit_ms, 2)
+      .add("cold_rebuild_ms", cold_refit_ms, 2)
+      .add("refit_speedup", cold_refit_ms / warm_refit_ms, 3)
+      .add("rows_total", stats.rows_total)
+      .add("rows_reevaluated", stats.rows_reevaluated)
+      .add("cone_nodes", stats.cone_nodes);
+  doc.add("design", design)
+      .add("host_hardware_concurrency", std::thread::hardware_concurrency())
+      .add("bit_identical_dense_sparse_all_threads", identical)
+      .add("solver_kernels", rows)
+      .add("refit", refit);
+  if (!write_json("BENCH_solver_fastpath.json", doc)) return 1;
   return identical ? 0 : 1;
 }
 
@@ -293,6 +221,5 @@ int run(bool smoke) {
 }  // namespace mgba::bench
 
 int main(int argc, char** argv) {
-  const bool smoke = argc > 1 && std::strcmp(argv[1], "--smoke") == 0;
-  return mgba::bench::run(smoke);
+  return mgba::bench::run(mgba::bench::smoke_flag(argc, argv));
 }

@@ -11,7 +11,7 @@
 #            designs; the same designs their ctest smoke entries use) so
 #            the whole sweep finishes quickly. Full mode reproduces the
 #            headline numbers and is the mode used for committed
-#            artifacts.
+#            artifacts. bench_paper has one mode, at MGBA_THREADS=1.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -20,14 +20,14 @@ if [ "${1:-}" = "--smoke" ]; then SMOKE_FLAG="--smoke"; fi
 
 cmake -B build -S . >/dev/null
 cmake --build build -j --target \
-    bench_parallel_scaling bench_mcmm bench_ablation_incremental \
+    bench_paper bench_parallel_scaling bench_mcmm \
     bench_solver_fastpath bench_snapshot_cow \
     bench_server_throughput bench_pba_fastpath >/dev/null
 
 # Benches without a --smoke mode are already seconds-scale.
+MGBA_THREADS=1 ./build/bench/bench_paper
 ./build/bench/bench_parallel_scaling
 ./build/bench/bench_mcmm
-./build/bench/bench_ablation_incremental
 ./build/bench/bench_solver_fastpath $SMOKE_FLAG
 ./build/bench/bench_snapshot_cow $SMOKE_FLAG
 ./build/bench/bench_server_throughput $SMOKE_FLAG

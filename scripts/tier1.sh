@@ -1,12 +1,14 @@
 #!/usr/bin/env bash
 # Tier-1 verification (see ROADMAP.md), one line per pass:
-#   1. standard build + the full ctest suite (with it the CLI smokes at 1 and 4
-#      threads: the one-corner --corners regression of mgba_timer fit/optimize/report,
-#      and the CLI-session checks that the subcommands read an SDC, derates and
-#      corners as the shell does, fit a false path to a finite MSE, derive the period
-#      from --utilization under an SDC without create_clock, exit 3 on an unwritable
-#      --out before the closure without truncating an existing one, and 2 on an
-#      unknown --solver or a --period that is not a finite number);
+#   1. standard build + the full ctest suite (with it bench_paper's gates: a Table 3
+#      mGBA pass ratio >= 0.95 on average and >= GBA's per design, finite Eq. (5)
+#      shortfalls, Table 2 area and leakage savings >= 0 on average; and the CLI
+#      smokes at 1 and 4 threads: the one-corner --corners regression of mgba_timer
+#      fit/optimize/report, and the CLI-session checks that the subcommands read an
+#      SDC, derates and corners as the shell does, fit a false path to a finite MSE,
+#      derive the period from --utilization under an SDC without create_clock, exit 3
+#      on an unwritable --out before the closure without truncating an existing one,
+#      and 2 on an unknown --solver or a --period that is not a finite number);
 #   2. TSan, 4 threads: the suites whose pool workers or reader threads share state,
 #      the MCMM suites, whose sweeps run corners x nodes on the pool, and the
 #      optimizer, whose rejected upsizes re-propagate on the parallel frontier;
@@ -60,4 +62,4 @@ for threads in 1 4; do
 done
 
 bash bench/e2e/run.sh --smoke
-echo "tier-1 OK (ctest + TSan parallel/MCMM/incremental/server/path-engine/optimizer suites + ASan+UBSan with assertions: check/MCMM/shell/incremental/kernel/path-engine/timing-graph/timer/depth-analysis/aocv/optimizer/mGBA-framework/QoR/PBA-evaluator suites + shell and server smokes + e2e smoke gates)"
+echo "tier-1 OK (ctest with the paper gates + TSan parallel/MCMM/incremental/server/path-engine/optimizer suites + ASan+UBSan with assertions: check/MCMM/shell/incremental/kernel/path-engine/timing-graph/timer/depth-analysis/aocv/optimizer/mGBA-framework/QoR/PBA-evaluator suites + shell and server smokes + e2e smoke gates)"

@@ -72,10 +72,16 @@ void apply_corner_setups(Timer& timer, std::span<const CornerSetup> setups,
   corners.reserve(setups.size());
   for (const CornerSetup& s : setups) corners.push_back(s.corner);
   timer.set_corners(std::move(corners));
+  install_corner_derates(timer, setups, options);
+}
+
+void install_corner_derates(Timer& timer, std::span<const CornerSetup> setups,
+                            const AocvOptions& options) {
+  MGBA_CHECK(setups.size() == timer.num_corners());
+  const DepthAnalysis analysis(timer.graph());
   for (std::size_t c = 0; c < setups.size(); ++c) {
-    timer.set_corner_derates(
-        static_cast<CornerId>(c),
-        compute_gba_derates(timer.graph(), setups[c].table, options));
+    timer.set_corner_derates(static_cast<CornerId>(c),
+                             gba_derates(analysis, setups[c].table, options));
   }
 }
 

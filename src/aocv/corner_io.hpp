@@ -49,10 +49,16 @@ std::vector<CornerSetup> corners_from_string(const std::string& text,
                                              const DerateTable& base);
 
 /// Installs the corner set on a timer: set_corners with the AnalysisCorner
-/// list, then per-corner GBA derates computed from each corner's own table
-/// (Timer::set_corner_derates). Leaves the timer dirty; call
+/// list, then install_corner_derates. Leaves the timer dirty; call
 /// update_timing() when ready.
 void apply_corner_setups(Timer& timer, std::span<const CornerSetup> setups,
                          const AocvOptions& options = {});
+
+/// Installs every corner's GBA derates (Timer::set_corner_derates), each
+/// from its own table, off one depth analysis of the timer's current graph:
+/// depths and distances do not depend on the table. Bit-identical to
+/// compute_gba_derates per corner. Leaves the timer dirty.
+void install_corner_derates(Timer& timer, std::span<const CornerSetup> setups,
+                            const AocvOptions& options = {});
 
 }  // namespace mgba

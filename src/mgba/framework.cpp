@@ -181,26 +181,7 @@ MgbaFlowResult MgbaRefitSession::fit() {
                                            &scratch_);
       break;
   }
-  result.solve_seconds = solved.seconds;
-  result.solver_iterations = solved.iterations;
-
-  // Quality on the full candidate set.
-  const std::vector<double> x0(problem_->num_cols(), 0.0);
-  result.mse_before = modeling_mse(*problem_, x0);
-  result.mse_after = modeling_mse(*problem_, solved.x);
-  result.pass_ratio_before = pass_ratio(*problem_, x0).ratio();
-  result.pass_ratio_after = pass_ratio(*problem_, solved.x).ratio();
-
-  // Apply the weighting factors to the timing graph (Fig. 5: "update
-  // timing graph").
-  result.instance_weights = problem_->to_instance_weights(solved.x);
-  if (hold) {
-    timer.set_instance_weights_early(corner, result.instance_weights);
-  } else {
-    timer.set_instance_weights(corner, result.instance_weights);
-  }
-  timer.update_timing();
-  x_ = std::move(solved.x);
+  install_solution(std::move(solved), result);
   has_fit_ = true;
 
   result.total_seconds = total_watch.seconds();
@@ -254,6 +235,32 @@ std::size_t MgbaRefitSession::collect_stale_rows(
   return cone_.size();
 }
 
+void MgbaRefitSession::install_solution(SolveResult solved,
+                                        MgbaFlowResult& result) {
+  result.solve_seconds = solved.seconds;
+  result.solver_iterations = solved.iterations;
+
+  // Quality on the full candidate set.
+  const std::vector<double> x0(problem_->num_cols(), 0.0);
+  result.mse_before = modeling_mse(*problem_, x0);
+  result.mse_after = modeling_mse(*problem_, solved.x);
+  result.pass_ratio_before = pass_ratio(*problem_, x0).ratio();
+  result.pass_ratio_after = pass_ratio(*problem_, solved.x).ratio();
+  result.max_optimism_violation = max_optimism_violation(*problem_, solved.x);
+
+  // Apply the weighting factors to the timing graph (Fig. 5: "update
+  // timing graph").
+  result.instance_weights = problem_->to_instance_weights(solved.x);
+  const CornerId corner = options_.corner;
+  if (options_.check_kind == CheckKind::Hold) {
+    timer_->set_instance_weights_early(corner, result.instance_weights);
+  } else {
+    timer_->set_instance_weights(corner, result.instance_weights);
+  }
+  timer_->update_timing();
+  x_ = std::move(solved.x);
+}
+
 MgbaFlowResult MgbaRefitSession::refit() {
   Timer& timer = *timer_;
   if (!has_fit_ || timer.eco_poisoned_since(mark_)) {
@@ -261,8 +268,8 @@ MgbaFlowResult MgbaRefitSession::refit() {
     return fit();
   }
   const Stopwatch total_watch;
-  const bool hold = options_.check_kind == CheckKind::Hold;
-  const Mode mode = hold ? Mode::Early : Mode::Late;
+  const Mode mode =
+      options_.check_kind == CheckKind::Hold ? Mode::Early : Mode::Late;
   const CornerId corner = options_.corner;
 
   // Bring GBA up to date incrementally — with the previous fit's weights
@@ -332,26 +339,8 @@ MgbaFlowResult MgbaRefitSession::refit() {
   warm_options.max_iterations =
       std::min(warm_options.max_iterations,
                options_.sampling_options.inner_iterations);
-  SolveResult solved =
-      solve_scg(*problem_, rows_, warm_options, x_, &scratch_);
-  result.solve_seconds = solved.seconds;
-  result.solver_iterations = solved.iterations;
-
-  const std::vector<double> x0(problem_->num_cols(), 0.0);
-  result.mse_before = modeling_mse(*problem_, x0);
-  result.mse_after = modeling_mse(*problem_, solved.x);
-  result.pass_ratio_before = pass_ratio(*problem_, x0).ratio();
-  result.pass_ratio_after = pass_ratio(*problem_, solved.x).ratio();
-
-  result.instance_weights = problem_->to_instance_weights(solved.x);
-  if (hold) {
-    timer.set_instance_weights_early(corner, result.instance_weights);
-  } else {
-    timer.set_instance_weights(corner, result.instance_weights);
-  }
-  timer.update_timing();
-
-  x_ = std::move(solved.x);
+  install_solution(solve_scg(*problem_, rows_, warm_options, x_, &scratch_),
+                   result);
 
   result.total_seconds = total_watch.seconds();
   MGBA_LOG_INFO(

@@ -75,6 +75,9 @@ struct MgbaFlowResult {
   double mse_after = 0.0;
   double pass_ratio_before = 1.0;
   double pass_ratio_after = 1.0;
+  /// Eq. (5) shortfall of x* over the candidate set, in ps
+  /// (max_optimism_violation): <= 0 when no row is optimistic past eps.
+  double max_optimism_violation = 0.0;
 
   // Solver accounting.
   double solve_seconds = 0.0;
@@ -182,6 +185,11 @@ class MgbaRefitSession {
   /// Fills stale_rows_, in row order, with the rows whose endpoint lies in
   /// the forward cone of \p touched. Returns the cone size.
   std::size_t collect_stale_rows(std::span<const InstanceId> touched);
+  /// The tail fit() and refit() share: records \p solved's accounting and
+  /// quality on the full candidate set (mse, pass ratio, Eq. (5) shortfall)
+  /// into \p result, installs its weights on the fitted side and corner,
+  /// and keeps x* as the next refit's warm start.
+  void install_solution(SolveResult solved, MgbaFlowResult& result);
 
   Timer* timer_;
   const DerateTable* table_;

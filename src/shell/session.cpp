@@ -69,7 +69,7 @@ std::string ShellSession::load_derates(const std::string& path) {
   table_ = read_derate_table(in);
   setups_ = default_corner_setups(table_);
   if (loaded()) {
-    refresh_derates();
+    install_corner_derates(*timer_, setups_);
     timer_->update_timing();
   }
   return "";
@@ -154,7 +154,7 @@ std::string ShellSession::load(const LoadRequest& request) {
   }
 
   timer_ = std::make_unique<Timer>(*design_, constraints_);
-  refresh_derates();
+  install_corner_derates(*timer_, setups_);
   timer_->update_timing();
   return "";
 }
@@ -173,14 +173,6 @@ std::string ShellSession::load_corners(const std::string& path) {
   apply_corner_setups(*timer_, setups_);
   timer_->update_timing();
   return "";
-}
-
-void ShellSession::refresh_derates() {
-  for (std::size_t c = 0; c < setups_.size(); ++c) {
-    timer_->set_corner_derates(
-        static_cast<CornerId>(c),
-        compute_gba_derates(timer_->graph(), setups_[c].table));
-  }
 }
 
 std::string ShellSession::sink_spec(const Terminal& t) const {
@@ -295,7 +287,7 @@ std::string ShellSession::insert_buffer(const std::string& net_name,
   // One interactive buffer needs no persistent depth state: the graph is
   // patched, the derates are re-derived from scratch.
   timer_->buffer_inserted(buffer);
-  refresh_derates();
+  install_corner_derates(*timer_, setups_);
   timer_->update_timing();
   return "";
 }
@@ -476,7 +468,7 @@ std::string ShellSession::undo_eco() {
   if (weights_touched) restore_weights(snapshot);
   if (structural) {
     timer_->rebuild_graph();
-    refresh_derates();
+    install_corner_derates(*timer_, setups_);
   } else {
     for (const InstanceId inst : resized) timer_->invalidate_instance(inst);
   }
@@ -590,7 +582,7 @@ std::string ShellSession::replay_eco(const std::string& path,
         journal_.end();
         committed_snapshots_.push_back(std::move(snapshot));
         timer_->rebuild_graph();
-        refresh_derates();
+        install_corner_derates(*timer_, setups_);
         timer_->update_timing();
         return "replay stopped: " + err;
       }
@@ -601,7 +593,7 @@ std::string ShellSession::replay_eco(const std::string& path,
     committed_snapshots_.push_back(std::move(snapshot));
     if (structural) {
       timer_->rebuild_graph();
-      refresh_derates();
+      install_corner_derates(*timer_, setups_);
     } else {
       for (const InstanceId inst : resized) {
         timer_->invalidate_instance(inst);

@@ -184,9 +184,6 @@ class ShellSession : public TransformListener {
 
   [[nodiscard]] WeightSnapshot snapshot_weights() const;
   void restore_weights(const WeightSnapshot& snapshot);
-  /// Per-corner GBA derates from each corner's own table (the refresh the
-  /// optimizer performs after structural edits).
-  void refresh_derates();
   /// Resolves "inst/PIN" or a port name to a sink terminal of \p net.
   std::string resolve_sink(NetId net, const std::string& spec,
                            Terminal& out) const;

@@ -29,7 +29,8 @@ struct TimingConstraints {
   double input_delay_ps = 0.0;
   /// Transition assumed at input ports and the clock source.
   double input_slew_ps = 20.0;
-  /// External delay budget at output ports: required = period - this.
+  /// External delay budget at output ports: required = period - this -
+  /// uncertainty.
   double output_delay_ps = 0.0;
 
   /// Per-port overrides of input_delay_ps / output_delay_ps, keyed by port
@@ -84,14 +85,15 @@ inline double check_required(Mode mode, const TimingConstraints& constraints,
 }
 
 /// Setup required time at an output port with external delay
-/// \p output_delay_ps. Output ports carry no hold requirement (-inf).
+/// \p output_delay_ps, less the uncertainty as check_required's setup
+/// branch takes it. Output ports carry no hold requirement (-inf).
 inline double output_required(const TimingConstraints& constraints,
                               const EndpointException& exception,
                               double output_delay_ps) {
   if (exception.false_path) return kInfPs;
   return constraints.clock_period_ps *
              static_cast<double>(exception.multicycle) -
-         output_delay_ps;
+         output_delay_ps - constraints.clock_uncertainty_ps;
 }
 
 }  // namespace mgba

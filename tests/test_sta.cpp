@@ -149,7 +149,9 @@ TEST(TimingGraph, LayoutKeepsBuildOrder) {
       const auto fanout = graph.fanout(u);
       for (std::size_t i = 0; i < fanout.size(); ++i) {
         ASSERT_EQ(graph.arc(fanout[i]).from, u);
-        if (i > 0) ASSERT_LT(fanout[i - 1], fanout[i]);
+        if (i > 0) {
+          ASSERT_LT(fanout[i - 1], fanout[i]);
+        }
       }
     }
   }
