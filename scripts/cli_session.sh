@@ -15,7 +15,11 @@
 #   6. an SDC without create_clock leaves the period to --utilization, as
 #      no SDC does;
 #   7. a numeric option that is not a finite number (`--period 15OO`,
-#      `--period nan`) exits 2.
+#      `--period nan`) exits 2;
+#   8. a malformed input file exits 3, not 134, with "<file>:<line>:" on
+#      stderr: the first 4 KB of a netlist, an SDC whose create_clock
+#      -period is `abc`, `15OO` or `nan`, and the corner line
+#      `corner slow delay`.
 #
 # Usage: cli_session.sh <mgba_timer> [threads]
 set -euo pipefail
@@ -155,4 +159,25 @@ for period in 15OO nan; do
     exit 1
   fi
 done
+# 8. A malformed file is an unreadable file, located by its line.
+bad_input() {
+  local file=$1
+  shift
+  local status=0
+  run stats --netlist "$@" > /dev/null 2> err.txt || status=$?
+  if [[ $status != 3 ]] || ! grep -q "^$file:[0-9]*: " err.txt; then
+    echo "stats with a malformed $file exits $status, not 3 with" \
+      "'$file:<line>:' on stderr:" >&2
+    cat err.txt >&2
+    exit 1
+  fi
+}
+head -c 4096 d1.net > cut.net
+bad_input cut.net cut.net --period 1500
+for period in abc 15OO nan; do
+  printf 'create_clock -period %s [get_ports CLK]\n' "$period" > bad.sdc
+  bad_input bad.sdc d1.net --sdc bad.sdc
+done
+printf 'corner slow delay\n' > bad.corners
+bad_input bad.corners d1.net --period 1500 --corners bad.corners
 echo "CLI session OK (threads=$threads)"

@@ -1,11 +1,10 @@
 #include "aocv/corner_io.hpp"
 
-#include <cstdlib>
 #include <istream>
 #include <sstream>
 
 #include "util/check.hpp"
-#include "util/strings.hpp"
+#include "util/input.hpp"
 
 namespace mgba {
 
@@ -16,53 +15,50 @@ std::vector<CornerSetup> default_corner_setups(const DerateTable& base) {
 }
 
 std::vector<CornerSetup> read_corners(std::istream& in,
-                                      const DerateTable& base) {
+                                      const DerateTable& base,
+                                      const std::string& source) {
   std::vector<CornerSetup> setups;
-  std::string line;
-  while (std::getline(in, line)) {
-    const std::string_view text = trim(line);
-    if (text.empty() || text.front() == '#') continue;
-    const auto tokens = split(text);
-    MGBA_CHECK(tokens[0] == "corner" && "corner spec lines start with 'corner'");
-    MGBA_CHECK(tokens.size() >= 2 && "corner line missing a name");
+  LineReader r(in, source);
+  while (r.next()) {
+    r.expect(r[0] == "corner", "corner spec lines start with 'corner'");
+    r.expect(r.size() >= 2, "corner line missing a name");
+    r.expect(r.size() % 2 == 0, "corner options come in key/value pairs");
 
     AnalysisCorner corner;
-    corner.name = std::string(tokens[1]);
+    corner.name = r[1];
     double margin = 1.0;
-    MGBA_CHECK(tokens.size() % 2 == 0 && "corner options come in key/value pairs");
-    for (std::size_t i = 2; i < tokens.size(); i += 2) {
-      const std::string_view key = tokens[i];
-      const std::string value_str(tokens[i + 1]);
-      char* end = nullptr;
-      const double value = std::strtod(value_str.c_str(), &end);
-      MGBA_CHECK(end != value_str.c_str() && *end == '\0' &&
-                 "corner option value is not a number");
+    for (std::size_t i = 2; i < r.size(); i += 2) {
+      const std::string& key = r[i];
+      const double value = r.number(i + 1);
+      if (key == "derate_margin") {
+        r.expect(value >= 0.0, "derate_margin must be >= 0");
+        margin = value;
+        continue;
+      }
+      r.expect(value > 0.0, "a corner scale factor must be > 0");
       if (key == "delay") {
         corner.scaling.delay = value;
       } else if (key == "slew") {
         corner.scaling.slew = value;
       } else if (key == "constraint") {
         corner.scaling.constraint = value;
-      } else if (key == "derate_margin") {
-        margin = value;
       } else {
-        MGBA_CHECK(false && "unknown corner option");
+        r.fail("unknown corner option '" + key + "'");
       }
     }
     for (const CornerSetup& existing : setups) {
-      MGBA_CHECK(existing.corner.name != corner.name &&
-                 "duplicate corner name");
+      r.expect(existing.corner.name != corner.name, "duplicate corner name");
     }
     setups.push_back({std::move(corner), base.scaled_margin(margin)});
   }
-  MGBA_CHECK(!setups.empty() && "corner spec declares no corners");
+  r.expect(!setups.empty(), "corner spec declares no corners");
   return setups;
 }
 
 std::vector<CornerSetup> corners_from_string(const std::string& text,
                                              const DerateTable& base) {
   std::istringstream in(text);
-  return read_corners(in, base);
+  return read_corners(in, base, "<corner spec>");
 }
 
 void apply_corner_setups(Timer& timer, std::span<const CornerSetup> setups,

@@ -41,10 +41,12 @@ struct CornerSetup {
 std::vector<CornerSetup> default_corner_setups(const DerateTable& base);
 
 /// Parses the corner spec format above; every corner's table is derived
-/// from \p base via its derate_margin. Aborts with a message on malformed
-/// input or duplicate corner names.
+/// from \p base via its derate_margin. Malformed input, a scale factor
+/// that is not positive, a negative margin or a duplicate corner name
+/// throws InputError naming "<source>:<line>".
 std::vector<CornerSetup> read_corners(std::istream& in,
-                                      const DerateTable& base);
+                                      const DerateTable& base,
+                                      const std::string& source);
 std::vector<CornerSetup> corners_from_string(const std::string& text,
                                              const DerateTable& base);
 

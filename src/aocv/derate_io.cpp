@@ -6,8 +6,7 @@
 #include <sstream>
 #include <vector>
 
-#include "util/check.hpp"
-#include "util/strings.hpp"
+#include "util/input.hpp"
 
 namespace mgba {
 
@@ -41,70 +40,61 @@ std::string derate_table_to_string(const DerateTable& table) {
   return out.str();
 }
 
-namespace {
-
-/// Parses a distance token: plain number = um, trailing "nm" = nanometres,
-/// trailing "um" = micrometres.
-double parse_distance(std::string_view token) {
-  double scale = 1.0;
-  if (token.size() > 2 && token.substr(token.size() - 2) == "nm") {
-    scale = 1e-3;
-    token = token.substr(0, token.size() - 2);
-  } else if (token.size() > 2 && token.substr(token.size() - 2) == "um") {
-    token = token.substr(0, token.size() - 2);
-  }
-  return std::stod(std::string(token)) * scale;
-}
-
-}  // namespace
-
-DerateTable read_derate_table(std::istream& in) {
+DerateTable read_derate_table(std::istream& in, const std::string& source) {
   std::vector<double> depths;
   std::vector<double> distances;
   std::vector<double> late, early;
   bool in_early = false;
   bool seen_depth_header = false;
 
-  std::string line;
-  while (std::getline(in, line)) {
-    const std::string_view text = trim(line);
-    if (text.empty() || text.front() == '#') continue;
-    const auto tokens = split(text);
-    if (tokens[0] == "early") {
-      MGBA_CHECK(seen_depth_header && "early block before any late block");
+  LineReader r(in, source);
+  while (r.next()) {
+    if (r[0] == "early") {
+      r.expect(seen_depth_header, "early block before any late block");
       in_early = true;
       continue;
     }
-    if (tokens[0] == "depth") {
+    if (r[0] == "depth") {
       if (!seen_depth_header) {
-        for (std::size_t i = 1; i < tokens.size(); ++i) {
-          depths.push_back(std::stod(std::string(tokens[i])));
+        for (std::size_t i = 1; i < r.size(); ++i) {
+          depths.push_back(r.number(i));
         }
         seen_depth_header = true;
       } else {
         // The early block repeats the header; verify it matches.
-        MGBA_CHECK(tokens.size() == depths.size() + 1);
+        r.expect(r.size() == depths.size() + 1,
+                 "the early block's depth header differs");
       }
       continue;
     }
-    MGBA_CHECK(seen_depth_header && "row before depth header");
-    MGBA_CHECK(tokens.size() == depths.size() + 1);
-    const double dist = parse_distance(tokens[0]);
-    if (!in_early) distances.push_back(dist);
-    auto& values = in_early ? early : late;
-    for (std::size_t i = 1; i < tokens.size(); ++i) {
-      values.push_back(std::stod(std::string(tokens[i])));
+    r.expect(seen_depth_header, "row before depth header");
+    r.expect(r.size() == depths.size() + 1,
+             "a row needs a distance and one factor per depth");
+    // A distance is a plain number (um) or carries a "um" or "nm" suffix.
+    std::string distance = r[0];
+    double scale = 1.0;
+    if (distance.size() > 2 && distance.ends_with("nm")) {
+      scale = 1e-3;
+      distance.resize(distance.size() - 2);
+    } else if (distance.size() > 2 && distance.ends_with("um")) {
+      distance.resize(distance.size() - 2);
     }
+    const auto dist = parse_number(distance);
+    if (!dist) r.fail("'" + r[0] + "' is not a distance");
+    if (!in_early) distances.push_back(*dist * scale);
+    auto& values = in_early ? early : late;
+    for (std::size_t i = 1; i < r.size(); ++i) values.push_back(r.number(i));
   }
-  MGBA_CHECK(!depths.empty());
-  MGBA_CHECK(late.size() == depths.size() * distances.size());
+  const std::string err =
+      DerateTable::table_error(depths, distances, late, early);
+  r.expect(err.empty(), err);
   return DerateTable(std::move(depths), std::move(distances), std::move(late),
                      std::move(early));
 }
 
 DerateTable derate_table_from_string(const std::string& text) {
   std::istringstream in(text);
-  return read_derate_table(in);
+  return read_derate_table(in, "<derate table>");
 }
 
 }  // namespace mgba

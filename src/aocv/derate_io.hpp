@@ -30,8 +30,9 @@ namespace mgba {
 void write_derate_table(const DerateTable& table, std::ostream& out);
 std::string derate_table_to_string(const DerateTable& table);
 
-/// Parses the format above; aborts with a message on malformed input.
-DerateTable read_derate_table(std::istream& in);
+/// Parses the format above; malformed input throws InputError naming
+/// "<source>:<line>".
+DerateTable read_derate_table(std::istream& in, const std::string& source);
 DerateTable derate_table_from_string(const std::string& text);
 
 }  // namespace mgba

@@ -15,38 +15,62 @@ DerateTable::DerateTable(std::vector<double> depth_axis,
       distance_axis_(std::move(distance_axis)),
       late_(std::move(late_values)),
       early_(std::move(early_values)) {
-  MGBA_CHECK(!depth_axis_.empty());
-  MGBA_CHECK(!distance_axis_.empty());
-  MGBA_CHECK(std::is_sorted(depth_axis_.begin(), depth_axis_.end()));
-  MGBA_CHECK(std::is_sorted(distance_axis_.begin(), distance_axis_.end()));
-  MGBA_CHECK(late_.size() == depth_axis_.size() * distance_axis_.size());
-
   if (early_.empty()) {
     early_.resize(late_.size());
     for (std::size_t i = 0; i < late_.size(); ++i) {
       early_[i] = std::clamp(2.0 - late_[i], 0.5, 1.0);
     }
   }
-  MGBA_CHECK(early_.size() == late_.size());
+  MGBA_CHECK(table_error(depth_axis_, distance_axis_, late_, early_).empty());
+}
 
-  // Monotonicity validation (see file comment): for the late table, the
-  // factor must not increase with depth and must not decrease with
-  // distance. The early table mirrors both.
-  const std::size_t cols = depth_axis_.size();
-  for (std::size_t r = 0; r < distance_axis_.size(); ++r) {
-    for (std::size_t c = 0; c + 1 < cols; ++c) {
-      MGBA_CHECK(late_[r * cols + c] >= late_[r * cols + c + 1]);
-      MGBA_CHECK(early_[r * cols + c] <= early_[r * cols + c + 1]);
+std::string DerateTable::table_error(std::span<const double> depth_axis,
+                                     std::span<const double> distance_axis,
+                                     std::span<const double> late,
+                                     std::span<const double> early) {
+  if (depth_axis.empty() || distance_axis.empty()) {
+    return "a derate table axis is empty";
+  }
+  if (!std::is_sorted(depth_axis.begin(), depth_axis.end()) ||
+      !std::is_sorted(distance_axis.begin(), distance_axis.end())) {
+    return "a derate table axis is not increasing";
+  }
+  const std::size_t cols = depth_axis.size();
+  const std::size_t rows = distance_axis.size();
+  if (late.size() != cols * rows) {
+    return std::to_string(late.size()) + " late factors for " +
+           std::to_string(rows) + " distances x " + std::to_string(cols) +
+           " depths";
+  }
+  if (!early.empty() && early.size() != late.size()) {
+    return "the early block's shape differs from the late block's";
+  }
+  // Monotonicity (see file comment): for the late table, the factor must
+  // not increase with depth and must not decrease with distance. The early
+  // table mirrors both.
+  for (std::size_t r = 0; r < rows; ++r) {
+    for (std::size_t c = 0; c < cols; ++c) {
+      const std::size_t i = r * cols + c;
+      if (late[i] < 1.0) return "a late factor is below 1";
+      if (c + 1 < cols && late[i] < late[i + 1]) {
+        return "late factors rise with depth";
+      }
+      if (r + 1 < rows && late[i] > late[i + cols]) {
+        return "late factors fall with distance";
+      }
+      if (early.empty()) continue;
+      if (!(early[i] <= 1.0 && early[i] > 0.0)) {
+        return "an early factor is outside (0, 1]";
+      }
+      if (c + 1 < cols && early[i] > early[i + 1]) {
+        return "early factors fall with depth";
+      }
+      if (r + 1 < rows && early[i] < early[i + cols]) {
+        return "early factors rise with distance";
+      }
     }
   }
-  for (std::size_t c = 0; c < cols; ++c) {
-    for (std::size_t r = 0; r + 1 < distance_axis_.size(); ++r) {
-      MGBA_CHECK(late_[r * cols + c] <= late_[(r + 1) * cols + c]);
-      MGBA_CHECK(early_[r * cols + c] >= early_[(r + 1) * cols + c]);
-    }
-  }
-  for (const double v : late_) MGBA_CHECK(v >= 1.0);
-  for (const double v : early_) MGBA_CHECK(v <= 1.0 && v > 0.0);
+  return "";
 }
 
 double DerateTable::interpolate(std::span<const double> values, double depth,

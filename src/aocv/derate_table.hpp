@@ -15,6 +15,7 @@
 /// GBA >= PBA pessimism invariant given GBA's worst depth / worst distance.
 
 #include <span>
+#include <string>
 #include <vector>
 
 namespace mgba {
@@ -29,6 +30,16 @@ class DerateTable {
   DerateTable(std::vector<double> depth_axis, std::vector<double> distance_axis,
               std::vector<double> late_values,
               std::vector<double> early_values = {});
+
+  /// The rule a table built from these values would break, "" when none:
+  /// non-empty increasing axes, one value per (distance, depth), late
+  /// factors >= 1 and early ones in (0, 1], monotone as the file comment
+  /// says. Empty \p early_values stand for the derived factors, which
+  /// always pass when the late ones do.
+  [[nodiscard]] static std::string table_error(
+      std::span<const double> depth_axis, std::span<const double> distance_axis,
+      std::span<const double> late_values,
+      std::span<const double> early_values);
 
   /// Late (slow-down) factor; clamped bilinear interpolation.
   [[nodiscard]] double late(double depth, double distance_um) const;

@@ -1,37 +1,22 @@
 #include "liberty/liberty_io.hpp"
 
+#include <algorithm>
 #include <istream>
 #include <iomanip>
+#include <iterator>
 #include <ostream>
 #include <optional>
 #include <sstream>
 #include <vector>
 
-#include "util/check.hpp"
-#include "util/strings.hpp"
+#include "util/input.hpp"
 
 namespace mgba {
 
 namespace {
 
-const char* kind_name(CellKind kind) {
-  switch (kind) {
-    case CellKind::Combinational: return "comb";
-    case CellKind::Buffer: return "buf";
-    case CellKind::Inverter: return "inv";
-    case CellKind::FlipFlop: return "ff";
-  }
-  return "comb";
-}
-
-CellKind kind_from(std::string_view name) {
-  if (name == "comb") return CellKind::Combinational;
-  if (name == "buf") return CellKind::Buffer;
-  if (name == "inv") return CellKind::Inverter;
-  if (name == "ff") return CellKind::FlipFlop;
-  MGBA_CHECK(false && "unknown cell kind");
-  return CellKind::Combinational;
-}
+/// The file's name of each CellKind, in enum order.
+constexpr const char* kKindNames[] = {"comb", "buf", "inv", "ff"};
 
 void write_axis(std::ostream& out, const char* label,
                 std::span<const double> axis) {
@@ -56,11 +41,12 @@ void write_library(const Library& library, std::ostream& out) {
   out << "library lib\n";
   for (std::size_t c = 0; c < library.num_cells(); ++c) {
     const LibCell& cell = library.cell(c);
-    out << "cell " << cell.name << " footprint " << cell.footprint
-        << " kind " << kind_name(cell.kind) << " area " << cell.area_um2
-        << " leakage " << cell.leakage_nw << '\n';
+    out << "cell " << quote(cell.name) << " footprint "
+        << quote(cell.footprint) << " kind "
+        << kKindNames[static_cast<int>(cell.kind)] << " area "
+        << cell.area_um2 << " leakage " << cell.leakage_nw << '\n';
     for (const LibPin& pin : cell.pins) {
-      out << "  pin " << pin.name << ' '
+      out << "  pin " << quote(pin.name) << ' '
           << (pin.direction == PinDirection::Input ? "input" : "output");
       if (pin.is_clock) out << " clock";
       if (pin.direction == PinDirection::Input) {
@@ -71,16 +57,16 @@ void write_library(const Library& library, std::ostream& out) {
       out << '\n';
     }
     for (const LibTimingArc& arc : cell.arcs) {
-      out << "  arc " << cell.pins[arc.from_pin].name << ' '
-          << cell.pins[arc.to_pin].name << '\n';
+      out << "  arc " << quote(cell.pins[arc.from_pin].name) << ' '
+          << quote(cell.pins[arc.to_pin].name) << '\n';
       write_axis(out, "slew_axis", arc.delay.slew_axis());
       write_axis(out, "load_axis", arc.delay.load_axis());
       write_table_values(out, "delay", arc.delay);
       write_table_values(out, "slew", arc.output_slew);
     }
     for (const LibConstraintArc& con : cell.constraints) {
-      out << "  constraint " << cell.pins[con.data_pin].name << ' '
-          << cell.pins[con.clock_pin].name << '\n';
+      out << "  constraint " << quote(cell.pins[con.data_pin].name) << ' '
+          << quote(cell.pins[con.clock_pin].name) << '\n';
       write_axis(out, "slew_axis", con.setup.slew_axis());
       write_axis(out, "data_axis", con.setup.load_axis());
       write_table_values(out, "setup", con.setup);
@@ -95,104 +81,123 @@ std::string library_to_string(const Library& library) {
   return out.str();
 }
 
-Library read_library(std::istream& in) {
+Library read_library(std::istream& in, const std::string& source) {
   Library library;
+  LineReader r(in, source);
 
   // Parse state: the cell being built and the axes of the table block in
-  // progress. Cells are committed when the next cell (or EOF) begins.
+  // progress. A cell is committed when the next cell (or EOF) begins, and
+  // the library's cell rule is checked at the line that began it.
   std::optional<LibCell> cell;
+  std::size_t cell_line = 0;
   std::vector<double> slew_axis, load_axis;
   const auto commit = [&] {
-    if (cell.has_value()) {
-      library.add_cell(std::move(*cell));
-      cell.reset();
-    }
+    if (!cell.has_value()) return;
+    const std::string err = library.cell_error(*cell);
+    if (!err.empty()) throw InputError(source, cell_line, err);
+    library.add_cell(std::move(*cell));
+    cell.reset();
   };
-  const auto parse_values = [](const std::vector<std::string_view>& tokens) {
-    std::vector<double> values;
-    values.reserve(tokens.size() - 1);
-    for (std::size_t i = 1; i < tokens.size(); ++i) {
-      values.push_back(std::stod(std::string(tokens[i])));
-    }
-    return values;
+  const auto values = [&r] {
+    std::vector<double> v;
+    v.reserve(r.size() - 1);
+    for (std::size_t i = 1; i < r.size(); ++i) v.push_back(r.number(i));
+    return v;
+  };
+  const auto pin_of = [&](const std::string& name) {
+    const auto pin = cell->find_pin(name);
+    if (!pin) r.fail("cell " + cell->name + " has no pin named '" + name + "'");
+    return *pin;
   };
 
-  std::string line;
-  while (std::getline(in, line)) {
-    const std::string_view text = trim(line);
-    if (text.empty() || text.front() == '#') continue;
-    const auto tokens = split(text);
-    const std::string_view kw = tokens[0];
-
-    if (kw == "library") {
-      continue;  // informational
-    } else if (kw == "cell") {
+  while (r.next()) {
+    const std::string& kw = r[0];
+    if (kw == "library") continue;  // informational
+    if (kw == "cell") {
       commit();
+      r.expect(r.size() % 2 == 0, "expected 'cell <name> [<key> <value>]...'");
       cell.emplace();
-      cell->name = std::string(tokens[1]);
-      for (std::size_t i = 2; i + 1 < tokens.size(); i += 2) {
-        const std::string_view key = tokens[i];
-        const std::string value(tokens[i + 1]);
-        if (key == "footprint") cell->footprint = value;
-        else if (key == "kind") cell->kind = kind_from(value);
-        else if (key == "area") cell->area_um2 = std::stod(value);
-        else if (key == "leakage") cell->leakage_nw = std::stod(value);
-        else MGBA_CHECK(false && "unknown cell attribute");
-      }
-    } else if (kw == "pin") {
-      MGBA_CHECK(cell.has_value());
-      LibPin pin;
-      pin.name = std::string(tokens[1]);
-      pin.direction = tokens[2] == "input" ? PinDirection::Input
-                                           : PinDirection::Output;
-      for (std::size_t i = 3; i < tokens.size(); ++i) {
-        if (tokens[i] == "clock") {
-          pin.is_clock = true;
-        } else if (tokens[i] == "cap") {
-          pin.capacitance_ff = std::stod(std::string(tokens[++i]));
-        } else if (tokens[i] == "max_load") {
-          pin.max_load_ff = std::stod(std::string(tokens[++i]));
+      cell_line = r.line();
+      cell->name = r[1];
+      for (std::size_t i = 2; i < r.size(); i += 2) {
+        const std::string& key = r[i];
+        const std::string& value = r[i + 1];
+        if (key == "footprint") {
+          cell->footprint = value;
+        } else if (key == "kind") {
+          const auto kind = std::ranges::find(kKindNames, value);
+          if (kind == std::end(kKindNames)) {
+            r.fail("unknown cell kind '" + value + "'");
+          }
+          cell->kind = static_cast<CellKind>(kind - std::begin(kKindNames));
+        } else if (key == "area") {
+          cell->area_um2 = r.number(i + 1);
+        } else if (key == "leakage") {
+          cell->leakage_nw = r.number(i + 1);
         } else {
-          MGBA_CHECK(false && "unknown pin attribute");
+          r.fail("unknown cell attribute '" + key + "'");
+        }
+      }
+      continue;
+    }
+    r.expect(cell.has_value(), "a cell statement must come first");
+    if (kw == "pin") {
+      r.expect(r.size() >= 3 && (r[2] == "input" || r[2] == "output"),
+               "expected 'pin <name> <input|output> [attributes]'");
+      LibPin pin;
+      pin.name = r[1];
+      pin.direction =
+          r[2] == "input" ? PinDirection::Input : PinDirection::Output;
+      for (std::size_t i = 3; i < r.size(); ++i) {
+        if (r[i] == "clock") {
+          pin.is_clock = true;
+        } else if (r[i] == "cap") {
+          pin.capacitance_ff = r.number(++i);
+        } else if (r[i] == "max_load") {
+          pin.max_load_ff = r.number(++i);
+        } else {
+          r.fail("unknown pin attribute '" + r[i] + "'");
         }
       }
       cell->pins.push_back(std::move(pin));
     } else if (kw == "arc") {
-      MGBA_CHECK(cell.has_value() && tokens.size() == 3);
+      r.expect(r.size() == 3, "expected 'arc <from> <to>'");
       LibTimingArc arc;
-      arc.from_pin = cell->pin_index(std::string(tokens[1]));
-      arc.to_pin = cell->pin_index(std::string(tokens[2]));
+      arc.from_pin = pin_of(r[1]);
+      arc.to_pin = pin_of(r[2]);
       cell->arcs.push_back(std::move(arc));
     } else if (kw == "constraint") {
-      MGBA_CHECK(cell.has_value() && tokens.size() == 3);
+      r.expect(r.size() == 3, "expected 'constraint <data> <clock>'");
       LibConstraintArc con;
-      con.data_pin = cell->pin_index(std::string(tokens[1]));
-      con.clock_pin = cell->pin_index(std::string(tokens[2]));
+      con.data_pin = pin_of(r[1]);
+      con.clock_pin = pin_of(r[2]);
       cell->constraints.push_back(std::move(con));
     } else if (kw == "slew_axis") {
-      slew_axis = parse_values(tokens);
+      slew_axis = values();
     } else if (kw == "load_axis" || kw == "data_axis") {
-      load_axis = parse_values(tokens);
+      load_axis = values();
     } else if (kw == "delay" || kw == "slew" || kw == "setup" ||
                kw == "hold") {
-      MGBA_CHECK(cell.has_value());
-      MGBA_CHECK(!slew_axis.empty() && !load_axis.empty());
-      LookupTable2D table(slew_axis, load_axis, parse_values(tokens));
+      const bool arc_table = kw == "delay" || kw == "slew";
+      r.expect(arc_table ? !cell->arcs.empty() : !cell->constraints.empty(),
+               arc_table ? "a table before any arc"
+                         : "a table before any constraint");
+      std::vector<double> v = values();
+      const std::string err =
+          LookupTable2D::shape_error(slew_axis, load_axis, v);
+      r.expect(err.empty(), err);
+      LookupTable2D table(slew_axis, load_axis, std::move(v));
       if (kw == "delay") {
-        MGBA_CHECK(!cell->arcs.empty());
         cell->arcs.back().delay = std::move(table);
       } else if (kw == "slew") {
-        MGBA_CHECK(!cell->arcs.empty());
         cell->arcs.back().output_slew = std::move(table);
       } else if (kw == "setup") {
-        MGBA_CHECK(!cell->constraints.empty());
         cell->constraints.back().setup = std::move(table);
       } else {
-        MGBA_CHECK(!cell->constraints.empty());
         cell->constraints.back().hold = std::move(table);
       }
     } else {
-      MGBA_CHECK(false && "unknown library statement");
+      r.fail("unknown library statement '" + kw + "'");
     }
   }
   commit();
@@ -201,7 +206,7 @@ Library read_library(std::istream& in) {
 
 Library library_from_string(const std::string& text) {
   std::istringstream in(text);
-  return read_library(in);
+  return read_library(in, "<library>");
 }
 
 }  // namespace mgba

@@ -27,7 +27,9 @@
 ///       setup 22 25 30 ...                     # row-major [clk][data]
 ///       hold 6 7 8 ...
 ///
-/// kinds: comb | buf | inv | ff. Units: ps, fF, um^2, nW.
+/// kinds: comb | buf | inv | ff. Units: ps, fF, um^2, nW. Names follow the
+/// shared lexical rule (util/input.hpp): any name may be quoted, and '#'
+/// starts a comment.
 
 #include <iosfwd>
 #include <string>
@@ -39,8 +41,9 @@ namespace mgba {
 void write_library(const Library& library, std::ostream& out);
 std::string library_to_string(const Library& library);
 
-/// Parses the format above; aborts with a message on malformed input.
-Library read_library(std::istream& in);
+/// Parses the format above; malformed input throws InputError naming
+/// "<source>:<line>".
+Library read_library(std::istream& in, const std::string& source);
 Library library_from_string(const std::string& text);
 
 }  // namespace mgba

@@ -46,8 +46,43 @@ std::size_t LibCell::clock_pin() const {
   return 0;
 }
 
+std::string Library::cell_error(const LibCell& cell) const {
+  const std::string& name = cell.name;
+  if (find_cell(name).has_value()) return "duplicate cell " + name;
+  if (cell.num_outputs() != 1) return "cell " + name + " needs one output pin";
+  if ((cell.kind == CellKind::Buffer || cell.kind == CellKind::Inverter) &&
+      cell.num_inputs() != 1) {
+    return "cell " + name + " needs one input pin";
+  }
+  if (cell.kind == CellKind::FlipFlop &&
+      std::none_of(cell.pins.begin(), cell.pins.end(),
+                   [](const LibPin& p) { return p.is_clock; })) {
+    return "flip-flop " + name + " has no clock pin";
+  }
+  const auto is_input = [&cell](std::size_t pin) {
+    return cell.pins[pin].direction == PinDirection::Input;
+  };
+  for (const LibTimingArc& arc : cell.arcs) {
+    if (!is_input(arc.from_pin) || is_input(arc.to_pin)) {
+      return "an arc of " + name + " does not run from an input to an output";
+    }
+    if (arc.delay.empty() || arc.output_slew.empty()) {
+      return "an arc of " + name + " lacks a delay or slew table";
+    }
+  }
+  for (const LibConstraintArc& con : cell.constraints) {
+    if (!is_input(con.data_pin) || !is_input(con.clock_pin)) {
+      return "a constraint of " + name + " does not join two inputs";
+    }
+    if (con.setup.empty() || con.hold.empty()) {
+      return "a constraint of " + name + " lacks a setup or hold table";
+    }
+  }
+  return "";
+}
+
 std::size_t Library::add_cell(LibCell cell) {
-  MGBA_CHECK(!find_cell(cell.name).has_value());
+  MGBA_CHECK(cell_error(cell).empty());
   cells_.push_back(std::move(cell));
   return cells_.size() - 1;
 }

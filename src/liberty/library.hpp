@@ -96,8 +96,14 @@ struct LibCell {
 /// A collection of cells with footprint-family queries.
 class Library {
  public:
-  /// Adds a cell; returns its id. Names must be unique.
+  /// Adds a cell; returns its id. The cell must pass cell_error.
   std::size_t add_cell(LibCell cell);
+  /// The rule \p cell would break as this library's next cell, "" when
+  /// none: names are unique; a cell has one output pin, and a flip-flop a
+  /// clock pin; arcs run from an input to an output and carry delay and
+  /// slew tables; constraints join two inputs and carry setup and hold
+  /// tables.
+  [[nodiscard]] std::string cell_error(const LibCell& cell) const;
 
   [[nodiscard]] const LibCell& cell(std::size_t id) const {
     MGBA_CHECK(id < cells_.size());

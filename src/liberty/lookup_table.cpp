@@ -12,11 +12,23 @@ LookupTable2D::LookupTable2D(std::vector<double> slew_axis,
     : slew_axis_(std::move(slew_axis)),
       load_axis_(std::move(load_axis)),
       values_(std::move(values)) {
-  MGBA_CHECK(!slew_axis_.empty());
-  MGBA_CHECK(!load_axis_.empty());
-  MGBA_CHECK(values_.size() == slew_axis_.size() * load_axis_.size());
-  MGBA_CHECK(std::is_sorted(slew_axis_.begin(), slew_axis_.end()));
-  MGBA_CHECK(std::is_sorted(load_axis_.begin(), load_axis_.end()));
+  MGBA_CHECK(shape_error(slew_axis_, load_axis_, values_).empty());
+}
+
+std::string LookupTable2D::shape_error(std::span<const double> slew_axis,
+                                       std::span<const double> load_axis,
+                                       std::span<const double> values) {
+  if (slew_axis.empty() || load_axis.empty()) return "a table axis is empty";
+  if (!std::is_sorted(slew_axis.begin(), slew_axis.end()) ||
+      !std::is_sorted(load_axis.begin(), load_axis.end())) {
+    return "a table axis is not increasing";
+  }
+  if (values.size() != slew_axis.size() * load_axis.size()) {
+    return std::to_string(values.size()) + " values for a " +
+           std::to_string(slew_axis.size()) + " x " +
+           std::to_string(load_axis.size()) + " table";
+  }
+  return "";
 }
 
 void LookupTable2D::locate(std::span<const double> axis, double x,

@@ -11,6 +11,7 @@
 /// femtofarads (fF), distance in micrometres (um).
 
 #include <span>
+#include <string>
 #include <vector>
 
 namespace mgba {
@@ -19,10 +20,16 @@ class LookupTable2D {
  public:
   LookupTable2D() = default;
 
-  /// Axis values must be strictly increasing; values is row-major with
-  /// shape (slew_axis.size() x load_axis.size()).
+  /// Axes must be non-empty and increasing; values is row-major with
+  /// shape (slew_axis.size() x load_axis.size()) (shape_error).
   LookupTable2D(std::vector<double> slew_axis, std::vector<double> load_axis,
                 std::vector<double> values);
+
+  /// The rule a table with these axes and values would break, "" when it
+  /// is well formed.
+  [[nodiscard]] static std::string shape_error(
+      std::span<const double> slew_axis, std::span<const double> load_axis,
+      std::span<const double> values);
 
   /// Bilinear interpolation at (input_slew, output_load) with clamping.
   [[nodiscard]] double lookup(double input_slew, double output_load) const;

@@ -44,18 +44,32 @@ PortId Design::add_port(std::string port_name, PortDirection direction,
   return static_cast<PortId>(ports_.size() - 1);
 }
 
+std::string Design::connect_pin_error(InstanceId inst, std::uint32_t pin_idx,
+                                      NetId net_id) const {
+  const Instance& instance = instances_[inst];
+  const LibPin& lib_pin = library_->cell(instance.cell).pins[pin_idx];
+  if (instance.pin_nets[pin_idx] != kInvalidId) {
+    return "pin " + instance.name + "/" + lib_pin.name +
+           " is already connected";
+  }
+  if (lib_pin.direction == PinDirection::Output &&
+      nets_[net_id].driver.has_value()) {
+    return "net " + nets_[net_id].name + " already has a driver";
+  }
+  return "";
+}
+
 void Design::connect_pin(InstanceId inst, std::uint32_t pin_idx, NetId net_id) {
   MGBA_CHECK(inst < instances_.size());
   Instance& instance = instances_[inst];
   MGBA_CHECK(pin_idx < instance.pin_nets.size());
-  MGBA_CHECK(instance.pin_nets[pin_idx] == kInvalidId);
+  MGBA_CHECK(connect_pin_error(inst, pin_idx, net_id).empty());
   instance.pin_nets[pin_idx] = net_id;
 
   Net& net = mutable_net(net_id);
   const LibPin& lib_pin = library_->cell(instance.cell).pins[pin_idx];
   const Terminal t = Terminal::instance_pin(inst, pin_idx);
   if (lib_pin.direction == PinDirection::Output) {
-    MGBA_CHECK(!net.driver.has_value());
     net.driver = t;
   } else {
     net.sinks.push_back(t);
@@ -85,16 +99,24 @@ void Design::disconnect_pin(InstanceId inst, std::uint32_t pin_idx) {
   MGBA_CHECK(false && "pin recorded a net the net does not know about");
 }
 
+std::string Design::connect_port_error(PortId port_id, NetId net_id) const {
+  const Port& p = ports_[port_id];
+  if (p.net != kInvalidId) return "port " + p.name + " is already connected";
+  if (p.direction == PortDirection::Input && nets_[net_id].driver.has_value()) {
+    return "net " + nets_[net_id].name + " already has a driver";
+  }
+  return "";
+}
+
 void Design::connect_port(PortId port_id, NetId net_id) {
   MGBA_CHECK(port_id < ports_.size());
+  MGBA_CHECK(connect_port_error(port_id, net_id).empty());
   Port& p = ports_[port_id];
-  MGBA_CHECK(p.net == kInvalidId);
   p.net = net_id;
 
   Net& net = mutable_net(net_id);
   const Terminal t = Terminal::port(port_id);
   if (p.direction == PortDirection::Input) {
-    MGBA_CHECK(!net.driver.has_value());
     net.driver = t;  // input ports drive into the design
   } else {
     net.sinks.push_back(t);
@@ -121,16 +143,23 @@ void Design::disconnect_port(PortId port_id) {
   MGBA_CHECK(false && "port recorded a net the net does not know about");
 }
 
+std::string Design::resize_error(InstanceId inst,
+                                 std::size_t new_cell_id) const {
+  const LibCell& old_cell = library_->cell(instances_[inst].cell);
+  const LibCell& new_cell = library_->cell(new_cell_id);
+  bool same = old_cell.pins.size() == new_cell.pins.size();
+  for (std::size_t i = 0; same && i < old_cell.pins.size(); ++i) {
+    same = old_cell.pins[i].direction == new_cell.pins[i].direction;
+  }
+  if (same) return "";
+  return "cells " + old_cell.name + " and " + new_cell.name +
+         " have different pins";
+}
+
 void Design::resize_instance(InstanceId inst, std::size_t new_cell_id) {
   MGBA_CHECK(inst < instances_.size());
-  Instance& instance = instances_[inst];
-  const LibCell& old_cell = library_->cell(instance.cell);
-  const LibCell& new_cell = library_->cell(new_cell_id);
-  MGBA_CHECK(old_cell.pins.size() == new_cell.pins.size());
-  for (std::size_t i = 0; i < old_cell.pins.size(); ++i) {
-    MGBA_CHECK(old_cell.pins[i].direction == new_cell.pins[i].direction);
-  }
-  instance.cell = new_cell_id;
+  MGBA_CHECK(resize_error(inst, new_cell_id).empty());
+  instances_[inst].cell = new_cell_id;
 }
 
 InstanceId Design::insert_buffer(NetId net_id, std::size_t buffer_cell_id,
@@ -244,12 +273,27 @@ InstanceId Design::insert_buffer_for_sink(NetId net_id, const Terminal& sink,
   return buf;
 }
 
-void Design::remove_buffer(InstanceId buffer, NetId original_net) {
+std::string Design::remove_buffer_error(InstanceId buffer,
+                                        NetId original_net) const {
+  const Instance& inst = instances_[buffer];
   const LibCell& cell = cell_of(buffer);
-  MGBA_CHECK(cell.kind == CellKind::Buffer);
+  if (cell.kind != CellKind::Buffer) return inst.name + " is not a buffer";
+  const std::size_t out_pin = cell.output_pin();
+  if (inst.pin_nets[out_pin] == kInvalidId) {
+    return "buffer " + inst.name + " drives no net";
+  }
+  for (std::size_t p = 0; p < inst.pin_nets.size(); ++p) {
+    if (p != out_pin && inst.pin_nets[p] == original_net) return "";
+  }
+  return "buffer " + inst.name + " is not fed by net " +
+         nets_[original_net].name;
+}
+
+void Design::remove_buffer(InstanceId buffer, NetId original_net) {
+  MGBA_CHECK(remove_buffer_error(buffer, original_net).empty());
+  const LibCell& cell = cell_of(buffer);
   const std::size_t out_pin = cell.output_pin();
   const NetId out_net = instances_[buffer].pin_nets[out_pin];
-  MGBA_CHECK(out_net != kInvalidId);
 
   // Mirror of the positional splice in insert_buffer_for_sink: remember
   // where the buffer's input pin sits in the original net's sink list so

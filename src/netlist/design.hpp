@@ -100,12 +100,19 @@ class Design {
                   Point location = {});
 
   /// Connects instance pin (library pin index) to a net. The pin must be
-  /// currently unconnected.
+  /// currently unconnected, and an output pin needs a net with no driver:
+  /// connect_pin_error names the rule a connection would break, "" when
+  /// none, so a reader can reject the file before the call.
   void connect_pin(InstanceId inst, std::uint32_t pin_idx, NetId net);
+  [[nodiscard]] std::string connect_pin_error(InstanceId inst,
+                                              std::uint32_t pin_idx,
+                                              NetId net) const;
   /// Disconnects an instance pin from its net (no-op if unconnected).
   void disconnect_pin(InstanceId inst, std::uint32_t pin_idx);
-  /// Connects a port to a net. The port must be currently unconnected.
+  /// Connects a port to a net. The port must be currently unconnected, and
+  /// an input port needs a net with no driver (connect_port_error).
   void connect_port(PortId port, NetId net);
+  [[nodiscard]] std::string connect_port_error(PortId port, NetId net) const;
   /// Disconnects a port from its net (no-op if unconnected).
   void disconnect_port(PortId port);
 
@@ -113,8 +120,10 @@ class Design {
 
   /// Swaps the library cell of an instance. The new cell must have an
   /// identical pin interface (same count/directions), which holds within a
-  /// footprint family of the default library.
+  /// footprint family of the default library (resize_error).
   void resize_instance(InstanceId inst, std::size_t new_cell_id);
+  [[nodiscard]] std::string resize_error(InstanceId inst,
+                                         std::size_t new_cell_id) const;
 
   /// Splices a buffer into \p net: the buffer input joins \p net and all of
   /// the net's current sinks move to a freshly created net driven by the
@@ -135,7 +144,11 @@ class Design {
   /// back onto \p original_net and fully disconnects the buffer. The
   /// instance record remains (ids are stable) but a disconnected instance
   /// is excluded from area/leakage accounting and from the timing graph.
+  /// \p buffer must be a buffer that drives a net and whose input is on
+  /// \p original_net (remove_buffer_error).
   void remove_buffer(InstanceId buffer, NetId original_net);
+  [[nodiscard]] std::string remove_buffer_error(InstanceId buffer,
+                                                NetId original_net) const;
 
   /// True when no pin of the instance is connected (a tombstone left by
   /// remove_buffer).

@@ -11,7 +11,8 @@
 ///   pconn <port> <net>                       # port connection
 ///   # comment
 ///
-/// The format is self-contained given a Library and round-trips exactly
+/// Names follow the shared lexical rule (util/input.hpp): any name may be
+/// quoted, and '#' starts a comment. The format is self-contained given a Library and round-trips exactly
 /// (write -> read produces a structurally identical design). It exists so
 /// generated designs can be dumped, diffed, and reloaded by the benches.
 
@@ -26,9 +27,11 @@ namespace mgba {
 void write_netlist(const Design& design, std::ostream& out);
 std::string netlist_to_string(const Design& design);
 
-/// Parses the text format against \p library. Aborts with a message on
-/// malformed input (unknown cells/pins, duplicate connections).
-Design read_netlist(const Library& library, std::istream& in);
+/// Parses the text format against \p library. Malformed input (unknown
+/// cells/pins, duplicate connections) throws InputError naming
+/// "<source>:<line>".
+Design read_netlist(const Library& library, std::istream& in,
+                    const std::string& source);
 Design netlist_from_string(const Library& library, const std::string& text);
 
 }  // namespace mgba

@@ -1,5 +1,7 @@
 #include "netlist/verilog_io.hpp"
 
+#include <algorithm>
+#include <cctype>
 #include <cmath>
 #include <istream>
 #include <map>
@@ -7,7 +9,7 @@
 #include <sstream>
 #include <vector>
 
-#include "util/check.hpp"
+#include "util/input.hpp"
 #include "util/rng.hpp"
 #include "util/strings.hpp"
 
@@ -109,39 +111,54 @@ std::string verilog_to_string(const Design& design) {
 
 namespace {
 
+/// One Verilog token and the line it starts on.
+struct VerilogToken {
+  std::string text;
+  std::size_t line = 0;
+};
+
 /// Comment-stripping tokenizer: identifiers/numbers plus the single-char
 /// tokens ( ) , ; . =
-std::vector<std::string> tokenize_verilog(std::istream& in) {
+std::vector<VerilogToken> tokenize_verilog(std::istream& in,
+                                           const std::string& source) {
   std::string text((std::istreambuf_iterator<char>(in)),
                    std::istreambuf_iterator<char>());
-  std::vector<std::string> tokens;
+  std::vector<VerilogToken> tokens;
+  std::size_t line = 1;
   std::size_t i = 0;
+  const auto is_single = [](char c) {
+    return c == '(' || c == ')' || c == ',' || c == ';' || c == '.' ||
+           c == '=';
+  };
   while (i < text.size()) {
     const char c = text[i];
     if (c == '/' && i + 1 < text.size() && text[i + 1] == '/') {
       while (i < text.size() && text[i] != '\n') ++i;
     } else if (c == '/' && i + 1 < text.size() && text[i + 1] == '*') {
       const std::size_t end = text.find("*/", i + 2);
-      MGBA_CHECK(end != std::string::npos && "unterminated block comment");
+      if (end == std::string::npos) {
+        throw InputError(source, line, "unterminated block comment");
+      }
+      line += static_cast<std::size_t>(
+          std::count(text.begin() + static_cast<std::ptrdiff_t>(i),
+                     text.begin() + static_cast<std::ptrdiff_t>(end), '\n'));
       i = end + 2;
     } else if (std::isspace(static_cast<unsigned char>(c))) {
+      if (c == '\n') ++line;
       ++i;
-    } else if (c == '(' || c == ')' || c == ',' || c == ';' || c == '.' ||
-               c == '=') {
-      tokens.emplace_back(1, c);
+    } else if (is_single(c)) {
+      tokens.push_back({std::string(1, c), line});
       ++i;
     } else {
       std::size_t j = i;
-      while (j < text.size()) {
-        const char d = text[j];
-        if (std::isspace(static_cast<unsigned char>(d)) || d == '(' ||
-            d == ')' || d == ',' || d == ';' || d == '.' || d == '=' ||
-            d == '/') {
-          break;
-        }
+      while (j < text.size() &&
+             !std::isspace(static_cast<unsigned char>(text[j])) &&
+             !is_single(text[j]) && text[j] != '/') {
         ++j;
       }
-      tokens.push_back(text.substr(i, j - i));
+      // A lone '/' that opens no comment is a one-character word.
+      j = std::max(j, i + 1);
+      tokens.push_back({text.substr(i, j - i), line});
       i = j;
     }
   }
@@ -150,27 +167,41 @@ std::vector<std::string> tokenize_verilog(std::istream& in) {
 
 }  // namespace
 
-Design read_verilog(const Library& library, std::istream& in) {
-  const std::vector<std::string> tokens = tokenize_verilog(in);
+Design read_verilog(const Library& library, std::istream& in,
+                    const std::string& source) {
+  const std::vector<VerilogToken> tokens = tokenize_verilog(in, source);
   std::size_t pos = 0;
+  const auto fail = [&](const std::string& message) {
+    const std::size_t line = pos < tokens.size() ? tokens[pos].line
+                             : tokens.empty()    ? 1
+                                                 : tokens.back().line;
+    throw InputError(source, line, message);
+  };
   const auto peek = [&]() -> const std::string& {
     static const std::string kEnd;
-    return pos < tokens.size() ? tokens[pos] : kEnd;
+    return pos < tokens.size() ? tokens[pos].text : kEnd;
   };
   const auto next = [&]() -> const std::string& {
-    MGBA_CHECK(pos < tokens.size() && "unexpected end of Verilog input");
-    return tokens[pos++];
+    if (pos >= tokens.size()) fail("unexpected end of Verilog input");
+    return tokens[pos++].text;
   };
   const auto expect = [&](const char* token) {
-    const std::string& got = next();
-    MGBA_CHECK(got == token && "unexpected Verilog token");
+    if (peek() != token) {
+      fail(std::string("expected '") + token + "', not '" + peek() + "'");
+    }
+    ++pos;
+  };
+  // Either a ',' (the list goes on) or a ';' (it ends).
+  const auto list_goes_on = [&] {
+    if (peek() != "," && peek() != ";") fail("expected ',' or ';'");
+    return next() == ",";
   };
 
-  MGBA_CHECK(next() == "module");
+  expect("module");
   Design design(library, next());
   // Skip the header port list; ports are declared by input/output below.
   expect("(");
-  while (peek() != ")") ++pos;
+  while (pos < tokens.size() && peek() != ")") ++pos;
   expect(")");
   expect(";");
 
@@ -182,61 +213,64 @@ Design read_verilog(const Library& library, std::istream& in) {
     nets.emplace(name, id);
     return id;
   };
+  const auto connect_port = [&](PortId port, NetId net) {
+    if (std::string err = design.connect_port_error(port, net); !err.empty()) {
+      fail(err);
+    }
+    design.connect_port(port, net);
+  };
 
   while (peek() != "endmodule") {
-    const std::string& kw = next();
+    const std::string kw = next();
     if (kw == "input" || kw == "output") {
       const PortDirection dir =
           kw == "input" ? PortDirection::Input : PortDirection::Output;
-      while (true) {
+      do {
         const std::string name = next();
         const PortId port = design.add_port(name, dir);
-        design.connect_port(port, net_of(name));
-        const std::string& sep = next();
-        if (sep == ";") break;
-        MGBA_CHECK(sep == ",");
-      }
+        connect_port(port, net_of(name));
+      } while (list_goes_on());
     } else if (kw == "wire") {
-      while (true) {
+      do {
         net_of(next());
-        const std::string& sep = next();
-        if (sep == ";") break;
-        MGBA_CHECK(sep == ",");
-      }
+      } while (list_goes_on());
     } else if (kw == "assign") {
       // assign <output port> = <net>;
       const std::string lhs = next();
       expect("=");
       const std::string rhs = next();
-      expect(";");
       const auto port = design.find_port(lhs);
-      MGBA_CHECK(port.has_value() && "assign LHS must be an output port");
-      MGBA_CHECK(design.port(*port).direction == PortDirection::Output);
+      if (!port || design.port(*port).direction != PortDirection::Output) {
+        fail("assign LHS must be an output port");
+      }
+      expect(";");
       // Re-home the port from its declaration placeholder net onto the
       // assigned signal.
       design.disconnect_port(*port);
-      design.connect_port(*port, net_of(rhs));
+      connect_port(*port, net_of(rhs));
     } else {
       // Instance: <cell> <name> ( .PIN(net), ... );
       const auto cell_id = library.find_cell(kw);
-      MGBA_CHECK(cell_id.has_value() && "unknown cell type");
+      if (!cell_id) fail("unknown cell type '" + kw + "'");
       const LibCell& cell = library.cell(*cell_id);
       const InstanceId inst = design.add_instance(next(), *cell_id);
       expect("(");
-      while (true) {
+      do {
         expect(".");
         const std::string pin_name = next();
         const auto pin = cell.find_pin(pin_name);
-        MGBA_CHECK(pin.has_value() && "unknown pin");
+        if (!pin) fail("cell " + cell.name + " has no pin '" + pin_name + "'");
         expect("(");
-        const std::string net_name = next();
+        const NetId net = net_of(next());
         expect(")");
-        design.connect_pin(inst, static_cast<std::uint32_t>(*pin),
-                           net_of(net_name));
-        const std::string& sep = next();
-        if (sep == ")") break;
-        MGBA_CHECK(sep == ",");
-      }
+        const auto pin_idx = static_cast<std::uint32_t>(*pin);
+        if (std::string err = design.connect_pin_error(inst, pin_idx, net);
+            !err.empty()) {
+          fail(err);
+        }
+        design.connect_pin(inst, pin_idx, net);
+        if (peek() != "," && peek() != ")") fail("expected ',' or ')'");
+      } while (next() == ",");
       expect(";");
     }
   }
@@ -246,7 +280,7 @@ Design read_verilog(const Library& library, std::istream& in) {
 
 Design verilog_from_string(const Library& library, const std::string& text) {
   std::istringstream in(text);
-  return read_verilog(library, in);
+  return read_verilog(library, in, "<verilog>");
 }
 
 void scatter_placement(Design& design, std::uint64_t seed, double pitch_um) {

@@ -29,9 +29,11 @@ namespace mgba {
 void write_verilog(const Design& design, std::ostream& out);
 std::string verilog_to_string(const Design& design);
 
-/// Parses against \p library; aborts with a message on constructs outside
-/// the subset (vector ports, positional connections, multiple modules).
-Design read_verilog(const Library& library, std::istream& in);
+/// Parses against \p library; constructs outside the subset (vector
+/// ports, positional connections, multiple modules) throw InputError
+/// naming "<source>:<line>".
+Design read_verilog(const Library& library, std::istream& in,
+                    const std::string& source);
 Design verilog_from_string(const Library& library, const std::string& text);
 
 /// Assigns uniform-random locations over a die sized for the design

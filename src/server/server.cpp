@@ -11,6 +11,7 @@
 #include <cstring>
 
 #include "server/protocol.hpp"
+#include "util/input.hpp"
 #include "util/strings.hpp"
 
 namespace mgba::server {
@@ -30,26 +31,6 @@ std::vector<std::string> split_lines(const std::string& text) {
     pos = nl + 1;
   }
   return lines;
-}
-
-std::vector<std::string> split_tokens(const std::string& text) {
-  std::vector<std::string> tokens;
-  std::size_t pos = 0;
-  while (pos < text.size()) {
-    while (pos < text.size() && text[pos] == ' ') ++pos;
-    std::size_t end = pos;
-    while (end < text.size() && text[end] != ' ') ++end;
-    if (end > pos) tokens.push_back(text.substr(pos, end - pos));
-    pos = end;
-  }
-  return tokens;
-}
-
-bool parse_u64(const std::string& s, std::uint64_t& out) {
-  if (s.empty()) return false;
-  char* end = nullptr;
-  out = std::strtoull(s.c_str(), &end, 10);
-  return end == s.c_str() + s.size();
 }
 
 }  // namespace
@@ -170,7 +151,7 @@ void TimingServer::connection_loop(int fd) {
     cleanup();
     return;
   }
-  const std::vector<std::string> hs = split_tokens(payload);
+  const std::vector<std::string> hs = tokenize_line(payload).tokens;
   if (hs.size() < 3 || hs[0] != kMagic ||
       hs[1] != std::to_string(kProtocolVersion)) {
     write_frame(fd, str_format("error unsupported protocol (want %s %u)",
@@ -182,13 +163,13 @@ void TimingServer::connection_loop(int fd) {
   if (hs[2] == "new" && hs.size() == 3) {
     session = manager_.create(mgr_error);
   } else if ((hs[2] == "attach" || hs[2] == "recover") && hs.size() == 4) {
-    std::uint64_t id = 0;
-    if (!parse_u64(hs[3], id)) {
+    const auto id = parse_count(hs[3]);
+    if (!id) {
       mgr_error = "bad session id '" + hs[3] + "'";
     } else if (hs[2] == "attach") {
-      session = manager_.attach(id, mgr_error);
+      session = manager_.attach(*id, mgr_error);
     } else {
-      session = manager_.recover(id, mgr_error);
+      session = manager_.recover(*id, mgr_error);
     }
   } else {
     mgr_error = "bad handshake mode";
@@ -249,7 +230,7 @@ void TimingServer::connection_loop(int fd) {
       write_frame(fd, "ok");
       break;
     } else {
-      const std::vector<std::string> toks = split_tokens(payload);
+      const std::vector<std::string> toks = tokenize_line(payload).tokens;
       if (!write_frame(fd, "error unknown request '" +
                                (toks.empty() ? std::string() : toks[0]) + "'")
                .empty()) {

@@ -6,27 +6,12 @@
 #include <utility>
 
 #include "shell/eco_journal.hpp"
-#include "shell/tokenizer.hpp"
+#include "util/input.hpp"
 #include "util/strings.hpp"
 
 namespace mgba::server {
 
 namespace {
-
-/// Quotes a path for a shell command line (tokenizer-compatible), so a
-/// state dir containing spaces still round-trips through replay_eco.
-std::string quote_path(const std::string& path) {
-  if (path.find_first_of(" \t\"#") == std::string::npos && !path.empty()) {
-    return path;
-  }
-  std::string out = "\"";
-  for (const char c : path) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    out.push_back(c);
-  }
-  out.push_back('"');
-  return out;
-}
 
 bool is_setup_command(const std::string& name) {
   return name == "read_library" || name == "read_derates" ||
@@ -168,7 +153,7 @@ void ServerSession::publish() {
 
 void ServerSession::sync_durability(const std::string& line) {
   if (recipe_path_.empty()) return;
-  const shell::TokenizeResult tok = shell::tokenize_line(line);
+  const TokenizeResult tok = tokenize_line(line);
   if (tok.ok() && !tok.tokens.empty() && is_setup_command(tok.tokens[0]) &&
       recipe_out_.is_open()) {
     recipe_out_ << line << '\n';
@@ -207,7 +192,7 @@ std::string ServerSession::recover_from(const std::string& recipe_path,
     if (!line.empty()) lines.push_back(line);
   }
   if (std::ifstream(journal_path).good()) {
-    lines.push_back("replay_eco " + quote_path(journal_path));
+    lines.push_back("replay_eco " + quote(journal_path));
   }
   const std::vector<shell::CommandResult> results = execute(lines);
   for (std::size_t i = 0; i < results.size(); ++i) {

@@ -1,10 +1,10 @@
 #include "shell/eco_journal.hpp"
 
-#include <cstdlib>
 #include <istream>
 #include <ostream>
 
 #include "util/check.hpp"
+#include "util/input.hpp"
 #include "util/strings.hpp"
 
 namespace mgba::shell {
@@ -13,22 +13,6 @@ namespace {
 
 /// %.17g: shortest form guaranteed to round-trip an IEEE double exactly.
 std::string fmt_double(double v) { return str_format("%.17g", v); }
-
-/// Quotes a name for the journal if it contains whitespace or a quote.
-/// Generated designs never produce such names, but a hand-written netlist
-/// could; the tokenizer-compatible quoting keeps read(write(x)) == x.
-std::string quote(const std::string& name) {
-  if (name.find_first_of(" \t\"#") == std::string::npos && !name.empty()) {
-    return name;
-  }
-  std::string out = "\"";
-  for (const char c : name) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    out.push_back(c);
-  }
-  out.push_back('"');
-  return out;
-}
 
 }  // namespace
 
@@ -96,125 +80,71 @@ void EcoJournal::write(std::ostream& out) const {
   for (const EcoTransaction& txn : committed_) write_transaction(out, txn);
 }
 
-bool EcoJournal::read(std::istream& in, std::vector<EcoTransaction>& out,
-                      std::string& error) {
-  out.clear();
-  error.clear();
+std::vector<EcoTransaction> EcoJournal::read(std::istream& in,
+                                             const std::string& source) {
+  std::vector<EcoTransaction> out;
   EcoTransaction current;
   bool open = false;
-  std::string line;
-  std::size_t line_no = 0;
-
-  const auto fail = [&](const std::string& msg) {
-    error = str_format("line %zu: %s", line_no, msg.c_str());
-    return false;
-  };
-
-  while (std::getline(in, line)) {
-    ++line_no;
-    // The journal uses the shell tokenizer's quoting rules, but records
-    // never need full quote handling beyond what quote() emits; reuse a
-    // simple whitespace split with quote support via manual scan.
-    std::vector<std::string> tok;
-    {
-      std::string cur;
-      bool in_tok = false, in_q = false;
-      for (std::size_t i = 0; i < line.size(); ++i) {
-        const char c = line[i];
-        if (in_q) {
-          if (c == '\\' && i + 1 < line.size()) {
-            cur.push_back(line[++i]);
-          } else if (c == '"') {
-            in_q = false;
-          } else {
-            cur.push_back(c);
-          }
-        } else if (c == '"') {
-          in_q = true;
-          in_tok = true;
-        } else if (c == '#') {
-          break;
-        } else if (c == ' ' || c == '\t' || c == '\r') {
-          if (in_tok) tok.push_back(cur);
-          cur.clear();
-          in_tok = false;
-        } else {
-          in_tok = true;
-          cur.push_back(c);
-        }
-      }
-      if (in_q) return fail("unterminated quote");
-      if (in_tok) tok.push_back(cur);
-    }
-    if (tok.empty()) continue;
-    const std::string& kw = tok[0];
-
+  LineReader r(in, source);
+  while (r.next()) {
+    const std::string& kw = r[0];
     if (kw == "begin_eco") {
-      if (open) return fail("nested begin_eco");
-      if (tok.size() != 1) return fail("begin_eco takes no arguments");
+      r.expect(!open, "nested begin_eco");
+      r.expect(r.size() == 1, "begin_eco takes no arguments");
       current = EcoTransaction{};
       open = true;
-    } else if (kw == "end_eco") {
-      if (!open) return fail("end_eco without begin_eco");
-      if (tok.size() != 1) return fail("end_eco takes no arguments");
+      continue;
+    }
+    if (kw == "end_eco") {
+      r.expect(open, "end_eco without begin_eco");
+      r.expect(r.size() == 1, "end_eco takes no arguments");
       out.push_back(std::move(current));
       open = false;
-    } else if (kw == "resize") {
-      if (!open) return fail("record outside begin_eco/end_eco");
-      if (tok.size() != 4) return fail("resize expects 3 fields");
-      EcoRecord r;
-      r.kind = EcoRecord::Kind::Resize;
-      r.inst = tok[1];
-      r.old_cell = tok[2];
-      r.new_cell = tok[3];
-      current.records.push_back(std::move(r));
-    } else if (kw == "buffer") {
-      if (!open) return fail("record outside begin_eco/end_eco");
-      if (tok.size() != 7) return fail("buffer expects 6 fields");
-      EcoRecord r;
-      r.kind = EcoRecord::Kind::InsertBuffer;
-      r.net = tok[1];
-      r.sink = tok[2];
-      r.new_cell = tok[3];
-      r.inst = tok[4];
-      r.x = std::strtod(tok[5].c_str(), nullptr);
-      r.y = std::strtod(tok[6].c_str(), nullptr);
-      current.records.push_back(std::move(r));
-    } else if (kw == "unbuffer") {
-      if (!open) return fail("record outside begin_eco/end_eco");
-      if (tok.size() != 3) return fail("unbuffer expects 2 fields");
-      EcoRecord r;
-      r.kind = EcoRecord::Kind::RemoveBuffer;
-      r.inst = tok[1];
-      r.net = tok[2];
-      current.records.push_back(std::move(r));
-    } else if (kw == "weights") {
-      if (!open) return fail("record outside begin_eco/end_eco");
-      if (tok.size() < 4) return fail("weights expects a corner, mode, count");
-      EcoRecord r;
-      r.kind = EcoRecord::Kind::Weights;
-      r.corner = tok[1];
-      if (tok[2] == "early") {
-        r.early = true;
-      } else if (tok[2] == "late") {
-        r.early = false;
-      } else {
-        return fail("weights mode must be 'late' or 'early'");
-      }
-      const std::size_t n =
-          static_cast<std::size_t>(std::strtoul(tok[3].c_str(), nullptr, 10));
-      if (tok.size() != 4 + n) return fail("weights value count mismatch");
-      r.values.reserve(n);
-      for (std::size_t i = 0; i < n; ++i) {
-        r.values.push_back(std::strtod(tok[4 + i].c_str(), nullptr));
-      }
-      current.records.push_back(std::move(r));
-    } else {
-      return fail("unknown record '" + kw + "'");
+      continue;
     }
+    if (kw != "resize" && kw != "buffer" && kw != "unbuffer" &&
+        kw != "weights") {
+      r.fail("unknown record '" + kw + "'");
+    }
+    r.expect(open, "record outside begin_eco/end_eco");
+    EcoRecord rec;
+    rec.line = r.line();
+    if (kw == "resize") {
+      r.expect(r.size() == 4, "resize expects 3 fields");
+      rec.kind = EcoRecord::Kind::Resize;
+      rec.inst = r[1];
+      rec.old_cell = r[2];
+      rec.new_cell = r[3];
+    } else if (kw == "buffer") {
+      r.expect(r.size() == 7, "buffer expects 6 fields");
+      rec.kind = EcoRecord::Kind::InsertBuffer;
+      rec.net = r[1];
+      rec.sink = r[2];
+      rec.new_cell = r[3];
+      rec.inst = r[4];
+      rec.x = r.number(5);
+      rec.y = r.number(6);
+    } else if (kw == "unbuffer") {
+      r.expect(r.size() == 3, "unbuffer expects 2 fields");
+      rec.kind = EcoRecord::Kind::RemoveBuffer;
+      rec.inst = r[1];
+      rec.net = r[2];
+    } else {
+      r.expect(r.size() >= 4, "weights expects a corner, mode, count");
+      rec.kind = EcoRecord::Kind::Weights;
+      rec.corner = r[1];
+      r.expect(r[2] == "early" || r[2] == "late",
+               "weights mode must be 'late' or 'early'");
+      rec.early = r[2] == "early";
+      const std::size_t n = r.count(3);
+      r.expect(n == r.size() - 4, "weights value count mismatch");
+      rec.values.reserve(n);
+      for (std::size_t i = 0; i < n; ++i) rec.values.push_back(r.number(4 + i));
+    }
+    current.records.push_back(std::move(rec));
   }
-  if (open) return fail("journal ends inside an open transaction");
-  return true;
+  r.expect(!open, "journal ends inside an open transaction");
+  return out;
 }
 
 }  // namespace mgba::shell

@@ -30,7 +30,9 @@
 ///   end_eco
 ///
 /// Sinks are spelled `inst/PIN` (library pin name) or a bare port name.
-/// Doubles are printed with %.17g so they round-trip bit-exactly.
+/// Names are written through quote() (util/input.hpp), so any name reads
+/// back unchanged. Doubles are printed with %.17g so they round-trip
+/// bit-exactly.
 
 #include <cstddef>
 #include <iosfwd>
@@ -59,6 +61,7 @@ struct EcoRecord {
   std::string corner;    ///< Weights: corner name
   bool early = false;    ///< Weights: early-mode (hold) vector
   std::vector<double> values;  ///< Weights: per-instance deviations
+  std::size_t line = 0;  ///< the journal line read() found it on; 0 if live
 };
 
 /// An ordered run of records bracketed by begin_eco / end_eco.
@@ -105,10 +108,10 @@ class EcoJournal {
   /// the block write() emits for the same transaction.
   static void write_transaction(std::ostream& out, const EcoTransaction& txn);
 
-  /// Parses the text format. On success fills \p out and returns true; on
-  /// malformed input returns false with a one-line message in \p error.
-  static bool read(std::istream& in, std::vector<EcoTransaction>& out,
-                   std::string& error);
+  /// Parses the text format; malformed input throws InputError naming
+  /// "<source>:<line>".
+  static std::vector<EcoTransaction> read(std::istream& in,
+                                          const std::string& source);
 
  private:
   std::vector<EcoTransaction> committed_;

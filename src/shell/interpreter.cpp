@@ -11,31 +11,13 @@
 #include <sstream>
 
 #include "opt/qor.hpp"
-#include "shell/tokenizer.hpp"
 #include "sta/report.hpp"
+#include "util/input.hpp"
 #include "util/strings.hpp"
 
 namespace mgba::shell {
 
 namespace {
-
-bool parse_size(const std::string& s, std::size_t& out) {
-  if (s.empty()) return false;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(s.c_str(), &end, 10);
-  if (end != s.c_str() + s.size()) return false;
-  out = static_cast<std::size_t>(v);
-  return true;
-}
-
-bool parse_double(const std::string& s, double& out) {
-  if (s.empty()) return false;
-  char* end = nullptr;
-  const double v = std::strtod(s.c_str(), &end);
-  if (end != s.c_str() + s.size()) return false;
-  out = v;
-  return true;
-}
 
 /// Reads an optional numeric option into \p out; the returned error names
 /// the option so the user sees which value failed to parse.
@@ -43,7 +25,9 @@ std::string read_size_option(const ParsedCommand& p, const std::string& name,
                              std::size_t& out) {
   const std::string* v = p.value(name);
   if (v == nullptr) return "";
-  if (!parse_size(*v, out)) return "option -" + name + ": not a count: " + *v;
+  const auto count = parse_count(*v);
+  if (!count) return "option -" + name + ": not a count: " + *v;
+  out = *count;
   return "";
 }
 
@@ -51,9 +35,9 @@ std::string read_double_option(const ParsedCommand& p, const std::string& name,
                                double& out) {
   const std::string* v = p.value(name);
   if (v == nullptr) return "";
-  if (!parse_double(*v, out)) {
-    return "option -" + name + ": not a number: " + *v;
-  }
+  const auto number = parse_number(*v);
+  if (!number) return "option -" + name + ": not a number: " + *v;
+  out = *number;
   return "";
 }
 
@@ -501,16 +485,16 @@ CommandResult ShellInterpreter::cmd_report_path(const ParsedCommand& p,
 CommandResult ShellInterpreter::cmd_report_endpoints(
     const ParsedCommand& p, const SessionView& view) const {
   if (!view.loaded()) return no_design();
-  std::size_t count = 10;
-  if (!p.positional.empty() && !parse_size(p.positional[0], count)) {
-    return args_fail("not a count: " + p.positional[0]);
-  }
+  const auto count =
+      p.positional.empty() ? std::optional<std::size_t>(10)
+                           : parse_count(p.positional[0]);
+  if (!count) return args_fail("not a count: " + p.positional[0]);
   std::optional<CornerId> corner;
   if (std::string err = resolve_corner(p, view, corner); !err.empty()) {
     return args_fail(std::move(err));
   }
   return ok_result(report_endpoints(
-      *view.snap, count, corner.value_or(kDefaultCorner),
+      *view.snap, *count, corner.value_or(kDefaultCorner),
       [&view](NodeId n) { return view.node_name(n); }));
 }
 
@@ -532,10 +516,9 @@ CommandResult ShellInterpreter::cmd_report_qor(const ParsedCommand& /*p*/) {
 
 CommandResult ShellInterpreter::cmd_report_paths(const ParsedCommand& p) {
   if (!session_.loaded()) return no_design();
-  std::size_t count = 5;
-  if (!p.positional.empty() && !parse_size(p.positional[0], count)) {
-    return args_fail("not a count: " + p.positional[0]);
-  }
+  const auto count = p.positional.empty() ? std::optional<std::size_t>(5)
+                                          : parse_count(p.positional[0]);
+  if (!count) return args_fail("not a count: " + p.positional[0]);
   std::size_t k = 8;
   std::string err;
   if ((err = read_size_option(p, "k", k)), !err.empty()) {
@@ -553,7 +536,7 @@ CommandResult ShellInterpreter::cmd_report_paths(const ParsedCommand& p) {
   // repeated calls after ECOs re-enumerate only the touched cone.
   PathEngine& engine = session_.path_hub()->engine(k, mode, corner);
   engine.sync();
-  const std::vector<TimingPath> paths = engine.worst_paths(count);
+  const std::vector<TimingPath> paths = engine.worst_paths(*count);
   const TimingSnapshot& snap = *engine.view();
   const TimingGraph& graph = session_.timer().graph();
   std::ostringstream os;
@@ -953,12 +936,12 @@ void ShellInterpreter::register_commands() {
       mutating_cmd("release <snapshot>", "release a pinned timing snapshot",
                    1, 1, {}, {}, [this](const ParsedCommand& p) {
                      if (!session_.loaded()) return no_design();
-                     std::size_t id = 0;
-                     if (!parse_size(p.positional[0], id)) {
+                     const auto id = parse_count(p.positional[0]);
+                     if (!id) {
                        return args_fail("not a snapshot id: " +
                                         p.positional[0]);
                      }
-                     if (std::string err = session_.release_snapshot(id);
+                     if (std::string err = session_.release_snapshot(*id);
                          !err.empty()) {
                        return engine_fail(std::move(err));
                      }
@@ -967,7 +950,7 @@ void ShellInterpreter::register_commands() {
                      return ok_result(str_format(
                          "snapshot %zu released (%zu live, %zu bytes "
                          "retained)\n",
-                         id, m.live_snapshots, m.cow_retained_bytes));
+                         *id, m.live_snapshots, m.cow_retained_bytes));
                    }));
 
   add("replay_eco",

@@ -13,6 +13,7 @@
 #include "netlist/verilog_io.hpp"
 #include "sta/sdc.hpp"
 #include "util/check.hpp"
+#include "util/input.hpp"
 #include "util/strings.hpp"
 
 namespace mgba::shell {
@@ -39,24 +40,31 @@ ShellSession::ShellSession()
       table_(default_aocv_table()),
       setups_(default_corner_setups(table_)) {}
 
-std::string ShellSession::load_library(const std::string& path) {
+// The loaders below read their file into locals, and build whatever the
+// new input needs, before they tear anything down: a file they reject, by
+// an InputError or an error string, leaves the session as it was.
+
+std::string ShellSession::load_library(const std::string& path) try {
   if (journal_.in_transaction()) {
     return "read_library: close the open ECO transaction first";
   }
   std::ifstream in(path);
   if (!in) return "cannot open library " + path;
+  Library library = read_library(in, path);
   eco_view_.reset();  // snapshots must not outlive the timer they reference
   pinned_snapshots_.clear();
   path_hub_.reset();  // engines pin snapshots of the old timer
   timer_.reset();  // references the old library via the design
   design_.reset();
-  library_ = read_library(in);
+  library_ = std::move(library);
   journal_ = EcoJournal{};
   committed_snapshots_.clear();
   return "";
+} catch (const InputError& e) {
+  return e.what();
 }
 
-std::string ShellSession::load_derates(const std::string& path) {
+std::string ShellSession::load_derates(const std::string& path) try {
   if (journal_.in_transaction()) {
     return "read_derates: close the open ECO transaction first";
   }
@@ -66,32 +74,38 @@ std::string ShellSession::load_derates(const std::string& path) {
   }
   std::ifstream in(path);
   if (!in) return "cannot open derate table " + path;
-  table_ = read_derate_table(in);
+  table_ = read_derate_table(in, path);
   setups_ = default_corner_setups(table_);
   if (loaded()) {
     install_corner_derates(*timer_, setups_);
     timer_->update_timing();
   }
   return "";
+} catch (const InputError& e) {
+  return e.what();
 }
 
-std::string ShellSession::load(const LoadRequest& request) {
+std::string ShellSession::load(const LoadRequest& request) try {
   if (journal_.in_transaction()) {
     return "read_netlist: close the open ECO transaction first";
   }
   if (!(request.utilization > 0.0)) return "utilization must be > 0";
 
+  // A design read from a file names it in the errors of its design rules.
+  const std::string where =
+      request.netlist_path.empty() ? "" : request.netlist_path + ": ";
   std::string clock_port = "CLK";
   std::unique_ptr<Design> design;
   if (!request.netlist_path.empty()) {
-    std::ifstream in(request.netlist_path);
-    if (!in) return "cannot open netlist " + request.netlist_path;
-    if (request.netlist_path.ends_with(".v")) {
-      design = std::make_unique<Design>(read_verilog(library_, in));
+    const std::string& path = request.netlist_path;
+    std::ifstream in(path);
+    if (!in) return "cannot open netlist " + path;
+    if (path.ends_with(".v")) {
+      design = std::make_unique<Design>(read_verilog(library_, in, path));
       // Verilog carries no placement; synthesize one so wire delays exist.
       scatter_placement(*design, request.seed);
     } else {
-      design = std::make_unique<Design>(read_netlist(library_, in));
+      design = std::make_unique<Design>(read_netlist(library_, in, path));
     }
   } else if (request.design > 0) {
     if (request.design > 10) return "-design expects 1..10";
@@ -112,19 +126,39 @@ std::string ShellSession::load(const LoadRequest& request) {
     return "read_netlist: give a file, -design N, or -gates N";
   }
 
-  // The constraints are read before the old session is torn down, so a bad
-  // SDC path leaves it as it was.
   TimingConstraints constraints;
   constraints.clock_port = clock_port;
   bool sdc_period = false;
   if (!request.sdc_path.empty()) {
     std::ifstream in(request.sdc_path);
     if (!in) return "cannot open SDC " + request.sdc_path;
-    constraints = read_sdc(in, constraints, &sdc_period);
+    constraints = read_sdc(in, request.sdc_path, constraints, &sdc_period);
   }
   if (!request.clock_port.empty()) constraints.clock_port = request.clock_port;
   if (request.uncertainty_ps.has_value()) {
     constraints.clock_uncertainty_ps = *request.uncertainty_ps;
+  }
+
+  // The graph build rejects a missing clock port, a combinational cycle or
+  // a clock pin off the clock tree, so the new timer is built before the
+  // teardown.
+  std::unique_ptr<Timer> timer;
+  try {
+    if (request.period_ps.has_value()) {
+      constraints.clock_period_ps = *request.period_ps;
+    } else if (!sdc_period) {
+      // Derive the period from the golden critical path at the requested
+      // utilization. An SDC's create_clock period stands.
+      constraints.clock_period_ps = 1e9;
+      Timer probe(*design, constraints);
+      probe.set_instance_derates(compute_gba_derates(probe.graph(), table_));
+      probe.update_timing();
+      constraints.clock_period_ps =
+          choose_clock_period(probe, table_, request.utilization);
+    }
+    timer = std::make_unique<Timer>(*design, constraints);
+  } catch (const InputError& e) {
+    return where + e.what();
   }
 
   // Tear down the old session before the new design replaces it. Any
@@ -134,45 +168,35 @@ std::string ShellSession::load(const LoadRequest& request) {
   path_hub_.reset();
   timer_.reset();
   design_ = std::move(design);
+  timer_ = std::move(timer);
+  constraints_ = std::move(constraints);
   journal_ = EcoJournal{};
   committed_snapshots_.clear();
   buffers_named_ = 0;
   setups_ = default_corner_setups(table_);
-
-  constraints_ = std::move(constraints);
-  if (request.period_ps.has_value()) {
-    constraints_.clock_period_ps = *request.period_ps;
-  } else if (!sdc_period) {
-    // Derive the period from the golden critical path at the requested
-    // utilization. An SDC's create_clock period stands.
-    constraints_.clock_period_ps = 1e9;
-    Timer probe(*design_, constraints_);
-    probe.set_instance_derates(compute_gba_derates(probe.graph(), table_));
-    probe.update_timing();
-    constraints_.clock_period_ps =
-        choose_clock_period(probe, table_, request.utilization);
-  }
-
-  timer_ = std::make_unique<Timer>(*design_, constraints_);
   install_corner_derates(*timer_, setups_);
   timer_->update_timing();
   return "";
+} catch (const InputError& e) {
+  return e.what();
 }
 
-std::string ShellSession::load_corners(const std::string& path) {
+std::string ShellSession::load_corners(const std::string& path) try {
   if (!loaded()) return "no design loaded (read_netlist first)";
   if (journal_.in_transaction()) {
     return "read_corners: close the open ECO transaction first";
   }
   std::ifstream in(path);
   if (!in) return "cannot open corner spec " + path;
-  setups_ = read_corners(in, table_);
+  setups_ = read_corners(in, table_, path);
   // The corner set (and with it the arena shape) changes wholesale; any
   // existing engines were keyed against the old corner ids.
   path_hub_.reset();
   apply_corner_setups(*timer_, setups_);
   timer_->update_timing();
   return "";
+} catch (const InputError& e) {
+  return e.what();
 }
 
 std::string ShellSession::sink_spec(const Terminal& t) const {
@@ -224,6 +248,9 @@ std::string ShellSession::size_cell(const std::string& inst_name,
   }
   if (old_cell.kind == CellKind::FlipFlop) {
     return "refusing to size flip-flop " + inst_name;
+  }
+  if (std::string err = design_->resize_error(*inst, *cell); !err.empty()) {
+    return err;
   }
 
   EcoRecord r;
@@ -505,6 +532,10 @@ std::string ShellSession::apply_record(const EcoRecord& r, bool& structural,
           library_.cell(*old_cell).footprint) {
         return "resize record crosses footprint families";
       }
+      if (std::string err = design_->resize_error(*inst, *new_cell);
+          !err.empty()) {
+        return err;
+      }
       design_->resize_instance(*inst, *new_cell);
       resized.push_back(*inst);
       return "";
@@ -534,6 +565,10 @@ std::string ShellSession::apply_record(const EcoRecord& r, bool& structural,
       if (!inst.has_value() || !net.has_value()) {
         return "unknown buffer or net in unbuffer record";
       }
+      if (std::string err = design_->remove_buffer_error(*inst, *net);
+          !err.empty()) {
+        return err;
+      }
       design_->remove_buffer(*inst, *net);
       structural = true;
       return "";
@@ -554,18 +589,14 @@ std::string ShellSession::apply_record(const EcoRecord& r, bool& structural,
 
 std::string ShellSession::replay_eco(const std::string& path,
                                      std::size_t& transactions,
-                                     std::size_t& records) {
+                                     std::size_t& records) try {
   if (!loaded()) return "no design loaded (read_netlist first)";
   if (journal_.in_transaction()) {
     return "close the open ECO transaction before replay_eco";
   }
   std::ifstream in(path);
   if (!in) return "cannot open ECO journal " + path;
-  std::vector<EcoTransaction> parsed;
-  std::string error;
-  if (!EcoJournal::read(in, parsed, error)) {
-    return "malformed ECO journal " + path + ": " + error;
-  }
+  std::vector<EcoTransaction> parsed = EcoJournal::read(in, path);
 
   transactions = 0;
   records = 0;
@@ -584,7 +615,8 @@ std::string ShellSession::replay_eco(const std::string& path,
         timer_->rebuild_graph();
         install_corner_derates(*timer_, setups_);
         timer_->update_timing();
-        return "replay stopped: " + err;
+        return str_format("%s:%zu: replay stopped: %s", path.c_str(), r.line,
+                          err.c_str());
       }
       journal_.record(std::move(r));
       ++records;
@@ -603,6 +635,8 @@ std::string ShellSession::replay_eco(const std::string& path,
     ++transactions;
   }
   return "";
+} catch (const InputError& e) {
+  return e.what();
 }
 
 void ShellSession::on_resize(InstanceId inst, std::size_t old_cell,

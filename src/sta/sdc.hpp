@@ -11,8 +11,9 @@
 ///   set_output_delay 150 [get_ports out_3]
 ///   set_input_transition 25
 ///
-/// Units are ps throughout (matching the library). Unknown commands abort
-/// with a message — silently ignored constraints are how real chips die.
+/// Units are ps throughout (matching the library). Names follow the
+/// shared lexical rule (util/input.hpp). Unknown commands are errors —
+/// silently ignored constraints are how real chips die.
 
 #include <iosfwd>
 #include <string>
@@ -24,8 +25,10 @@ namespace mgba {
 /// Parses SDC text into a TimingConstraints, starting from \p base (so
 /// programmatic defaults survive for anything the file does not set).
 /// \p sets_period, when given, receives whether a create_clock -period
-/// set the clock period.
-TimingConstraints read_sdc(std::istream& in, TimingConstraints base = {},
+/// set the clock period. Malformed input throws InputError naming
+/// "<source>:<line>".
+TimingConstraints read_sdc(std::istream& in, const std::string& source,
+                           TimingConstraints base = {},
                            bool* sets_period = nullptr);
 TimingConstraints sdc_from_string(const std::string& text,
                                   TimingConstraints base = {});

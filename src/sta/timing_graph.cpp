@@ -5,6 +5,7 @@
 #include <numeric>
 
 #include "util/check.hpp"
+#include "util/input.hpp"
 
 namespace mgba {
 
@@ -513,9 +514,11 @@ void TimingGraph::mark_clock_network(const std::string& clock_port_name,
                                      const BuildCsr& fanout) {
   const Design& d = *design_;
   const auto clock_port = d.find_port(clock_port_name);
-  MGBA_CHECK(clock_port.has_value());
+  if (!clock_port.has_value() || port_nodes_[*clock_port] == kInvalidNode) {
+    throw InputError("design " + d.name() + " has no connected clock port '" +
+                     clock_port_name + "'");
+  }
   clock_source_ = port_nodes_[*clock_port];
-  MGBA_CHECK(clock_source_ != kInvalidNode);
 
   // BFS from the clock source. A flip-flop CK pin belongs to the clock
   // network but the traversal does not continue through its CK->Q arc;
@@ -562,8 +565,21 @@ void TimingGraph::levelize(const BuildCsr& fanout) {
       if (--in_degree[v] == 0) ready.push_back(v);
     }
   }
-  MGBA_CHECK(ready.size() == nodes_.size() &&
-             "timing graph has a combinational cycle");
+  if (ready.size() == nodes_.size()) return;
+  // Every node left over has a predecessor left over too, so walking back
+  // through them from any one must come round to a node on a cycle.
+  std::vector<NodeId> pred(nodes_.size(), kInvalidNode);
+  for (const TimingArc& arc : arcs_) {
+    if (in_degree[arc.to] > 0 && in_degree[arc.from] > 0) {
+      pred[arc.to] = arc.from;
+    }
+  }
+  NodeId u = 0;
+  while (in_degree[u] == 0) ++u;
+  std::vector<bool> seen(nodes_.size(), false);
+  for (; !seen[u]; u = pred[u]) seen[u] = true;
+  throw InputError("design " + design_->name() +
+                   " has a combinational cycle through " + node_name(u));
 }
 
 void TimingGraph::renumber_level_contiguous() {
@@ -665,8 +681,12 @@ void TimingGraph::trace_clock_paths() {
     std::vector<InstanceId>& path = (*paths)[c];
     NodeId cur = checks_[c].clock_node;
     while (cur != clock_source_) {
-      MGBA_CHECK(fanin(cur).size() == 1 &&
-                 "clock network must be tree-structured for CRPR");
+      if (fanin(cur).size() != 1) {
+        throw InputError("design " + design_->name() + ": clock pin " +
+                         node_name(checks_[c].clock_node) +
+                         " is not fed by a tree from clock port " +
+                         node_name(clock_source_));
+      }
       const TimingArc& arc = arcs_[fanin(cur).front()];
       if (arc.kind == TimingArc::Kind::Cell) path.push_back(arc.inst);
       cur = arc.from;

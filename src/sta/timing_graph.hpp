@@ -103,7 +103,10 @@ struct TimingCheck {
 class TimingGraph {
  public:
   /// Builds the graph for \p design using \p clock_port_name as the single
-  /// clock source. The design must be acyclic through flip-flops.
+  /// clock source. A design that lacks that port connected, has a
+  /// combinational cycle, or has a clock pin not fed by a tree from the
+  /// port throws InputError naming the port, a pin on the cycle or the
+  /// clock pin.
   TimingGraph(const Design& design, const std::string& clock_port_name);
 
   /// Where a buffer the patch constructor can apply sits in this

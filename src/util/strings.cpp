@@ -5,30 +5,11 @@
 
 namespace mgba {
 
-std::vector<std::string_view> split(std::string_view text,
-                                    std::string_view delims) {
-  std::vector<std::string_view> tokens;
-  std::size_t pos = 0;
-  while (pos < text.size()) {
-    const std::size_t begin = text.find_first_not_of(delims, pos);
-    if (begin == std::string_view::npos) break;
-    std::size_t end = text.find_first_of(delims, begin);
-    if (end == std::string_view::npos) end = text.size();
-    tokens.push_back(text.substr(begin, end - begin));
-    pos = end;
-  }
-  return tokens;
-}
-
 std::string_view trim(std::string_view text) {
   const std::size_t begin = text.find_first_not_of(" \t\r\n");
   if (begin == std::string_view::npos) return {};
   const std::size_t end = text.find_last_not_of(" \t\r\n");
   return text.substr(begin, end - begin + 1);
-}
-
-bool starts_with(std::string_view text, std::string_view prefix) {
-  return text.substr(0, prefix.size()) == prefix;
 }
 
 std::string str_format(const char* fmt, ...) {

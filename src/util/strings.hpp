@@ -1,24 +1,17 @@
 #pragma once
 
 /// \file strings.hpp
-/// Small string utilities shared by the netlist text format and the report
-/// writers. Nothing here allocates beyond the returned values.
+/// Small string utilities shared by the report writers and the SDC reader.
+/// Nothing here allocates beyond the returned values. Tokenizing lives in
+/// the input layer (util/input.hpp).
 
 #include <string>
 #include <string_view>
-#include <vector>
 
 namespace mgba {
 
-/// Splits on any run of characters in \p delims; empty tokens are dropped.
-std::vector<std::string_view> split(std::string_view text,
-                                    std::string_view delims = " \t");
-
 /// Strips leading/trailing whitespace.
 std::string_view trim(std::string_view text);
-
-/// True if \p text begins with \p prefix.
-bool starts_with(std::string_view text, std::string_view prefix);
 
 /// printf-style formatting into a std::string.
 std::string str_format(const char* fmt, ...)

@@ -10,15 +10,15 @@
 #include <thread>
 #include <vector>
 
+#include "util/input.hpp"
+
 namespace mgba {
 
 namespace {
 
 std::size_t default_threads() {
   if (const char* env = std::getenv("MGBA_THREADS")) {
-    char* end = nullptr;
-    const long v = std::strtol(env, &end, 10);
-    if (end != env && v > 0) return static_cast<std::size_t>(v);
+    if (const auto v = parse_count(env); v && *v > 0) return *v;
   }
   const unsigned hc = std::thread::hardware_concurrency();
   return hc == 0 ? 1 : static_cast<std::size_t>(hc);

@@ -65,7 +65,7 @@ TEST(McmmCornerIo, ParsesSpecText) {
 TEST(McmmCornerIo, ReadCornersFromStream) {
   const DerateTable base = default_aocv_table();
   std::istringstream in("corner ss delay 1.1\ncorner ff delay 0.9\n");
-  const auto setups = read_corners(in, base);
+  const auto setups = read_corners(in, base, "two.corners");
   ASSERT_EQ(setups.size(), 2u);
   EXPECT_EQ(setups[0].corner.name, "ss");
   EXPECT_EQ(setups[1].corner.name, "ff");

@@ -15,7 +15,9 @@
 #include <atomic>
 #include <cstring>
 #include <filesystem>
+#include <fstream>
 #include <future>
+#include <regex>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -24,11 +26,13 @@
 
 #include <gtest/gtest.h>
 
+#include "netlist/netlist_io.hpp"
 #include "server/client.hpp"
 #include "server/protocol.hpp"
 #include "server/server.hpp"
 #include "server/session_manager.hpp"
 #include "shell/interpreter.hpp"
+#include "shell/session.hpp"
 #include "sta/state_signature.hpp"
 
 namespace mgba::server {
@@ -386,6 +390,40 @@ TEST(ServerSessions, StatusCodesFlowEndToEnd) {
   // The batch keeps executing past errors; the client decides what stops.
   EXPECT_EQ(results[3].status, 0);
   EXPECT_EQ(results[3].output, "still here\n");
+  EXPECT_EQ(harness.stop(), 0);
+}
+
+TEST(ServerSessions, MalformedNetlistLeavesOtherSessionsServing) {
+  ServerHarness harness;
+  Client a;
+  ASSERT_EQ(a.connect(harness.socket_path), "");
+  remote_transcript(a, {kLoadLine});
+  const std::string before = remote_transcript(a, {"report_wns"});
+
+  // The first 4 KB of a written design, cut inside a line.
+  shell::ShellSession source;
+  shell::LoadRequest request;
+  request.gates = 260;
+  request.flops = 36;
+  ASSERT_EQ(source.load(request), "");
+  const std::string text = netlist_to_string(source.design());
+  const std::string path = testing::TempDir() + "server_truncated.net";
+  std::ofstream(path) << text.substr(0, text.rfind('\n', 4096) + 4);
+
+  Client b;
+  ASSERT_EQ(b.connect(harness.socket_path), "");
+  std::vector<WireResult> results;
+  ASSERT_EQ(b.run_batch({"read_netlist " + path, "echo still here"}, results),
+            "");
+  ASSERT_EQ(results.size(), 2u);
+  EXPECT_EQ(exit_code_for_status(
+                static_cast<shell::CommandStatus>(results[0].status)),
+            6);
+  EXPECT_TRUE(std::regex_search(results[0].error,
+                                std::regex("^" + path + ":[0-9]+: ")))
+      << results[0].error;
+  EXPECT_EQ(results[1].output, "still here\n");
+  EXPECT_EQ(remote_transcript(a, {"report_wns"}), before);
   EXPECT_EQ(harness.stop(), 0);
 }
 

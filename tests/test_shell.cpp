@@ -16,7 +16,7 @@
 #include "shell/eco_journal.hpp"
 #include "shell/interpreter.hpp"
 #include "shell/session.hpp"
-#include "shell/tokenizer.hpp"
+#include "util/input.hpp"
 
 namespace mgba::shell {
 namespace {
@@ -178,9 +178,7 @@ TEST(ShellEco, JournalTextRoundTripIsExact) {
   std::stringstream text;
   journal.write(text);
 
-  std::vector<EcoTransaction> parsed;
-  std::string error;
-  ASSERT_TRUE(EcoJournal::read(text, parsed, error)) << error;
+  const std::vector<EcoTransaction> parsed = EcoJournal::read(text, "j.eco");
   ASSERT_EQ(parsed.size(), 1u);
   ASSERT_EQ(parsed[0].records.size(), 4u);
   const EcoRecord& r0 = parsed[0].records[0];
@@ -209,16 +207,22 @@ TEST(ShellEco, JournalTextRoundTripIsExact) {
   EXPECT_EQ(r3.values[2], -0.125);
 }
 
+/// The InputError text reading \p text as journal "j.eco" throws, or ""
+/// when it reads.
+std::string journal_error(const std::string& text) {
+  std::istringstream in(text);
+  try {
+    EcoJournal::read(in, "j.eco");
+  } catch (const InputError& e) {
+    return e.what();
+  }
+  return "";
+}
+
 TEST(ShellEco, JournalReadRejectsMalformedInput) {
-  std::vector<EcoTransaction> parsed;
-  std::string error;
-  std::istringstream orphan("resize a b c\n");
-  EXPECT_FALSE(EcoJournal::read(orphan, parsed, error));
-  EXPECT_NE(error.find("line 1"), std::string::npos);
-  std::istringstream unclosed("begin_eco\nresize a b c\n");
-  EXPECT_FALSE(EcoJournal::read(unclosed, parsed, error));
-  std::istringstream badkind("begin_eco\nteleport a b\nend_eco\n");
-  EXPECT_FALSE(EcoJournal::read(badkind, parsed, error));
+  EXPECT_EQ(journal_error("resize a b c\n").rfind("j.eco:1: ", 0), 0u);
+  EXPECT_NE(journal_error("begin_eco\nresize a b c\n"), "");
+  EXPECT_NE(journal_error("begin_eco\nteleport a b\nend_eco\n"), "");
 }
 
 // --- session-level ECO properties ------------------------------------------
@@ -332,6 +336,58 @@ TEST(ShellLoad, RejectedRequestLeavesTheLoadedDesign) {
   ASSERT_TRUE(session.loaded());
   EXPECT_EQ(f.run(query) + f.run(query + " -early"), before);
   EXPECT_EQ(slacks_by_name(session.timer()), slacks);
+}
+
+TEST(ShellLoad, MissingClockPortIsRejectedByName) {
+  ShellSession session;
+  ASSERT_EQ(session.load(small_request()), "");
+  const auto slacks = slacks_by_name(session.timer());
+  LoadRequest request = small_request();
+  request.seed = 12;  // a different design, never installed
+  request.clock_port = "NOPE";
+  EXPECT_NE(session.load(request).find("clock port 'NOPE'"),
+            std::string::npos);
+  ASSERT_TRUE(session.loaded());
+  EXPECT_EQ(slacks_by_name(session.timer()), slacks);
+}
+
+TEST(ShellLoad, CombinationalLoopIsRejectedByAPinOnIt) {
+  const std::string path = temp_path("shell_loop.net");
+  std::ofstream(path)
+      << "design loop\nport CLK input 0 0\nport in0 input 0 0\n"
+      << "port out0 output 0 0\n"
+      << "inst ff DFF_X1 0 0\ninst a NAND2_X1 0 0\ninst b INV_X1 0 0\n"
+      << "net clk\nnet d\nnet x\nnet y\nnet q\n"
+      << "pin ff CK clk\npin ff D d\npin ff Q q\n"
+      << "pin a A d\npin a B y\npin a Z x\npin b A x\npin b ZN y\n"
+      << "pconn CLK clk\npconn in0 d\npconn out0 q\n";
+  ShellSession session;
+  ASSERT_EQ(session.load(small_request()), "");
+  const auto slacks = slacks_by_name(session.timer());
+  LoadRequest request;
+  request.netlist_path = path;
+  request.period_ps = 1000.0;
+  const std::string error = session.load(request);
+  EXPECT_EQ(error.rfind(path + ": ", 0), 0u) << error;
+  EXPECT_NE(error.find("combinational cycle through "), std::string::npos)
+      << error;
+  const bool names_a_pin_on_it =
+      error.find(" a/") != std::string::npos ||
+      error.find(" b/") != std::string::npos;
+  EXPECT_TRUE(names_a_pin_on_it) << error;
+  ASSERT_TRUE(session.loaded());
+  EXPECT_EQ(slacks_by_name(session.timer()), slacks);
+}
+
+TEST(ShellLoad, NumericOptionsTakeTheSharedRule) {
+  InterpreterFixture f;
+  for (const std::string line :
+       {"read_netlist -gates 100 -period nan", "read_netlist -gates -1",
+        "read_netlist -gates 100 -period 15OO"}) {
+    const CommandResult r = f.interp.execute_line(line);
+    EXPECT_EQ(r.status, CommandStatus::BadArgs) << line << ": " << r.error;
+  }
+  EXPECT_FALSE(f.interp.session().loaded());
 }
 
 TEST(ShellEco, UndoRestoresBitIdenticalSlacks) {

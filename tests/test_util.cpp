@@ -128,29 +128,11 @@ TEST(Rng, ShufflePreservesElements) {
   EXPECT_EQ(shuffled, v);
 }
 
-TEST(Strings, SplitBasic) {
-  const auto tokens = split("a  b\tc ");
-  ASSERT_EQ(tokens.size(), 3u);
-  EXPECT_EQ(tokens[0], "a");
-  EXPECT_EQ(tokens[1], "b");
-  EXPECT_EQ(tokens[2], "c");
-}
-
-TEST(Strings, SplitEmpty) {
-  EXPECT_TRUE(split("").empty());
-  EXPECT_TRUE(split("   \t ").empty());
-}
-
 TEST(Strings, Trim) {
   EXPECT_EQ(trim("  hello \n"), "hello");
   EXPECT_EQ(trim(""), "");
   EXPECT_EQ(trim(" \t "), "");
   EXPECT_EQ(trim("x"), "x");
-}
-
-TEST(Strings, StartsWith) {
-  EXPECT_TRUE(starts_with("design top", "design"));
-  EXPECT_FALSE(starts_with("des", "design"));
 }
 
 TEST(Strings, Format) {

@@ -5,14 +5,14 @@
 /// options with values (--key value or --key=value), flags (--key), and
 /// positional arguments, with typed accessors and defaulting.
 
-#include <cctype>
-#include <cerrno>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
+
+#include "util/input.hpp"
 
 namespace mgba::tools {
 
@@ -48,41 +48,35 @@ class Args {
     const auto it = options_.find(key);
     return it == options_.end() ? fallback : it->second;
   }
-  /// The option's value as a number (see number()), or \p fallback when it
-  /// is absent.
+  /// The option's value under the shared number rule (util/input.hpp), or
+  /// \p fallback when it is absent. A value that is not wholly a finite
+  /// number ("15OO", "", " 1", "nan", "1e999") is a usage mistake: exit 2,
+  /// naming it.
   [[nodiscard]] double get_double(const std::string& key,
                                   double fallback) const {
-    return has(key) ? number<double>(key, [](const char* s, char** end) {
-      return std::strtod(s, end);
-    }) : fallback;
+    return has(key) ? checked(key, parse_number(get(key)), "a number")
+                    : fallback;
   }
-  [[nodiscard]] long get_int(const std::string& key, long fallback) const {
-    return has(key) ? number<long>(key, [](const char* s, char** end) {
-      return std::strtol(s, end, 10);
-    }) : fallback;
+  /// As get_double, under the count rule: digits only, so "-1" exits 2.
+  [[nodiscard]] std::size_t get_count(const std::string& key,
+                                      std::size_t fallback) const {
+    return has(key) ? checked(key, parse_count(get(key)), "a count")
+                    : fallback;
   }
   [[nodiscard]] const std::vector<std::string>& positional() const {
     return positional_;
   }
 
  private:
-  /// \p key's value read by \p parse (strtod-like). A value that is not
-  /// wholly a finite, representable number ("15OO", "", " 1", "nan",
-  /// "inf", "1e999") is a usage mistake: exit 2, naming it.
-  template <typename T, typename Parse>
-  T number(const std::string& key, Parse parse) const {
-    const std::string& text = options_.at(key);
-    char* end = nullptr;
-    errno = 0;
-    const T value = parse(text.c_str(), &end);
-    if (text.empty() || std::isspace(static_cast<unsigned char>(text[0])) ||
-        *end != '\0' || errno == ERANGE ||
-        !std::isfinite(static_cast<double>(value))) {
-      std::fprintf(stderr, "--%s expects a number, not '%s'\n", key.c_str(),
-                   text.c_str());
+  template <typename T>
+  T checked(const std::string& key, std::optional<T> value,
+            const char* what) const {
+    if (!value) {
+      std::fprintf(stderr, "--%s expects %s, not '%s'\n", key.c_str(), what,
+                   get(key).c_str());
       std::exit(2);
     }
-    return value;
+    return *value;
   }
 
   std::map<std::string, std::string> options_;

@@ -159,7 +159,7 @@ std::unique_ptr<shell::ShellSession> open_session(const Args& args) {
   if (args.has("derates")) {
     check_session(session->load_derates(args.get("derates")));
   }
-  request.seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
+  request.seed = args.get_count("seed", 1);
   request.sdc_path = args.get("sdc");
   if (args.has("period")) request.period_ps = args.get_double("period", 0.0);
   request.utilization = args.get_double("utilization", 1.0);
@@ -178,31 +178,28 @@ int cmd_generate(const Args& args) {
   GeneratorOptions options;
   if (args.has("design")) {
     options = benchmark_design_options(
-        static_cast<int>(args.get_int("design", 1)));
+        static_cast<int>(args.get_count("design", 1)));
   }
   if (args.has("instances")) {
     // Target total instance count with realistic ratios; explicit knobs
     // below still override individual fields.
-    options = scaled_design_options(
-        static_cast<std::size_t>(args.get_int("instances", 100000)),
-        options.seed);
+    options = scaled_design_options(args.get_count("instances", 100000),
+                                    options.seed);
   }
   if (args.has("gates")) {
-    options.num_gates = static_cast<std::size_t>(args.get_int("gates", 2000));
+    options.num_gates = args.get_count("gates", 2000);
   }
   if (args.has("flops")) {
-    options.num_flops = static_cast<std::size_t>(args.get_int("flops", 160));
+    options.num_flops = args.get_count("flops", 160);
   }
   if (args.has("seed")) {
-    options.seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
+    options.seed = args.get_count("seed", 1);
   }
   if (args.has("depth")) {
-    options.target_depth =
-        static_cast<std::size_t>(args.get_int("depth", 48));
+    options.target_depth = args.get_count("depth", 48);
   }
   if (args.has("blocks")) {
-    options.num_blocks =
-        static_cast<std::size_t>(args.get_int("blocks", 1));
+    options.num_blocks = args.get_count("blocks", 1);
   }
   const std::string out_path = args.get("out");
   if (out_path.empty()) fail(kExitBadArgs, "--out is required");
@@ -248,7 +245,7 @@ int cmd_report(const Args& args) {
     std::printf("%s\n", report_summary_merged(timer, Mode::Late).c_str());
     std::printf("%s\n", report_summary_merged(timer, Mode::Early).c_str());
   }
-  const auto top = static_cast<std::size_t>(args.get_int("top", 10));
+  const auto top = args.get_count("top", 10);
   std::printf("%s", report_endpoints(timer, top).c_str());
   // Worst path trace: the merged-worst endpoint, traced at the corner that
   // realizes it.
@@ -328,8 +325,7 @@ int cmd_optimize(const Args& args) {
   const auto session = open_session(args);
   OptimizerOptions options;
   options.use_mgba = args.has("mgba");
-  options.max_passes =
-      static_cast<std::size_t>(args.get_int("passes", 25));
+  options.max_passes = args.get_count("passes", 25);
   OptimizerReport report;
   check_session(session->optimize(options, report));
   std::printf("flow done in %.2fs (%zu passes, fit %.2fs)\n", report.seconds,
@@ -374,9 +370,9 @@ int cmd_dump_library(const Args& args) {
 
 void apply_threads(const Args& args) {
   if (!args.has("threads")) return;
-  const long n = args.get_int("threads", 0);
+  const std::size_t n = args.get_count("threads", 0);
   if (n < 1) fail(kExitBadArgs, "--threads must be >= 1");
-  set_num_threads(static_cast<std::size_t>(n));
+  set_num_threads(n);
 }
 
 /// `mgba_timer --script FILE`: executes the script with every line echoed
